@@ -243,6 +243,13 @@ void EncodingCache::PutReady(const Key& key, std::shared_ptr<const void> value,
   misses_.fetch_add(1, std::memory_order_relaxed);
   bytes_built_.fetch_add(bytes, std::memory_order_relaxed);
   Shard& shard = ShardOf(key);
+  {
+    // A resident or in-flight entry wins, and finding it takes only the
+    // shared lock: re-ingesting cached content (a refresh of the same
+    // profile) must not stall the shard's readers.
+    std::shared_lock<std::shared_mutex> lock(shard.mu);
+    if (shard.map.contains(key)) return;
+  }
   std::lock_guard<std::shared_mutex> lock(shard.mu);
   Slot slot;
   slot.value = std::move(value);
@@ -250,7 +257,7 @@ void EncodingCache::PutReady(const Key& key, std::shared_ptr<const void> value,
   slot.bytes = bytes;
   slot.ready = true;
   const auto [it, inserted] = shard.map.emplace(key, std::move(slot));
-  if (!inserted) return;  // resident or in-flight entry wins
+  if (!inserted) return;  // raced: the entry inserted first wins
   shard.bytes += bytes;
   shard.insertion_order.push_back(key);
   EvictLocked(shard);
@@ -262,7 +269,15 @@ void EncodingCache::Reserve(size_t additional_entries) {
   const size_t per_shard = additional_entries / kShards + 1;
   for (Shard& shard : shards_) {
     std::lock_guard<std::shared_mutex> lock(shard.mu);
-    shard.map.reserve(shard.map.size() + per_shard);
+    // Grow-only and geometric: `reserve` rehashes (even shrinks) whenever
+    // the bucket count it computes differs, which per small batch would
+    // rewalk the whole shard map.
+    auto& map = shard.map;
+    const size_t target = map.size() + per_shard;
+    if (static_cast<double>(target) >
+        static_cast<double>(map.bucket_count()) * map.max_load_factor()) {
+      map.reserve(std::max(target, 2 * map.size()));
+    }
   }
 }
 

@@ -170,10 +170,10 @@ class EncodingCache {
                           std::shared_ptr<const VerifyWindow> window);
 
   /// Pre-sizes every shard's hash table for `additional_entries` more
-  /// slots. Bulk ingestion knows how many artifacts it is about to warm
-  /// (3 per catalog entry); reserving once up front removes every
-  /// incremental rehash from the ingest path — each rehash rewalks a
-  /// whole shard map under its exclusive lock.
+  /// slots (grow-only, at least doubling). Catalog ingestion knows how
+  /// many artifacts it is about to warm (3 per entry); reserving once up
+  /// front removes every incremental rehash from a large batch — each
+  /// rehash rewalks a whole shard map under its exclusive lock.
   void Reserve(size_t additional_entries);
 
   /// Drops every resident entry (buffers still referenced by shared_ptr

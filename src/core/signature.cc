@@ -397,16 +397,6 @@ SignatureIndex::SignatureIndex(uint32_t shards,
   options_.quantiles = ClampQuantiles(options_.quantiles);
 }
 
-void SignatureIndex::Install(uint32_t shard_index, uint64_t id,
-                             uint64_t version,
-                             std::shared_ptr<const CommunitySignature> signature) {
-  CSJ_CHECK(shard_index < shards_.size());
-  CSJ_CHECK(signature != nullptr);
-  CSJ_CHECK(signature->quantiles() == options_.quantiles)
-      << "signature resolution does not match the index";
-  InstallSlot(shards_[shard_index], id, version, std::move(signature));
-}
-
 void SignatureIndex::InstallSlot(
     Shard& shard, uint64_t id, uint64_t version,
     std::shared_ptr<const CommunitySignature> signature) {
@@ -457,28 +447,49 @@ void SignatureIndex::InstallBatch(uint32_t shard_index,
   CSJ_CHECK(shard_index < shards_.size());
   Shard& shard = shards_[shard_index];
   // Reservation pass: upper-bound each target pack's growth so the
-  // install loop never reallocates mid-batch. Replacements free their
-  // old slot, so this can over-reserve — that only pads capacity.
+  // install loop never reallocates mid-batch. A resident id replaced
+  // within its own pack frees its old slot first and needs no room;
+  // other replacements and duplicates within the batch can over-reserve,
+  // which only pads capacity. Growth is geometric: reserving exactly
+  // `size + growth` would reallocate a pack on every small batch,
+  // quadratic over a stream of upserts.
+  const auto grow = [](auto& column, size_t size) {
+    if (size > column.capacity()) {
+      column.reserve(std::max(size, 2 * column.capacity()));
+    }
+  };
   std::map<PackKey, size_t> growth;
   for (const SlotInstall& element : batch) {
     CSJ_CHECK(element.signature != nullptr);
     CSJ_CHECK(element.signature->quantiles() == options_.quantiles)
         << "signature resolution does not match the index";
-    ++growth[{element.signature->d(), SignatureHomeDim(*element.signature)}];
+    const PackKey key{element.signature->d(),
+                      SignatureHomeDim(*element.signature)};
+    const auto resident = shard.locate.find(element.id);
+    if (resident == shard.locate.end() || resident->second.first != key) {
+      ++growth[key];
+    }
   }
   for (const auto& [key, count] : growth) {
     Pack& pack = shard.packs[key];
     const size_t target = pack.ids.size() + count;
     const size_t stride =
         static_cast<size_t>(key.first) * (options_.quantiles + 1);
-    pack.ids.reserve(target);
-    pack.versions.reserve(target);
-    pack.sizes.reserve(target);
-    pack.sampled.reserve(target);
-    pack.table.reserve(target * stride);
-    pack.signatures.reserve(target);
+    grow(pack.ids, target);
+    grow(pack.versions, target);
+    grow(pack.sizes, target);
+    grow(pack.sampled, target);
+    grow(pack.table, target * stride);
+    grow(pack.signatures, target);
   }
-  shard.locate.reserve(shard.locate.size() + batch.size());
+  // Same for the id map; its `reserve` rehashes (even shrinks) whenever
+  // the bucket count it computes differs, so call it only to grow.
+  auto& locate = shard.locate;
+  const size_t located = locate.size() + batch.size();
+  if (static_cast<double>(located) >
+      static_cast<double>(locate.bucket_count()) * locate.max_load_factor()) {
+    locate.reserve(std::max(located, 2 * locate.size()));
+  }
   for (SlotInstall& element : batch) {
     InstallSlot(shard, element.id, element.version,
                 std::move(element.signature));

@@ -222,7 +222,7 @@ struct PrescreenCandidate {
 /// is one cache-friendly linear sweep per pack with no pointer chasing.
 ///
 /// Concurrency: externally synchronized PER SHARD. The index takes no
-/// locks of its own; the community catalog wraps every Install/Remove in
+/// locks of its own; the community catalog wraps every InstallBatch/Remove in
 /// the same exclusive shard lock that guards the entry map and every
 /// ProbeShard in the same shared lock — so the sketch store and the
 /// entry map can never disagree about which (id, version) is resident,
@@ -235,26 +235,23 @@ class SignatureIndex {
   const SignatureOptions& options() const { return options_; }
   uint32_t shards() const { return static_cast<uint32_t>(shards_.size()); }
 
-  /// Installs (or replaces) the sketch for `id`. `signature` must be
-  /// built with options() (one resolution per index).
-  void Install(uint32_t shard, uint64_t id, uint64_t version,
-               std::shared_ptr<const CommunitySignature> signature);
-
-  /// One element of an InstallBatch — what Install takes, in bulk form.
+  /// One element of an InstallBatch: installs (or replaces) the sketch
+  /// for `id`. `signature` must be built with options() (one resolution
+  /// per index).
   struct SlotInstall {
     uint64_t id = 0;
     uint64_t version = 0;
     std::shared_ptr<const CommunitySignature> signature;
   };
 
-  /// Installs a whole shard batch under the caller's ONE exclusive
-  /// shard lock: pack capacity is reserved up front (one reservation
-  /// per target pack instead of N incremental growths), then the batch
-  /// replays the exact per-element Install semantics in order —
-  /// including replacement of ids already resident and of duplicates
-  /// within the batch — so the resulting pack columns and summaries
-  /// are byte-identical to calling Install once per element.
-  /// Signatures are consumed (moved out of the batch).
+  /// Installs a shard batch (one element or many) under the caller's ONE
+  /// exclusive shard lock. Each target pack grows at most once per batch,
+  /// geometrically, so a stream of small batches stays amortized O(1) per
+  /// slot. Elements install in order — replacing ids already resident and
+  /// duplicates within the batch — so the resulting pack columns and
+  /// summaries depend only on the sequence of elements, never on how it
+  /// was split into batches. Signatures are consumed (moved out of the
+  /// batch).
   void InstallBatch(uint32_t shard, std::span<SlotInstall> batch);
 
   /// Drops `id`'s sketch. Returns false when absent.

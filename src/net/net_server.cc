@@ -418,6 +418,11 @@ bool NetServer::HandleFrame(const std::shared_ptr<Connection>& connection,
   const bool needs_community =
       wire.kind != service::RequestKind::kRemove;
   if (needs_community && wire.community == nullptr) return false;
+  // A catalog entry must have users: an upsert of an empty community is
+  // as malformed as one without a community.
+  if (wire.kind == service::RequestKind::kUpsert && wire.community->empty()) {
+    return false;
+  }
 
   service::ServeRequest request;
   request.kind = wire.kind;

@@ -25,7 +25,9 @@ namespace csj::net {
 /// correlation is by id, not position.
 ///
 /// A connection whose byte stream breaks framing (bad magic, oversized
-/// length prefix, malformed payload — see FrameDecoder) is dropped: a
+/// length prefix, malformed payload — see FrameDecoder) or carries a
+/// request no catalog could execute (a top-k or upsert without a
+/// community, an upsert of a community without users) is dropped: a
 /// length-prefixed stream cannot be resynchronized. Responses already in
 /// flight for that connection are discarded harmlessly.
 ///

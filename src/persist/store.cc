@@ -429,9 +429,9 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                 counts.size() * sizeof(Count));
     entry.community = std::make_shared<const Community>(
         Community(record.d, std::move(counts), record.name));
-    entry.digest = DigestCommunity(*entry.community);
-    // Derived artifacts were never checkpointed for log-tail entries;
-    // RestoreBatch rebuilds them with Upsert's exact builders.
+    // Derived artifacts (digest included) were never checkpointed for
+    // log-tail entries; RestoreBatch builds them on the ingest path
+    // Upsert uses. The tail may refresh an id twice: last wins.
     pending.push_back(std::move(entry));
     recovered_next = std::max(recovered_next, record.version + 1);
   }

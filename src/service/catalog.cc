@@ -88,101 +88,83 @@ CommunityCatalog::Shard& CommunityCatalog::ShardOf(uint64_t id) {
 }
 
 uint64_t CommunityCatalog::Upsert(uint64_t id, Community community) {
-  CSJ_CHECK(!community.empty()) << "catalog entries must be non-empty";
-  // Freeze, digest and warm OUTSIDE any lock: digesting is O(n*d) and a
-  // cache build sorts the whole community — holding a shard lock across
-  // either would stall every reader of the shard.
-  CatalogEntry entry;
-  entry.id = id;
-  entry.community = std::make_shared<const Community>(std::move(community));
-  entry.digest = DigestCommunity(*entry.community);
-  if (options_.cache != nullptr) {
-    // Key on the CLAMPED part count, exactly as the join methods do, so
-    // the first query's lookups are hits, not parallel builds.
-    const Encoder encoder(entry.community->d(), options_.warm_eps,
-                          options_.warm_parts);
-    options_.cache->GetEncodedB(*entry.community, entry.digest,
-                                options_.warm_eps, encoder.parts(), nullptr);
-    options_.cache->GetEncodedA(*entry.community, entry.digest,
-                                options_.warm_eps, encoder.parts(), nullptr);
-    options_.cache->GetCommunityWindow(*entry.community, entry.digest,
-                                       nullptr);
-  }
-  if (signature_index_ != nullptr) {
-    // Sketch building sorts every counter column — also too expensive to
-    // run under the shard lock.
-    entry.signature = std::make_shared<const CommunitySignature>(
-        *entry.community, signature_index_->options());
-  }
-  entry.version = next_version_.fetch_add(1, std::memory_order_acq_rel);
-  const uint32_t shard_index = ShardIndexOf(id);
-  Shard& shard = shards_[shard_index];
-  // Mutation clock: `started` ticks BEFORE the install is visible to any
-  // reader, `finished` after it is complete — the expensive lock-free
-  // pre-work above changes no catalog state, so it stays outside the
-  // started/finished window and tagged readers are not invalidated by it.
-  mutations_started_.fetch_add(1, std::memory_order_acq_rel);
-  {
-    std::unique_lock lock(shard.mu);
-    shard.entries[id] = entry;
-    // Entry map and sketch store commit in one critical section, so a
-    // probe (under the shared lock) always sees them in agreement.
-    if (signature_index_ != nullptr) {
-      signature_index_->Install(shard_index, id, entry.version,
-                                entry.signature);
-    }
-    // Logged inside the critical section so the log's per-id order can
-    // never contradict the install order readers observe.
-    if (mutation_log_ != nullptr) {
-      AppendMutation(id, entry.version, /*remove=*/false);
-    }
-    // The durable-log seam observes the same ordering point.
-    if (mutation_sink_) {
-      mutation_sink_({id, entry.version, /*remove=*/false, entry.community});
-    }
-  }
-  mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
-  upserts_.fetch_add(1, std::memory_order_relaxed);
-  return entry.version;
-}
-
-uint64_t CommunityCatalog::BulkLoad(
-    std::vector<std::pair<uint64_t, Community>> batch, BulkLoadStats* stats) {
-  std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> frozen;
-  frozen.reserve(batch.size());
-  for (auto& [id, community] : batch) {
-    frozen.emplace_back(
-        id, std::make_shared<const Community>(std::move(community)));
-  }
-  return BulkLoad(std::move(frozen), stats);
+  std::vector<RestoredEntry> batch(1);
+  batch[0].id = id;
+  batch[0].community = std::make_shared<const Community>(std::move(community));
+  return Ingest(std::move(batch), /*restore=*/false, nullptr);
 }
 
 uint64_t CommunityCatalog::BulkLoad(
     std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> batch,
     BulkLoadStats* stats) {
+  std::vector<RestoredEntry> entries(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    entries[i].id = batch[i].first;
+    entries[i].community = std::move(batch[i].second);
+  }
+  return Ingest(std::move(entries), /*restore=*/false, stats);
+}
+
+uint64_t CommunityCatalog::RestoreBatch(std::vector<RestoredEntry> batch,
+                                        uint64_t next_version,
+                                        BulkLoadStats* stats) {
+  CSJ_CHECK_GE(next_version, 1u);
+  for (const RestoredEntry& entry : batch) {
+    CSJ_CHECK_GE(entry.version, 1u);
+    CSJ_CHECK_LT(entry.version, next_version)
+        << "restored version outside the recovered version horizon";
+  }
+  const bool empty = batch.empty();
+  Ingest(std::move(batch), /*restore=*/true, stats);
+  // Resume the writer's version sequence. fetch_max semantics: restore
+  // only ever runs on a fresh catalog, but stay monotone regardless.
+  uint64_t current = next_version_.load(std::memory_order_acquire);
+  while (current < next_version &&
+         !next_version_.compare_exchange_weak(current, next_version,
+                                              std::memory_order_acq_rel)) {
+  }
+  return empty ? 0 : next_version - 1;
+}
+
+uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
+                                  bool restore, BulkLoadStats* stats) {
   if (stats != nullptr) *stats = BulkLoadStats{};
   const uint32_t n = static_cast<uint32_t>(batch.size());
   if (n == 0) return 0;
   if (stats != nullptr) stats->entries = n;
-  for (const auto& [id, community] : batch) {
-    CSJ_CHECK(community != nullptr && !community->empty())
+
+  // Adopt the frozen buffers up front, so the waves below may read any
+  // entry's community (the next-entry prefetch does) without racing the
+  // task that owns it.
+  std::vector<CatalogEntry> entries(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    CSJ_CHECK(batch[i].community != nullptr && !batch[i].community->empty())
         << "catalog entries must be non-empty";
+    entries[i].id = batch[i].id;
+    entries[i].version = batch[i].version;
+    entries[i].community = std::move(batch[i].community);
   }
 
-  // Reserve the whole version block up front: element i gets base + i,
-  // exactly the version a sequential Upsert loop would have issued (and
-  // concurrent Upserts slot before or after the block, never inside it).
-  const uint64_t base =
-      next_version_.fetch_add(n, std::memory_order_acq_rel);
-
+  // Build OUTSIDE any lock: digesting is O(n*d), and encoding and sketch
+  // building sort whole counter columns — holding a shard lock across
+  // any of them would stall every reader of the shard. Only what the
+  // caller did not supply is built.
   util::ThreadPool& pool = util::ThreadPool::Global();
-  std::vector<CatalogEntry> entries(n);
-
   // Three warm artifacts land in the cache per entry; pre-sizing its
-  // shard tables once removes every incremental rehash from the waves.
-  if (options_.cache != nullptr) {
+  // shard tables once removes every incremental rehash from a batch's
+  // waves. A single entry skips it: its inserts cannot rehash more than
+  // once, and the sweep would take every cache shard's exclusive lock.
+  if (options_.cache != nullptr && n > 1) {
     options_.cache->Reserve(static_cast<size_t>(n) * 3);
   }
+  // Stream the next entry's counters toward the cache while this entry
+  // is worked on: with ~20 KB of artifact traffic between touches the
+  // hardware prefetcher never re-arms, leaving the first walk over a
+  // buffer latency-bound (measured ~3x slower than the prefetched walk).
+  const auto prefetch = [&](uint32_t i) {
+    const auto next = entries[i].community->flat();
+    for (size_t b = 0; b < next.size(); b += 16) __builtin_prefetch(&next[b]);
+  };
 
   // The encode and sketch waves read the same counter buffers, so they
   // run in cache-sized chunks: at catalog scale a full-batch wave 2
@@ -196,91 +178,88 @@ uint64_t CommunityCatalog::BulkLoad(
   for (uint32_t chunk = 0; chunk < n; chunk += kWaveChunk) {
     const uint32_t count = std::min(kWaveChunk, n - chunk);
 
-    // Wave 1 — adopt the frozen buffers, digest, warm the encoding
-    // cache. The warm artifacts are built directly and bulk-inserted
-    // (EncodingCache::Put*): the batch has no duplicate keys to dedup,
-    // so GetOrBuild's promise/future machinery would be pure overhead
-    // here (measured at ~half the warmup cost per entry).
+    // Wave 1 — digest and warm the encoding cache. The warm artifacts
+    // are inserted as built (EncodingCache::Put*): GetOrBuild's
+    // promise/future dedup machinery would be pure overhead here
+    // (measured at ~half the warmup cost per entry).
     phase_timer.Reset();
     pool.Run(count, [&](uint32_t t) {
       const uint32_t i = chunk + t;
+      RestoredEntry& supplied = batch[i];
       CatalogEntry& entry = entries[i];
-      entry.id = batch[i].first;
-      entry.version = base + i;
-      entry.community = std::move(batch[i].second);
-      // Stream the next entry's counters toward the cache while this
-      // entry is encoded: the digest is each buffer's first touch since
-      // the generator built it, and with ~20 KB of artifact traffic
-      // between touches the hardware prefetcher never re-arms, leaving
-      // that first walk latency-bound (measured ~3x slower than the
-      // prefetched walk). Knowing the next community is a batch-only
-      // luxury the per-entry Upsert path has no equivalent of.
-      if (i + 1 < n && batch[i + 1].second != nullptr) {
-        const auto next = batch[i + 1].second->flat();
-        for (size_t b = 0; b < next.size(); b += 16) {
-          __builtin_prefetch(&next[b]);
-        }
+      if (i + 1 < n && !batch[i + 1].digest.has_value()) prefetch(i + 1);
+      entry.digest = supplied.digest.has_value()
+                         ? *supplied.digest
+                         : DigestCommunity(*entry.community);
+      if (options_.cache == nullptr) return;
+      // Batches are near-always one dimensionality, so the encoder
+      // (whose constructor allocates its part-boundary table) is
+      // memoized per thread instead of rebuilt per entry. The memo keys
+      // on the raw construction parameters: the thread_local outlives
+      // this call and must not leak across catalogs configured with
+      // different warm options.
+      struct EncoderMemo {
+        std::unique_ptr<Encoder> encoder;
+        Dim d = 0;
+        Epsilon eps = 0;
+        uint32_t parts = 0;
+      };
+      thread_local EncoderMemo memo;
+      const Dim d = entry.community->d();
+      if (memo.encoder == nullptr || memo.d != d ||
+          memo.eps != options_.warm_eps ||
+          memo.parts != options_.warm_parts) {
+        memo.encoder = std::make_unique<Encoder>(d, options_.warm_eps,
+                                                 options_.warm_parts);
+        memo.d = d;
+        memo.eps = options_.warm_eps;
+        memo.parts = options_.warm_parts;
       }
-      entry.digest = DigestCommunity(*entry.community);
-      if (options_.cache != nullptr) {
-        // Batches are near-always one dimensionality, so the encoder
-        // (whose constructor allocates its part-boundary table) is
-        // memoized per thread instead of rebuilt per entry. The memo
-        // keys on the raw construction parameters: the thread_local
-        // outlives this BulkLoad and must not leak across catalogs
-        // configured with different warm options.
-        struct EncoderMemo {
-          std::unique_ptr<Encoder> encoder;
-          Dim d = 0;
-          Epsilon eps = 0;
-          uint32_t parts = 0;
-        };
-        thread_local EncoderMemo memo;
-        if (memo.encoder == nullptr || memo.d != entry.community->d() ||
-            memo.eps != options_.warm_eps ||
-            memo.parts != options_.warm_parts) {
-          memo.encoder = std::make_unique<Encoder>(
-              entry.community->d(), options_.warm_eps, options_.warm_parts);
-          memo.d = entry.community->d();
-          memo.eps = options_.warm_eps;
-          memo.parts = options_.warm_parts;
-        }
-        const Encoder& encoder = *memo.encoder;
-        options_.cache->PutEncodedB(
-            entry.digest, options_.warm_eps, encoder.parts(),
-            std::make_shared<const EncodedB>(*entry.community, encoder));
-        options_.cache->PutEncodedA(
-            entry.digest, options_.warm_eps, encoder.parts(),
-            std::make_shared<const EncodedA>(*entry.community, encoder));
+      // Key on the CLAMPED part count, exactly as the join methods do,
+      // so the first query's lookups are hits.
+      const Encoder& encoder = *memo.encoder;
+      if (supplied.encoded_b == nullptr) {
+        supplied.encoded_b =
+            std::make_shared<const EncodedB>(*entry.community, encoder);
+      }
+      if (supplied.encoded_a == nullptr) {
+        supplied.encoded_a =
+            std::make_shared<const EncodedA>(*entry.community, encoder);
+      }
+      if (supplied.window == nullptr) {
         auto window = std::make_shared<VerifyWindow>();
-        window->Assign(entry.community->size(), entry.community->d(),
+        window->Assign(entry.community->size(), d,
                        [&](uint32_t u) { return entry.community->User(u); });
-        options_.cache->PutCommunityWindow(entry.digest, std::move(window));
+        supplied.window = std::move(window);
       }
+      options_.cache->PutEncodedB(entry.digest, options_.warm_eps,
+                                  encoder.parts(),
+                                  std::move(supplied.encoded_b));
+      options_.cache->PutEncodedA(entry.digest, options_.warm_eps,
+                                  encoder.parts(),
+                                  std::move(supplied.encoded_a));
+      options_.cache->PutCommunityWindow(entry.digest,
+                                         std::move(supplied.window));
     });
     encode_seconds += phase_timer.Seconds();
 
     // Wave 2 — sketches through the scratch-reusing fast builder
-    // (byte-identical to the reference constructor Upsert uses). The
-    // digest's exact max counter feeds the radix key width, saving the
-    // builder its own max-scan pass.
+    // (byte-identical to the reference constructor). The digest's exact
+    // max counter feeds the radix key width, saving the builder its own
+    // max-scan pass.
     phase_timer.Reset();
     if (signature_index_ != nullptr) {
       pool.Run(count, [&](uint32_t t) {
         const uint32_t i = chunk + t;
-        // Same next-entry stream prefetch as wave 1: the chunk keeps
-        // these buffers LLC-resident, but the artifact writes between
-        // touches still de-arm the hardware prefetcher.
-        if (i + 1 < n && entries[i + 1].community != nullptr) {
-          const auto next = entries[i + 1].community->flat();
-          for (size_t b = 0; b < next.size(); b += 16) {
-            __builtin_prefetch(&next[b]);
-          }
-        }
+        CatalogEntry& entry = entries[i];
+        if (i + 1 < n && batch[i + 1].signature == nullptr) prefetch(i + 1);
+        // Copied, not moved: the task for i - 1 reads this slot.
+        entry.signature = batch[i].signature;
+        if (entry.signature != nullptr) return;
         thread_local SketchScratch scratch;
-        entries[i].signature = std::make_shared<const CommunitySignature>(
-            *entries[i].community, signature_index_->options(), &scratch,
-            entries[i].digest.max_counter);
+        entry.signature = std::make_shared<const CommunitySignature>(
+            *entry.community, signature_index_->options(), &scratch,
+            entry.digest.max_counter);
       });
     }
     sketch_seconds += phase_timer.Seconds();
@@ -290,16 +269,26 @@ uint64_t CommunityCatalog::BulkLoad(
     stats->sketch_seconds = sketch_seconds;
   }
 
+  // Fresh versions are issued as one block right before the install:
+  // element i gets base + i, exactly the version a sequential Upsert loop
+  // would have issued (concurrent Upserts slot before or after the
+  // block, never inside it).
+  if (!restore) {
+    const uint64_t base = next_version_.fetch_add(n, std::memory_order_acq_rel);
+    for (uint32_t i = 0; i < n; ++i) entries[i].version = base + i;
+  }
+  const uint64_t last_version = entries[n - 1].version;
+
   // Install — group elements by shard (batch order preserved within a
   // shard, so duplicate ids replay with last-wins semantics), then one
   // exclusive lock + one batched index install per shard. Each shard's
-  // install is bracketed by its own mutation-clock tick: every completed
-  // shard flip is a stable state for tagged readers.
+  // install is bracketed by its own mutation-clock tick: `started` ticks
+  // BEFORE the shard flip is visible to any reader, `finished` after it
+  // is complete, so every completed shard flip is a stable state for
+  // tagged readers. The lock-free build above changes no catalog state
+  // and stays outside the window.
   phase_timer.Reset();
   std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  for (auto& members : by_shard) {
-    members.reserve(n / shards_.size() + n / (4 * shards_.size()) + 8);
-  }
   for (uint32_t i = 0; i < n; ++i) {
     by_shard[ShardIndexOf(entries[i].id)].push_back(i);
   }
@@ -311,7 +300,6 @@ uint64_t CommunityCatalog::BulkLoad(
     Shard& shard = shards_[shard_index];
     if (signature_index_ != nullptr) {
       installs.clear();
-      installs.reserve(members.size());
       for (const uint32_t i : members) {
         installs.push_back(
             {entries[i].id, entries[i].version, entries[i].signature});
@@ -320,154 +308,35 @@ uint64_t CommunityCatalog::BulkLoad(
     mutations_started_.fetch_add(1, std::memory_order_acq_rel);
     {
       std::unique_lock lock(shard.mu);
-      // Sink first, in member (= batch) order, while the entries still
-      // hold their community pointers — the move loop below strips them.
-      // Same critical section, so sink order still equals install order.
-      if (mutation_sink_) {
+      // The durable-log seam and the journal observe the install inside
+      // its critical section, in member (= batch) order, so neither can
+      // contradict the install order readers observe, per shard and per
+      // id. A restore replays durable history and creates none. The sink
+      // runs first, while the entries still hold their community
+      // pointers — the move loop below strips them.
+      if (!restore && mutation_sink_) {
         for (const uint32_t i : members) {
           mutation_sink_({entries[i].id, entries[i].version,
                           /*remove=*/false, entries[i].community});
         }
       }
-      for (const uint32_t i : members) {
-        // Entries are single-use here: moving skips three shared_ptr
-        // refcount round-trips per element. (Duplicate ids overwrite in
-        // batch order — last wins, as a sequential Upsert replay would.)
-        // The end hint makes each insert O(1) for the common ascending-id
-        // batch; out-of-order ids just fall back to a plain tree insert.
-        const uint64_t id = entries[i].id;
-        shard.entries.insert_or_assign(shard.entries.end(), id,
-                                       std::move(entries[i]));
-      }
-      if (signature_index_ != nullptr) {
-        signature_index_->InstallBatch(shard_index, installs);
-      }
-      if (mutation_log_ != nullptr) {
-        // Member order within the shard is batch order, so for any one
-        // id the log replays the same last-wins sequence the entry map
-        // applied. (The install loop over shards is serial, so the
-        // whole-batch log order is deterministic too.)
+      if (!restore && mutation_log_ != nullptr) {
         for (const uint32_t i : members) {
           AppendMutation(entries[i].id, entries[i].version,
                          /*remove=*/false);
         }
       }
-    }
-    mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  if (stats != nullptr) stats->install_seconds = phase_timer.Seconds();
-  upserts_.fetch_add(n, std::memory_order_relaxed);
-  return base + n - 1;
-}
-
-uint64_t CommunityCatalog::RestoreBatch(std::vector<RestoredEntry> batch,
-                                        uint64_t next_version,
-                                        BulkLoadStats* stats) {
-  if (stats != nullptr) *stats = BulkLoadStats{};
-  const uint32_t n = static_cast<uint32_t>(batch.size());
-  if (stats != nullptr) stats->entries = n;
-  for (const RestoredEntry& entry : batch) {
-    CSJ_CHECK(entry.community != nullptr && !entry.community->empty())
-        << "catalog entries must be non-empty";
-    CSJ_CHECK_GE(entry.version, 1u);
-    CSJ_CHECK_LT(entry.version, next_version)
-        << "restored version outside the recovered version horizon";
-  }
-  CSJ_CHECK_GE(next_version, 1u);
-
-  util::ThreadPool& pool = util::ThreadPool::Global();
-  std::vector<CatalogEntry> entries(n);
-  if (options_.cache != nullptr) {
-    options_.cache->Reserve(static_cast<size_t>(n) * 3);
-  }
-
-  // One wave, not BulkLoad's two: the common restore has every derived
-  // artifact already reconstructed (zero-copy views over the mapped
-  // segment), so per entry this is three cache inserts and two
-  // shared_ptr adoptions. Only log-tail entries — whose artifacts were
-  // never checkpointed — pay a build, through the exact builders Upsert
-  // uses, so the recovered bytes match what the writer held.
-  util::Timer phase_timer;
-  if (signature_index_ != nullptr || options_.cache != nullptr || n > 0) {
-    pool.Run(n, [&](uint32_t i) {
-      RestoredEntry& restored = batch[i];
-      CatalogEntry& entry = entries[i];
-      entry.id = restored.id;
-      entry.version = restored.version;
-      entry.community = std::move(restored.community);
-      entry.digest = restored.digest;
-      if (options_.cache != nullptr) {
-        const Encoder encoder(entry.community->d(), options_.warm_eps,
-                              options_.warm_parts);
-        std::shared_ptr<const EncodedB> encoded_b =
-            std::move(restored.encoded_b);
-        if (encoded_b == nullptr) {
-          encoded_b =
-              std::make_shared<const EncodedB>(*entry.community, encoder);
-        }
-        std::shared_ptr<const EncodedA> encoded_a =
-            std::move(restored.encoded_a);
-        if (encoded_a == nullptr) {
-          encoded_a =
-              std::make_shared<const EncodedA>(*entry.community, encoder);
-        }
-        std::shared_ptr<const VerifyWindow> window = std::move(restored.window);
-        if (window == nullptr) {
-          auto built = std::make_shared<VerifyWindow>();
-          built->Assign(entry.community->size(), entry.community->d(),
-                        [&](uint32_t u) { return entry.community->User(u); });
-          window = std::move(built);
-        }
-        options_.cache->PutEncodedB(entry.digest, options_.warm_eps,
-                                    encoder.parts(), std::move(encoded_b));
-        options_.cache->PutEncodedA(entry.digest, options_.warm_eps,
-                                    encoder.parts(), std::move(encoded_a));
-        options_.cache->PutCommunityWindow(entry.digest, std::move(window));
-      }
-      if (signature_index_ != nullptr) {
-        entry.signature = std::move(restored.signature);
-        if (entry.signature == nullptr) {
-          thread_local SketchScratch scratch;
-          entry.signature = std::make_shared<const CommunitySignature>(
-              *entry.community, signature_index_->options(), &scratch,
-              entry.digest.max_counter);
-        }
-      }
-    });
-  }
-  if (stats != nullptr) stats->encode_seconds = phase_timer.Seconds();
-
-  // Install exactly as BulkLoad does — per-shard exclusive sections in
-  // batch order — so the recovered index pack layout replays the
-  // writer's install history. No journal append and no sink: a restore
-  // replays durable history, it does not create any.
-  phase_timer.Reset();
-  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  for (uint32_t i = 0; i < n; ++i) {
-    by_shard[ShardIndexOf(entries[i].id)].push_back(i);
-  }
-  std::vector<SignatureIndex::SlotInstall> installs;
-  for (uint32_t shard_index = 0; shard_index < shards_.size();
-       ++shard_index) {
-    const std::vector<uint32_t>& members = by_shard[shard_index];
-    if (members.empty()) continue;
-    Shard& shard = shards_[shard_index];
-    if (signature_index_ != nullptr) {
-      installs.clear();
-      installs.reserve(members.size());
       for (const uint32_t i : members) {
-        installs.push_back(
-            {entries[i].id, entries[i].version, entries[i].signature});
-      }
-    }
-    mutations_started_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::unique_lock lock(shard.mu);
-      for (const uint32_t i : members) {
+        // Entries are single-use here: moving skips three shared_ptr
+        // refcount round-trips per element. The end hint makes each
+        // insert O(1) for the common ascending-id batch; out-of-order ids
+        // just fall back to a plain tree insert.
         const uint64_t id = entries[i].id;
         shard.entries.insert_or_assign(shard.entries.end(), id,
                                        std::move(entries[i]));
       }
+      // Entry map and sketch store commit in one critical section, so a
+      // probe (under the shared lock) always sees them in agreement.
       if (signature_index_ != nullptr) {
         signature_index_->InstallBatch(shard_index, installs);
       }
@@ -475,16 +344,8 @@ uint64_t CommunityCatalog::RestoreBatch(std::vector<RestoredEntry> batch,
     mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
   }
   if (stats != nullptr) stats->install_seconds = phase_timer.Seconds();
-
-  // Resume the writer's version sequence. fetch_max semantics: restore
-  // only ever runs on a fresh catalog, but stay monotone regardless.
-  uint64_t current = next_version_.load(std::memory_order_acquire);
-  while (current < next_version &&
-         !next_version_.compare_exchange_weak(current, next_version,
-                                              std::memory_order_acq_rel)) {
-  }
   upserts_.fetch_add(n, std::memory_order_relaxed);
-  return n == 0 ? 0 : next_version - 1;
+  return last_version;
 }
 
 bool CommunityCatalog::Remove(uint64_t id) {

@@ -40,10 +40,13 @@ struct CatalogEntry {
   /// one), so "did this entry change since I looked?" is one compare.
   uint64_t version = 0;
   std::shared_ptr<const Community> community;
-  /// Content fingerprint + max counter, precomputed once at Upsert so
-  /// queries hitting the encoding cache never re-scan the counters.
+  /// Content fingerprint + max counter, computed once at ingest. It keys
+  /// the entry's warm cache artifacts and seeds the sketch builder's
+  /// radix width. Queries do not reuse it yet: every refine digests both
+  /// sides again to key its cache lookups (core/minmax.cc), a re-scan of
+  /// the counters that the ROADMAP's one-entry-record item removes.
   CommunityDigest digest;
-  /// Prescreen sketch, built at Upsert when the catalog has a signature
+  /// Prescreen sketch, built at ingest when the catalog has a signature
   /// index configured (null otherwise). Frozen with the community.
   std::shared_ptr<const CommunitySignature> signature;
 };
@@ -140,27 +143,34 @@ class LiveCoupleSession {
 /// upsert may legitimately see either state); anything needing stronger
 /// ordering keys off entry versions, which are catalog-wide monotonic.
 ///
-/// Warmup: when a `cache` is configured, Upsert pre-builds the entry's
-/// MinMax encoded buffers (both sides) and its Baseline SoA window for
-/// (warm_eps, warm_parts) OUTSIDE any shard lock, so the first query
-/// against a fresh entry pays no encoding build on the serving path.
+/// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path. Its build
+/// waves run OUTSIDE any shard lock and make whatever the caller did not
+/// supply: the digest, the warm cache artifacts (when a `cache` is
+/// configured: MinMax EncodedB, EncodedA and the Baseline SoA window for
+/// (warm_eps, warm_parts), so the first query against a fresh entry pays
+/// no encoding build) and the prescreen sketch (when `signatures` is
+/// set). Its install section then takes each touched shard's exclusive
+/// lock once, between one mutation-clock tick pair. Upsert is the
+/// one-entry case of that path, which is why an Upsert loop, a BulkLoad
+/// and a RestoreBatch of the same entries leave byte-identical state.
 class CommunityCatalog {
  public:
   struct Options {
     /// Lock shards; clamped to >= 1. 8 is plenty below ~10^2 workers.
     uint32_t shards = 8;
-    /// Optional encoding cache to warm entries into (not owned; must
-    /// outlive the catalog). Queries wanting the warmed buffers must use
-    /// the same cache via JoinOptions::cache.
+    /// Optional encoding cache the ingest path warms (not owned; must
+    /// outlive the catalog): every ingested entry's three warm artifacts
+    /// are inserted as built (EncodingCache::Put*). Queries wanting them
+    /// must use the same cache via JoinOptions::cache.
     EncodingCache* cache = nullptr;
-    /// Parameters the warmup builds for; align them with the serving
-    /// JoinOptions or the first query still builds its own.
+    /// Parameters the warm artifacts are built for; align them with the
+    /// serving JoinOptions or the first query still builds its own.
     Epsilon warm_eps = 1;
     uint32_t warm_parts = 4;
-    /// When set, the catalog maintains a SignatureIndex: Upsert builds
-    /// the entry's sketch (outside any lock, next to the cache warmup)
-    /// and installs it — under the SAME exclusive shard lock as the
-    /// entry map, so index and entries can never disagree. Queries use
+    /// When set, the catalog maintains a SignatureIndex: the ingest path
+    /// builds each entry's sketch in its build waves (outside any lock)
+    /// and installs it under the SAME exclusive shard lock as the entry
+    /// map, so index and entries can never disagree. Queries use
     /// ProbeCandidates() for sub-linear candidate generation.
     std::optional<SignatureOptions> signatures;
     /// When nonzero, every successful mutation (Upsert, BulkLoad member,
@@ -180,41 +190,35 @@ class CommunityCatalog {
   explicit CommunityCatalog(Options options);
 
   /// Installs (or replaces) the community under `id` and returns the new
-  /// catalog-wide version. The community is frozen (moved into a shared
-  /// immutable buffer); digesting and cache warmup run outside any lock.
+  /// catalog-wide version: the one-entry case of the ingest path (see the
+  /// class comment). The community must be non-empty; it is frozen
+  /// (moved into a shared immutable buffer), then digested, warmed and
+  /// sketched outside any lock.
   uint64_t Upsert(uint64_t id, Community community);
 
-  /// Per-phase accounting of one BulkLoad call.
+  /// Per-phase accounting of one BulkLoad or RestoreBatch call.
   struct BulkLoadStats {
     uint64_t entries = 0;
-    double encode_seconds = 0.0;   ///< freeze + digest + cache warm wave
+    double encode_seconds = 0.0;   ///< digest + cache warm wave
     double sketch_seconds = 0.0;   ///< signature build wave
     double install_seconds = 0.0;  ///< per-shard locked install phase
   };
 
-  /// Batched ingestion fast path: installs every (id, community) of
-  /// `batch` and returns the LAST version issued (0 for an empty batch).
-  /// The final catalog + signature-index state is byte-identical to
-  /// calling Upsert once per element in batch order — a contiguous
-  /// version block is reserved up front so element i gets exactly the
-  /// version the sequential loop would have issued, and each shard's
-  /// elements are installed in batch order (duplicate ids: last wins,
-  /// exactly like repeated Upserts). What makes it fast on one core is
-  /// fewer operations, not threads: warm cache artifacts are built
-  /// directly and bulk-inserted (no per-key build-dedup machinery),
-  /// sketches go through the scratch-reusing builder, and each shard
-  /// takes ONE exclusive lock for its whole sub-batch with index pack
-  /// capacity reserved up front. The parallel waves additionally scale
-  /// on multi-core hosts. Safe under concurrent Query/Upsert/Remove
-  /// traffic: per-shard installs use the same locks and mutation-clock
-  /// ticks as Upsert, so tagged readers see each shard flip atomically.
-  uint64_t BulkLoad(std::vector<std::pair<uint64_t, Community>> batch,
-                    BulkLoadStats* stats = nullptr);
-
-  /// Zero-copy variant for callers that already hold frozen (immutable,
-  /// shared) communities — the catalog installs the caller's buffers
-  /// directly instead of copying them. Same contract as above in every
-  /// other respect; every pointer must be non-null and non-empty.
+  /// Batched ingestion: installs every (id, community) of `batch` and
+  /// returns the LAST version issued (0 for an empty batch). The catalog
+  /// installs the caller's frozen buffers as-is; every pointer must be
+  /// non-null and non-empty. The final catalog, cache and signature-index
+  /// state is byte-identical to calling Upsert once per element in batch
+  /// order: one contiguous version block is issued after the build
+  /// waves, so element i gets the version the sequential loop would have
+  /// issued, and each shard's elements are installed in batch order
+  /// (duplicate ids: last wins, exactly like repeated Upserts). What
+  /// makes it fast is fewer operations, not threads: the build waves run
+  /// in cache-sized chunks and each shard takes ONE exclusive lock for
+  /// its whole sub-batch; the waves additionally scale on multi-core
+  /// hosts. Safe under concurrent Query/Upsert/Remove traffic: each shard
+  /// install ticks the mutation clock, so tagged readers see each shard
+  /// flip atomically.
   uint64_t BulkLoad(
       std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> batch,
       BulkLoadStats* stats = nullptr);
@@ -223,35 +227,36 @@ class CommunityCatalog {
   /// keep its buffers alive; the catalog just forgets it.
   bool Remove(uint64_t id);
 
-  /// One entry of a RestoreBatch() call: a fully reconstructed catalog
-  /// entry carrying its ORIGINAL version plus any pre-built derived
-  /// artifacts. `signature` may be null (built at restore when the
-  /// catalog has a signature index); the three warm-cache artifacts may
-  /// individually be null (built at restore when a cache is configured).
+  /// One entry of a RestoreBatch() call, and the record the ingest path
+  /// runs on: a frozen community under its ORIGINAL version plus any
+  /// pre-built derived artifacts. Every artifact is optional; the ingest
+  /// path builds the ones left empty (`signature` only when the catalog
+  /// has a signature index, the three warm-cache artifacts only when a
+  /// cache is configured), byte-identical to what Upsert builds.
   struct RestoredEntry {
     uint64_t id = 0;
     uint64_t version = 0;
     std::shared_ptr<const Community> community;
-    CommunityDigest digest;
+    std::optional<CommunityDigest> digest;
     std::shared_ptr<const CommunitySignature> signature;
     std::shared_ptr<const EncodedB> encoded_b;
     std::shared_ptr<const EncodedA> encoded_a;
     std::shared_ptr<const VerifyWindow> window;
   };
 
-  /// Recovery fast path: installs every entry of `batch` under its
-  /// EXPLICIT version (BulkLoad cannot do this — it reissues a fresh
-  /// contiguous block, and a store recovering `{v3, v17}` after removes
-  /// holds a non-contiguous version set) and advances the catalog's
-  /// version counter to exactly `next_version`, so post-restore upserts
-  /// issue the same versions the pre-crash catalog would have.
+  /// Recovery path: installs every entry of `batch` under its EXPLICIT
+  /// version (BulkLoad cannot do this — it issues a fresh contiguous
+  /// block, and a store recovering `{v3, v17}` after removes holds a
+  /// non-contiguous version set) and advances the catalog's version
+  /// counter to exactly `next_version`, so post-restore upserts issue
+  /// the same versions the pre-crash catalog would have.
   ///
-  /// Entry ids must be unique and versions unique and < `next_version`;
-  /// batch order is the install order within each shard, which a persist
-  /// layer uses to replay the writer's exact index pack layout. Warm
-  /// artifacts provided on an entry are bulk-inserted into the cache
-  /// as-is (keyed on warm_eps / clamped warm_parts); absent ones are
-  /// built, byte-identical to what Upsert would have produced. The
+  /// Versions must be >= 1 and < `next_version`. Batch order is the
+  /// install order within each shard, which a persist layer uses to
+  /// replay the writer's exact index pack layout. An id may repeat (a
+  /// log tail that refreshed it twice): the last occurrence wins,
+  /// exactly as in BulkLoad. Supplied warm artifacts are inserted into
+  /// the cache as-is (keyed on warm_eps / clamped warm_parts). The
   /// mutation SINK is deliberately not invoked — a restore replays the
   /// durable log, it must not re-append to it — and the in-RAM journal
   /// stays empty: it is bounded history, not state, and consumers
@@ -409,6 +414,12 @@ class CommunityCatalog {
   const Shard& ShardOf(uint64_t id) const;
   Shard& ShardOf(uint64_t id);
   void AppendMutation(uint64_t id, uint64_t version, bool remove);
+  /// The ingest path behind Upsert, BulkLoad and RestoreBatch (see the
+  /// class comment). Without `restore` the entries get one fresh version
+  /// block; with it they keep their versions and skip journal and sink.
+  /// Returns the version of the batch's last entry (0 when empty).
+  uint64_t Ingest(std::vector<RestoredEntry> batch, bool restore,
+                  BulkLoadStats* stats);
 
   Options options_;
   std::vector<Shard> shards_;

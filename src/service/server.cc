@@ -68,6 +68,14 @@ void CsjServer::Shutdown() {
 }
 
 bool CsjServer::Enqueue(QueuedRequest queued) {
+  // Catalog entries must have users. Refusing an empty upsert at
+  // admission keeps it from reaching the catalog's non-empty check,
+  // which aborts the process.
+  const ServeRequest& request = queued.request;
+  if (request.kind == RequestKind::kUpsert &&
+      (request.community == nullptr || request.community->empty())) {
+    return false;
+  }
   queued.admitted = std::chrono::steady_clock::now();
   if (queued.request.deadline_seconds > 0.0) {
     queued.deadline =

@@ -129,7 +129,9 @@ class CsjServer {
   /// Admission: enqueues the request and hands back the future its
   /// response will arrive on. Returns false — and completes no future —
   /// when the queue is full or the server is shutting down; the caller
-  /// sheds the request (counted in stats().rejected).
+  /// sheds the request (counted in stats().rejected). An upsert whose
+  /// community is missing or has no users is refused the same way
+  /// (catalog entries must be non-empty), without counting as rejected.
   bool Submit(ServeRequest request, std::future<ServeResponse>* response);
 
   /// Callback-flavored admission for push-style callers (the network

@@ -124,12 +124,12 @@ void ServeWorkload::PopulateSequential(CsjServer* server,
                                        PopulateStats* stats) const {
   util::Timer timer;
   const uint32_t n = static_cast<uint32_t>(communities_.size());
-  // Parallel install: catalog shards take per-shard locks, and seeded ids
-  // never collide, so entries can stream in concurrently. (The mutation
-  // clock ticks n times either way; nothing is serving yet.)
-  util::ThreadPool::Global().Run(n, [&](uint32_t i) {
+  // One Upsert per entry in ascending-id order: concurrent Upserts would
+  // take versions in thread-interleaving order, which no BulkLoad (and
+  // no rerun) reproduces.
+  for (uint32_t i = 0; i < n; ++i) {
     server->catalog().Upsert(i + 1, Community(*communities_[i]));
-  });
+  }
   if (stats != nullptr) {
     stats->bulk = false;
     stats->entries = n;

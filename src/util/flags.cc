@@ -7,10 +7,33 @@
 
 namespace csj::util {
 
+namespace {
+
+bool IsBool(const std::string& value) {
+  return value == "true" || value == "false" || value == "1" ||
+         value == "0" || value == "yes" || value == "no" || value == "on" ||
+         value == "off";
+}
+
+bool IsNumber(const std::string& value) {
+  if (value.empty()) return false;
+  char* end = nullptr;
+  std::strtod(value.c_str(), &end);
+  return end == value.c_str() + value.size();
+}
+
+}  // namespace
+
 void Flags::Define(const std::string& name, const std::string& default_value,
                    const std::string& help) {
   CSJ_CHECK(!specs_.count(name)) << "duplicate flag --" << name;
-  specs_[name] = Spec{default_value, help, default_value};
+  Type type = Type::kString;
+  if (default_value == "true" || default_value == "false") {
+    type = Type::kBool;
+  } else if (IsNumber(default_value)) {
+    type = Type::kNumber;
+  }
+  specs_[name] = Spec{default_value, help, default_value, type};
   order_.push_back(name);
 }
 
@@ -37,27 +60,36 @@ bool Flags::Parse(int argc, char** argv) {
       return false;
     }
     arg = arg.substr(2);
-    std::string name;
-    std::string value;
     const size_t eq = arg.find('=');
-    if (eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      value = arg.substr(eq + 1);
-    } else {
-      name = arg;
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag --%s is missing a value\n", name.c_str());
-        return false;
-      }
-      value = argv[++i];
-    }
+    const std::string name = arg.substr(0, eq);
     const auto it = specs_.find(name);
     if (it == specs_.end()) {
       std::fprintf(stderr, "unknown flag --%s\n%s", name.c_str(),
                    Usage(argv[0]).c_str());
       return false;
     }
-    it->second.value = value;
+    Spec& spec = it->second;
+    const bool no_value_follows =
+        i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0;
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (spec.type == Type::kBool && no_value_follows) {
+      value = "true";
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::fprintf(stderr, "flag --%s is missing a value\n", name.c_str());
+      return false;
+    }
+    if ((spec.type == Type::kBool && !IsBool(value)) ||
+        (spec.type == Type::kNumber && !IsNumber(value))) {
+      std::fprintf(stderr, "flag --%s: '%s' is not a %s\n", name.c_str(),
+                   value.c_str(),
+                   spec.type == Type::kBool ? "boolean" : "number");
+      return false;
+    }
+    spec.value = value;
   }
   return true;
 }

@@ -9,9 +9,12 @@
 namespace csj::util {
 
 /// Minimal `--name value` / `--name=value` command-line parser for the
-/// bench and example binaries. Unknown flags are an error so typos in
-/// experiment invocations fail loudly instead of silently running the
-/// default configuration.
+/// bench and example binaries. A flag's default fixes its type: `true` /
+/// `false` make it a boolean, a number makes it numeric, anything else a
+/// string. A bare boolean `--name` means true and leaves a following
+/// `--…` token alone. Unknown flags and values that do not fully parse as
+/// the flag's type are errors, so typos in experiment invocations fail
+/// loudly instead of silently running another configuration.
 class Flags {
  public:
   /// Declares a flag with its default and a help line. Must be called for
@@ -32,10 +35,12 @@ class Flags {
   std::string Usage(const std::string& program) const;
 
  private:
+  enum class Type { kString, kBool, kNumber };
   struct Spec {
     std::string default_value;
     std::string help;
     std::string value;
+    Type type = Type::kString;
   };
   std::vector<std::string> order_;  // declaration order for --help
   std::map<std::string, Spec> specs_;

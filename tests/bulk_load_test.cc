@@ -1,12 +1,13 @@
-// Tests for the bulk-load ingestion pipeline: CommunityCatalog::BulkLoad
-// must leave the catalog, the encoding cache, and the signature index in
-// a state BYTE-IDENTICAL to a sequential Upsert replay of the same batch
-// — same versions, same digests, same sketch tables, same probe verdicts
-// — across shard counts, duplicate ids, and pre-populated catalogs. The
-// suite also pins the zero-copy overload's no-copy guarantee, the fast
-// sketch builder's equivalence to the reference constructor on the hint,
-// no-hint, and wide-counter fallback paths, and index/entry-map agreement
-// under concurrent churn racing a BulkLoad (the TSan target).
+// Tests for the catalog's batched ingestion: CommunityCatalog::BulkLoad
+// and RestoreBatch must leave the catalog, the encoding cache, and the
+// signature index in a state BYTE-IDENTICAL to a sequential Upsert replay
+// of the same batch — same versions, same digests, same sketch tables,
+// same index pack layout, same probe verdicts — across shard counts,
+// duplicate ids, and pre-populated catalogs. The suite also pins
+// BulkLoad's no-copy guarantee, the fast sketch builder's equivalence to
+// the reference constructor on the hint, no-hint, and wide-counter
+// fallback paths, and index/entry-map agreement under concurrent churn
+// racing a BulkLoad (the TSan target).
 
 #include "service/catalog.h"
 
@@ -24,6 +25,7 @@
 #include "core/encoding_cache.h"
 #include "core/signature.h"
 #include "data/generator.h"
+#include "service/deep_compare.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
@@ -37,30 +39,33 @@ Community MakeTestCommunity(uint32_t size, uint64_t salt) {
   return data::MakeCommunity(gen, size, rng);
 }
 
+using Batch =
+    std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>>;
+
+std::shared_ptr<const Community> Frozen(Community community) {
+  return std::make_shared<const Community>(std::move(community));
+}
+
 /// One seeded (id, community) batch; ids deliberately NOT ascending so
 /// the install phase's end-hinted inserts also see the fallback path.
-std::vector<std::pair<uint64_t, Community>> MakeBatch(uint32_t n,
-                                                      uint64_t salt) {
+Batch MakeBatch(uint32_t n, uint64_t salt) {
   util::Rng rng(testing::TestSeed(salt));
-  std::vector<std::pair<uint64_t, Community>> batch;
+  Batch batch;
   batch.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t id = 1 + ((static_cast<uint64_t>(i) * 37) % (2 * n));
     batch.emplace_back(
-        id, MakeTestCommunity(static_cast<uint32_t>(rng.Between(10, 28)),
-                              salt * 1000 + i));
+        id, Frozen(MakeTestCommunity(static_cast<uint32_t>(rng.Between(10, 28)),
+                                     salt * 1000 + i)));
   }
   return batch;
 }
 
-std::vector<std::pair<uint64_t, Community>> CopyBatch(
-    const std::vector<std::pair<uint64_t, Community>>& batch) {
-  std::vector<std::pair<uint64_t, Community>> copy;
-  copy.reserve(batch.size());
+/// The sequential arm: one Upsert (of a private copy) per element.
+void UpsertEach(const Batch& batch, CommunityCatalog* catalog) {
   for (const auto& [id, community] : batch) {
-    copy.emplace_back(id, Community(community));
+    catalog->Upsert(id, Community(*community));
   }
-  return copy;
 }
 
 /// Deep bytewise comparison of two quiesced catalogs: entry maps (ids,
@@ -164,40 +169,71 @@ TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
   for (const uint32_t shards : {1u, 4u, 8u}) {
     EncodingCache bulk_cache;
     EncodingCache seq_cache;
+    EncodingCache restore_cache;
     CommunityCatalog bulk(WithEverything(shards, &bulk_cache));
     CommunityCatalog sequential(WithEverything(shards, &seq_cache));
+    CommunityCatalog restored(WithEverything(shards, &restore_cache));
 
-    const auto batch = MakeBatch(64, 100 + shards);
-    for (auto& [id, community] : CopyBatch(batch)) {
-      sequential.Upsert(id, std::move(community));
-    }
+    const Batch batch = MakeBatch(64, 100 + shards);
+    UpsertEach(batch, &sequential);
     CommunityCatalog::BulkLoadStats stats;
-    const uint64_t last = bulk.BulkLoad(CopyBatch(batch), &stats);
+    const uint64_t last = bulk.BulkLoad(batch, &stats);
     EXPECT_EQ(last, bulk.latest_version());
     EXPECT_EQ(stats.entries, batch.size());
     EXPECT_GE(stats.encode_seconds, 0.0);
     EXPECT_GE(stats.sketch_seconds, 0.0);
     EXPECT_GE(stats.install_seconds, 0.0);
 
-    ExpectCatalogsIdentical(bulk, sequential);
+    // The restore arm: the same entries at BulkLoad's versions, with no
+    // prebuilt artifacts (digest included), so RestoreBatch builds all.
+    std::vector<CommunityCatalog::RestoredEntry> entries(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      entries[i].id = batch[i].first;
+      entries[i].version = last - batch.size() + 1 + i;
+      entries[i].community = batch[i].second;
+    }
+    EXPECT_EQ(restored.RestoreBatch(std::move(entries), last + 1), last);
 
-    // The bulk path must warm the SAME cache keys the sequential warmup
-    // does: the lookups a serving query performs all hit on both sides.
-    for (const CommunityCatalog* catalog : {&bulk, &sequential}) {
-      EncodingCache* cache = catalog == &bulk ? &bulk_cache : &seq_cache;
-      const EncodingCache::Stats before = cache->GetStats();
-      for (const CatalogEntry& entry : catalog->Snapshot()) {
+    struct Arm {
+      const char* name;
+      const CommunityCatalog* catalog;
+      EncodingCache* cache;
+    };
+    const EncodingCache::Stats seq_stats = seq_cache.GetStats();
+    for (const Arm& arm : {Arm{"bulk", &bulk, &bulk_cache},
+                           Arm{"restored", &restored, &restore_cache}}) {
+      SCOPED_TRACE(arm.name);
+      ExpectCatalogsIdentical(*arm.catalog, sequential);
+      // Pack layout: the deep oracle walks every shard's slots in order.
+      EXPECT_TRUE(CatalogsIdentical(*arm.catalog, sequential, /*eps=*/2,
+                                    /*threshold=*/0.25));
+      // The same cache artifacts, with the same build accounting.
+      const EncodingCache::Stats arm_stats = arm.cache->GetStats();
+      EXPECT_EQ(arm_stats.entries, seq_stats.entries);
+      EXPECT_EQ(arm_stats.bytes, seq_stats.bytes);
+      EXPECT_EQ(arm_stats.misses, seq_stats.misses);
+      EXPECT_EQ(arm_stats.hits, seq_stats.hits);
+      EXPECT_EQ(arm_stats.bytes_built, seq_stats.bytes_built);
+    }
+
+    // ...under the SAME keys: the lookups a serving query performs all
+    // hit on every arm.
+    for (const Arm& arm : {Arm{"sequential", &sequential, &seq_cache},
+                           Arm{"bulk", &bulk, &bulk_cache},
+                           Arm{"restored", &restored, &restore_cache}}) {
+      const EncodingCache::Stats before = arm.cache->GetStats();
+      for (const CatalogEntry& entry : arm.catalog->Snapshot()) {
         const Encoder encoder(entry.community->d(), 2, 4);
-        cache->GetEncodedB(*entry.community, entry.digest, 2,
-                           encoder.parts(), nullptr);
-        cache->GetEncodedA(*entry.community, entry.digest, 2,
-                           encoder.parts(), nullptr);
-        cache->GetCommunityWindow(*entry.community, entry.digest, nullptr);
+        arm.cache->GetEncodedB(*entry.community, entry.digest, 2,
+                               encoder.parts(), nullptr);
+        arm.cache->GetEncodedA(*entry.community, entry.digest, 2,
+                               encoder.parts(), nullptr);
+        arm.cache->GetCommunityWindow(*entry.community, entry.digest,
+                                      nullptr);
       }
-      const EncodingCache::Stats after = cache->GetStats();
+      const EncodingCache::Stats after = arm.cache->GetStats();
       EXPECT_EQ(after.misses, before.misses)
-          << (catalog == &bulk ? "bulk" : "sequential")
-          << " warmup left cold keys";
+          << arm.name << " warmup left cold keys";
     }
   }
 }
@@ -211,17 +247,15 @@ TEST(BulkLoadTest, DuplicateIdsReplayLastWins) {
   // Every id appears three times with different payloads; the resident
   // entry must be the LAST occurrence under the version the sequential
   // replay would have issued for it.
-  std::vector<std::pair<uint64_t, Community>> batch;
+  Batch batch;
   for (uint32_t round = 0; round < 3; ++round) {
     for (uint64_t id = 1; id <= 12; ++id) {
-      batch.emplace_back(id,
-                         MakeTestCommunity(12 + round * 4, round * 100 + id));
+      batch.emplace_back(
+          id, Frozen(MakeTestCommunity(12 + round * 4, round * 100 + id)));
     }
   }
-  for (auto& [id, community] : CopyBatch(batch)) {
-    sequential.Upsert(id, std::move(community));
-  }
-  bulk.BulkLoad(CopyBatch(batch), nullptr);
+  UpsertEach(batch, &sequential);
+  bulk.BulkLoad(batch, nullptr);
 
   EXPECT_EQ(bulk.size(), 12u);
   ExpectCatalogsIdentical(bulk, sequential);
@@ -239,9 +273,7 @@ TEST(BulkLoadTest, EmptyBatchIsANoOp) {
 
   CommunityCatalog::BulkLoadStats stats;
   stats.entries = 99;  // must be reset even on the empty path
-  EXPECT_EQ(catalog.BulkLoad(
-                std::vector<std::pair<uint64_t, Community>>{}, &stats),
-            0u);
+  EXPECT_EQ(catalog.BulkLoad(Batch{}, &stats), 0u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(catalog.size(), 1u);
   EXPECT_EQ(catalog.latest_version(), version_before);
@@ -261,14 +293,12 @@ TEST(BulkLoadTest, LoadsOntoPrePopulatedCatalogWithReplacements) {
     sequential.Upsert(id, std::move(community));
   }
   // ...then a batch overlapping half of it (ids 11..40) lands.
-  std::vector<std::pair<uint64_t, Community>> batch;
+  Batch batch;
   for (uint64_t id = 11; id <= 40; ++id) {
-    batch.emplace_back(id, MakeTestCommunity(18, 9500 + id));
+    batch.emplace_back(id, Frozen(MakeTestCommunity(18, 9500 + id)));
   }
-  for (auto& [id, community] : CopyBatch(batch)) {
-    sequential.Upsert(id, std::move(community));
-  }
-  bulk.BulkLoad(CopyBatch(batch), nullptr);
+  UpsertEach(batch, &sequential);
+  bulk.BulkLoad(batch, nullptr);
 
   EXPECT_EQ(bulk.size(), 40u);
   ExpectCatalogsIdentical(bulk, sequential);
@@ -276,11 +306,10 @@ TEST(BulkLoadTest, LoadsOntoPrePopulatedCatalogWithReplacements) {
 
 TEST(BulkLoadTest, ZeroCopyOverloadInstallsTheCallersBuffers) {
   CommunityCatalog catalog(WithEverything(4, nullptr));
-  std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> batch;
+  Batch batch;
   std::vector<const Community*> raw;
   for (uint64_t id = 1; id <= 8; ++id) {
-    auto frozen =
-        std::make_shared<const Community>(MakeTestCommunity(12, 80 + id));
+    auto frozen = Frozen(MakeTestCommunity(12, 80 + id));
     raw.push_back(frozen.get());
     batch.emplace_back(id, std::move(frozen));
   }
@@ -289,7 +318,7 @@ TEST(BulkLoadTest, ZeroCopyOverloadInstallsTheCallersBuffers) {
     const CatalogEntry entry = catalog.Get(id);
     ASSERT_NE(entry.community, nullptr);
     EXPECT_EQ(entry.community.get(), raw[id - 1])
-        << "zero-copy overload copied the buffer for id " << id;
+        << "BulkLoad copied the buffer for id " << id;
   }
 }
 
@@ -345,9 +374,9 @@ TEST(BulkLoadTest, SurvivesConcurrentChurnAndQueries) {
     catalog.Upsert(id, MakeTestCommunity(12, 5000 + id));
   }
 
-  std::vector<std::pair<uint64_t, Community>> batch;
+  Batch batch;
   for (uint32_t i = 0; i < kBulkEntries; ++i) {
-    batch.emplace_back(1000 + i, MakeTestCommunity(14, 6000 + i));
+    batch.emplace_back(1000 + i, Frozen(MakeTestCommunity(14, 6000 + i)));
   }
 
   std::atomic<bool> stop{false};

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -555,6 +556,52 @@ TEST(NetLoopback, MalformedPayloadDropsTheConnection) {
   bytes[kFrameHeaderBytes + 3] = 0xFF;
   ASSERT_TRUE(SendAll(fd, bytes));
   ExpectConnectionDropped(fd, &net_server);
+}
+
+TEST(NetLoopback, EmptyUpsertIsMalformedAndTheServerKeepsServing) {
+  const service::ServeWorkload workload(
+      LoopbackWorkload(csj::testing::TestSeed(0x4EC)));
+  service::CsjServer server(service::CsjServer::Options{});
+  workload.Populate(&server);
+  NetServer net_server(&server, NetServer::Options{});
+  const uint64_t version_before = server.catalog().Get(3).version;
+
+  // A well-formed frame whose upsert community has d = 3 but no users:
+  // the catalog cannot hold it, so the frame is malformed.
+  WireRequest upsert;
+  upsert.kind = service::RequestKind::kUpsert;
+  upsert.id = 3;
+  upsert.community = std::make_shared<const Community>(
+      3, std::vector<Count>{}, "empty");
+  const int fd = RawConnect(net_server.port());
+  ASSERT_GE(fd, 0);
+  std::vector<uint8_t> bytes;
+  EncodeRequestFrame(1, upsert, &bytes);
+  ASSERT_TRUE(SendAll(fd, bytes));
+  ExpectConnectionDropped(fd, &net_server);
+
+  // In-process callers are refused at admission, before any worker.
+  service::ServeRequest direct;
+  direct.kind = service::RequestKind::kUpsert;
+  direct.id = 3;
+  direct.community = upsert.community;
+  std::future<service::ServeResponse> ignored;
+  EXPECT_FALSE(server.Submit(std::move(direct), &ignored));
+
+  // The server is still up and answers a normal request; entry 3 is
+  // untouched.
+  std::unique_ptr<NetClient> client =
+      NetClient::Connect("127.0.0.1", net_server.port());
+  ASSERT_NE(client, nullptr);
+  WireRequest topk;
+  topk.kind = service::RequestKind::kTopK;
+  topk.k = 5;
+  topk.community = workload.communities()[0];
+  WireResponse response;
+  ASSERT_TRUE(client->Call(topk, &response));
+  EXPECT_EQ(response.status, service::ServeStatus::kOk);
+  EXPECT_FALSE(response.entries.empty());
+  EXPECT_EQ(server.catalog().Get(3).version, version_before);
 }
 
 }  // namespace

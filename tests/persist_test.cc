@@ -140,6 +140,47 @@ TEST(PersistStoreTest, LogTailReplaysOnTopOfSealedSegment) {
   ExpectRestoresIdentical(dir, catalog);
 }
 
+TEST(PersistStoreTest, LogTailRefreshingAnIdTwiceReplaysLastWins) {
+  // A tail without removes replays as ONE RestoreBatch, so an id the
+  // writer refreshed twice appears twice in that batch: the last
+  // occurrence must win, exactly as the writer's second Upsert did.
+  const std::string dir = FreshDir();
+  EncodingCache cache;
+  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  for (uint64_t id = 1; id <= 10; ++id) {
+    catalog.Upsert(id, MakeTestCommunity(16, id));
+  }
+
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  {
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+    ASSERT_TRUE(store->StartLogging(&catalog, &error)) << error;
+    catalog.Upsert(3, MakeTestCommunity(24, 300));
+    catalog.Upsert(42, MakeTestCommunity(18, 301));
+    catalog.Upsert(3, MakeTestCommunity(14, 302));
+    catalog.Upsert(42, MakeTestCommunity(20, 303));
+    catalog.Upsert(3, Community(*catalog.Get(3).community));  // same bytes
+    store->StopLogging(&catalog);
+  }
+  ExpectRestoresIdentical(dir, catalog);
+
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  EncodingCache restored_cache;
+  service::CommunityCatalog restored(CatalogOpts(&restored_cache));
+  OpenStats stats;
+  ASSERT_TRUE(store->RestoreInto(&restored, &error, &stats)) << error;
+  EXPECT_EQ(stats.log_records_replayed, 5u);
+  EXPECT_EQ(restored.size(), 11u);
+  EXPECT_EQ(restored.Get(3).community->size(), 14u);
+  EXPECT_EQ(restored.Get(3).version, catalog.Get(3).version);
+  EXPECT_EQ(restored.Get(42).community->size(), 20u);
+}
+
 TEST(PersistStoreTest, LogOnlyStoreRecoversWithoutAnySegment) {
   const std::string dir = FreshDir();
   EncodingCache cache;

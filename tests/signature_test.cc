@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,15 @@ Community RandomSmallCommunity(Dim d, uint32_t size, uint32_t value_range,
     community.AddUser(vec);
   }
   return community;
+}
+
+/// Installs one sketch: the one-element case of SignatureIndex's only
+/// install entry point.
+void InstallOne(SignatureIndex& index, uint32_t shard, uint64_t id,
+                uint64_t version,
+                std::shared_ptr<const CommunitySignature> signature) {
+  SignatureIndex::SlotInstall slot{id, version, std::move(signature)};
+  index.InstallBatch(shard, std::span<SignatureIndex::SlotInstall>(&slot, 1));
 }
 
 TEST(SignatureTest, CountUpperBoundDominatesTrueCount) {
@@ -231,9 +242,9 @@ TEST(SignatureIndexTest, InstallReplaceRemoveStaysConsistent) {
       const Community community = data::MakeCommunity(
           gen, 8 + static_cast<uint32_t>(rng.Below(24)), rng);
       const uint64_t version = next_version++;
-      index.Install(shard_of(id), id, version,
-                    std::make_shared<const CommunitySignature>(community,
-                                                               options));
+      InstallOne(index, shard_of(id), id, version,
+                 std::make_shared<const CommunitySignature>(community,
+                                                            options));
       model[id] = version;
     } else {
       const bool removed = index.Remove(shard_of(id), id);
@@ -299,14 +310,14 @@ TEST(SignatureIndexTest, DimensionalityMismatchRejectsAsAPack) {
   util::Rng rng(testing::TestSeed(8));
   // Three entries of dimensionality 5, two of dimensionality 3.
   for (uint64_t id = 1; id <= 3; ++id) {
-    index.Install(0, id, id,
-                  std::make_shared<const CommunitySignature>(
-                      RandomSmallCommunity(5, 12, 20, rng), options));
+    InstallOne(index, 0, id, id,
+               std::make_shared<const CommunitySignature>(
+                   RandomSmallCommunity(5, 12, 20, rng), options));
   }
   for (uint64_t id = 4; id <= 5; ++id) {
-    index.Install(0, id, id,
-                  std::make_shared<const CommunitySignature>(
-                      RandomSmallCommunity(3, 12, 20, rng), options));
+    InstallOne(index, 0, id, id,
+               std::make_shared<const CommunitySignature>(
+                   RandomSmallCommunity(3, 12, 20, rng), options));
   }
   const Community query = RandomSmallCommunity(5, 12, 20, rng);
   const CommunitySignature query_signature(query, options);

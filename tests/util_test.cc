@@ -287,6 +287,50 @@ TEST(FlagsTest, RejectsMissingValueAndPositional) {
   EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv2)));
 }
 
+TEST(FlagsTest, BareBooleanMeansTrueAndLeavesTheNextFlagAlone) {
+  Flags flags;
+  flags.Define("prescreen", "false", "a bool");
+  flags.Define("cache", "true", "a bool");
+  flags.Define("compare", "0", "a number");
+  const char* argv[] = {"prog", "--prescreen", "--compare=6", "--cache"};
+  ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)));
+  EXPECT_TRUE(flags.GetBool("prescreen"));
+  EXPECT_TRUE(flags.GetBool("cache"));
+  EXPECT_EQ(flags.GetInt("compare"), 6);
+
+  // A following non-flag token is still the value.
+  Flags spaced;
+  spaced.Define("cache", "true", "a bool");
+  const char* argv2[] = {"prog", "--cache", "false"};
+  ASSERT_TRUE(spaced.Parse(3, const_cast<char**>(argv2)));
+  EXPECT_FALSE(spaced.GetBool("cache"));
+}
+
+TEST(FlagsTest, RejectsValuesThatDoNotParseAsTheDefaultsType) {
+  const auto parses = [](const char* value) {
+    Flags flags;
+    flags.Define("count", "4", "a number");
+    flags.Define("ratio", "0.5", "a number");
+    flags.Define("on", "false", "a bool");
+    flags.Define("name", "", "a string");
+    const std::string arg = value;
+    const char* argv[] = {"prog", arg.c_str()};
+    return flags.Parse(2, const_cast<char**>(argv));
+  };
+  EXPECT_TRUE(parses("--count=12"));
+  EXPECT_TRUE(parses("--count=-3"));
+  EXPECT_TRUE(parses("--ratio=1e-3"));
+  EXPECT_TRUE(parses("--on=yes"));
+  EXPECT_TRUE(parses("--on=0"));
+  EXPECT_TRUE(parses("--name=anything"));
+  EXPECT_FALSE(parses("--count=abc"));
+  EXPECT_FALSE(parses("--count=12x"));
+  EXPECT_FALSE(parses("--count="));
+  EXPECT_FALSE(parses("--ratio=0.5.1"));
+  EXPECT_FALSE(parses("--on=maybe"));
+  EXPECT_FALSE(parses("--on=--compare=6"));
+}
+
 TEST(FlagsTest, HelpReturnsFalseAndListsFlags) {
   Flags flags;
   flags.Define("verbose", "false", "chatty output");

@@ -235,8 +235,8 @@ std::shared_ptr<const T> EncodingCache::GetOrBuild(const Key& key,
   return std::static_pointer_cast<const T>(built.first);
 }
 
-void EncodingCache::PutReady(const Key& key, std::shared_ptr<const void> value,
-                             size_t bytes) {
+std::shared_ptr<const void> EncodingCache::PutReady(
+    const Key& key, std::shared_ptr<const void> value, size_t bytes) {
   // The caller built the artifact whether or not it lands, so the
   // miss/build counters tick unconditionally — same totals as if the
   // caller had gone through GetOrBuild on a cold key.
@@ -248,19 +248,26 @@ void EncodingCache::PutReady(const Key& key, std::shared_ptr<const void> value,
     // shared lock: re-ingesting cached content (a refresh of the same
     // profile) must not stall the shard's readers.
     std::shared_lock<std::shared_mutex> lock(shard.mu);
-    if (shard.map.contains(key)) return;
+    const auto it = shard.map.find(key);
+    if (it != shard.map.end()) {
+      return it->second.value != nullptr ? it->second.value : value;
+    }
   }
   std::lock_guard<std::shared_mutex> lock(shard.mu);
   Slot slot;
-  slot.value = std::move(value);
+  slot.value = value;
   slot.token = next_token_.fetch_add(1, std::memory_order_relaxed);
   slot.bytes = bytes;
   slot.ready = true;
   const auto [it, inserted] = shard.map.emplace(key, std::move(slot));
-  if (!inserted) return;  // raced: the entry inserted first wins
+  if (!inserted) {
+    // Raced: the entry inserted first wins.
+    return it->second.value != nullptr ? it->second.value : value;
+  }
   shard.bytes += bytes;
   shard.insertion_order.push_back(key);
   EvictLocked(shard);
+  return value;
 }
 
 void EncodingCache::Reserve(size_t additional_entries) {
@@ -364,27 +371,30 @@ std::shared_ptr<const SuperEgoPrep> EncodingCache::GetSuperEgoPrep(
       stats);
 }
 
-void EncodingCache::PutEncodedB(const CommunityDigest& digest, Epsilon eps,
-                                uint32_t parts,
-                                std::shared_ptr<const EncodedB> encoded) {
+std::shared_ptr<const EncodedB> EncodingCache::PutEncodedB(
+    const CommunityDigest& digest, Epsilon eps, uint32_t parts,
+    std::shared_ptr<const EncodedB> encoded) {
   const Key key{digest.fingerprint, SaltOf(EntryKind::kEncodedB, eps, parts)};
   const size_t bytes = sizeof(EncodedB) + encoded->MemoryBytes();
-  PutReady(key, std::move(encoded), bytes);
+  return std::static_pointer_cast<const EncodedB>(
+      PutReady(key, std::move(encoded), bytes));
 }
 
-void EncodingCache::PutEncodedA(const CommunityDigest& digest, Epsilon eps,
-                                uint32_t parts,
-                                std::shared_ptr<const EncodedA> encoded) {
+std::shared_ptr<const EncodedA> EncodingCache::PutEncodedA(
+    const CommunityDigest& digest, Epsilon eps, uint32_t parts,
+    std::shared_ptr<const EncodedA> encoded) {
   const Key key{digest.fingerprint, SaltOf(EntryKind::kEncodedA, eps, parts)};
   const size_t bytes = sizeof(EncodedA) + encoded->MemoryBytes();
-  PutReady(key, std::move(encoded), bytes);
+  return std::static_pointer_cast<const EncodedA>(
+      PutReady(key, std::move(encoded), bytes));
 }
 
-void EncodingCache::PutCommunityWindow(
+std::shared_ptr<const VerifyWindow> EncodingCache::PutCommunityWindow(
     const CommunityDigest& digest, std::shared_ptr<const VerifyWindow> window) {
   const Key key{digest.fingerprint, SaltOf(EntryKind::kCommunityWindow)};
   const size_t bytes = sizeof(VerifyWindow) + window->MemoryBytes();
-  PutReady(key, std::move(window), bytes);
+  return std::static_pointer_cast<const VerifyWindow>(
+      PutReady(key, std::move(window), bytes));
 }
 
 void EncodingCache::Clear() {

@@ -152,22 +152,29 @@ class EncodingCache {
       Count max_count, const std::vector<Dim>& dim_order, uint64_t order_hash,
       uint32_t threshold, JoinStats* stats);
 
-  /// Bulk-ingestion warm inserts: install an ALREADY-BUILT artifact
-  /// under the same key the matching Get* lookup computes, without the
+  /// Ingestion warm inserts: install an ALREADY-BUILT artifact under the
+  /// same key the matching Get* lookup computes, without the
   /// promise/future build-dedup machinery (the dominant per-entry cost
   /// of warming through GetOrBuild when the caller knows the key is
-  /// cold). First insert wins: a resident or in-flight slot keeps its
-  /// entry and the offered artifact is dropped — builders are
-  /// deterministic, so the bytes are the same either way. Each call
-  /// counts as one miss + build, exactly what the GetOrBuild path that
-  /// would otherwise have built it would have counted. `parts` must be
-  /// the Encoder's CLAMPED part count, as in GetEncodedB/GetEncodedA.
-  void PutEncodedB(const CommunityDigest& digest, Epsilon eps, uint32_t parts,
-                   std::shared_ptr<const EncodedB> encoded);
-  void PutEncodedA(const CommunityDigest& digest, Epsilon eps, uint32_t parts,
-                   std::shared_ptr<const EncodedA> encoded);
-  void PutCommunityWindow(const CommunityDigest& digest,
-                          std::shared_ptr<const VerifyWindow> window);
+  /// cold). First insert wins: a resident slot keeps its artifact and
+  /// the offered one is dropped — builders are deterministic, so the
+  /// bytes are the same either way. Each call returns the artifact that
+  /// ends up RESIDENT: the one already there, else the offered one (also
+  /// when a slot is still building, or the budget evicts the insert at
+  /// once). The catalog keeps that pointer in its entry, so
+  /// content-identical entries share one copy. Each call counts as one
+  /// miss + build, exactly what the GetOrBuild path that would otherwise
+  /// have built it would have counted. `parts` must be the Encoder's
+  /// CLAMPED part count, as in GetEncodedB/GetEncodedA.
+  std::shared_ptr<const EncodedB> PutEncodedB(
+      const CommunityDigest& digest, Epsilon eps, uint32_t parts,
+      std::shared_ptr<const EncodedB> encoded);
+  std::shared_ptr<const EncodedA> PutEncodedA(
+      const CommunityDigest& digest, Epsilon eps, uint32_t parts,
+      std::shared_ptr<const EncodedA> encoded);
+  std::shared_ptr<const VerifyWindow> PutCommunityWindow(
+      const CommunityDigest& digest,
+      std::shared_ptr<const VerifyWindow> window);
 
   /// Pre-sizes every shard's hash table for `additional_entries` more
   /// slots (grow-only, at least doubling). Catalog ingestion knows how
@@ -223,9 +230,11 @@ class EncodingCache {
   std::shared_ptr<const T> GetOrBuild(const Key& key, BuildFn&& build,
                                       JoinStats* stats);
 
-  /// Shared implementation of the Put* warm inserts.
-  void PutReady(const Key& key, std::shared_ptr<const void> value,
-                size_t bytes);
+  /// Shared implementation of the Put* warm inserts; returns the
+  /// resident value (see PutEncodedB).
+  std::shared_ptr<const void> PutReady(const Key& key,
+                                       std::shared_ptr<const void> value,
+                                       size_t bytes);
 
   Shard& ShardOf(const Key& key);
   void EvictLocked(Shard& shard);

@@ -269,20 +269,53 @@ MinMaxBuffers AcquireMinMaxBuffers(const Community& b, const Community& a,
   return buffers;
 }
 
+/// One of the two join kernels below, run on fetched or built encodings.
+using EncodedJoin = JoinResult (*)(const Community&, const Community&,
+                                   const EncodedB&, const EncodedA&,
+                                   const JoinOptions&);
+
+JoinResult JoinWithBuffers(EncodedJoin join, const Community& b,
+                           const Community& a, const JoinOptions& options) {
+  CSJ_CHECK_EQ(b.d(), a.d());
+  util::Timer timer;
+  JoinStats lookups;
+  const MinMaxBuffers buffers = AcquireMinMaxBuffers(b, a, options, &lookups);
+  JoinResult result = join(b, a, *buffers.b, *buffers.a, options);
+  result.stats.Merge(lookups);  // only the cache counters are nonzero
+  result.stats.seconds = timer.Seconds();
+  return result;
+}
+
+/// The kernels' shared precondition: the encodings belong to the couple.
+void CheckEncodings(const Community& b, const Community& a,
+                    const EncodedB& encd_b, const EncodedA& encd_a) {
+  CSJ_CHECK_EQ(b.d(), a.d());
+  CSJ_CHECK_EQ(encd_b.size(), b.size());
+  CSJ_CHECK_EQ(encd_a.size(), a.size());
+  CSJ_CHECK_EQ(encd_b.parts(), encd_a.parts());
+}
+
 }  // namespace
 
 JoinResult ApMinMaxJoin(const Community& b, const Community& a,
                         const JoinOptions& options) {
-  CSJ_CHECK_EQ(b.d(), a.d());
+  return JoinWithBuffers(ApMinMaxJoin, b, a, options);
+}
+
+JoinResult ExMinMaxJoin(const Community& b, const Community& a,
+                        const JoinOptions& options) {
+  return JoinWithBuffers(ExMinMaxJoin, b, a, options);
+}
+
+JoinResult ApMinMaxJoin(const Community& b, const Community& a,
+                        const EncodedB& encd_b, const EncodedA& encd_a,
+                        const JoinOptions& options) {
+  CheckEncodings(b, a, encd_b, encd_a);
   util::Timer timer;
   JoinResult result;
   result.method = "Ap-MinMax";
   result.size_b = b.size();
 
-  const MinMaxBuffers buffers =
-      AcquireMinMaxBuffers(b, a, options, &result.stats);
-  const EncodedB& encd_b = *buffers.b;
-  const EncodedA& encd_a = *buffers.a;
   const uint32_t nb = encd_b.size();
   const uint32_t na = encd_a.size();
 
@@ -351,17 +384,14 @@ JoinResult ApMinMaxJoin(const Community& b, const Community& a,
 }
 
 JoinResult ExMinMaxJoin(const Community& b, const Community& a,
+                        const EncodedB& encd_b, const EncodedA& encd_a,
                         const JoinOptions& options) {
-  CSJ_CHECK_EQ(b.d(), a.d());
+  CheckEncodings(b, a, encd_b, encd_a);
   util::Timer timer;
   JoinResult result;
   result.method = "Ex-MinMax";
   result.size_b = b.size();
 
-  const MinMaxBuffers buffers =
-      AcquireMinMaxBuffers(b, a, options, &result.stats);
-  const EncodedB& encd_b = *buffers.b;
-  const EncodedA& encd_a = *buffers.a;
   const uint32_t nb = encd_b.size();
   const uint32_t na = encd_a.size();
 

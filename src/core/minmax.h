@@ -2,6 +2,7 @@
 #define CSJ_CORE_MINMAX_H_
 
 #include "core/community.h"
+#include "core/encoding.h"
 #include "core/join_options.h"
 #include "core/join_result.h"
 
@@ -38,6 +39,20 @@ JoinResult ApMinMaxJoin(const Community& b, const Community& a,
 /// buffers reset. This yields the same final match count as Ex-Baseline's
 /// single global CSF call while keeping each CSF input small.
 JoinResult ExMinMaxJoin(const Community& b, const Community& a,
+                        const JoinOptions& options);
+
+/// The join kernels themselves, run on encodings the caller already
+/// holds: `encd_b` must encode `b` and `encd_a` must encode `a` under
+/// (options.eps, options.encoding_parts), as the catalog's resident
+/// entry encodings do for its warm parameters. The overloads above fetch
+/// (options.cache) or build the two encodings and call these, so both
+/// forms return the same pairs and counters; only the cache accounting
+/// and `seconds` of the lookup belong to the Community-only form.
+JoinResult ApMinMaxJoin(const Community& b, const Community& a,
+                        const EncodedB& encd_b, const EncodedA& encd_a,
+                        const JoinOptions& options);
+JoinResult ExMinMaxJoin(const Community& b, const Community& a,
+                        const EncodedB& encd_b, const EncodedA& encd_a,
                         const JoinOptions& options);
 
 }  // namespace csj

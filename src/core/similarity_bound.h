@@ -2,17 +2,13 @@
 #define CSJ_CORE_SIMILARITY_BOUND_H_
 
 #include <cstdint>
-#include <utility>
-#include <vector>
+#include <span>
 
 #include "core/community.h"
+#include "core/encoding.h"
 #include "core/types.h"
 
 namespace csj {
-
-namespace util {
-class ThreadPool;
-}  // namespace util
 
 /// Cheap upper bound on the EXACT CSJ matched-pair count — no
 /// d-dimensional comparisons, no candidate graph.
@@ -20,9 +16,8 @@ class ThreadPool;
 /// Every eps-match <b, a> satisfies encoded_id(b) ∈ [encoded_min(a),
 /// encoded_max(a)] (the MinMax window invariant), so the exact matching
 /// can never exceed the maximum matching of the interval-point graph
-/// {(b, a) : id_b ∈ window_a}. That relaxation is solvable exactly with a
-/// classic greedy in O(n log n): process A's windows by ascending
-/// encoded_max and give each the smallest unassigned id inside it.
+/// {(b, a) : id_b ∈ window_a}. That relaxation is solved exactly by
+/// IntervalPointMatching in O(n log n).
 ///
 /// Use: catalog pruning. A brand comparing against thousands of candidate
 /// communities can discard every couple whose bound is already below the
@@ -31,19 +26,25 @@ class ThreadPool;
 uint32_t MatchingUpperBound(const Community& b, const Community& a,
                             Epsilon eps);
 
+/// The same bound read straight from the couple's MinMax encodings: the
+/// encoded ids of `b` and the encoded windows of `a` are exactly the sums
+/// the Community form computes, so for encodings built under `eps` the
+/// result is identical. Performs no allocation (per-thread scratch).
+uint32_t MatchingUpperBound(const EncodedB& b, const EncodedA& a);
+
 /// MatchingUpperBound / |B| — an upper bound on similarity(B, A). 0 when
 /// B is empty.
 double SimilarityUpperBound(const Community& b, const Community& a,
                             Epsilon eps);
+double SimilarityUpperBound(const EncodedB& b, const EncodedA& a);
 
-/// Batched bounds — the serving subsystem's bound-phase entry point:
-/// result[i] = SimilarityUpperBound(*couples[i].first, *couples[i].second,
-/// eps). With `threads > 1` the couples run as tasks on `pool` (null =
-/// the global pool); each task writes only its own slot, so the result
-/// is byte-identical to the serial loop for any thread count.
-std::vector<double> SimilarityUpperBounds(
-    const std::vector<std::pair<const Community*, const Community*>>& couples,
-    Epsilon eps, util::ThreadPool* pool = nullptr, uint32_t threads = 1);
+/// The kernel behind both bound forms: the maximum matching between
+/// `points` (ascending) and the windows [mins[i], maxs[i]] (ascending by
+/// min). Points sweep upward with a min-heap of the open windows' maxes,
+/// and each point takes the open window that closes first.
+uint32_t IntervalPointMatching(std::span<const uint64_t> points,
+                               std::span<const uint64_t> mins,
+                               const uint64_t* maxs);
 
 }  // namespace csj
 

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "core/encoding_cache.h"
-#include "core/similarity.h"
-#include "core/similarity_bound.h"
 #include "util/logging.h"
 
 namespace csj::evolve {
@@ -24,16 +22,6 @@ struct RankedLess {
     return x.id < y.id;
   }
 };
-
-/// Same auto-order rule as the top-k walk (smaller side plays B, the
-/// query wins ties) — the re-probe must run the join on the identically
-/// oriented couple to reproduce the same similarity bits.
-void OrientCouple(const Community& query, const Community& entry,
-                  const Community** b, const Community** a) {
-  const bool query_is_b = query.size() <= entry.size();
-  *b = query_is_b ? &query : &entry;
-  *a = query_is_b ? &entry : &query;
-}
 
 /// Trigger semantics: the ranked (id, similarity) sequences differ.
 /// Versions are excluded by design (see TriggerEvent).
@@ -116,6 +104,11 @@ TopKMaintainer::RefreshOutcome TopKMaintainer::Refresh(QueryId query) {
       const service::TopKEntry old_kth =
           prior_full ? state->ranking.back() : service::TopKEntry{};
 
+      // The walk's couple scorer: the same orientation, bound and refine
+      // (from the entries' artifacts when they serve), so a re-probe
+      // reproduces a fresh query's similarity bits.
+      const service::CoupleScorer scorer(*catalog_, *state->community,
+                                         state->topk);
       // Exact join on the current entry of `id`; nullopt when the entry
       // is gone or the couple is no longer admissible (a fresh recompute
       // would drop it the same way).
@@ -123,19 +116,10 @@ TopKMaintainer::RefreshOutcome TopKMaintainer::Refresh(QueryId query) {
           [&](uint64_t id) -> std::optional<service::TopKEntry> {
         const service::CatalogEntry entry = catalog_->Get(id);
         if (entry.community == nullptr) return std::nullopt;
-        if (entry.community->d() != state->community->d()) {
-          return std::nullopt;
-        }
-        const Community* b = nullptr;
-        const Community* a = nullptr;
-        OrientCouple(*state->community, *entry.community, &b, &a);
-        if (!SizesAdmissible(b->size(), a->size())) return std::nullopt;
-        const auto refined =
-            ComputeSimilarity(state->topk.method, *b, *a, state->topk.join);
-        CSJ_CHECK(refined.has_value());
+        if (!scorer.Admissible(entry)) return std::nullopt;
         outcome.reprobed += 1;
         return service::TopKEntry{entry.id, entry.version,
-                                  refined->Similarity()};
+                                  scorer.Refine(entry, state->topk.join)};
       };
 
       // (a) Prior entries survive verbatim unless their id mutated.
@@ -165,25 +149,14 @@ TopKMaintainer::RefreshOutcome TopKMaintainer::Refresh(QueryId query) {
         if (incumbent) continue;  // handled in (a)
         const service::CatalogEntry entry = catalog_->Get(id);
         if (entry.community == nullptr) continue;  // raced a later remove
-        if (entry.community->d() != state->community->d()) continue;
-        const Community* b = nullptr;
-        const Community* a = nullptr;
-        OrientCouple(*state->community, *entry.community, &b, &a);
-        if (!SizesAdmissible(b->size(), a->size())) continue;
-        if (prior_full) {
-          const double bound =
-              SimilarityUpperBound(*b, *a, state->topk.join.eps);
-          if (bound < old_kth.similarity) {
-            outcome.reprobe_skipped += 1;
-            continue;
-          }
+        if (!scorer.Admissible(entry)) continue;
+        if (prior_full && scorer.Bound(entry) < old_kth.similarity) {
+          outcome.reprobe_skipped += 1;
+          continue;
         }
-        const auto refined =
-            ComputeSimilarity(state->topk.method, *b, *a, state->topk.join);
-        CSJ_CHECK(refined.has_value());
         outcome.reprobed += 1;
-        pool.push_back(service::TopKEntry{entry.id, entry.version,
-                                          refined->Similarity()});
+        pool.push_back(service::TopKEntry{
+            entry.id, entry.version, scorer.Refine(entry, state->topk.join)});
       }
 
       std::sort(pool.begin(), pool.end(), RankedLess{});

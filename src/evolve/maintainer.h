@@ -39,7 +39,9 @@ struct TriggerEvent {
 /// mutated non-incumbents, which are bound-checked first: the prior k-th
 /// similarity is the CUTOFF SEED, and any newcomer whose upper bound is
 /// strictly below it cannot enter (same strict-tie rule as the top-k
-/// walk). Rank the pool, truncate to k.
+/// walk). Rank the pool, truncate to k. Bounds and re-probes go through
+/// the walk's service::CoupleScorer, so they read the entries' MinMax
+/// artifacts exactly when a fresh query would.
 ///
 /// Soundness rule: the truncated pool IS the exact top-k iff the prior
 /// ranking was partial (it then contained every admissible entry), or it

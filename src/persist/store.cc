@@ -538,6 +538,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
           sig_prefix[i] + static_cast<uint64_t>(shape.d) * (sig_quantiles + 1);
     }
     if (has_encodings) {
+      CSJ_CHECK(entry.encodings != nullptr);
       sums_prefix[i + 1] =
           sums_prefix[i] + static_cast<uint64_t>(shape.users) * shape.parts;
       window_prefix[i + 1] = window_prefix[i] + shape.window;
@@ -561,9 +562,9 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<Count> a_window(has_encodings ? window_prefix[n] : 0);
   std::vector<Count> c_window(has_encodings ? window_prefix[n] : 0);
 
-  // Parallel fill: every entry writes disjoint column stretches. Warm
-  // artifacts come from the catalog's cache (built on miss through the
-  // exact builders, so a cold cache still seals correct bytes).
+  // Parallel fill: every entry writes disjoint column stretches. The
+  // MinMax artifacts are the entries' own, so the sealed bytes do not
+  // depend on what the catalog's cache still holds.
   util::ThreadPool::Global().Run(n, [&](uint32_t i) {
     const service::CatalogEntry& entry = snapshot[i];
     const EntryShape& shape = shapes[i];
@@ -584,15 +585,9 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                 table.size() * sizeof(Count));
     }
     if (has_encodings) {
-      EncodingCache* cache = catalog_options.cache;
-      const auto encoded_b =
-          cache->GetEncodedB(*entry.community, entry.digest,
-                             catalog_options.warm_eps, shape.parts, nullptr);
-      const auto encoded_a =
-          cache->GetEncodedA(*entry.community, entry.digest,
-                             catalog_options.warm_eps, shape.parts, nullptr);
-      const auto window =
-          cache->GetCommunityWindow(*entry.community, entry.digest, nullptr);
+      const EncodedB* encoded_b = entry.encodings->encoded_b.get();
+      const EncodedA* encoded_a = entry.encodings->encoded_a.get();
+      const VerifyWindow* window = entry.encodings->window.get();
       for (uint32_t u = 0; u < shape.users; ++u) {
         b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
         b_real[users_prefix[i] + u] = encoded_b->real_id(u);

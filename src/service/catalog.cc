@@ -178,8 +178,8 @@ uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
   for (uint32_t chunk = 0; chunk < n; chunk += kWaveChunk) {
     const uint32_t count = std::min(kWaveChunk, n - chunk);
 
-    // Wave 1 — digest and warm the encoding cache. The warm artifacts
-    // are inserted as built (EncodingCache::Put*): GetOrBuild's
+    // Wave 1 — digest and MinMax artifacts. The artifacts are inserted
+    // into the cache as built (EncodingCache::Put*): GetOrBuild's
     // promise/future dedup machinery would be pure overhead here
     // (measured at ~half the warmup cost per entry).
     phase_timer.Reset();
@@ -216,7 +216,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
         memo.parts = options_.warm_parts;
       }
       // Key on the CLAMPED part count, exactly as the join methods do,
-      // so the first query's lookups are hits.
+      // so ad-hoc joins through the cache find them.
       const Encoder& encoder = *memo.encoder;
       if (supplied.encoded_b == nullptr) {
         supplied.encoded_b =
@@ -232,14 +232,18 @@ uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
                        [&](uint32_t u) { return entry.community->User(u); });
         supplied.window = std::move(window);
       }
-      options_.cache->PutEncodedB(entry.digest, options_.warm_eps,
-                                  encoder.parts(),
-                                  std::move(supplied.encoded_b));
-      options_.cache->PutEncodedA(entry.digest, options_.warm_eps,
-                                  encoder.parts(),
-                                  std::move(supplied.encoded_a));
-      options_.cache->PutCommunityWindow(entry.digest,
-                                         std::move(supplied.window));
+      // The entry keeps the copies the cache holds, so re-ingested
+      // content shares one set of artifacts instead of pinning another.
+      auto encodings = std::make_shared<EntryEncodings>();
+      encodings->encoded_b = options_.cache->PutEncodedB(
+          entry.digest, options_.warm_eps, encoder.parts(),
+          std::move(supplied.encoded_b));
+      encodings->encoded_a = options_.cache->PutEncodedA(
+          entry.digest, options_.warm_eps, encoder.parts(),
+          std::move(supplied.encoded_a));
+      encodings->window = options_.cache->PutCommunityWindow(
+          entry.digest, std::move(supplied.window));
+      entry.encodings = std::move(encodings);
     });
     encode_seconds += phase_timer.Seconds();
 

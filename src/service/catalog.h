@@ -23,6 +23,16 @@
 
 namespace csj::service {
 
+/// The MinMax artifacts of one catalog entry under the catalog's warm
+/// parameters (Options::warm_eps, clamped Options::warm_parts): the B-
+/// and A-side encodings (the A side carries its verify window) and the
+/// Baseline methods' natural-order community window. Immutable.
+struct EntryEncodings {
+  std::shared_ptr<const EncodedB> encoded_b;
+  std::shared_ptr<const EncodedA> encoded_a;
+  std::shared_ptr<const VerifyWindow> window;
+};
+
 /// One resident catalog community, as handed out by Get()/Snapshot().
 ///
 /// Entries are COPY-ON-WRITE: the Community behind `community` is frozen
@@ -41,14 +51,21 @@ struct CatalogEntry {
   uint64_t version = 0;
   std::shared_ptr<const Community> community;
   /// Content fingerprint + max counter, computed once at ingest. It keys
-  /// the entry's warm cache artifacts and seeds the sketch builder's
-  /// radix width. Queries do not reuse it yet: every refine digests both
-  /// sides again to key its cache lookups (core/minmax.cc), a re-scan of
-  /// the counters that the ROADMAP's one-entry-record item removes.
+  /// the entry's artifacts in the catalog's encoding cache and seeds the
+  /// sketch builder's radix width. Queries never digest an entry again:
+  /// they read `encodings` directly.
   CommunityDigest digest;
   /// Prescreen sketch, built at ingest when the catalog has a signature
   /// index configured (null otherwise). Frozen with the community.
   std::shared_ptr<const CommunitySignature> signature;
+  /// MinMax artifacts, built or adopted at ingest when the catalog has an
+  /// encoding cache configured (null otherwise). The top-k walk bounds
+  /// and refines from them, and a checkpoint seals them. Sharing rule:
+  /// the pointers are the ones the cache's Put* calls returned, i.e. the
+  /// cache-resident copies, so content-identical entries (a re-ingest of
+  /// the same profile) share one copy; cache eviction only unpins the
+  /// cache's reference, the entry keeps its artifacts.
+  std::shared_ptr<const EntryEncodings> encodings;
 };
 
 /// One record of the catalog's optional MUTATION LOG (see
@@ -145,26 +162,31 @@ class LiveCoupleSession {
 ///
 /// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path. Its build
 /// waves run OUTSIDE any shard lock and make whatever the caller did not
-/// supply: the digest, the warm cache artifacts (when a `cache` is
-/// configured: MinMax EncodedB, EncodedA and the Baseline SoA window for
-/// (warm_eps, warm_parts), so the first query against a fresh entry pays
-/// no encoding build) and the prescreen sketch (when `signatures` is
-/// set). Its install section then takes each touched shard's exclusive
-/// lock once, between one mutation-clock tick pair. Upsert is the
-/// one-entry case of that path, which is why an Upsert loop, a BulkLoad
-/// and a RestoreBatch of the same entries leave byte-identical state.
+/// supply: the digest, the entry's MinMax artifacts (when a `cache` is
+/// configured: EncodedB, EncodedA and the Baseline SoA window for
+/// (warm_eps, warm_parts), inserted into the cache and kept on the entry,
+/// so no query against the entry builds or looks up an encoding) and the
+/// prescreen sketch (when `signatures` is set). Its install section then
+/// takes each touched shard's exclusive lock once, between one
+/// mutation-clock tick pair. Upsert is the one-entry case of that path,
+/// which is why an Upsert loop, a BulkLoad and a RestoreBatch of the
+/// same entries leave byte-identical state.
 class CommunityCatalog {
  public:
   struct Options {
     /// Lock shards; clamped to >= 1. 8 is plenty below ~10^2 workers.
     uint32_t shards = 8;
-    /// Optional encoding cache the ingest path warms (not owned; must
-    /// outlive the catalog): every ingested entry's three warm artifacts
-    /// are inserted as built (EncodingCache::Put*). Queries wanting them
-    /// must use the same cache via JoinOptions::cache.
+    /// Optional encoding cache (not owned; must outlive the catalog).
+    /// When set, every ingested entry's three MinMax artifacts are
+    /// inserted as built (EncodingCache::Put*) and the resident copies
+    /// are kept on the entry (CatalogEntry::encodings); the cache then
+    /// dedups content-identical entries and serves ad-hoc joins that
+    /// point JoinOptions::cache at it.
     EncodingCache* cache = nullptr;
-    /// Parameters the warm artifacts are built for; align them with the
-    /// serving JoinOptions or the first query still builds its own.
+    /// Parameters the artifacts are built for. A top-k query whose
+    /// JoinOptions eps and clamped part count match them serves MinMax
+    /// couples from the entry artifacts; any other query joins the old
+    /// way, through JoinOptions::cache or local encodings.
     Epsilon warm_eps = 1;
     uint32_t warm_parts = 4;
     /// When set, the catalog maintains a SignatureIndex: the ingest path
@@ -231,8 +253,8 @@ class CommunityCatalog {
   /// runs on: a frozen community under its ORIGINAL version plus any
   /// pre-built derived artifacts. Every artifact is optional; the ingest
   /// path builds the ones left empty (`signature` only when the catalog
-  /// has a signature index, the three warm-cache artifacts only when a
-  /// cache is configured), byte-identical to what Upsert builds.
+  /// has a signature index, the three MinMax artifacts only when a cache
+  /// is configured), byte-identical to what Upsert builds.
   struct RestoredEntry {
     uint64_t id = 0;
     uint64_t version = 0;
@@ -255,8 +277,9 @@ class CommunityCatalog {
   /// install order within each shard, which a persist layer uses to
   /// replay the writer's exact index pack layout. An id may repeat (a
   /// log tail that refreshed it twice): the last occurrence wins,
-  /// exactly as in BulkLoad. Supplied warm artifacts are inserted into
-  /// the cache as-is (keyed on warm_eps / clamped warm_parts). The
+  /// exactly as in BulkLoad. Supplied MinMax artifacts are inserted into
+  /// the cache as-is (keyed on warm_eps / clamped warm_parts) and the
+  /// resident copies land on the entry, as for built ones. The
   /// mutation SINK is deliberately not invoked — a restore replays the
   /// durable log, it must not re-append to it — and the in-RAM journal
   /// stays empty: it is bounded history, not state, and consumers

@@ -4,6 +4,7 @@
 #include <set>
 #include <utility>
 
+#include "core/minmax.h"
 #include "core/similarity.h"
 #include "core/similarity_bound.h"
 #include "pipeline/screening.h"
@@ -36,16 +37,74 @@ bool DeadlinePassed(const std::optional<Deadline>& deadline) {
          std::chrono::steady_clock::now() >= *deadline;
 }
 
-/// Orients one couple by the auto-order rule (smaller side plays B; the
-/// query wins ties, matching ComputeSimilarityAutoOrder(query, entry)).
-void OrientCouple(const Community& query, const Community& entry,
-                  const Community** b, const Community** a) {
-  const bool query_is_b = query.size() <= entry.size();
-  *b = query_is_b ? &query : &entry;
-  *a = query_is_b ? &entry : &query;
+}  // namespace
+
+CoupleScorer::CoupleScorer(const CommunityCatalog& catalog,
+                           const Community& query, const TopKOptions& options)
+    : query_(query), method_(options.method), eps_(options.join.eps) {
+  const CommunityCatalog::Options& warm = catalog.options();
+  const bool minmax =
+      method_ == Method::kExMinMax || method_ == Method::kApMinMax;
+  if (query.empty() || !minmax || warm.cache == nullptr ||
+      options.join.event_log != nullptr || options.join.eps != warm.warm_eps) {
+    return;
+  }
+  const Encoder encoder(query.d(), options.join.eps,
+                        options.join.encoding_parts);
+  // Entries of the query's dimensionality hold warm_parts clamped to it.
+  if (encoder.parts() != Encoder(query.d(), warm.warm_eps, warm.warm_parts)
+                             .parts()) {
+    return;
+  }
+  query_b_.emplace(query, encoder);
+  query_a_.emplace(query, encoder);
 }
 
-}  // namespace
+CoupleScorer::Couple CoupleScorer::Orient(const CatalogEntry& entry) const {
+  const Community& other = *entry.community;
+  const bool query_is_b = query_.size() <= other.size();
+  return Couple{query_is_b ? &query_ : &other, query_is_b ? &other : &query_,
+                query_is_b};
+}
+
+bool CoupleScorer::Admissible(const CatalogEntry& entry) const {
+  if (entry.community->d() != query_.d()) return false;
+  const Couple couple = Orient(entry);
+  return SizesAdmissible(couple.b->size(), couple.a->size());
+}
+
+const EntryEncodings* CoupleScorer::Served(const CatalogEntry& entry) const {
+  return query_b_.has_value() ? entry.encodings.get() : nullptr;
+}
+
+double CoupleScorer::Bound(const CatalogEntry& entry) const {
+  const Couple couple = Orient(entry);
+  if (const EntryEncodings* encodings = Served(entry)) {
+    return couple.query_is_b
+               ? SimilarityUpperBound(*query_b_, *encodings->encoded_a)
+               : SimilarityUpperBound(*encodings->encoded_b, *query_a_);
+  }
+  return SimilarityUpperBound(*couple.b, *couple.a, eps_);
+}
+
+double CoupleScorer::Refine(const CatalogEntry& entry,
+                            const JoinOptions& join) const {
+  const Couple couple = Orient(entry);
+  if (const EntryEncodings* encodings = Served(entry)) {
+    const EncodedB& encd_b =
+        couple.query_is_b ? *query_b_ : *encodings->encoded_b;
+    const EncodedA& encd_a =
+        couple.query_is_b ? *encodings->encoded_a : *query_a_;
+    const JoinResult result =
+        method_ == Method::kExMinMax
+            ? ExMinMaxJoin(*couple.b, *couple.a, encd_b, encd_a, join)
+            : ApMinMaxJoin(*couple.b, *couple.a, encd_b, encd_a, join);
+    return result.Similarity();
+  }
+  const auto result = ComputeSimilarity(method_, *couple.b, *couple.a, join);
+  CSJ_CHECK(result.has_value());  // callers refine admissible couples only
+  return result->Similarity();
+}
 
 TopKSimilarService::TopKSimilarService(const CommunityCatalog* catalog)
     : catalog_(catalog) {
@@ -55,17 +114,19 @@ TopKSimilarService::TopKSimilarService(const CommunityCatalog* catalog)
 TopKResult TopKSimilarService::Query(
     const Community& query, const TopKOptions& options,
     const std::optional<Deadline>& deadline) const {
+  const CoupleScorer scorer(*catalog_, query, options);
   // Prescreen is inert — a plain scan — without a signature index or for
   // an empty query (which cannot be sketched and matches nothing anyway).
   if (options.prescreen && catalog_->signature_options() != nullptr &&
       !query.empty()) {
-    return QueryPrescreen(query, options, deadline);
+    return QueryPrescreen(scorer, query, options, deadline);
   }
-  return QuerySnapshot(query, catalog_->Snapshot(), options, deadline);
+  return Walk(scorer, query, catalog_->Snapshot(), options, deadline);
 }
 
 TopKResult TopKSimilarService::QueryPrescreen(
-    const Community& query, const TopKOptions& options,
+    const CoupleScorer& scorer, const Community& query,
+    const TopKOptions& options,
     const std::optional<Deadline>& deadline) const {
   util::Timer prescreen_timer;
   const CommunitySignature query_signature(query,
@@ -77,7 +138,7 @@ TopKResult TopKSimilarService::QueryPrescreen(
   const double prescreen_seconds = prescreen_timer.Seconds();
 
   TopKResult result =
-      QuerySnapshot(query, probe.candidates, options, deadline);
+      Walk(scorer, query, probe.candidates, options, deadline);
   result.stats.prescreen_probed = static_cast<uint32_t>(probe.stats.passed);
   result.stats.prescreen_skipped =
       static_cast<uint32_t>(probe.stats.examined - probe.stats.passed);
@@ -103,8 +164,8 @@ TopKResult TopKSimilarService::QueryPrescreen(
     return result;
   }
 
-  TopKResult full = QuerySnapshot(query, catalog_->Snapshot(), options,
-                                  deadline);
+  TopKResult full =
+      Walk(scorer, query, catalog_->Snapshot(), options, deadline);
   // Honest accounting: the fallback's totals include the candidate-phase
   // work that preceded it.
   full.stats.refined += result.stats.refined;
@@ -122,6 +183,14 @@ TopKResult TopKSimilarService::QueryPrescreen(
 TopKResult TopKSimilarService::QuerySnapshot(
     const Community& query, const std::vector<CatalogEntry>& snapshot,
     const TopKOptions& options,
+    const std::optional<Deadline>& deadline) const {
+  return Walk(CoupleScorer(*catalog_, query, options), query, snapshot,
+              options, deadline);
+}
+
+TopKResult TopKSimilarService::Walk(
+    const CoupleScorer& scorer, const Community& query,
+    const std::vector<CatalogEntry>& snapshot, const TopKOptions& options,
     const std::optional<Deadline>& deadline) const {
   TopKResult result;
   result.stats.catalog_entries = static_cast<uint32_t>(snapshot.size());
@@ -146,28 +215,26 @@ TopKResult TopKSimilarService::QuerySnapshot(
   // bound vector deterministic for any thread count.
   util::Timer bound_timer;
   std::vector<uint32_t> admissible;
-  std::vector<std::pair<const Community*, const Community*>> couples;
   for (uint32_t i = 0; i < snapshot.size(); ++i) {
-    const CatalogEntry& entry = snapshot[i];
-    CSJ_CHECK(entry.community != nullptr);
-    if (entry.community->d() != query.d()) {
-      ++result.stats.inadmissible;
-      continue;
-    }
-    const Community* b = nullptr;
-    const Community* a = nullptr;
-    OrientCouple(query, *entry.community, &b, &a);
-    if (!SizesAdmissible(b->size(), a->size())) {
+    CSJ_CHECK(snapshot[i].community != nullptr);
+    if (!scorer.Admissible(snapshot[i])) {
       ++result.stats.inadmissible;
       continue;
     }
     admissible.push_back(i);
-    couples.emplace_back(b, a);
   }
   result.stats.admissible = static_cast<uint32_t>(admissible.size());
 
-  const std::vector<double> bounds = SimilarityUpperBounds(
-      couples, options.join.eps, threads > 1 ? &pool : nullptr, threads);
+  const auto tasks = static_cast<uint32_t>(admissible.size());
+  std::vector<double> bounds(tasks);
+  const auto bound_one = [&](uint32_t c) {
+    bounds[c] = scorer.Bound(snapshot[admissible[c]]);
+  };
+  if (threads > 1 && tasks > 1) {
+    pool.Run(tasks, bound_one, threads);
+  } else {
+    for (uint32_t c = 0; c < tasks; ++c) bound_one(c);
+  }
 
   // Walk order: bound descending, id ascending (snapshot order is
   // ascending id, so a stable sort on the bound alone would do — the
@@ -226,12 +293,9 @@ TopKResult TopKSimilarService::QuerySnapshot(
     std::vector<std::pair<const Community*, const Community*>> wave_couples;
     wave_couples.reserve(wave);
     for (uint32_t w = 0; w < wave; ++w) {
-      const CatalogEntry& entry =
-          snapshot[candidates[next + w].snapshot_index];
-      const Community* b = nullptr;
-      const Community* a = nullptr;
-      OrientCouple(query, *entry.community, &b, &a);
-      wave_couples.emplace_back(b, a);
+      const CoupleScorer::Couple couple =
+          scorer.Orient(snapshot[candidates[next + w].snapshot_index]);
+      wave_couples.emplace_back(couple.b, couple.a);
     }
     JoinOptions wave_join = join;
     wave_join.join_threads = pipeline::NestedJoinThreads(
@@ -242,12 +306,9 @@ TopKResult TopKSimilarService::QuerySnapshot(
     const auto refine_one = [&](uint32_t w) {
       const CatalogEntry& entry =
           snapshot[candidates[next + w].snapshot_index];
-      const auto refined =
-          ComputeSimilarity(options.method, *wave_couples[w].first,
-                            *wave_couples[w].second, wave_join);
-      CSJ_CHECK(refined.has_value());  // admissibility checked in phase 1
-      wave_results[w] =
-          TopKEntry{entry.id, entry.version, refined->Similarity()};
+      // Admissibility was checked in phase 1.
+      wave_results[w] = TopKEntry{entry.id, entry.version,
+                                  scorer.Refine(entry, wave_join)};
     };
     if (threads > 1 && wave > 1) {
       // Cost-aware order inside the wave: the pool claims tasks in the

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/community.h"
+#include "core/encoding.h"
 #include "core/join_options.h"
 #include "core/method.h"
 #include "service/catalog.h"
@@ -30,8 +31,10 @@ struct TopKOptions {
   /// exactness: approximate similarities are not dominated by the bound).
   Method method = Method::kExMinMax;
 
-  /// Join parameters (eps, parts, matcher, cache...). Point `join.cache`
-  /// at the catalog's warmup cache to serve from prebuilt encodings.
+  /// Join parameters (eps, parts, matcher, cache...). With eps and parts
+  /// equal to the catalog's warm parameters, MinMax couples are served
+  /// from the entries' own encodings (see CoupleScorer); `join.cache`
+  /// serves every other couple's per-community preparation.
   JoinOptions join;
 
   /// The best-bound-first cutoff walk. false refines every admissible
@@ -122,15 +125,73 @@ struct TopKResult {
   bool deadline_expired = false;
 };
 
+/// Scores one query's couples against catalog entries: the one place the
+/// top-k walk and the standing-query maintainer (evolve/maintainer.h)
+/// orient, bound and refine a couple.
+///
+/// The ENTRY-ARTIFACT path encodes the query once, at construction, as
+/// both an EncodedB and an EncodedA. A couple's bound is then read from
+/// the two encoded column sets (MatchingUpperBound(EncodedB, EncodedA)),
+/// and its refine runs the MinMax join kernel on them: no digest, no
+/// cache lookup and no encoding per couple. It serves an entry when the
+/// entry carries artifacts (CatalogEntry::encodings, present when the
+/// catalog has an encoding cache), the method is Ex-MinMax or Ap-MinMax,
+/// `join.eps` equals the catalog's warm_eps, the clamped part counts of
+/// `join.encoding_parts` and warm_parts agree, and no EventLog is
+/// attached. Every other couple takes the per-couple path:
+/// SimilarityUpperBound on the raw counters and ComputeSimilarity (which
+/// goes through `join.cache` when set). Both paths yield the same bound
+/// and similarity bits, so which one runs never changes a ranking or a
+/// walk counter. Const and thread-safe once built.
+class CoupleScorer {
+ public:
+  /// `catalog` and `query` must outlive the scorer.
+  CoupleScorer(const CommunityCatalog& catalog, const Community& query,
+               const TopKOptions& options);
+
+  /// The couple by the auto-order rule: the smaller side plays B and the
+  /// query wins ties, matching ComputeSimilarityAutoOrder(query, entry).
+  struct Couple {
+    const Community* b = nullptr;
+    const Community* a = nullptr;
+    bool query_is_b = true;
+  };
+  Couple Orient(const CatalogEntry& entry) const;
+
+  /// The couple passes the CSJ size rule and shares the query's
+  /// dimensionality.
+  bool Admissible(const CatalogEntry& entry) const;
+
+  /// SimilarityUpperBound of the admissible oriented couple.
+  double Bound(const CatalogEntry& entry) const;
+
+  /// Exact similarity of the admissible oriented couple. `join` is the
+  /// scorer's join options, possibly with another thread budget or pool.
+  double Refine(const CatalogEntry& entry, const JoinOptions& join) const;
+
+ private:
+  /// The entry's artifacts when they serve this query, else null.
+  const EntryEncodings* Served(const CatalogEntry& entry) const;
+
+  const Community& query_;
+  Method method_;
+  Epsilon eps_;
+  /// Built iff entry artifacts can serve this query.
+  std::optional<EncodedB> query_b_;
+  std::optional<EncodedA> query_a_;
+};
+
 /// The catalog-backed top-k similarity query engine.
 ///
 /// Algorithm (QuerySnapshot): for every snapshot entry, orient the couple
 /// by size (smaller side plays B, query wins ties) and drop inadmissible
-/// couples; compute SimilarityUpperBound for every admissible couple
-/// (batched on the pool); walk candidates in (bound desc, id asc) order,
-/// refining in waves and maintaining the current top-k; STOP as soon as
-/// the next candidate's bound is strictly below the current k-th
-/// similarity with the top-k full.
+/// couples; bound every admissible couple (batched on the pool); walk
+/// candidates in (bound desc, id asc) order, refining in waves and
+/// maintaining the current top-k; STOP as soon as the next candidate's
+/// bound is strictly below the current k-th similarity with the top-k
+/// full. A CoupleScorer does the per-couple work, built once per query:
+/// MinMax couples are bounded and refined from the entries' resident
+/// encodings and the query's, encoded once.
 ///
 /// Cutoff correctness (the "provably identical" contract): for an exact
 /// method, similarity(B, A) <= SimilarityUpperBound(B, A) on the same
@@ -147,7 +208,8 @@ struct TopKResult {
 /// refined. Hence the returned ranking is byte-identical — same (id,
 /// version, similarity) triples, same double bits — to refining every
 /// admissible entry and truncating (topk_service_test proves this on
-/// hundreds of seeded catalogs).
+/// hundreds of seeded catalogs, and that the entry-artifact path matches
+/// the per-couple path counter for counter).
 class TopKSimilarService {
  public:
   /// `catalog` is not owned and must outlive the service.
@@ -168,9 +230,15 @@ class TopKSimilarService {
                            const std::optional<Deadline>& deadline = {}) const;
 
  private:
-  TopKResult QueryPrescreen(const Community& query,
+  TopKResult QueryPrescreen(const CoupleScorer& scorer,
+                            const Community& query,
                             const TopKOptions& options,
                             const std::optional<Deadline>& deadline) const;
+  /// The bound + refine walk over `snapshot` (see the class comment).
+  TopKResult Walk(const CoupleScorer& scorer, const Community& query,
+                  const std::vector<CatalogEntry>& snapshot,
+                  const TopKOptions& options,
+                  const std::optional<Deadline>& deadline) const;
 
   const CommunityCatalog* catalog_;
 };

@@ -1,12 +1,15 @@
 // Tests for the encoded-window similarity upper bound and its use as the
 // pipeline's pre-join prune.
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/baseline.h"
 #include "core/community.h"
+#include "core/encoding.h"
 #include "core/similarity_bound.h"
 #include "data/generator.h"
 #include "matching/hopcroft_karp.h"
@@ -25,6 +28,107 @@ Community RandomCommunity(Dim d, uint32_t n, Count max_value, uint64_t seed) {
     c.AddUser(vec);
   }
   return c;
+}
+
+/// The bound as first written: ids in a multiset, windows by ascending
+/// max, each taking the smallest free id inside it. Kept as the oracle
+/// the heap-sweep kernel must reproduce exactly.
+uint32_t ReferenceMatchingUpperBound(const Community& b, const Community& a,
+                                     Epsilon eps) {
+  if (b.empty() || a.empty()) return 0;
+  std::multiset<uint64_t> ids;
+  for (UserId u = 0; u < b.size(); ++u) {
+    uint64_t id = 0;
+    for (const Count c : b.User(u)) id += c;
+    ids.insert(id);
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> windows;  // (max, min)
+  for (UserId u = 0; u < a.size(); ++u) {
+    uint64_t lo = 0;
+    uint64_t hi = 0;
+    for (const Count v : a.User(u)) {
+      lo += v >= eps ? v - eps : 0;
+      hi += static_cast<uint64_t>(v) + eps;
+    }
+    windows.emplace_back(hi, lo);
+  }
+  std::sort(windows.begin(), windows.end());
+  uint32_t matched = 0;
+  for (const auto& [hi, lo] : windows) {
+    const auto it = ids.lower_bound(lo);
+    if (it == ids.end() || *it > hi) continue;
+    ids.erase(it);
+    ++matched;
+  }
+  return matched;
+}
+
+/// A community whose users mix near-zero rows (wide windows once eps
+/// reaches the counters, duplicate ids) with heavy rows (narrow windows
+/// nested inside the wide ones).
+Community MixedCommunity(Dim d, uint32_t n, Count max_value, util::Rng* rng) {
+  Community c(d);
+  std::vector<Count> vec(d);
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t shape = rng->Below(3);
+    for (auto& v : vec) {
+      v = shape == 0 ? 0
+          : shape == 1
+              ? static_cast<Count>(rng->Below(2))
+              : static_cast<Count>(rng->Below(max_value + 1));
+    }
+    c.AddUser(vec);
+  }
+  return c;
+}
+
+TEST(SimilarityBoundTest, KernelMatchesReferenceOnSeededCouples) {
+  util::Rng rng(20240611);
+  uint64_t clamped = 0;
+  uint64_t wider_b = 0;
+  for (uint64_t trial = 0; trial < 400; ++trial) {
+    const auto d = static_cast<Dim>(1 + rng.Below(6));
+    const auto nb = static_cast<uint32_t>(1 + rng.Below(40));
+    const auto na = static_cast<uint32_t>(1 + rng.Below(40));
+    const auto max_value = static_cast<Count>(rng.Below(12));
+    // Half the trials put eps at or above every counter, so each window's
+    // lower end clamps to 0.
+    const auto eps = static_cast<Epsilon>(
+        trial % 2 == 0 ? max_value + rng.Below(4) : rng.Below(max_value + 1));
+    const Community b = MixedCommunity(d, nb, max_value, &rng);
+    const Community a = MixedCommunity(d, na, max_value, &rng);
+    clamped += eps >= max_value ? 1 : 0;
+    wider_b += nb > na ? 1 : 0;
+
+    const uint32_t expected = ReferenceMatchingUpperBound(b, a, eps);
+    ASSERT_EQ(MatchingUpperBound(b, a, eps), expected) << "trial " << trial;
+    // The encoded form reads the same sums from the MinMax columns, for
+    // any part count.
+    const Encoder encoder(d, eps, static_cast<uint32_t>(1 + rng.Below(4)));
+    const EncodedB encd_b(b, encoder);
+    const EncodedA encd_a(a, encoder);
+    ASSERT_EQ(MatchingUpperBound(encd_b, encd_a), expected)
+        << "trial " << trial;
+    const double bound = SimilarityUpperBound(b, a, eps);
+    EXPECT_EQ(bound, static_cast<double>(expected) / nb);
+    EXPECT_EQ(SimilarityUpperBound(encd_b, encd_a), bound);
+  }
+  EXPECT_GT(clamped, 0u);
+  EXPECT_GT(wider_b, 0u);
+}
+
+TEST(SimilarityBoundTest, KernelHandlesNestedWindowsAndDuplicatePoints) {
+  // Points {5, 5, 5, 9}; windows [0, 20] (wide, opened first), [4, 6] and
+  // [5, 5] nested inside it, [9, 9]. Taking the wide window for the first
+  // 5 would strand the last 5: the closing-first rule matches all four.
+  const std::vector<uint64_t> points = {5, 5, 5, 9};
+  const std::vector<uint64_t> mins = {0, 4, 5, 9};
+  const std::vector<uint64_t> maxs = {20, 6, 5, 9};
+  EXPECT_EQ(IntervalPointMatching(points, mins, maxs.data()), 4u);
+  // More points than windows: at most one point per window.
+  const std::vector<uint64_t> many = {1, 1, 1, 1, 1};
+  EXPECT_EQ(IntervalPointMatching(many, mins, maxs.data()), 1u);
+  EXPECT_EQ(IntervalPointMatching({}, mins, maxs.data()), 0u);
 }
 
 TEST(SimilarityBoundTest, EmptyCommunities) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/community.h"
+#include "core/encoding.h"
 #include "core/join_options.h"
 #include "core/minmax.h"
 
@@ -198,6 +199,33 @@ TEST(MinMaxTest, EpsZeroMatchesOnlyEqualVectors) {
   const JoinResult ex = ExMinMaxJoin(b, a, options);
   ASSERT_EQ(ex.pairs.size(), 1u);
   EXPECT_EQ(ex.pairs[0], (MatchedPair{0, 0}));
+}
+
+TEST(MinMaxTest, HeldEncodingsJoinLikeTheCommunityForm) {
+  // The kernels on caller-held encodings (the catalog's entry artifacts)
+  // return exactly what the Community-only form returns.
+  const Community a = MakeA();
+  const Community b = MakeB();
+  JoinOptions options;
+  options.eps = 1;
+  options.encoding_parts = 2;
+  const Encoder encoder(b.d(), options.eps, options.encoding_parts);
+  const EncodedB encd_b(b, encoder);
+  const EncodedA encd_a(a, encoder);
+  const JoinResult held[2] = {ApMinMaxJoin(b, a, encd_b, encd_a, options),
+                              ExMinMaxJoin(b, a, encd_b, encd_a, options)};
+  const JoinResult built[2] = {ApMinMaxJoin(b, a, options),
+                               ExMinMaxJoin(b, a, options)};
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_EQ(held[m].method, built[m].method);
+    EXPECT_EQ(held[m].pairs, built[m].pairs);
+    EXPECT_EQ(held[m].stats.min_prunes, built[m].stats.min_prunes);
+    EXPECT_EQ(held[m].stats.max_prunes, built[m].stats.max_prunes);
+    EXPECT_EQ(held[m].stats.no_overlaps, built[m].stats.no_overlaps);
+    EXPECT_EQ(held[m].stats.dimension_compares,
+              built[m].stats.dimension_compares);
+    EXPECT_EQ(held[m].stats.csf_flushes, built[m].stats.csf_flushes);
+  }
 }
 
 }  // namespace

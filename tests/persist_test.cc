@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -290,6 +292,52 @@ TEST(PersistStoreTest, CheckpointAdvancesGenerationAndDropsOldFiles) {
   ASSERT_TRUE(FsckStore(fsck, &report));
   EXPECT_TRUE(report.clean())
       << (report.findings.empty() ? "" : report.findings[0].message);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(PersistStoreTest, CheckpointSealsEntryArtifactsWhateverTheCacheHolds) {
+  // Same history into two catalogs: one cache holds everything, the
+  // other's budget is far below the catalog's artifacts, so it keeps
+  // evicting them. The segments must not differ by a byte, and sealing
+  // must not rebuild anything (the entries carry their artifacts).
+  EncodingCache unlimited;
+  EncodingCache tight(/*capacity_bytes=*/4096);
+  service::CommunityCatalog roomy_catalog(CatalogOpts(&unlimited));
+  service::CommunityCatalog tight_catalog(CatalogOpts(&tight));
+  for (uint64_t id = 1; id <= 30; ++id) {
+    const Community community =
+        MakeTestCommunity(10 + static_cast<uint32_t>(id % 9), 300 + id);
+    roomy_catalog.Upsert(id, Community(community));
+    tight_catalog.Upsert(id, Community(community));
+  }
+  roomy_catalog.Remove(7);
+  tight_catalog.Remove(7);
+  ASSERT_GT(tight.GetStats().evictions, 0u);
+  ASSERT_EQ(unlimited.GetStats().evictions, 0u);
+
+  std::string paths[2];
+  const service::CommunityCatalog* catalogs[2] = {&roomy_catalog,
+                                                  &tight_catalog};
+  const uint64_t built_before = tight.GetStats().bytes_built;
+  for (int arm = 0; arm < 2; ++arm) {
+    StoreOptions options;
+    options.dir = FreshDir();
+    std::string error;
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(*catalogs[arm], &error)) << error;
+    paths[arm] = store->SegmentPath(store->generation());
+  }
+  EXPECT_EQ(tight.GetStats().bytes_built, built_before);
+  const std::string roomy_bytes = ReadFileBytes(paths[0]);
+  EXPECT_FALSE(roomy_bytes.empty());
+  EXPECT_TRUE(roomy_bytes == ReadFileBytes(paths[1]));
 }
 
 TEST(PersistStoreTest, RestoredEntriesAreCopyOnWriteOverTheMapping) {

@@ -8,11 +8,16 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/encoding_cache.h"
 #include "core/method.h"
+#include "core/signature.h"
 #include "data/community_sampler.h"
 #include "data/generator.h"
 #include "service/catalog.h"
@@ -253,6 +258,218 @@ TEST(TopKServiceTest, ExpiredDeadlineReturnsFlaggedPartial) {
   const TopKResult result = service.Query(scenario.query, options, expired);
   EXPECT_TRUE(result.deadline_expired);
   EXPECT_EQ(result.stats.refined, 0u);
+}
+
+// ---- Entry artifacts vs the per-couple path --------------------------
+
+/// One catalog of the entry-artifact differential. Without a cache the
+/// entries carry no artifacts and every couple takes the per-couple path.
+struct Arm {
+  std::unique_ptr<EncodingCache> cache;
+  std::unique_ptr<CommunityCatalog> catalog;
+};
+
+constexpr Epsilon kWarmEps = 2;
+
+Arm MakeArm(const std::vector<Community>& entries, uint32_t shards,
+            bool with_cache, size_t cache_bytes) {
+  Arm arm;
+  CommunityCatalog::Options options;
+  options.shards = shards;
+  options.warm_eps = kWarmEps;
+  options.signatures = SignatureOptions{};
+  if (with_cache) {
+    arm.cache = std::make_unique<EncodingCache>(cache_bytes);
+    options.cache = arm.cache.get();
+  }
+  arm.catalog = std::make_unique<CommunityCatalog>(options);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    arm.catalog->Upsert(i + 1, Community(entries[i]));
+  }
+  return arm;
+}
+
+/// A seeded catalog clustered around `anchor` (graded planted entries
+/// plus noise) and entry sizes on both sides of the queries', so both
+/// couple orientations occur.
+std::vector<Community> SeededEntries(uint64_t salt, const Community& anchor,
+                                     uint32_t count) {
+  util::Rng rng(testing::TestSeed(salt));
+  data::VkLikeGenerator gen(data::Category::kSport);
+  std::vector<Community> entries;
+  for (uint32_t i = 0; i < count; ++i) {
+    const auto size = static_cast<uint32_t>(rng.Between(10, 32));
+    if (i % 2 == 0) {
+      data::CoupleSpec spec;
+      spec.size_b = size;
+      spec.eps = kWarmEps;
+      const double cap = 0.9 * static_cast<double>(anchor.size()) /
+                         static_cast<double>(size);
+      spec.target_similarity = std::min(0.15 + 0.1 * (i % 7), cap);
+      entries.push_back(data::PlantCommunityAgainst(anchor, gen, spec, rng));
+    } else {
+      entries.push_back(data::MakeCommunity(gen, size, rng));
+    }
+  }
+  return entries;
+}
+
+void ExpectSameAnswer(const TopKResult& got, const TopKResult& want,
+                      const std::string& where) {
+  ASSERT_EQ(got.entries.size(), want.entries.size()) << where;
+  for (size_t i = 0; i < got.entries.size(); ++i) {
+    EXPECT_EQ(got.entries[i], want.entries[i]) << where << " rank " << i;
+  }
+  EXPECT_EQ(got.stats.admissible, want.stats.admissible) << where;
+  EXPECT_EQ(got.stats.inadmissible, want.stats.inadmissible) << where;
+  EXPECT_EQ(got.stats.refined, want.stats.refined) << where;
+  EXPECT_EQ(got.stats.bound_skipped, want.stats.bound_skipped) << where;
+  EXPECT_EQ(got.stats.waves, want.stats.waves) << where;
+  EXPECT_EQ(got.stats.prescreen_probed, want.stats.prescreen_probed)
+      << where;
+  EXPECT_EQ(got.stats.fallback, want.stats.fallback) << where;
+}
+
+TEST(TopKServiceTest, EntryArtifactsMatchThePerCouplePath) {
+  const uint32_t shard_counts[] = {1, 3, 8};
+  const Method methods[] = {Method::kExMinMax, Method::kApMinMax};
+  uint64_t compared = 0;
+  uint64_t bound_skipped = 0;
+  for (uint64_t s = 0; s < 6; ++s) {
+    util::Rng rng(testing::TestSeed(9100 + s));
+    data::VkLikeGenerator gen(data::Category::kSport);
+    std::vector<Community> queries;
+    for (int q = 0; q < 3; ++q) {
+      queries.push_back(data::MakeCommunity(
+          gen, static_cast<uint32_t>(rng.Between(14, 24)), rng));
+    }
+    const std::vector<Community> entries =
+        SeededEntries(9200 + s, queries[0], 36);
+    queries.push_back(entries[3]);  // a query equal to a catalog entry
+
+    const uint32_t shards = shard_counts[s % 3];
+    const Arm plain = MakeArm(entries, shards, /*with_cache=*/false, 0);
+    const Arm warm = MakeArm(entries, shards, /*with_cache=*/true, 0);
+    // A budget far below one entry's artifacts: the cache keeps almost
+    // nothing, the entries keep everything.
+    const Arm tight = MakeArm(entries, shards, /*with_cache=*/true, 2048);
+    ASSERT_GT(tight.cache->GetStats().evictions, 0u);
+    const TopKSimilarService plain_service(plain.catalog.get());
+
+    for (size_t q = 0; q < queries.size(); ++q) {
+      for (const Method method : methods) {
+        for (const uint32_t k : {1u, 3u, 10u}) {
+          for (const bool prescreen : {false, true}) {
+            // eps 3 differs from the warm eps: the per-couple path serves
+            // both arms, through the cache on the warm ones.
+            for (const Epsilon eps : {kWarmEps, Epsilon{3}}) {
+              TopKOptions options;
+              options.k = k;
+              options.method = method;
+              options.join.eps = eps;
+              options.prescreen = prescreen;
+              options.prescreen_threshold = 0.2;
+              if (k == 3) {  // parallel bound phase and waves
+                options.query_threads = 4;
+                options.batch_size = 2;
+              }
+              const TopKResult want = plain_service.Query(queries[q], options);
+              const std::string where =
+                  "scenario " + std::to_string(s) + " query " +
+                  std::to_string(q) + " " + MethodName(method) + " k " +
+                  std::to_string(k) + " prescreen " +
+                  std::to_string(prescreen) + " eps " + std::to_string(eps);
+              for (const Arm* arm : {&warm, &tight}) {
+                options.join.cache = arm->cache.get();
+                const EncodingCache::Stats before = arm->cache->GetStats();
+                const TopKResult got =
+                    TopKSimilarService(arm->catalog.get())
+                        .Query(queries[q], options);
+                ExpectSameAnswer(got, want, where);
+                if (eps == kWarmEps) {
+                  // The entries' artifacts and the query's own encodings
+                  // served every couple: the cache saw no lookup at all.
+                  const EncodingCache::Stats after = arm->cache->GetStats();
+                  EXPECT_EQ(after.misses, before.misses) << where;
+                  EXPECT_EQ(after.hits, before.hits) << where;
+                  EXPECT_EQ(after.bytes_built, before.bytes_built) << where;
+                  EXPECT_EQ(after.entries, before.entries) << where;
+                }
+              }
+              ++compared;
+              bound_skipped += want.stats.bound_skipped;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 6u * 4 * 2 * 3 * 2 * 2);
+  EXPECT_GT(bound_skipped, 0u);  // the cutoff fired, so the bounds mattered
+}
+
+TEST(TopKServiceTest, AdHocQueriesLeaveTheEncodingCacheUnchanged) {
+  util::Rng rng(testing::TestSeed(9300));
+  data::VkLikeGenerator gen(data::Category::kMusic);
+  const Community anchor = data::MakeCommunity(gen, 20, rng);
+  const Arm arm = MakeArm(SeededEntries(9301, anchor, 24), /*shards=*/4,
+                          /*with_cache=*/true, /*cache_bytes=*/0);
+  const EncodingCache::Stats before = arm.cache->GetStats();
+
+  const TopKSimilarService service(arm.catalog.get());
+  TopKOptions options;
+  options.k = 5;
+  options.join.eps = kWarmEps;
+  options.join.cache = arm.cache.get();
+  uint32_t refined = 0;
+  for (int q = 0; q < 40; ++q) {  // distinct communities, none cataloged
+    const Community query = data::MakeCommunity(
+        gen, static_cast<uint32_t>(rng.Between(12, 26)), rng);
+    refined += service.Query(query, options).stats.refined;
+  }
+  EXPECT_GT(refined, 0u);
+  const EncodingCache::Stats after = arm.cache->GetStats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST(TopKServiceTest, ConcurrentQueriesShareEntryArtifacts) {
+  // Readers on several threads walk the same entries' artifacts, each
+  // with its own parallel waves; every answer equals the serial one.
+  util::Rng rng(testing::TestSeed(9400));
+  data::VkLikeGenerator gen(data::Category::kSport);
+  std::vector<Community> queries;
+  for (int q = 0; q < 4; ++q) {
+    queries.push_back(data::MakeCommunity(
+        gen, static_cast<uint32_t>(rng.Between(14, 24)), rng));
+  }
+  const Arm arm = MakeArm(SeededEntries(9401, queries[0], 30), /*shards=*/4,
+                          /*with_cache=*/true, /*cache_bytes=*/0);
+  const TopKSimilarService service(arm.catalog.get());
+  TopKOptions options;
+  options.k = 4;
+  options.join.eps = kWarmEps;
+  options.query_threads = 2;
+  std::vector<std::vector<TopKEntry>> serial;
+  for (const Community& query : queries) {
+    serial.push_back(service.Query(query, options).entries);
+  }
+  std::vector<int> mismatches(queries.size(), 0);
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < queries.size(); ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 5; ++round) {
+        if (service.Query(queries[t], options).entries != serial[t]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (size_t t = 0; t < queries.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+  }
 }
 
 }  // namespace

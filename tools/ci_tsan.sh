@@ -7,6 +7,7 @@
 # the shared encoding cache (concurrent build dedup, shared-lock hit
 # path, eviction, Clear), and the serving subsystem (sharded catalog
 # upsert/remove/snapshot churn, top-k queries against a churning catalog,
+# concurrent top-k walks reading the same entries' MinMax artifacts,
 # live-session staleness, and the server's bounded queue + admission +
 # shutdown paths — service_stress_test is written specifically for this
 # gate), plus the prescreen signature layer (concurrent sketch builds in

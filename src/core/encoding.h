@@ -102,10 +102,6 @@ class EncodedB {
   uint32_t parts() const { return parts_; }
   uint64_t encoded_id(uint32_t i) const { return ids_[i]; }
   UserId real_id(uint32_t i) const { return real_[i]; }
-  /// The whole encoded-id column, ascending (the bound kernel's points).
-  std::span<const uint64_t> encoded_ids() const {
-    return {ids_.data(), size()};
-  }
   std::span<const uint64_t> part_sums(uint32_t i) const {
     return {sums_.data() + static_cast<size_t>(i) * parts_, parts_};
   }
@@ -165,11 +161,8 @@ class EncodedA {
     return cols_.data() + static_cast<size_t>(2 * p + 1) * mins_.size();
   }
 
-  /// The full encoded_min (ascending) and encoded_max columns, for the
-  /// prescreen's vector loads and the bound kernel's windows.
-  std::span<const uint64_t> encoded_mins() const {
-    return {mins_.data(), size()};
-  }
+  /// The full encoded_max column (ascending-by-encoded_min order), for
+  /// the prescreen's vector loads.
   const uint64_t* encoded_maxs() const { return maxs_.data(); }
 
   /// A's counter rows repacked into the SoA dimension-blocked layout in

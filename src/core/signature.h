@@ -28,7 +28,12 @@ namespace csj {
 /// The discriminative signal is per-dimension: at parts = d the MinMax
 /// encoding's windows degenerate to [v_k - eps, v_k + eps] per category,
 /// and THOSE separate communities sharply (a cooking brand's subscribers
-/// hold large cooking counters; a sports brand's almost none).
+/// hold large cooking counters; a sports brand's almost none). The same
+/// blindness is why the top-k walk no longer bounds candidates from the
+/// totals: it counts, per candidate, the users within eps of the query
+/// in every dimension (DimensionReach, core/dimension_reach.h): the
+/// argument below, made exactly from the query's columns instead of
+/// from breakpoints.
 ///
 /// The sketch (an LSF-style filter bank in the locality-sensitive
 /// FILTERING sense of LSF-Join — deterministic filters, not probabilistic

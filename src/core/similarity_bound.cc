@@ -102,21 +102,10 @@ uint32_t MatchingUpperBound(const Community& b, const Community& a,
   return IntervalPointMatching(ids, scratch.mins, scratch.maxs.data());
 }
 
-uint32_t MatchingUpperBound(const EncodedB& b, const EncodedA& a) {
-  return IntervalPointMatching(b.encoded_ids(), a.encoded_mins(),
-                               a.encoded_maxs());
-}
-
 double SimilarityUpperBound(const Community& b, const Community& a,
                             Epsilon eps) {
   if (b.empty()) return 0.0;
   return static_cast<double>(MatchingUpperBound(b, a, eps)) /
-         static_cast<double>(b.size());
-}
-
-double SimilarityUpperBound(const EncodedB& b, const EncodedA& a) {
-  if (b.size() == 0) return 0.0;
-  return static_cast<double>(MatchingUpperBound(b, a)) /
          static_cast<double>(b.size());
 }
 

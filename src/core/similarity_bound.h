@@ -5,7 +5,6 @@
 #include <span>
 
 #include "core/community.h"
-#include "core/encoding.h"
 #include "core/types.h"
 
 namespace csj {
@@ -19,26 +18,22 @@ namespace csj {
 /// {(b, a) : id_b ∈ window_a}. That relaxation is solved exactly by
 /// IntervalPointMatching in O(n log n).
 ///
-/// Use: catalog pruning. A brand comparing against thousands of candidate
-/// communities can discard every couple whose bound is already below the
-/// interesting similarity band before running ANY join — the pipeline's
-/// `use_upper_bound_prune` does exactly this.
+/// Use: pipeline screening. A brand comparing against thousands of
+/// candidate communities can discard every couple whose bound is already
+/// below the interesting similarity band before running ANY join — the
+/// pipeline's `use_upper_bound_prune` does exactly this. The encoded ids
+/// are user activity TOTALS, which real communities share, so on serving
+/// data the bound sits near 1 for every couple; the top-k walk bounds
+/// per dimension instead (core/dimension_reach.h).
 uint32_t MatchingUpperBound(const Community& b, const Community& a,
                             Epsilon eps);
-
-/// The same bound read straight from the couple's MinMax encodings: the
-/// encoded ids of `b` and the encoded windows of `a` are exactly the sums
-/// the Community form computes, so for encodings built under `eps` the
-/// result is identical. Performs no allocation (per-thread scratch).
-uint32_t MatchingUpperBound(const EncodedB& b, const EncodedA& a);
 
 /// MatchingUpperBound / |B| — an upper bound on similarity(B, A). 0 when
 /// B is empty.
 double SimilarityUpperBound(const Community& b, const Community& a,
                             Epsilon eps);
-double SimilarityUpperBound(const EncodedB& b, const EncodedA& a);
 
-/// The kernel behind both bound forms: the maximum matching between
+/// The kernel behind the bound: the maximum matching between
 /// `points` (ascending) and the windows [mins[i], maxs[i]] (ascending by
 /// min). Points sweep upward with a min-heap of the open windows' maxes,
 /// and each point takes the open window that closes first.

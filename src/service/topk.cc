@@ -6,7 +6,6 @@
 
 #include "core/minmax.h"
 #include "core/similarity.h"
-#include "core/similarity_bound.h"
 #include "pipeline/screening.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -41,7 +40,9 @@ bool DeadlinePassed(const std::optional<Deadline>& deadline) {
 
 CoupleScorer::CoupleScorer(const CommunityCatalog& catalog,
                            const Community& query, const TopKOptions& options)
-    : query_(query), method_(options.method), eps_(options.join.eps) {
+    : query_(query),
+      method_(options.method),
+      reach_(query, options.join.eps) {
   const CommunityCatalog::Options& warm = catalog.options();
   const bool minmax =
       method_ == Method::kExMinMax || method_ == Method::kApMinMax;
@@ -78,13 +79,14 @@ const EntryEncodings* CoupleScorer::Served(const CatalogEntry& entry) const {
 }
 
 double CoupleScorer::Bound(const CatalogEntry& entry) const {
-  const Couple couple = Orient(entry);
-  if (const EntryEncodings* encodings = Served(entry)) {
-    return couple.query_is_b
-               ? SimilarityUpperBound(*query_b_, *encodings->encoded_a)
-               : SimilarityUpperBound(*encodings->encoded_b, *query_a_);
-  }
-  return SimilarityUpperBound(*couple.b, *couple.a, eps_);
+  const uint32_t size_b = Orient(entry).b->size();
+  if (size_b == 0) return 0.0;  // also every couple of an empty query
+  // Every matched entry user is reachable, and matched <= |B|; the same
+  // division as JoinResult::Similarity keeps the bound above it bit for
+  // bit.
+  const uint32_t reachable =
+      std::min(reach_.CountReachable(*entry.community), size_b);
+  return static_cast<double>(reachable) / static_cast<double>(size_b);
 }
 
 double CoupleScorer::Refine(const CatalogEntry& entry,

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/community.h"
+#include "core/dimension_reach.h"
 #include "core/encoding.h"
 #include "core/join_options.h"
 #include "core/method.h"
@@ -27,8 +28,10 @@ struct TopKOptions {
   /// Result size; clamped to >= 1.
   uint32_t k = 10;
 
-  /// Exact method used to refine survivors (the cutoff proof needs
-  /// exactness: approximate similarities are not dominated by the bound).
+  /// Method used to refine survivors. The walk's bound dominates every
+  /// method's similarity (each returns disjoint eps-matched pairs), so
+  /// the cutoff equals the exhaustive walk under any of them; the wire
+  /// protocol still admits exact methods only.
   Method method = Method::kExMinMax;
 
   /// Join parameters (eps, parts, matcher, cache...). With eps and parts
@@ -129,20 +132,26 @@ struct TopKResult {
 /// top-k walk and the standing-query maintainer (evolve/maintainer.h)
 /// orient, bound and refine a couple.
 ///
-/// The ENTRY-ARTIFACT path encodes the query once, at construction, as
-/// both an EncodedB and an EncodedA. A couple's bound is then read from
-/// the two encoded column sets (MatchingUpperBound(EncodedB, EncodedA)),
-/// and its refine runs the MinMax join kernel on them: no digest, no
-/// cache lookup and no encoding per couple. It serves an entry when the
+/// The BOUND comes from a DimensionReach built once, at construction, for
+/// any method: a couple is bounded by
+/// min(CountReachable(entry), |B|) / |B|, the entry users lying within
+/// eps of some query user in every dimension (core/dimension_reach.h).
+/// It dominates every method's similarity, bit for bit and in both
+/// orientations, and it is the same whether or not the entry carries
+/// artifacts.
+///
+/// The REFINE of a MinMax couple runs the join kernel on the query's
+/// encodings (built once, at construction, as both an EncodedB and an
+/// EncodedA) and the entry's artifacts: no digest, no cache lookup and no
+/// encoding per couple. That ENTRY-ARTIFACT path serves an entry when the
 /// entry carries artifacts (CatalogEntry::encodings, present when the
 /// catalog has an encoding cache), the method is Ex-MinMax or Ap-MinMax,
 /// `join.eps` equals the catalog's warm_eps, the clamped part counts of
 /// `join.encoding_parts` and warm_parts agree, and no EventLog is
-/// attached. Every other couple takes the per-couple path:
-/// SimilarityUpperBound on the raw counters and ComputeSimilarity (which
-/// goes through `join.cache` when set). Both paths yield the same bound
-/// and similarity bits, so which one runs never changes a ranking or a
-/// walk counter. Const and thread-safe once built.
+/// attached. Every other couple refines through ComputeSimilarity (which
+/// goes through `join.cache` when set). Both paths yield the same
+/// similarity bits, so which one runs never changes a ranking or a walk
+/// counter. Const and thread-safe once built.
 class CoupleScorer {
  public:
   /// `catalog` and `query` must outlive the scorer.
@@ -162,7 +171,8 @@ class CoupleScorer {
   /// dimensionality.
   bool Admissible(const CatalogEntry& entry) const;
 
-  /// SimilarityUpperBound of the admissible oriented couple.
+  /// Upper bound on the admissible oriented couple's similarity under
+  /// any method: min(reachable entry users, |B|) / |B|.
   double Bound(const CatalogEntry& entry) const;
 
   /// Exact similarity of the admissible oriented couple. `join` is the
@@ -175,7 +185,7 @@ class CoupleScorer {
 
   const Community& query_;
   Method method_;
-  Epsilon eps_;
+  DimensionReach reach_;
   /// Built iff entry artifacts can serve this query.
   std::optional<EncodedB> query_b_;
   std::optional<EncodedA> query_a_;
@@ -190,16 +200,18 @@ class CoupleScorer {
 /// maintaining the current top-k; STOP as soon as the next candidate's
 /// bound is strictly below the current k-th similarity with the top-k
 /// full. A CoupleScorer does the per-couple work, built once per query:
-/// MinMax couples are bounded and refined from the entries' resident
-/// encodings and the query's, encoded once.
+/// couples are bounded by the query's per-dimension reach, and MinMax
+/// couples are refined from the entries' resident encodings and the
+/// query's, encoded once.
 ///
-/// Cutoff correctness (the "provably identical" contract): for an exact
-/// method, similarity(B, A) <= SimilarityUpperBound(B, A) on the same
-/// couple — the bound is the optimum of a relaxation (encoded-window
-/// interval matching) of the real candidate graph, and both are divided
-/// by the same |B|. Candidates are walked in non-increasing bound order,
-/// so when the walk stops at a candidate with bound < kth_similarity,
-/// every unrefined candidate c satisfies
+/// Cutoff correctness (the "provably identical" contract): for any
+/// method, similarity(B, A) <= Bound on the same couple. Every matched
+/// entry user lies within eps of its partner in every dimension, so it
+/// is reachable; matched pairs are disjoint, so matched <= min(reachable,
+/// |B|); and the bound divides by the same |B| as JoinResult::Similarity.
+/// Candidates are walked in non-increasing bound order, so when the walk
+/// stops at a candidate with bound < kth_similarity, every unrefined
+/// candidate c satisfies
 ///     similarity(c) <= bound(c) <= bound(stop) < kth_similarity,
 /// i.e. c ranks strictly below k refined entries under (similarity desc,
 /// id asc) and cannot appear in the top-k. Ties are why the stop rule is
@@ -209,7 +221,8 @@ class CoupleScorer {
 /// version, similarity) triples, same double bits — to refining every
 /// admissible entry and truncating (topk_service_test proves this on
 /// hundreds of seeded catalogs, and that the entry-artifact path matches
-/// the per-couple path counter for counter).
+/// the per-couple path counter for counter; dimension_reach_test checks
+/// the bound against every method).
 class TopKSimilarService {
  public:
   /// `catalog` is not owned and must outlive the service.

@@ -22,13 +22,16 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/community.h"
+#include "core/dimension_reach.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "service/server.h"
@@ -602,6 +605,88 @@ TEST(NetLoopback, EmptyUpsertIsMalformedAndTheServerKeepsServing) {
   EXPECT_EQ(response.status, service::ServeStatus::kOk);
   EXPECT_FALSE(response.entries.empty());
   EXPECT_EQ(server.catalog().Get(3).version, version_before);
+}
+
+TEST(NetLoopback, HostileTopKQueriesMatchTheExhaustivePath) {
+  const service::ServeWorkload workload(
+      LoopbackWorkload(csj::testing::TestSeed(0x4ED)));
+  service::CsjServer server(service::CsjServer::Options{});
+  workload.Populate(&server);
+  const Dim d = workload.communities()[0]->d();
+
+  // Counters near UINT32_MAX at the catalog's dimensionality: no bitmap
+  // over [0, max + eps] fits the reach filter's memory guard.
+  constexpr Count kMax = std::numeric_limits<Count>::max();
+  std::vector<Count> heavy_flat(size_t{50} * d);
+  for (size_t i = 0; i < heavy_flat.size(); ++i) {
+    heavy_flat[i] = kMax - static_cast<Count>(i % 5);
+  }
+  const auto heavy =
+      std::make_shared<const Community>(d, std::move(heavy_flat), "heavy");
+
+  // One user over a very large d, with two catalog entries of that d to
+  // meet: an exact copy, and a copy missing one dimension by 2.
+  const Dim wide_d = Dim{1} << 20;
+  std::vector<Count> row(wide_d);
+  for (Dim k = 0; k < wide_d; ++k) row[k] = k % 3 == 0 ? kMax - k % 7 : k;
+  const auto wide = std::make_shared<const Community>(wide_d, row, "wide");
+  server.catalog().Upsert(1001, Community(wide_d, row));
+  row[wide_d / 2] += 2;
+  server.catalog().Upsert(1002, Community(wide_d, row));
+
+  NetServer net_server(&server, NetServer::Options{});
+  std::unique_ptr<NetClient> client =
+      NetClient::Connect("127.0.0.1", net_server.port());
+  ASSERT_NE(client, nullptr);
+
+  struct Case {
+    std::shared_ptr<const Community> query;
+    Epsilon eps;
+    bool reachable;  ///< some entry scores above 0
+  };
+  const Case cases[] = {{heavy, 1, false},
+                        {heavy, kMax, true},
+                        {wide, 1, true},
+                        {wide, kMax, true}};
+  for (const Case& c : cases) {
+    const std::string where = "d " + std::to_string(c.query->d()) + " eps " +
+                              std::to_string(c.eps);
+    const DimensionReach reach(*c.query, c.eps);
+    EXPECT_LE(reach.MemoryBytes(), DimensionReach::kMemoryMultiple *
+                                       c.query->flat().size() * sizeof(Count))
+        << where;
+
+    WireRequest request;
+    request.kind = service::RequestKind::kTopK;
+    request.k = 5;
+    request.eps = c.eps;
+    request.community = c.query;
+    WireResponse response;
+    ASSERT_TRUE(client->Call(request, &response)) << where;
+    ASSERT_EQ(response.status, service::ServeStatus::kOk) << where;
+
+    service::TopKOptions exhaustive;
+    exhaustive.k = 5;
+    exhaustive.join.eps = c.eps;
+    exhaustive.use_bound_cutoff = false;
+    const service::TopKResult want =
+        server.topk().Query(*c.query, exhaustive);
+    ASSERT_EQ(response.entries.size(), want.entries.size()) << where;
+    EXPECT_FALSE(want.entries.empty()) << where;
+    for (size_t i = 0; i < want.entries.size(); ++i) {
+      EXPECT_EQ(response.entries[i].id, want.entries[i].id) << where;
+      EXPECT_EQ(response.entries[i].version, want.entries[i].version)
+          << where;
+      EXPECT_EQ(std::bit_cast<uint64_t>(response.entries[i].similarity),
+                std::bit_cast<uint64_t>(want.entries[i].similarity))
+          << where;
+    }
+    EXPECT_EQ(!want.entries.empty() && want.entries[0].similarity > 0.0,
+              c.reachable)
+        << where;
+  }
+  net_server.Shutdown();
+  EXPECT_EQ(net_server.GetStats().decode_errors, 0u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "data/community_sampler.h"
 #include "data/generator.h"
 #include "service/catalog.h"
+#include "service/workload.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
@@ -470,6 +471,60 @@ TEST(TopKServiceTest, ConcurrentQueriesShareEntryArtifacts) {
   for (size_t t = 0; t < queries.size(); ++t) {
     EXPECT_EQ(mismatches[t], 0) << "reader " << t;
   }
+}
+
+TEST(TopKServiceTest, ReachBoundRefinesAFewCouplesOnAPrescreenCatalog) {
+  // The prescreen serving shape at 3k entries: 40-user communities in
+  // 12-member clusters planted at 0.5-0.8 with eps 1. Couple totals are
+  // alike across topics, so only a per-dimension bound can separate the
+  // planted cluster from the rest of the catalog.
+  WorkloadOptions shape;
+  shape.catalog_size = 3000;
+  shape.community_size = 40;
+  shape.cluster_size = 12;
+  shape.plant_lo = 0.5;
+  shape.plant_hi = 0.8;
+  shape.eps = 1;
+  shape.seed = testing::TestSeed(9500);
+  const ServeWorkload workload(shape);
+  EncodingCache cache(0);
+  CommunityCatalog::Options catalog_options;
+  catalog_options.cache = &cache;
+  catalog_options.warm_eps = shape.eps;
+  catalog_options.signatures = SignatureOptions{};
+  CommunityCatalog catalog(catalog_options);
+  for (size_t i = 0; i < workload.communities().size(); ++i) {
+    catalog.Upsert(i + 1, Community(*workload.communities()[i]));
+  }
+  const TopKSimilarService service(&catalog);
+
+  uint64_t admissible = 0;
+  uint64_t refined = 0;
+  util::Rng rng(testing::TestSeed(9501));
+  for (int q = 0; q < 24; ++q) {
+    const Community& query = *workload.communities()[rng.Below(
+        workload.communities().size())];
+    TopKOptions options;
+    options.k = 5;
+    options.join.eps = shape.eps;
+    options.use_bound_cutoff = false;
+    const TopKResult want = service.Query(query, options);
+    options.use_bound_cutoff = true;
+    const TopKResult walked = service.Query(query, options);
+    options.prescreen = true;
+    const TopKResult screened = service.Query(query, options);
+    const std::string where = "query " + std::to_string(q);
+    ASSERT_EQ(want.entries.size(), 5u) << where;
+    EXPECT_EQ(walked.entries, want.entries) << where;
+    EXPECT_EQ(screened.entries, want.entries) << where;
+    EXPECT_EQ(walked.stats.admissible, want.stats.admissible) << where;
+    admissible += walked.stats.admissible;
+    refined += walked.stats.refined;
+  }
+  // The interval bound on encoded totals refined ~100% of admissible
+  // couples here; the reach bound refines little beyond the top-k.
+  EXPECT_LE(refined * 20, admissible)
+      << "refined " << refined << " of " << admissible << " admissible";
 }
 
 }  // namespace

@@ -25,7 +25,12 @@
 # the persistence suites (persist_test pins copy-on-write views over an
 # munmap'd segment — the keepalive must hold the mapping alive; the
 # crash and fsck suites walk mapped columns with recomputed offsets,
-# where every off-by-one is an out-of-bounds read ASan can see).
+# where every off-by-one is an out-of-bounds read ASan can see), and the
+# top-k walk's reach filter (dimension_reach_test, net_test's hostile
+# top-k frames: core/dimension_reach.cc indexes per-dimension bitmaps and
+# interval lists by counters read from catalog entries and from wire
+# frames, up to UINT32_MAX, so a word index past a bitmap's end is a
+# heap overflow ASan reports).
 #
 # Usage: tools/ci_asan.sh [build-dir]   (default: build-asan)
 set -eu

@@ -159,9 +159,8 @@ std::shared_ptr<const T> EncodingCache::GetOrBuild(const Key& key,
       // which is what keeps the hit/miss totals independent of thread
       // interleaving: misses == builds == unique keys (absent eviction).
       if (it->second.value != nullptr) {
-        // Completed (or warm-inserted) slot: hand out the value without
-        // the shared_future round-trip. Warm-inserted slots have no
-        // future, so this branch is mandatory for them.
+        // Completed slot: hand out the value without the shared_future
+        // round-trip.
         const std::shared_ptr<const void> value = it->second.value;
         lock.unlock();
         hits_.fetch_add(1, std::memory_order_relaxed);
@@ -233,59 +232,6 @@ std::shared_ptr<const T> EncodingCache::GetOrBuild(const Key& key,
     }
   }
   return std::static_pointer_cast<const T>(built.first);
-}
-
-std::shared_ptr<const void> EncodingCache::PutReady(
-    const Key& key, std::shared_ptr<const void> value, size_t bytes) {
-  // The caller built the artifact whether or not it lands, so the
-  // miss/build counters tick unconditionally — same totals as if the
-  // caller had gone through GetOrBuild on a cold key.
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  bytes_built_.fetch_add(bytes, std::memory_order_relaxed);
-  Shard& shard = ShardOf(key);
-  {
-    // A resident or in-flight entry wins, and finding it takes only the
-    // shared lock: re-ingesting cached content (a refresh of the same
-    // profile) must not stall the shard's readers.
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      return it->second.value != nullptr ? it->second.value : value;
-    }
-  }
-  std::lock_guard<std::shared_mutex> lock(shard.mu);
-  Slot slot;
-  slot.value = value;
-  slot.token = next_token_.fetch_add(1, std::memory_order_relaxed);
-  slot.bytes = bytes;
-  slot.ready = true;
-  const auto [it, inserted] = shard.map.emplace(key, std::move(slot));
-  if (!inserted) {
-    // Raced: the entry inserted first wins.
-    return it->second.value != nullptr ? it->second.value : value;
-  }
-  shard.bytes += bytes;
-  shard.insertion_order.push_back(key);
-  EvictLocked(shard);
-  return value;
-}
-
-void EncodingCache::Reserve(size_t additional_entries) {
-  // Salted-fingerprint keys spread uniformly, so each shard expects
-  // ~1/kShards of the batch (plus one for rounding).
-  const size_t per_shard = additional_entries / kShards + 1;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::shared_mutex> lock(shard.mu);
-    // Grow-only and geometric: `reserve` rehashes (even shrinks) whenever
-    // the bucket count it computes differs, which per small batch would
-    // rewalk the whole shard map.
-    auto& map = shard.map;
-    const size_t target = map.size() + per_shard;
-    if (static_cast<double>(target) >
-        static_cast<double>(map.bucket_count()) * map.max_load_factor()) {
-      map.reserve(std::max(target, 2 * map.size()));
-    }
-  }
 }
 
 std::shared_ptr<const EncodedB> EncodingCache::GetEncodedB(
@@ -369,32 +315,6 @@ std::shared_ptr<const SuperEgoPrep> EncodingCache::GetSuperEgoPrep(
         return {ptr, sizeof(SuperEgoPrep) + ptr->MemoryBytes()};
       },
       stats);
-}
-
-std::shared_ptr<const EncodedB> EncodingCache::PutEncodedB(
-    const CommunityDigest& digest, Epsilon eps, uint32_t parts,
-    std::shared_ptr<const EncodedB> encoded) {
-  const Key key{digest.fingerprint, SaltOf(EntryKind::kEncodedB, eps, parts)};
-  const size_t bytes = sizeof(EncodedB) + encoded->MemoryBytes();
-  return std::static_pointer_cast<const EncodedB>(
-      PutReady(key, std::move(encoded), bytes));
-}
-
-std::shared_ptr<const EncodedA> EncodingCache::PutEncodedA(
-    const CommunityDigest& digest, Epsilon eps, uint32_t parts,
-    std::shared_ptr<const EncodedA> encoded) {
-  const Key key{digest.fingerprint, SaltOf(EntryKind::kEncodedA, eps, parts)};
-  const size_t bytes = sizeof(EncodedA) + encoded->MemoryBytes();
-  return std::static_pointer_cast<const EncodedA>(
-      PutReady(key, std::move(encoded), bytes));
-}
-
-std::shared_ptr<const VerifyWindow> EncodingCache::PutCommunityWindow(
-    const CommunityDigest& digest, std::shared_ptr<const VerifyWindow> window) {
-  const Key key{digest.fingerprint, SaltOf(EntryKind::kCommunityWindow)};
-  const size_t bytes = sizeof(VerifyWindow) + window->MemoryBytes();
-  return std::static_pointer_cast<const VerifyWindow>(
-      PutReady(key, std::move(window), bytes));
 }
 
 void EncodingCache::Clear() {

@@ -69,6 +69,11 @@ uint64_t HashDimOrder(const std::vector<Dim>& order);
 /// encoded buffers, so an all-pairs screening run over C communities
 /// builds O(C) encodings instead of O(C^2).
 ///
+/// Its users are ad-hoc joins that point JoinOptions::cache at it: the
+/// screening pipeline, the CLI, and top-k couples the catalog entries'
+/// own artifacts do not serve (non-MinMax methods, another eps or part
+/// count). The serving catalog never reads or fills it.
+///
 /// Entries:
 ///   - EncodedB / EncodedA (+ its SoA verify window) per (fp, eps, parts)
 ///   - a community's counters as a natural-order SoA window per fp
@@ -152,37 +157,6 @@ class EncodingCache {
       Count max_count, const std::vector<Dim>& dim_order, uint64_t order_hash,
       uint32_t threshold, JoinStats* stats);
 
-  /// Ingestion warm inserts: install an ALREADY-BUILT artifact under the
-  /// same key the matching Get* lookup computes, without the
-  /// promise/future build-dedup machinery (the dominant per-entry cost
-  /// of warming through GetOrBuild when the caller knows the key is
-  /// cold). First insert wins: a resident slot keeps its artifact and
-  /// the offered one is dropped — builders are deterministic, so the
-  /// bytes are the same either way. Each call returns the artifact that
-  /// ends up RESIDENT: the one already there, else the offered one (also
-  /// when a slot is still building, or the budget evicts the insert at
-  /// once). The catalog keeps that pointer in its entry, so
-  /// content-identical entries share one copy. Each call counts as one
-  /// miss + build, exactly what the GetOrBuild path that would otherwise
-  /// have built it would have counted. `parts` must be the Encoder's
-  /// CLAMPED part count, as in GetEncodedB/GetEncodedA.
-  std::shared_ptr<const EncodedB> PutEncodedB(
-      const CommunityDigest& digest, Epsilon eps, uint32_t parts,
-      std::shared_ptr<const EncodedB> encoded);
-  std::shared_ptr<const EncodedA> PutEncodedA(
-      const CommunityDigest& digest, Epsilon eps, uint32_t parts,
-      std::shared_ptr<const EncodedA> encoded);
-  std::shared_ptr<const VerifyWindow> PutCommunityWindow(
-      const CommunityDigest& digest,
-      std::shared_ptr<const VerifyWindow> window);
-
-  /// Pre-sizes every shard's hash table for `additional_entries` more
-  /// slots (grow-only, at least doubling). Catalog ingestion knows how
-  /// many artifacts it is about to warm (3 per entry); reserving once up
-  /// front removes every incremental rehash from a large batch — each
-  /// rehash rewalks a whole shard map under its exclusive lock.
-  void Reserve(size_t additional_entries);
-
   /// Drops every resident entry (buffers still referenced by shared_ptr
   /// holders stay alive). In-flight builds complete and are discarded.
   void Clear();
@@ -204,10 +178,8 @@ class EncodingCache {
   };
   struct Slot {
     std::shared_future<std::shared_ptr<const void>> future;
-    /// Set once the artifact exists (warm inserts: at insert; built
-    /// slots: on completion). Hits return this directly — a shared_ptr
-    /// copy instead of a shared_future copy + get() — and warm-inserted
-    /// slots have no future at all.
+    /// Set once the build completes. Hits return this directly — a
+    /// shared_ptr copy instead of a shared_future copy + get().
     std::shared_ptr<const void> value;
     uint64_t token = 0;   ///< insert identity (Clear() vs late completion)
     size_t bytes = 0;     ///< 0 until the build completes
@@ -229,12 +201,6 @@ class EncodingCache {
   template <typename T, typename BuildFn>
   std::shared_ptr<const T> GetOrBuild(const Key& key, BuildFn&& build,
                                       JoinStats* stats);
-
-  /// Shared implementation of the Put* warm inserts; returns the
-  /// resident value (see PutEncodedB).
-  std::shared_ptr<const void> PutReady(const Key& key,
-                                       std::shared_ptr<const void> value,
-                                       size_t bytes);
 
   Shard& ShardOf(const Key& key);
   void EvictLocked(Shard& shard);

@@ -63,7 +63,8 @@ struct Superblock {
 };
 static_assert(sizeof(Superblock) == 64);
 
-/// Segment flags.
+/// Segment flags. Every checkpoint sets kSegHasEncodings; a segment
+/// without it still restores, the ingest path building the artifacts.
 inline constexpr uint32_t kSegHasSignatures = 1u << 0;
 inline constexpr uint32_t kSegHasEncodings = 1u << 1;
 
@@ -78,8 +79,8 @@ struct SegmentHeader {
   /// The writer catalog's next version at seal time: every stored entry
   /// version is < next_version, and recovery resumes issuing from it.
   uint64_t next_version = 0;
-  /// Warm-cache parameters the encoded sections were built for. A
-  /// reader configured differently must rebuild instead of adopting.
+  /// The catalog warm parameters the encoded sections were built for.
+  /// RestoreInto refuses a catalog configured differently.
   uint32_t warm_eps = 0;
   uint32_t warm_parts = 0;
   /// SignatureOptions::quantiles the sketch tables were built with

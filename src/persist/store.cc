@@ -191,9 +191,25 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       << "RestoreInto requires a freshly constructed catalog";
   const auto& catalog_options = catalog->options();
 
+  // Log versions are CRC-covered but unvalidated: a record below the
+  // sealed horizon, or one whose successor would wrap, must fail here
+  // instead of aborting inside RestoreBatch (fsck applies the same
+  // rule). Checked before anything installs.
+  const uint64_t horizon =
+      segment_ != nullptr ? segment_->header().next_version : 1;
+  for (const LogRecord& record : log_image_.records) {
+    if (!record.remove &&
+        (record.version < horizon || record.version == UINT64_MAX)) {
+      *error = "log upsert id " + std::to_string(record.id) +
+               ": version outside [" + std::to_string(horizon) +
+               ", 2^64 - 1); run csj_fsck";
+      return false;
+    }
+  }
+
   uint64_t recovered_next = 1;
   util::Timer timer;
-  std::vector<service::CommunityCatalog::RestoredEntry> pending;
+  std::vector<service::CatalogEntry> pending;
 
   if (segment_ != nullptr) {
     const SegmentHeader& header = segment_->header();
@@ -204,7 +220,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     // The segment's derived artifacts are only adoptable into a catalog
     // shaped like the writer's; a mismatch is a configuration error,
     // not a recoverable state.
-    if (has_encodings && catalog_options.cache != nullptr &&
+    if (has_encodings &&
         (header.warm_eps != catalog_options.warm_eps ||
          header.warm_parts != catalog_options.warm_parts)) {
       *error = "store warm parameters disagree with the catalog's";
@@ -333,13 +349,12 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     }
 
     // Build the restored entries. Everything large is a VIEW pinned by
-    // the mapping; per entry this allocates only the control blocks.
+    // the mapping; per entry this allocates only the control blocks. A
+    // segment without artifacts leaves them to the ingest path.
     pending.resize(n);
-    const bool adopt_encodings =
-        has_encodings && catalog_options.cache != nullptr;
     util::ThreadPool::Global().Run(
         static_cast<uint32_t>(n), [&](uint32_t i) {
-          service::CommunityCatalog::RestoredEntry& entry = pending[i];
+          service::CatalogEntry& entry = pending[i];
           const Dim d = dims[i];
           const auto users =
               static_cast<uint32_t>(users_prefix[i + 1] - users_prefix[i]);
@@ -363,15 +378,17 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
             entry.signature =
                 std::make_shared<const CommunitySignature>(view, segment_);
           }
-          if (adopt_encodings) {
+          if (has_encodings) {
             const uint32_t parts = ClampedParts(header.warm_parts, d);
+            auto encodings = std::make_shared<service::EntryEncodings>();
             EncodedB::Columns b;
             b.parts = parts;
             b.n = users;
             b.ids = b_ids.data() + users_prefix[i];
             b.real = b_real.data() + users_prefix[i];
             b.sums = b_sums.data() + sums_prefix[i];
-            entry.encoded_b = std::make_shared<const EncodedB>(b, segment_);
+            encodings->encoded_b =
+                std::make_shared<const EncodedB>(b, segment_);
             EncodedA::Columns a;
             a.parts = parts;
             a.n = users;
@@ -381,11 +398,13 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
             a.real = a_real.data() + users_prefix[i];
             a.cols = a_cols.data() + 2 * sums_prefix[i];
             a.window = a_window.data() + window_prefix[i];
-            entry.encoded_a = std::make_shared<const EncodedA>(a, segment_);
+            encodings->encoded_a =
+                std::make_shared<const EncodedA>(a, segment_);
             auto window = std::make_shared<VerifyWindow>();
             window->AssignView(users, d, c_window.data() + window_prefix[i],
                                segment_);
-            entry.window = std::move(window);
+            encodings->window = std::move(window);
+            entry.encodings = std::move(encodings);
           }
         });
     recovered_next = std::max<uint64_t>(recovered_next, header.next_version);
@@ -421,7 +440,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       catalog->Remove(record.id);
       continue;
     }
-    service::CommunityCatalog::RestoredEntry entry;
+    service::CatalogEntry entry;
     entry.id = record.id;
     entry.version = record.version;
     std::vector<Count> counts(static_cast<size_t>(record.users) * record.d);
@@ -431,7 +450,9 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
         Community(record.d, std::move(counts), record.name));
     // Derived artifacts (digest included) were never checkpointed for
     // log-tail entries; RestoreBatch builds them on the ingest path
-    // Upsert uses. The tail may refresh an id twice: last wins.
+    // Upsert uses, or shares the resident entry's when the record
+    // rewrote it with equal content. The tail may refresh an id twice:
+    // last wins.
     pending.push_back(std::move(entry));
     recovered_next = std::max(recovered_next, record.version + 1);
   }
@@ -509,7 +530,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   const std::vector<service::CatalogEntry> snapshot = catalog.Snapshot();
   const auto n = static_cast<uint32_t>(snapshot.size());
   const bool has_signatures = catalog.signature_index() != nullptr;
-  const bool has_encodings = catalog_options.cache != nullptr;
 
   // Derived shapes + prefix arrays (serial, O(n)).
   std::vector<EntryShape> shapes(n);
@@ -517,8 +537,8 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<uint64_t> users_prefix(n + 1, 0);
   std::vector<uint64_t> counts_prefix(n + 1, 0);
   std::vector<uint64_t> sig_prefix(has_signatures ? n + 1 : 0, 0);
-  std::vector<uint64_t> sums_prefix(has_encodings ? n + 1 : 0, 0);
-  std::vector<uint64_t> window_prefix(has_encodings ? n + 1 : 0, 0);
+  std::vector<uint64_t> sums_prefix(n + 1, 0);
+  std::vector<uint64_t> window_prefix(n + 1, 0);
   const uint32_t sig_quantiles =
       has_signatures ? catalog.signature_options()->quantiles : 0;
   for (uint32_t i = 0; i < n; ++i) {
@@ -537,12 +557,10 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
       sig_prefix[i + 1] =
           sig_prefix[i] + static_cast<uint64_t>(shape.d) * (sig_quantiles + 1);
     }
-    if (has_encodings) {
-      CSJ_CHECK(entry.encodings != nullptr);
-      sums_prefix[i + 1] =
-          sums_prefix[i] + static_cast<uint64_t>(shape.users) * shape.parts;
-      window_prefix[i + 1] = window_prefix[i] + shape.window;
-    }
+    CSJ_CHECK(entry.encodings != nullptr);
+    sums_prefix[i + 1] =
+        sums_prefix[i] + static_cast<uint64_t>(shape.users) * shape.parts;
+    window_prefix[i + 1] = window_prefix[i] + shape.window;
   }
 
   // Column buffers.
@@ -552,19 +570,18 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<Count> counts(counts_prefix[n]);
   std::vector<uint32_t> sampled(has_signatures ? n : 0);
   std::vector<Count> sig_tables(has_signatures ? sig_prefix[n] : 0);
-  std::vector<uint64_t> b_ids(has_encodings ? users_prefix[n] : 0);
-  std::vector<UserId> b_real(has_encodings ? users_prefix[n] : 0);
-  std::vector<uint64_t> b_sums(has_encodings ? sums_prefix[n] : 0);
-  std::vector<uint64_t> a_mins(has_encodings ? users_prefix[n] : 0);
-  std::vector<uint64_t> a_maxs(has_encodings ? users_prefix[n] : 0);
-  std::vector<UserId> a_real(has_encodings ? users_prefix[n] : 0);
-  std::vector<uint64_t> a_cols(has_encodings ? 2 * sums_prefix[n] : 0);
-  std::vector<Count> a_window(has_encodings ? window_prefix[n] : 0);
-  std::vector<Count> c_window(has_encodings ? window_prefix[n] : 0);
+  std::vector<uint64_t> b_ids(users_prefix[n]);
+  std::vector<UserId> b_real(users_prefix[n]);
+  std::vector<uint64_t> b_sums(sums_prefix[n]);
+  std::vector<uint64_t> a_mins(users_prefix[n]);
+  std::vector<uint64_t> a_maxs(users_prefix[n]);
+  std::vector<UserId> a_real(users_prefix[n]);
+  std::vector<uint64_t> a_cols(2 * sums_prefix[n]);
+  std::vector<Count> a_window(window_prefix[n]);
+  std::vector<Count> c_window(window_prefix[n]);
 
   // Parallel fill: every entry writes disjoint column stretches. The
-  // MinMax artifacts are the entries' own, so the sealed bytes do not
-  // depend on what the catalog's cache still holds.
+  // MinMax artifacts are the entries' own.
   util::ThreadPool::Global().Run(n, [&](uint32_t i) {
     const service::CatalogEntry& entry = snapshot[i];
     const EntryShape& shape = shapes[i];
@@ -584,32 +601,30 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
       CopyBytes(sig_tables.data() + sig_prefix[i], table.data(),
                 table.size() * sizeof(Count));
     }
-    if (has_encodings) {
-      const EncodedB* encoded_b = entry.encodings->encoded_b.get();
-      const EncodedA* encoded_a = entry.encodings->encoded_a.get();
-      const VerifyWindow* window = entry.encodings->window.get();
-      for (uint32_t u = 0; u < shape.users; ++u) {
-        b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
-        b_real[users_prefix[i] + u] = encoded_b->real_id(u);
-        a_mins[users_prefix[i] + u] = encoded_a->encoded_min(u);
-        a_maxs[users_prefix[i] + u] = encoded_a->encoded_max(u);
-        a_real[users_prefix[i] + u] = encoded_a->real_id(u);
-      }
-      // part_sums(0) / part_lo(0) are the first elements of the flat
-      // SoA buffers; the whole column is contiguous behind them.
-      std::memcpy(b_sums.data() + sums_prefix[i],
-                  encoded_b->part_sums(0).data(),
-                  static_cast<size_t>(shape.users) * shape.parts *
-                      sizeof(uint64_t));
-      std::memcpy(a_cols.data() + 2 * sums_prefix[i], encoded_a->part_lo(0),
-                  2 * static_cast<size_t>(shape.users) * shape.parts *
-                      sizeof(uint64_t));
-      std::memcpy(a_window.data() + window_prefix[i],
-                  encoded_a->window().BlockData(0),
-                  shape.window * sizeof(Count));
-      std::memcpy(c_window.data() + window_prefix[i], window->BlockData(0),
-                  shape.window * sizeof(Count));
+    const EncodedB* encoded_b = entry.encodings->encoded_b.get();
+    const EncodedA* encoded_a = entry.encodings->encoded_a.get();
+    const VerifyWindow* window = entry.encodings->window.get();
+    for (uint32_t u = 0; u < shape.users; ++u) {
+      b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
+      b_real[users_prefix[i] + u] = encoded_b->real_id(u);
+      a_mins[users_prefix[i] + u] = encoded_a->encoded_min(u);
+      a_maxs[users_prefix[i] + u] = encoded_a->encoded_max(u);
+      a_real[users_prefix[i] + u] = encoded_a->real_id(u);
     }
+    // part_sums(0) / part_lo(0) are the first elements of the flat
+    // SoA buffers; the whole column is contiguous behind them.
+    std::memcpy(b_sums.data() + sums_prefix[i],
+                encoded_b->part_sums(0).data(),
+                static_cast<size_t>(shape.users) * shape.parts *
+                    sizeof(uint64_t));
+    std::memcpy(a_cols.data() + 2 * sums_prefix[i], encoded_a->part_lo(0),
+                2 * static_cast<size_t>(shape.users) * shape.parts *
+                    sizeof(uint64_t));
+    std::memcpy(a_window.data() + window_prefix[i],
+                encoded_a->window().BlockData(0),
+                shape.window * sizeof(Count));
+    std::memcpy(c_window.data() + window_prefix[i], window->BlockData(0),
+                shape.window * sizeof(Count));
   });
   if (stats != nullptr) stats->snapshot_seconds = timer.Seconds();
   timer.Reset();
@@ -620,8 +635,8 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   params.warm_eps = catalog_options.warm_eps;
   params.warm_parts = catalog_options.warm_parts;
   params.sig_quantiles = sig_quantiles;
-  params.flags = (has_signatures ? kSegHasSignatures : 0u) |
-                 (has_encodings ? kSegHasEncodings : 0u);
+  params.flags =
+      (has_signatures ? kSegHasSignatures : 0u) | kSegHasEncodings;
 
   std::vector<SectionSpec> sections;
   auto add = [&](SectionKind kind, uint32_t elem_size, const void* data,
@@ -649,21 +664,19 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
         sig_prefix.size() * 8);
     add(SectionKind::kSigTables, 4, sig_tables.data(), sig_tables.size() * 4);
   }
-  if (has_encodings) {
-    add(SectionKind::kSumsPrefix, 8, sums_prefix.data(),
-        sums_prefix.size() * 8);
-    add(SectionKind::kEncBIds, 8, b_ids.data(), b_ids.size() * 8);
-    add(SectionKind::kEncBReal, 4, b_real.data(), b_real.size() * 4);
-    add(SectionKind::kEncBSums, 8, b_sums.data(), b_sums.size() * 8);
-    add(SectionKind::kEncAMins, 8, a_mins.data(), a_mins.size() * 8);
-    add(SectionKind::kEncAMaxs, 8, a_maxs.data(), a_maxs.size() * 8);
-    add(SectionKind::kEncAReal, 4, a_real.data(), a_real.size() * 4);
-    add(SectionKind::kEncACols, 8, a_cols.data(), a_cols.size() * 8);
-    add(SectionKind::kWindowPrefix, 8, window_prefix.data(),
-        window_prefix.size() * 8);
-    add(SectionKind::kEncAWindow, 4, a_window.data(), a_window.size() * 4);
-    add(SectionKind::kComWindow, 4, c_window.data(), c_window.size() * 4);
-  }
+  add(SectionKind::kSumsPrefix, 8, sums_prefix.data(),
+      sums_prefix.size() * 8);
+  add(SectionKind::kEncBIds, 8, b_ids.data(), b_ids.size() * 8);
+  add(SectionKind::kEncBReal, 4, b_real.data(), b_real.size() * 4);
+  add(SectionKind::kEncBSums, 8, b_sums.data(), b_sums.size() * 8);
+  add(SectionKind::kEncAMins, 8, a_mins.data(), a_mins.size() * 8);
+  add(SectionKind::kEncAMaxs, 8, a_maxs.data(), a_maxs.size() * 8);
+  add(SectionKind::kEncAReal, 4, a_real.data(), a_real.size() * 4);
+  add(SectionKind::kEncACols, 8, a_cols.data(), a_cols.size() * 8);
+  add(SectionKind::kWindowPrefix, 8, window_prefix.data(),
+      window_prefix.size() * 8);
+  add(SectionKind::kEncAWindow, 4, a_window.data(), a_window.size() * 4);
+  add(SectionKind::kComWindow, 4, c_window.data(), c_window.size() * 4);
 
   const std::string segment_path = SegmentPath(new_generation);
   if (!WriteSegment(segment_path, params, sections, error)) return false;

@@ -43,7 +43,7 @@ struct CheckpointStats {
   uint64_t generation = 0;  ///< the generation just sealed
   uint64_t entries = 0;
   uint64_t bytes = 0;           ///< sealed segment file size
-  double snapshot_seconds = 0.0;  ///< catalog snapshot + artifact fetch
+  double snapshot_seconds = 0.0;  ///< catalog snapshot + column fill
   double write_seconds = 0.0;     ///< segment assembly + write + fsync
   double commit_seconds = 0.0;    ///< superblock commit + old-gen cleanup
 };
@@ -78,10 +78,14 @@ class Store {
   /// exact pre-crash state: segment entries install zero-copy under
   /// their original versions, then the log's valid prefix replays in
   /// append order — per shard that is the writer's install order, so
-  /// snapshots, versions, warm-cache residency, sketch-index layout and
-  /// every top-k ranking come back byte-identical. The catalog must be
-  /// configured with the same warm parameters and signature options the
-  /// writer used (checked against the segment header).
+  /// snapshots, versions, MinMax artifact bytes, sketch-index layout and
+  /// every top-k ranking come back byte-identical. Segment entries adopt
+  /// the mapped artifacts; a log record that rewrote an id with equal
+  /// content shares the resident entry's. The catalog must be configured
+  /// with the same warm parameters and signature options the writer
+  /// used (checked against the segment header). A log upsert whose
+  /// version lies outside [the segment's next_version (1 without a
+  /// segment), 2^64 - 1) fails the restore before anything installs.
   bool RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                    OpenStats* stats = nullptr);
 

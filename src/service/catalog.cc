@@ -88,7 +88,7 @@ CommunityCatalog::Shard& CommunityCatalog::ShardOf(uint64_t id) {
 }
 
 uint64_t CommunityCatalog::Upsert(uint64_t id, Community community) {
-  std::vector<RestoredEntry> batch(1);
+  std::vector<CatalogEntry> batch(1);
   batch[0].id = id;
   batch[0].community = std::make_shared<const Community>(std::move(community));
   return Ingest(std::move(batch), /*restore=*/false, nullptr);
@@ -97,7 +97,7 @@ uint64_t CommunityCatalog::Upsert(uint64_t id, Community community) {
 uint64_t CommunityCatalog::BulkLoad(
     std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> batch,
     BulkLoadStats* stats) {
-  std::vector<RestoredEntry> entries(batch.size());
+  std::vector<CatalogEntry> entries(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     entries[i].id = batch[i].first;
     entries[i].community = std::move(batch[i].second);
@@ -105,11 +105,11 @@ uint64_t CommunityCatalog::BulkLoad(
   return Ingest(std::move(entries), /*restore=*/false, stats);
 }
 
-uint64_t CommunityCatalog::RestoreBatch(std::vector<RestoredEntry> batch,
+uint64_t CommunityCatalog::RestoreBatch(std::vector<CatalogEntry> batch,
                                         uint64_t next_version,
                                         BulkLoadStats* stats) {
   CSJ_CHECK_GE(next_version, 1u);
-  for (const RestoredEntry& entry : batch) {
+  for (const CatalogEntry& entry : batch) {
     CSJ_CHECK_GE(entry.version, 1u);
     CSJ_CHECK_LT(entry.version, next_version)
         << "restored version outside the recovered version horizon";
@@ -126,44 +126,78 @@ uint64_t CommunityCatalog::RestoreBatch(std::vector<RestoredEntry> batch,
   return empty ? 0 : next_version - 1;
 }
 
-uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
+bool CommunityCatalog::InheritResident(CatalogEntry* entry) const {
+  std::shared_ptr<const Community> community;
+  std::shared_ptr<const EntryEncodings> encodings;
+  std::shared_ptr<const CommunitySignature> signature;
+  {
+    const Shard& shard = ShardOf(entry->id);
+    std::shared_lock lock(shard.mu);
+    const auto it = shard.entries.find(entry->id);
+    if (it == shard.entries.end()) return false;
+    const CatalogEntry& resident = it->second;
+    if (resident.digest.fingerprint != entry->digest.fingerprint ||
+        resident.digest.max_counter != entry->digest.max_counter) {
+      return false;
+    }
+    community = resident.community;
+    encodings = resident.encodings;
+    signature = resident.signature;
+  }
+  // The byte compare runs outside the lock; the pointers pin the
+  // resident copy even if a racing ingest replaces it meanwhile. That
+  // race only changes which equal copy is shared: the artifacts depend on
+  // nothing but the content, the warm parameters and the sketch options.
+  const auto mine = entry->community->flat();
+  const auto theirs = community->flat();
+  if (community->d() != entry->community->d() ||
+      !std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end())) {
+    return false;
+  }
+  entry->encodings = std::move(encodings);
+  entry->signature = std::move(signature);
+  return true;
+}
+
+uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
                                   bool restore, BulkLoadStats* stats) {
   if (stats != nullptr) *stats = BulkLoadStats{};
-  const uint32_t n = static_cast<uint32_t>(batch.size());
+  const auto n = static_cast<uint32_t>(entries.size());
   if (n == 0) return 0;
   if (stats != nullptr) stats->entries = n;
-
-  // Adopt the frozen buffers up front, so the waves below may read any
-  // entry's community (the next-entry prefetch does) without racing the
-  // task that owns it.
-  std::vector<CatalogEntry> entries(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    CSJ_CHECK(batch[i].community != nullptr && !batch[i].community->empty())
+  for (const CatalogEntry& entry : entries) {
+    CSJ_CHECK(entry.community != nullptr && !entry.community->empty())
         << "catalog entries must be non-empty";
-    entries[i].id = batch[i].id;
-    entries[i].version = batch[i].version;
-    entries[i].community = std::move(batch[i].community);
   }
 
   // Build OUTSIDE any lock: digesting is O(n*d), and encoding and sketch
   // building sort whole counter columns — holding a shard lock across
   // any of them would stall every reader of the shard. Only what the
-  // caller did not supply is built.
+  // entry does not carry is built.
   util::ThreadPool& pool = util::ThreadPool::Global();
-  // Three warm artifacts land in the cache per entry; pre-sizing its
-  // shard tables once removes every incremental rehash from a batch's
-  // waves. A single entry skips it: its inserts cannot rehash more than
-  // once, and the sweep would take every cache shard's exclusive lock.
-  if (options_.cache != nullptr && n > 1) {
-    options_.cache->Reserve(static_cast<size_t>(n) * 3);
-  }
-  // Stream the next entry's counters toward the cache while this entry
-  // is worked on: with ~20 KB of artifact traffic between touches the
-  // hardware prefetcher never re-arms, leaving the first walk over a
+  // Each wave runs over the entries that need it, listed before the wave
+  // starts. A task streams the next listed entry's counters toward the
+  // cache while it works: with ~20 KB of artifact traffic between touches
+  // the hardware prefetcher never re-arms, leaving the first walk over a
   // buffer latency-bound (measured ~3x slower than the prefetched walk).
-  const auto prefetch = [&](uint32_t i) {
-    const auto next = entries[i].community->flat();
-    for (size_t b = 0; b < next.size(); b += 16) __builtin_prefetch(&next[b]);
+  // The list, not the entries, says what the next task will work on, so
+  // no task reads a field another task writes.
+  std::vector<uint32_t> todo;
+  const auto run_wave = [&](uint32_t chunk, uint32_t count,
+                            const auto& needs, const auto& work) {
+    todo.clear();
+    for (uint32_t i = chunk; i < chunk + count; ++i) {
+      if (needs(entries[i])) todo.push_back(i);
+    }
+    pool.Run(static_cast<uint32_t>(todo.size()), [&](uint32_t t) {
+      if (t + 1 < todo.size()) {
+        const auto next = entries[todo[t + 1]].community->flat();
+        for (size_t b = 0; b < next.size(); b += 16) {
+          __builtin_prefetch(&next[b]);
+        }
+      }
+      work(entries[todo[t]]);
+    });
   };
 
   // The encode and sketch waves read the same counter buffers, so they
@@ -178,73 +212,51 @@ uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
   for (uint32_t chunk = 0; chunk < n; chunk += kWaveChunk) {
     const uint32_t count = std::min(kWaveChunk, n - chunk);
 
-    // Wave 1 — digest and MinMax artifacts. The artifacts are inserted
-    // into the cache as built (EncodingCache::Put*): GetOrBuild's
-    // promise/future dedup machinery would be pure overhead here
-    // (measured at ~half the warmup cost per entry).
+    // Wave 1 — digest and MinMax artifacts. An entry that arrives with
+    // artifacts (a segment restore) keeps them and its digest; an entry
+    // whose content equals the resident entry's shares that entry's.
     phase_timer.Reset();
-    pool.Run(count, [&](uint32_t t) {
-      const uint32_t i = chunk + t;
-      RestoredEntry& supplied = batch[i];
-      CatalogEntry& entry = entries[i];
-      if (i + 1 < n && !batch[i + 1].digest.has_value()) prefetch(i + 1);
-      entry.digest = supplied.digest.has_value()
-                         ? *supplied.digest
-                         : DigestCommunity(*entry.community);
-      if (options_.cache == nullptr) return;
-      // Batches are near-always one dimensionality, so the encoder
-      // (whose constructor allocates its part-boundary table) is
-      // memoized per thread instead of rebuilt per entry. The memo keys
-      // on the raw construction parameters: the thread_local outlives
-      // this call and must not leak across catalogs configured with
-      // different warm options.
-      struct EncoderMemo {
-        std::unique_ptr<Encoder> encoder;
-        Dim d = 0;
-        Epsilon eps = 0;
-        uint32_t parts = 0;
-      };
-      thread_local EncoderMemo memo;
-      const Dim d = entry.community->d();
-      if (memo.encoder == nullptr || memo.d != d ||
-          memo.eps != options_.warm_eps ||
-          memo.parts != options_.warm_parts) {
-        memo.encoder = std::make_unique<Encoder>(d, options_.warm_eps,
-                                                 options_.warm_parts);
-        memo.d = d;
-        memo.eps = options_.warm_eps;
-        memo.parts = options_.warm_parts;
-      }
-      // Key on the CLAMPED part count, exactly as the join methods do,
-      // so ad-hoc joins through the cache find them.
-      const Encoder& encoder = *memo.encoder;
-      if (supplied.encoded_b == nullptr) {
-        supplied.encoded_b =
-            std::make_shared<const EncodedB>(*entry.community, encoder);
-      }
-      if (supplied.encoded_a == nullptr) {
-        supplied.encoded_a =
-            std::make_shared<const EncodedA>(*entry.community, encoder);
-      }
-      if (supplied.window == nullptr) {
-        auto window = std::make_shared<VerifyWindow>();
-        window->Assign(entry.community->size(), d,
-                       [&](uint32_t u) { return entry.community->User(u); });
-        supplied.window = std::move(window);
-      }
-      // The entry keeps the copies the cache holds, so re-ingested
-      // content shares one set of artifacts instead of pinning another.
-      auto encodings = std::make_shared<EntryEncodings>();
-      encodings->encoded_b = options_.cache->PutEncodedB(
-          entry.digest, options_.warm_eps, encoder.parts(),
-          std::move(supplied.encoded_b));
-      encodings->encoded_a = options_.cache->PutEncodedA(
-          entry.digest, options_.warm_eps, encoder.parts(),
-          std::move(supplied.encoded_a));
-      encodings->window = options_.cache->PutCommunityWindow(
-          entry.digest, std::move(supplied.window));
-      entry.encodings = std::move(encodings);
-    });
+    run_wave(
+        chunk, count,
+        [](const CatalogEntry& entry) { return entry.encodings == nullptr; },
+        [&](CatalogEntry& entry) {
+          entry.digest = DigestCommunity(*entry.community);
+          if (InheritResident(&entry)) return;
+          // Batches are near-always one dimensionality, so the encoder
+          // (whose constructor allocates its part-boundary table) is
+          // memoized per thread instead of rebuilt per entry. The memo
+          // keys on the raw construction parameters: the thread_local
+          // outlives this call and must not leak across catalogs
+          // configured with different warm options.
+          struct EncoderMemo {
+            std::unique_ptr<Encoder> encoder;
+            Dim d = 0;
+            Epsilon eps = 0;
+            uint32_t parts = 0;
+          };
+          thread_local EncoderMemo memo;
+          const Community& community = *entry.community;
+          const Dim d = community.d();
+          if (memo.encoder == nullptr || memo.d != d ||
+              memo.eps != options_.warm_eps ||
+              memo.parts != options_.warm_parts) {
+            memo.encoder = std::make_unique<Encoder>(d, options_.warm_eps,
+                                                     options_.warm_parts);
+            memo.d = d;
+            memo.eps = options_.warm_eps;
+            memo.parts = options_.warm_parts;
+          }
+          auto encodings = std::make_shared<EntryEncodings>();
+          encodings->encoded_b =
+              std::make_shared<const EncodedB>(community, *memo.encoder);
+          encodings->encoded_a =
+              std::make_shared<const EncodedA>(community, *memo.encoder);
+          auto window = std::make_shared<VerifyWindow>();
+          window->Assign(community.size(), d,
+                         [&](uint32_t u) { return community.User(u); });
+          encodings->window = std::move(window);
+          entry.encodings = std::move(encodings);
+        });
     encode_seconds += phase_timer.Seconds();
 
     // Wave 2 — sketches through the scratch-reusing fast builder
@@ -253,18 +265,15 @@ uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
     // max-scan pass.
     phase_timer.Reset();
     if (signature_index_ != nullptr) {
-      pool.Run(count, [&](uint32_t t) {
-        const uint32_t i = chunk + t;
-        CatalogEntry& entry = entries[i];
-        if (i + 1 < n && batch[i + 1].signature == nullptr) prefetch(i + 1);
-        // Copied, not moved: the task for i - 1 reads this slot.
-        entry.signature = batch[i].signature;
-        if (entry.signature != nullptr) return;
-        thread_local SketchScratch scratch;
-        entry.signature = std::make_shared<const CommunitySignature>(
-            *entry.community, signature_index_->options(), &scratch,
-            entry.digest.max_counter);
-      });
+      run_wave(
+          chunk, count,
+          [](const CatalogEntry& entry) { return entry.signature == nullptr; },
+          [&](CatalogEntry& entry) {
+            thread_local SketchScratch scratch;
+            entry.signature = std::make_shared<const CommunitySignature>(
+                *entry.community, signature_index_->options(), &scratch,
+                entry.digest.max_counter);
+          });
     }
     sketch_seconds += phase_timer.Seconds();
   }
@@ -331,7 +340,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<RestoredEntry> batch,
         }
       }
       for (const uint32_t i : members) {
-        // Entries are single-use here: moving skips three shared_ptr
+        // Entries are single-use here: moving skips four shared_ptr
         // refcount round-trips per element. The end hint makes each
         // insert O(1) for the common ascending-id batch; out-of-order ids
         // just fall back to a plain tree insert.

@@ -27,7 +27,13 @@ namespace csj::service {
 /// parameters (Options::warm_eps, clamped Options::warm_parts): the B-
 /// and A-side encodings (the A side carries its verify window) and the
 /// Baseline methods' natural-order community window. Immutable.
-struct EntryEncodings {
+///
+/// Cache-line aligned: a restore allocates these blocks back to back,
+/// and every snapshot or probe copy of an entry bumps the block's
+/// refcount, so readers on two cores copying neighbouring entries would
+/// otherwise bounce one line (measured on churn_durable: ~10% of read
+/// throughput).
+struct alignas(64) EntryEncodings {
   std::shared_ptr<const EncodedB> encoded_b;
   std::shared_ptr<const EncodedA> encoded_a;
   std::shared_ptr<const VerifyWindow> window;
@@ -50,21 +56,19 @@ struct CatalogEntry {
   /// one), so "did this entry change since I looked?" is one compare.
   uint64_t version = 0;
   std::shared_ptr<const Community> community;
-  /// Content fingerprint + max counter, computed once at ingest. It keys
-  /// the entry's artifacts in the catalog's encoding cache and seeds the
-  /// sketch builder's radix width. Queries never digest an entry again:
-  /// they read `encodings` directly.
+  /// Content fingerprint + max counter, computed once at ingest (or
+  /// adopted with a segment's artifacts). It seeds the sketch builder's
+  /// radix width and pre-screens the same-id content check of the ingest
+  /// path. Queries never digest an entry again: they read `encodings`.
   CommunityDigest digest;
   /// Prescreen sketch, built at ingest when the catalog has a signature
   /// index configured (null otherwise). Frozen with the community.
   std::shared_ptr<const CommunitySignature> signature;
-  /// MinMax artifacts, built or adopted at ingest when the catalog has an
-  /// encoding cache configured (null otherwise). The top-k walk bounds
-  /// and refines from them, and a checkpoint seals them. Sharing rule:
-  /// the pointers are the ones the cache's Put* calls returned, i.e. the
-  /// cache-resident copies, so content-identical entries (a re-ingest of
-  /// the same profile) share one copy; cache eviction only unpins the
-  /// cache's reference, the entry keeps its artifacts.
+  /// MinMax artifacts under the catalog's warm parameters; set on every
+  /// resident entry. The top-k walk refines from them and a checkpoint
+  /// seals them. Ingest builds them, adopts a segment's mapped views, or
+  /// — when the entry's content equals the resident entry's under the
+  /// same id — shares the resident entry's copy (and its sketch).
   std::shared_ptr<const EntryEncodings> encodings;
 };
 
@@ -160,33 +164,32 @@ class LiveCoupleSession {
 /// upsert may legitimately see either state); anything needing stronger
 /// ordering keys off entry versions, which are catalog-wide monotonic.
 ///
-/// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path. Its build
-/// waves run OUTSIDE any shard lock and make whatever the caller did not
-/// supply: the digest, the entry's MinMax artifacts (when a `cache` is
-/// configured: EncodedB, EncodedA and the Baseline SoA window for
-/// (warm_eps, warm_parts), inserted into the cache and kept on the entry,
-/// so no query against the entry builds or looks up an encoding) and the
-/// prescreen sketch (when `signatures` is set). Its install section then
-/// takes each touched shard's exclusive lock once, between one
-/// mutation-clock tick pair. Upsert is the one-entry case of that path,
-/// which is why an Upsert loop, a BulkLoad and a RestoreBatch of the
-/// same entries leave byte-identical state.
+/// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path, and
+/// CatalogEntry is its one record. Its build waves run OUTSIDE any shard
+/// lock and make whatever the entry does not carry: the digest, the
+/// entry's MinMax artifacts (EncodedB, EncodedA and the Baseline SoA
+/// window for (warm_eps, warm_parts), so no query against the entry
+/// builds or looks up an encoding) and the prescreen sketch (when
+/// `signatures` is set). An entry whose content equals the resident
+/// entry under its id inherits that entry's artifacts and sketch instead
+/// of building them. Its install section then takes each touched shard's
+/// exclusive lock once, between one mutation-clock tick pair. Upsert is
+/// the one-entry case of that path, which is why an Upsert loop, a
+/// BulkLoad and a RestoreBatch of the same entries leave byte-identical
+/// state.
 class CommunityCatalog {
  public:
   struct Options {
     /// Lock shards; clamped to >= 1. 8 is plenty below ~10^2 workers.
     uint32_t shards = 8;
-    /// Optional encoding cache (not owned; must outlive the catalog).
-    /// When set, every ingested entry's three MinMax artifacts are
-    /// inserted as built (EncodingCache::Put*) and the resident copies
-    /// are kept on the entry (CatalogEntry::encodings); the cache then
-    /// dedups content-identical entries and serves ad-hoc joins that
-    /// point JoinOptions::cache at it.
+    /// Ignored: the catalog never reads it, and entries carry their
+    /// artifacts without it. Ad-hoc joins take a cache through
+    /// JoinOptions::cache.
     EncodingCache* cache = nullptr;
-    /// Parameters the artifacts are built for. A top-k query whose
-    /// JoinOptions eps and clamped part count match them serves MinMax
-    /// couples from the entry artifacts; any other query joins the old
-    /// way, through JoinOptions::cache or local encodings.
+    /// Parameters every entry's MinMax artifacts are built for. A top-k
+    /// query whose JoinOptions eps and clamped part count match them
+    /// serves MinMax couples from the entry artifacts; any other query
+    /// joins the old way, through JoinOptions::cache or local encodings.
     Epsilon warm_eps = 1;
     uint32_t warm_parts = 4;
     /// When set, the catalog maintains a SignatureIndex: the ingest path
@@ -214,14 +217,14 @@ class CommunityCatalog {
   /// Installs (or replaces) the community under `id` and returns the new
   /// catalog-wide version: the one-entry case of the ingest path (see the
   /// class comment). The community must be non-empty; it is frozen
-  /// (moved into a shared immutable buffer), then digested, warmed and
+  /// (moved into a shared immutable buffer), then digested, encoded and
   /// sketched outside any lock.
   uint64_t Upsert(uint64_t id, Community community);
 
   /// Per-phase accounting of one BulkLoad or RestoreBatch call.
   struct BulkLoadStats {
     uint64_t entries = 0;
-    double encode_seconds = 0.0;   ///< digest + cache warm wave
+    double encode_seconds = 0.0;   ///< digest + MinMax artifact wave
     double sketch_seconds = 0.0;   ///< signature build wave
     double install_seconds = 0.0;  ///< per-shard locked install phase
   };
@@ -229,7 +232,7 @@ class CommunityCatalog {
   /// Batched ingestion: installs every (id, community) of `batch` and
   /// returns the LAST version issued (0 for an empty batch). The catalog
   /// installs the caller's frozen buffers as-is; every pointer must be
-  /// non-null and non-empty. The final catalog, cache and signature-index
+  /// non-null and non-empty. The final catalog and signature-index
   /// state is byte-identical to calling Upsert once per element in batch
   /// order: one contiguous version block is issued after the build
   /// waves, so element i gets the version the sequential loop would have
@@ -249,23 +252,6 @@ class CommunityCatalog {
   /// keep its buffers alive; the catalog just forgets it.
   bool Remove(uint64_t id);
 
-  /// One entry of a RestoreBatch() call, and the record the ingest path
-  /// runs on: a frozen community under its ORIGINAL version plus any
-  /// pre-built derived artifacts. Every artifact is optional; the ingest
-  /// path builds the ones left empty (`signature` only when the catalog
-  /// has a signature index, the three MinMax artifacts only when a cache
-  /// is configured), byte-identical to what Upsert builds.
-  struct RestoredEntry {
-    uint64_t id = 0;
-    uint64_t version = 0;
-    std::shared_ptr<const Community> community;
-    std::optional<CommunityDigest> digest;
-    std::shared_ptr<const CommunitySignature> signature;
-    std::shared_ptr<const EncodedB> encoded_b;
-    std::shared_ptr<const EncodedA> encoded_a;
-    std::shared_ptr<const VerifyWindow> window;
-  };
-
   /// Recovery path: installs every entry of `batch` under its EXPLICIT
   /// version (BulkLoad cannot do this — it issues a fresh contiguous
   /// block, and a store recovering `{v3, v17}` after removes holds a
@@ -273,18 +259,20 @@ class CommunityCatalog {
   /// counter to exactly `next_version`, so post-restore upserts issue
   /// the same versions the pre-crash catalog would have.
   ///
-  /// Versions must be >= 1 and < `next_version`. Batch order is the
-  /// install order within each shard, which a persist layer uses to
-  /// replay the writer's exact index pack layout. An id may repeat (a
+  /// Each entry needs a non-empty `community` and a version >= 1 and
+  /// < `next_version`. An entry that carries `encodings` keeps them and
+  /// its `digest` as supplied: the caller vouches that they are this
+  /// content's artifacts under the catalog's warm parameters (a segment
+  /// restore adopts the mapped views this way). A supplied `signature` is
+  /// kept too. Everything else is built as Upsert builds it. Batch order
+  /// is the install order within each shard, which a persist layer uses
+  /// to replay the writer's exact index pack layout. An id may repeat (a
   /// log tail that refreshed it twice): the last occurrence wins,
-  /// exactly as in BulkLoad. Supplied MinMax artifacts are inserted into
-  /// the cache as-is (keyed on warm_eps / clamped warm_parts) and the
-  /// resident copies land on the entry, as for built ones. The
-  /// mutation SINK is deliberately not invoked — a restore replays the
-  /// durable log, it must not re-append to it — and the in-RAM journal
-  /// stays empty: it is bounded history, not state, and consumers
-  /// resynchronize via mutation_seq() cursors.
-  uint64_t RestoreBatch(std::vector<RestoredEntry> batch,
+  /// exactly as in BulkLoad. The mutation SINK is deliberately not
+  /// invoked — a restore replays the durable log, it must not re-append
+  /// to it — and the in-RAM journal stays empty: it is bounded history,
+  /// not state, and consumers resynchronize via mutation_seq() cursors.
+  uint64_t RestoreBatch(std::vector<CatalogEntry> batch,
                         uint64_t next_version, BulkLoadStats* stats = nullptr);
 
   /// Installs the DURABLE-LOG SEAM: `sink` is invoked once per effective
@@ -399,8 +387,8 @@ class CommunityCatalog {
   }
 
   /// The construction options (the persistence layer reads the warm
-  /// parameters and cache pointer to seal and restore derived
-  /// artifacts in the exact shape serving expects).
+  /// parameters to seal and restore derived artifacts in the exact shape
+  /// serving expects).
   const Options& options() const { return options_; }
 
   /// Monotonic operation counters (for the server's stats surface).
@@ -441,8 +429,12 @@ class CommunityCatalog {
   /// class comment). Without `restore` the entries get one fresh version
   /// block; with it they keep their versions and skip journal and sink.
   /// Returns the version of the batch's last entry (0 when empty).
-  uint64_t Ingest(std::vector<RestoredEntry> batch, bool restore,
+  uint64_t Ingest(std::vector<CatalogEntry> entries, bool restore,
                   BulkLoadStats* stats);
+  /// Gives `entry` (digested, no artifacts yet) the artifacts and sketch
+  /// of the resident entry under its id when both hold byte-equal
+  /// content; returns whether it did.
+  bool InheritResident(CatalogEntry* entry) const;
 
   Options options_;
   std::vector<Shard> shards_;

@@ -5,9 +5,63 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/encoding.h"
 #include "core/signature.h"
 
 namespace csj::service {
+namespace {
+
+template <typename T>
+bool SameValues(const T* lhs, const T* rhs, size_t count) {
+  return count == 0 || std::equal(lhs, lhs + count, rhs);
+}
+
+bool WindowsIdentical(const VerifyWindow& lhs, const VerifyWindow& rhs) {
+  return lhs.size() == rhs.size() && lhs.d() == rhs.d() &&
+         SameValues(lhs.BlockData(0), rhs.BlockData(0),
+                    VerifyWindow::PaddedCount(lhs.size(), lhs.d()));
+}
+
+/// Every column the walk refines from and a checkpoint seals: ids, real
+/// ids and part sums of the B side; mins, maxs, real ids, part columns
+/// and verify window of the A side; the natural-order window.
+bool ArtifactsIdentical(const EntryEncodings& lhs, const EntryEncodings& rhs) {
+  const EncodedB& lhs_b = *lhs.encoded_b;
+  const EncodedB& rhs_b = *rhs.encoded_b;
+  if (lhs_b.size() != rhs_b.size() || lhs_b.parts() != rhs_b.parts()) {
+    return false;
+  }
+  for (uint32_t u = 0; u < lhs_b.size(); ++u) {
+    if (lhs_b.encoded_id(u) != rhs_b.encoded_id(u) ||
+        lhs_b.real_id(u) != rhs_b.real_id(u)) {
+      return false;
+    }
+  }
+  if (!SameValues(lhs_b.part_sums(0).data(), rhs_b.part_sums(0).data(),
+                  static_cast<size_t>(lhs_b.size()) * lhs_b.parts())) {
+    return false;
+  }
+  const EncodedA& lhs_a = *lhs.encoded_a;
+  const EncodedA& rhs_a = *rhs.encoded_a;
+  if (lhs_a.size() != rhs_a.size() || lhs_a.parts() != rhs_a.parts()) {
+    return false;
+  }
+  for (uint32_t u = 0; u < lhs_a.size(); ++u) {
+    if (lhs_a.encoded_min(u) != rhs_a.encoded_min(u) ||
+        lhs_a.encoded_max(u) != rhs_a.encoded_max(u) ||
+        lhs_a.real_id(u) != rhs_a.real_id(u)) {
+      return false;
+    }
+  }
+  if (!SameValues(lhs_a.part_lo(0), rhs_a.part_lo(0),
+                  2 * static_cast<size_t>(lhs_a.size()) * lhs_a.parts())) {
+    return false;
+  }
+  return WindowsIdentical(lhs_a.window(), rhs_a.window()) &&
+         WindowsIdentical(*lhs.window, *rhs.window);
+}
+
+}  // namespace
 
 bool CatalogsIdentical(const CommunityCatalog& lhs,
                        const CommunityCatalog& rhs, Epsilon eps,
@@ -31,6 +85,11 @@ bool CatalogsIdentical(const CommunityCatalog& lhs,
     const auto b_flat = b.community->flat();
     if (!std::equal(a_flat.begin(), a_flat.end(), b_flat.begin(),
                     b_flat.end())) {
+      return false;
+    }
+    if ((a.encodings == nullptr) != (b.encodings == nullptr)) return false;
+    if (a.encodings != nullptr &&
+        !ArtifactsIdentical(*a.encodings, *b.encodings)) {
       return false;
     }
     if ((a.signature == nullptr) != (b.signature == nullptr)) return false;

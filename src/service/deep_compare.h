@@ -7,7 +7,8 @@
 namespace csj::service {
 
 /// Deep byte-identity between two quiesced catalogs: entries (id,
-/// version, digest, counters, sketch bytes) AND signature-index layout.
+/// version, digest, counters, MinMax artifact bytes, sketch bytes) AND
+/// signature-index layout.
 /// Pack layout is compared through per-shard probes — an inert probe
 /// (threshold 0) enumerates every slot in pack/slot order, so identical
 /// candidate SEQUENCES plus identical sweep stats pin the physical

@@ -46,8 +46,8 @@ CoupleScorer::CoupleScorer(const CommunityCatalog& catalog,
   const CommunityCatalog::Options& warm = catalog.options();
   const bool minmax =
       method_ == Method::kExMinMax || method_ == Method::kApMinMax;
-  if (query.empty() || !minmax || warm.cache == nullptr ||
-      options.join.event_log != nullptr || options.join.eps != warm.warm_eps) {
+  if (query.empty() || !minmax || options.join.event_log != nullptr ||
+      options.join.eps != warm.warm_eps) {
     return;
   }
   const Encoder encoder(query.d(), options.join.eps,

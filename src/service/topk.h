@@ -143,15 +143,16 @@ struct TopKResult {
 /// The REFINE of a MinMax couple runs the join kernel on the query's
 /// encodings (built once, at construction, as both an EncodedB and an
 /// EncodedA) and the entry's artifacts: no digest, no cache lookup and no
-/// encoding per couple. That ENTRY-ARTIFACT path serves an entry when the
-/// entry carries artifacts (CatalogEntry::encodings, present when the
-/// catalog has an encoding cache), the method is Ex-MinMax or Ap-MinMax,
-/// `join.eps` equals the catalog's warm_eps, the clamped part counts of
-/// `join.encoding_parts` and warm_parts agree, and no EventLog is
-/// attached. Every other couple refines through ComputeSimilarity (which
-/// goes through `join.cache` when set). Both paths yield the same
-/// similarity bits, so which one runs never changes a ranking or a walk
-/// counter. Const and thread-safe once built.
+/// encoding per couple. That ENTRY-ARTIFACT path serves every couple
+/// whose method is Ex-MinMax or Ap-MinMax when `join.eps` equals the
+/// catalog's warm_eps, the clamped part counts of `join.encoding_parts`
+/// and warm_parts agree, and no EventLog is attached; every resident
+/// entry carries artifacts (CatalogEntry::encodings). Every other couple
+/// — a non-MinMax method, another eps or part count, an event log, or a
+/// synthetic snapshot entry without artifacts — refines through
+/// ComputeSimilarity (which goes through `join.cache` when set). Both
+/// paths yield the same similarity bits, so which one runs never changes
+/// a ranking or a walk counter. Const and thread-safe once built.
 class CoupleScorer {
  public:
   /// `catalog` and `query` must outlive the scorer.

@@ -1,8 +1,8 @@
 // Tests for the catalog's batched ingestion: CommunityCatalog::BulkLoad
-// and RestoreBatch must leave the catalog, the encoding cache, and the
-// signature index in a state BYTE-IDENTICAL to a sequential Upsert replay
-// of the same batch — same versions, same digests, same sketch tables,
-// same index pack layout, same probe verdicts — across shard counts,
+// and RestoreBatch must leave the catalog and the signature index in a
+// state BYTE-IDENTICAL to a sequential Upsert replay of the same batch —
+// same versions, same digests, same MinMax artifacts, same sketch
+// tables, same index pack layout, same probe verdicts — across shard counts,
 // duplicate ids, and pre-populated catalogs. The suite also pins
 // BulkLoad's no-copy guarantee, the fast sketch builder's equivalence to
 // the reference constructor on the hint, no-hint, and wide-counter
@@ -154,11 +154,9 @@ void ExpectCatalogsIdentical(const CommunityCatalog& bulk,
   }
 }
 
-CommunityCatalog::Options WithEverything(uint32_t shards,
-                                         EncodingCache* cache) {
+CommunityCatalog::Options WithEverything(uint32_t shards) {
   CommunityCatalog::Options options;
   options.shards = shards;
-  options.cache = cache;
   options.warm_eps = 2;
   options.warm_parts = 4;
   options.signatures = SignatureOptions{};
@@ -167,12 +165,9 @@ CommunityCatalog::Options WithEverything(uint32_t shards,
 
 TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
   for (const uint32_t shards : {1u, 4u, 8u}) {
-    EncodingCache bulk_cache;
-    EncodingCache seq_cache;
-    EncodingCache restore_cache;
-    CommunityCatalog bulk(WithEverything(shards, &bulk_cache));
-    CommunityCatalog sequential(WithEverything(shards, &seq_cache));
-    CommunityCatalog restored(WithEverything(shards, &restore_cache));
+    CommunityCatalog bulk(WithEverything(shards));
+    CommunityCatalog sequential(WithEverything(shards));
+    CommunityCatalog restored(WithEverything(shards));
 
     const Batch batch = MakeBatch(64, 100 + shards);
     UpsertEach(batch, &sequential);
@@ -186,7 +181,7 @@ TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
 
     // The restore arm: the same entries at BulkLoad's versions, with no
     // prebuilt artifacts (digest included), so RestoreBatch builds all.
-    std::vector<CommunityCatalog::RestoredEntry> entries(batch.size());
+    std::vector<CatalogEntry> entries(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       entries[i].id = batch[i].first;
       entries[i].version = last - batch.size() + 1 + i;
@@ -194,55 +189,106 @@ TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
     }
     EXPECT_EQ(restored.RestoreBatch(std::move(entries), last + 1), last);
 
-    struct Arm {
-      const char* name;
-      const CommunityCatalog* catalog;
-      EncodingCache* cache;
-    };
-    const EncodingCache::Stats seq_stats = seq_cache.GetStats();
-    for (const Arm& arm : {Arm{"bulk", &bulk, &bulk_cache},
-                           Arm{"restored", &restored, &restore_cache}}) {
-      SCOPED_TRACE(arm.name);
-      ExpectCatalogsIdentical(*arm.catalog, sequential);
-      // Pack layout: the deep oracle walks every shard's slots in order.
-      EXPECT_TRUE(CatalogsIdentical(*arm.catalog, sequential, /*eps=*/2,
+    for (const CommunityCatalog* arm : {&bulk, &restored}) {
+      SCOPED_TRACE(arm == &bulk ? "bulk" : "restored");
+      ExpectCatalogsIdentical(*arm, sequential);
+      // Pack layout and MinMax artifact bytes: the deep oracle walks
+      // every shard's slots in order and every entry's artifact columns.
+      EXPECT_TRUE(CatalogsIdentical(*arm, sequential, /*eps=*/2,
                                     /*threshold=*/0.25));
-      // The same cache artifacts, with the same build accounting.
-      const EncodingCache::Stats arm_stats = arm.cache->GetStats();
-      EXPECT_EQ(arm_stats.entries, seq_stats.entries);
-      EXPECT_EQ(arm_stats.bytes, seq_stats.bytes);
-      EXPECT_EQ(arm_stats.misses, seq_stats.misses);
-      EXPECT_EQ(arm_stats.hits, seq_stats.hits);
-      EXPECT_EQ(arm_stats.bytes_built, seq_stats.bytes_built);
-    }
-
-    // ...under the SAME keys: the lookups a serving query performs all
-    // hit on every arm.
-    for (const Arm& arm : {Arm{"sequential", &sequential, &seq_cache},
-                           Arm{"bulk", &bulk, &bulk_cache},
-                           Arm{"restored", &restored, &restore_cache}}) {
-      const EncodingCache::Stats before = arm.cache->GetStats();
-      for (const CatalogEntry& entry : arm.catalog->Snapshot()) {
-        const Encoder encoder(entry.community->d(), 2, 4);
-        arm.cache->GetEncodedB(*entry.community, entry.digest, 2,
-                               encoder.parts(), nullptr);
-        arm.cache->GetEncodedA(*entry.community, entry.digest, 2,
-                               encoder.parts(), nullptr);
-        arm.cache->GetCommunityWindow(*entry.community, entry.digest,
-                                      nullptr);
-      }
-      const EncodingCache::Stats after = arm.cache->GetStats();
-      EXPECT_EQ(after.misses, before.misses)
-          << arm.name << " warmup left cold keys";
     }
   }
 }
 
+TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
+  // A restore of the same entries in which one entry's artifacts arrive
+  // as a copy with a single value changed: the deep oracle must tell the
+  // two catalogs apart for every artifact column, and must not for an
+  // unchanged copy.
+  CommunityCatalog reference(WithEverything(4));
+  reference.BulkLoad(MakeBatch(12, 700));
+  const std::vector<CatalogEntry> entries = reference.Snapshot();
+  const CatalogEntry& victim = entries[entries.size() / 2];
+  const EntryEncodings& source = *victim.encodings;
+  const EncodedB& b = *source.encoded_b;
+  const EncodedA& a = *source.encoded_a;
+  const uint32_t n = b.size();
+  const Dim d = victim.community->d();
+  const size_t padded = VerifyWindow::PaddedCount(n, d);
+
+  const char* columns[] = {"none",  "b ids",  "b real", "b sums",
+                           "a mins", "a maxs", "a real", "a cols",
+                           "a window", "window"};
+  for (int column = 0; column < 10; ++column) {
+    SCOPED_TRACE(columns[column]);
+    struct Copy {
+      std::vector<uint64_t> b_ids, b_sums, a_mins, a_maxs, a_cols;
+      std::vector<UserId> b_real, a_real;
+      std::vector<Count> a_window, window;
+    };
+    auto copy = std::make_shared<Copy>();
+    for (uint32_t u = 0; u < n; ++u) {
+      copy->b_ids.push_back(b.encoded_id(u));
+      copy->b_real.push_back(b.real_id(u));
+      copy->a_mins.push_back(a.encoded_min(u));
+      copy->a_maxs.push_back(a.encoded_max(u));
+      copy->a_real.push_back(a.real_id(u));
+    }
+    const size_t sums = static_cast<size_t>(n) * b.parts();
+    copy->b_sums.assign(b.part_sums(0).data(), b.part_sums(0).data() + sums);
+    copy->a_cols.assign(a.part_lo(0), a.part_lo(0) + 2 * sums);
+    copy->a_window.assign(a.window().BlockData(0),
+                          a.window().BlockData(0) + padded);
+    copy->window.assign(source.window->BlockData(0),
+                        source.window->BlockData(0) + padded);
+    switch (column) {
+      case 1: ++copy->b_ids[0]; break;
+      case 2: ++copy->b_real[0]; break;
+      case 3: ++copy->b_sums[0]; break;
+      case 4: ++copy->a_mins[0]; break;
+      case 5: ++copy->a_maxs[0]; break;
+      case 6: ++copy->a_real[0]; break;
+      case 7: ++copy->a_cols[0]; break;
+      case 8: ++copy->a_window[0]; break;
+      case 9: ++copy->window[0]; break;
+      default: break;
+    }
+    auto encodings = std::make_shared<EntryEncodings>();
+    EncodedB::Columns b_columns;
+    b_columns.parts = b.parts();
+    b_columns.n = n;
+    b_columns.ids = copy->b_ids.data();
+    b_columns.real = copy->b_real.data();
+    b_columns.sums = copy->b_sums.data();
+    encodings->encoded_b = std::make_shared<const EncodedB>(b_columns, copy);
+    EncodedA::Columns a_columns;
+    a_columns.parts = a.parts();
+    a_columns.n = n;
+    a_columns.d = d;
+    a_columns.mins = copy->a_mins.data();
+    a_columns.maxs = copy->a_maxs.data();
+    a_columns.real = copy->a_real.data();
+    a_columns.cols = copy->a_cols.data();
+    a_columns.window = copy->a_window.data();
+    encodings->encoded_a = std::make_shared<const EncodedA>(a_columns, copy);
+    auto window = std::make_shared<VerifyWindow>();
+    window->AssignView(n, d, copy->window.data(), copy);
+    encodings->window = std::move(window);
+
+    // Every other entry keeps the reference's own artifacts and digest.
+    std::vector<CatalogEntry> restore = entries;
+    restore[entries.size() / 2].encodings = std::move(encodings);
+    CommunityCatalog altered(WithEverything(4));
+    altered.RestoreBatch(std::move(restore), reference.latest_version() + 1);
+    EXPECT_EQ(CatalogsIdentical(reference, altered, /*eps=*/2,
+                                /*threshold=*/0.25),
+              column == 0);
+  }
+}
+
 TEST(BulkLoadTest, DuplicateIdsReplayLastWins) {
-  EncodingCache bulk_cache;
-  EncodingCache seq_cache;
-  CommunityCatalog bulk(WithEverything(4, &bulk_cache));
-  CommunityCatalog sequential(WithEverything(4, &seq_cache));
+  CommunityCatalog bulk(WithEverything(4));
+  CommunityCatalog sequential(WithEverything(4));
 
   // Every id appears three times with different payloads; the resident
   // entry must be the LAST occurrence under the version the sequential
@@ -266,7 +312,7 @@ TEST(BulkLoadTest, DuplicateIdsReplayLastWins) {
 }
 
 TEST(BulkLoadTest, EmptyBatchIsANoOp) {
-  CommunityCatalog catalog(WithEverything(4, nullptr));
+  CommunityCatalog catalog(WithEverything(4));
   catalog.Upsert(1, MakeTestCommunity(16, 1));
   const uint64_t version_before = catalog.latest_version();
   const uint64_t started_before = catalog.mutations_started();
@@ -281,10 +327,8 @@ TEST(BulkLoadTest, EmptyBatchIsANoOp) {
 }
 
 TEST(BulkLoadTest, LoadsOntoPrePopulatedCatalogWithReplacements) {
-  EncodingCache bulk_cache;
-  EncodingCache seq_cache;
-  CommunityCatalog bulk(WithEverything(8, &bulk_cache));
-  CommunityCatalog sequential(WithEverything(8, &seq_cache));
+  CommunityCatalog bulk(WithEverything(8));
+  CommunityCatalog sequential(WithEverything(8));
 
   // Both arms start from the same resident set...
   for (uint64_t id = 1; id <= 20; ++id) {
@@ -305,7 +349,7 @@ TEST(BulkLoadTest, LoadsOntoPrePopulatedCatalogWithReplacements) {
 }
 
 TEST(BulkLoadTest, ZeroCopyOverloadInstallsTheCallersBuffers) {
-  CommunityCatalog catalog(WithEverything(4, nullptr));
+  CommunityCatalog catalog(WithEverything(4));
   Batch batch;
   std::vector<const Community*> raw;
   for (uint64_t id = 1; id <= 8; ++id) {
@@ -366,8 +410,7 @@ TEST(BulkLoadTest, SurvivesConcurrentChurnAndQueries) {
   // a disjoint id range plus concurrent probes. Afterwards the bulk ids
   // must all be resident at their batch payloads, versions unique, and
   // the signature index in exact agreement with the entry map.
-  EncodingCache cache;
-  CommunityCatalog catalog(WithEverything(8, &cache));
+  CommunityCatalog catalog(WithEverything(8));
   constexpr uint64_t kChurnIds = 32;
   constexpr uint32_t kBulkEntries = 96;
   for (uint64_t id = 1; id <= kChurnIds; ++id) {

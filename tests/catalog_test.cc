@@ -1,9 +1,11 @@
 // Tests for the sharded community catalog: versioned upserts,
-// copy-on-write snapshots, cache warmup, and live couple sessions.
+// copy-on-write snapshots, same-id artifact sharing, and live couple
+// sessions.
 
 #include "service/catalog.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -13,6 +15,7 @@
 
 #include "core/encoding.h"
 #include "core/encoding_cache.h"
+#include "core/signature.h"
 #include "core/similarity.h"
 #include "data/generator.h"
 #include "test_seed.h"
@@ -116,33 +119,185 @@ TEST(CatalogTest, DigestMatchesRecomputation) {
   EXPECT_EQ(entry.digest.max_counter, expected.max_counter);
 }
 
-TEST(CatalogTest, UpsertWarmsTheEncodingCache) {
-  EncodingCache cache;
+/// The artifacts and sketch `content` builds under warm parameters
+/// (eps 2, 4 parts) and default signature options: what a catalog entry
+/// holding `content` must carry, however it got them.
+struct Expected {
+  explicit Expected(const Community& content)
+      : community(content),
+        encoder(content.d(), 2, 4),
+        encoded_b(content, encoder),
+        encoded_a(content, encoder),
+        signature(content, SignatureOptions{}) {}
+
+  bool HeldBy(const CatalogEntry& entry) const {
+    if (entry.encodings == nullptr || entry.signature == nullptr) {
+      return false;
+    }
+    const EncodedB& b = *entry.encodings->encoded_b;
+    const EncodedA& a = *entry.encodings->encoded_a;
+    const VerifyWindow& window = *entry.encodings->window;
+    if (b.size() != encoded_b.size() || a.size() != encoded_a.size() ||
+        window.size() != community.size()) {
+      return false;
+    }
+    for (uint32_t u = 0; u < b.size(); ++u) {
+      if (b.encoded_id(u) != encoded_b.encoded_id(u) ||
+          b.real_id(u) != encoded_b.real_id(u) ||
+          !std::ranges::equal(b.part_sums(u), encoded_b.part_sums(u)) ||
+          a.encoded_min(u) != encoded_a.encoded_min(u) ||
+          a.encoded_max(u) != encoded_a.encoded_max(u) ||
+          a.real_id(u) != encoded_a.real_id(u)) {
+        return false;
+      }
+      for (Dim k = 0; k < community.d(); ++k) {
+        if (window.Value(u, k) != community.User(u)[k]) return false;
+      }
+    }
+    return std::ranges::equal(entry.signature->table(), signature.table());
+  }
+
+  Community community;
+  Encoder encoder;
+  EncodedB encoded_b;
+  EncodedA encoded_a;
+  CommunitySignature signature;
+};
+
+CommunityCatalog::Options SharingOptions() {
   CommunityCatalog::Options options;
-  options.cache = &cache;
+  options.shards = 4;
   options.warm_eps = 2;
   options.warm_parts = 4;
+  options.signatures = SignatureOptions{};
+  return options;
+}
+
+TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
+  EncodingCache cache;
+  CommunityCatalog::Options options = SharingOptions();
+  options.cache = &cache;  // configured, and ignored by the catalog
   CommunityCatalog catalog(options);
 
-  catalog.Upsert(1, MakeTestCommunity(30, 1));
-  const EncodingCache::Stats after_warm = cache.GetStats();
-  // Warmup itself builds (misses), it does not hit.
-  EXPECT_EQ(after_warm.hits, 0u);
-  EXPECT_GT(after_warm.misses, 0u);
+  const Community profile = MakeTestCommunity(30, 1);
+  const Expected expected(profile);
+  catalog.Upsert(1, Community(profile));
+  const CatalogEntry first = catalog.Get(1);
+  EXPECT_TRUE(expected.HeldBy(first));
 
-  // A query doing the same lookups the join methods do must now hit for
-  // every buffer the warmup built: B-side, A-side, and the SoA window.
-  const CatalogEntry entry = catalog.Get(1);
-  const Encoder encoder(entry.community->d(), options.warm_eps,
-                        options.warm_parts);
-  cache.GetEncodedB(*entry.community, entry.digest, options.warm_eps,
-                    encoder.parts(), nullptr);
-  cache.GetEncodedA(*entry.community, entry.digest, options.warm_eps,
-                    encoder.parts(), nullptr);
-  cache.GetCommunityWindow(*entry.community, entry.digest, nullptr);
-  const EncodingCache::Stats after_query = cache.GetStats();
-  EXPECT_EQ(after_query.hits, after_warm.hits + 3);
-  EXPECT_EQ(after_query.misses, after_warm.misses);
+  // Equal content under the same id: a new version and buffer, the
+  // resident artifacts and sketch.
+  catalog.Upsert(1, Community(profile));
+  const CatalogEntry refreshed = catalog.Get(1);
+  EXPECT_GT(refreshed.version, first.version);
+  EXPECT_NE(refreshed.community, first.community);
+  EXPECT_EQ(refreshed.encodings, first.encodings);
+  EXPECT_EQ(refreshed.signature, first.signature);
+
+  // The rule is per id: equal content under another id builds its own.
+  catalog.Upsert(2, Community(profile));
+  EXPECT_NE(catalog.Get(2).encodings, first.encodings);
+  EXPECT_TRUE(expected.HeldBy(catalog.Get(2)));
+
+  // Changed content (one counter) rebuilds both.
+  std::vector<Count> counts(profile.flat().begin(), profile.flat().end());
+  ++counts[counts.size() / 2];
+  const Community changed(profile.d(), std::move(counts), profile.name());
+  catalog.Upsert(1, Community(changed));
+  const CatalogEntry rebuilt = catalog.Get(1);
+  EXPECT_NE(rebuilt.encodings, first.encodings);
+  EXPECT_NE(rebuilt.signature, first.signature);
+  EXPECT_TRUE(Expected(changed).HeldBy(rebuilt));
+
+  // The same again through BulkLoad: a batch member whose content equals
+  // the resident entry inherits; the rest build.
+  CommunityCatalog::BulkLoadStats stats;
+  catalog.BulkLoad({{1, std::make_shared<const Community>(changed)},
+                    {3, std::make_shared<const Community>(profile)}},
+                   &stats);
+  EXPECT_EQ(catalog.Get(1).encodings, rebuilt.encodings);
+  EXPECT_TRUE(expected.HeldBy(catalog.Get(3)));
+
+  // Sharing rests on the bytes, not the fingerprint: a resident entry
+  // whose recorded digest names other content (as a corrupt segment
+  // column would) keeps its artifacts to itself.
+  CatalogEntry forged = catalog.Get(2);
+  forged.digest = DigestCommunity(changed);
+  CommunityCatalog restored(SharingOptions());
+  restored.RestoreBatch({forged}, forged.version + 1);
+  restored.Upsert(2, Community(changed));
+  EXPECT_NE(restored.Get(2).encodings, forged.encodings);
+  EXPECT_TRUE(Expected(changed).HeldBy(restored.Get(2)));
+
+  // Nothing went through the configured cache.
+  const EncodingCache::Stats cache_stats = cache.GetStats();
+  EXPECT_EQ(cache_stats.entries, 0u);
+  EXPECT_EQ(cache_stats.hits, 0u);
+  EXPECT_EQ(cache_stats.misses, 0u);
+}
+
+TEST(CatalogTest, ConcurrentSameIdRefreshesStayConsistent) {
+  // Two writers refresh the same ids, mostly with unchanged content, so
+  // inheritance races installs of equal and of different content; two
+  // readers check that every entry they see carries exactly its own
+  // content's artifacts and sketch.
+  constexpr uint64_t kIds = 4;
+  std::vector<Community> contents;
+  for (uint64_t c = 0; c < 2 * kIds; ++c) {
+    contents.push_back(MakeTestCommunity(18, 40 + c));
+  }
+  std::vector<Expected> expected;
+  expected.reserve(contents.size());
+  for (const Community& content : contents) expected.emplace_back(content);
+  const auto expected_for = [&](const CatalogEntry& entry) -> const Expected* {
+    for (const Expected& e : expected) {
+      if (std::ranges::equal(e.community.flat(), entry.community->flat())) {
+        return &e;
+      }
+    }
+    return nullptr;
+  };
+
+  CommunityCatalog catalog(SharingOptions());
+  for (uint64_t id = 1; id <= kIds; ++id) {
+    catalog.Upsert(id, Community(contents[2 * (id - 1)]));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<uint32_t> bad{0};
+  std::atomic<uint64_t> reads{0};
+  std::vector<std::thread> crew;
+  for (uint32_t w = 0; w < 2; ++w) {
+    crew.emplace_back([&] {
+      for (uint32_t round = 0; round < 120; ++round) {
+        const uint64_t id = 1 + round % kIds;
+        const uint64_t other = (round / kIds) % 4 == 3 ? 1u : 0u;
+        catalog.Upsert(id, Community(contents[2 * (id - 1) + other]));
+      }
+    });
+  }
+  std::vector<std::thread> readers;
+  for (uint32_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      do {
+        for (uint64_t id = 1; id <= kIds; ++id) {
+          const CatalogEntry entry = catalog.Get(id);
+          const Expected* want = expected_for(entry);
+          if (want == nullptr || !want->HeldBy(entry)) ++bad;
+          ++reads;
+        }
+      } while (!done.load());
+    });
+  }
+  for (std::thread& writer : crew) writer.join();
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  for (const CatalogEntry& entry : catalog.Snapshot()) {
+    const Expected* want = expected_for(entry);
+    ASSERT_NE(want, nullptr) << "id " << entry.id;
+    EXPECT_TRUE(want->HeldBy(entry)) << "id " << entry.id;
+  }
 }
 
 TEST(CatalogTest, ConcurrentUpsertsKeepVersionsUnique) {

@@ -72,7 +72,6 @@ TraceResult RunTrace(const TraceConfig& config) {
 
   EncodingCache cache;
   service::CommunityCatalog::Options catalog_options;
-  catalog_options.cache = &cache;
   catalog_options.warm_eps = config.eps;
   catalog_options.mutation_log_capacity = config.log_capacity;
   service::CommunityCatalog catalog(catalog_options);
@@ -246,7 +245,6 @@ TEST(EvolveDifferentialTest, PrescreenFallbackIdentity) {
 
   EncodingCache cache;
   service::CommunityCatalog::Options catalog_options;
-  catalog_options.cache = &cache;
   catalog_options.warm_eps = 2;
   catalog_options.mutation_log_capacity = 1 << 12;
   catalog_options.signatures = SignatureOptions{};

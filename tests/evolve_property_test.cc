@@ -40,7 +40,6 @@ struct World {
     model = std::make_unique<DriftModel>(drift);
 
     service::CommunityCatalog::Options catalog_options;
-    catalog_options.cache = &cache;
     catalog_options.warm_eps = eps;
     catalog_options.mutation_log_capacity = 1 << 14;
     catalog = std::make_unique<service::CommunityCatalog>(catalog_options);

@@ -44,7 +44,6 @@ TEST(EvolveStressTest, MaintainerRacesChurnWithExactAccounting) {
 
   EncodingCache cache;
   service::CommunityCatalog::Options catalog_options;
-  catalog_options.cache = &cache;
   catalog_options.warm_eps = 1;
   catalog_options.mutation_log_capacity = 1 << 18;
   service::CommunityCatalog catalog(catalog_options);
@@ -185,7 +184,6 @@ TEST(EvolveStressTest, ConcurrentRefreshersSerializePerQuery) {
 
   EncodingCache cache;
   service::CommunityCatalog::Options catalog_options;
-  catalog_options.cache = &cache;
   catalog_options.warm_eps = 1;
   catalog_options.mutation_log_capacity = 1 << 16;
   service::CommunityCatalog catalog(catalog_options);

@@ -78,7 +78,6 @@ TEST(MutationJournalTest, CapacityOneRetainsOnlyTheNewestRecord) {
 TEST(MutationJournalTest, MaintainerFallsBackWhenItsCursorIsTruncated) {
   EncodingCache cache;
   service::CommunityCatalog::Options options;
-  options.cache = &cache;
   options.warm_eps = 1;
   options.mutation_log_capacity = 2;  // tiny: easy to outrun
   service::CommunityCatalog catalog(options);

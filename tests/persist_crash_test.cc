@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/encoding_cache.h"
 #include "core/signature.h"
 #include "data/generator.h"
 #include "persist/fsck.h"
@@ -41,9 +40,8 @@ std::string FreshDir() {
   return tmpl;
 }
 
-service::CommunityCatalog::Options CatalogOpts(EncodingCache* cache) {
+service::CommunityCatalog::Options CatalogOpts() {
   service::CommunityCatalog::Options options;
-  options.cache = cache;
   options.warm_eps = 2;
   options.signatures = SignatureOptions{};
   return options;
@@ -103,13 +101,11 @@ void ExpectRecoversPrefix(const std::string& dir, uint64_t expect_records) {
   OpenStats stats;
   auto store = Store::Open(options, &error, &stats);
   ASSERT_NE(store, nullptr) << error;
-  EncodingCache cache;
-  service::CommunityCatalog recovered(CatalogOpts(&cache));
+  service::CommunityCatalog recovered(CatalogOpts());
   ASSERT_TRUE(store->RestoreInto(&recovered, &error, &stats)) << error;
   EXPECT_EQ(stats.log_records_replayed, expect_records);
 
-  EncodingCache shadow_cache;
-  service::CommunityCatalog shadow(CatalogOpts(&shadow_cache));
+  service::CommunityCatalog shadow(CatalogOpts());
   BuildShadow(&shadow, expect_records);
   EXPECT_TRUE(service::CatalogsIdentical(shadow, recovered, /*eps=*/2, kTau));
 
@@ -140,8 +136,7 @@ TEST(PersistCrashTest, KillAtEveryFsyncBarrierRecoversDurablePrefix) {
       std::string error;
       auto store = Store::Open(options, &error);
       ASSERT_NE(store, nullptr) << error;
-      EncodingCache cache;
-      service::CommunityCatalog live(CatalogOpts(&cache));
+      service::CommunityCatalog live(CatalogOpts());
       ASSERT_TRUE(store->StartLogging(&live, &error)) << error;
       for (const Op& op : ops) ApplyOp(&live, op);
       EXPECT_EQ(injector.dead, k < ops.size());
@@ -167,8 +162,7 @@ TEST(PersistCrashTest, TornRecordAtArbitraryByteOffsetsIsChoppedCleanly) {
     std::string error;
     auto store = Store::Open(options, &error);
     ASSERT_NE(store, nullptr) << error;
-    EncodingCache cache;
-    service::CommunityCatalog live(CatalogOpts(&cache));
+    service::CommunityCatalog live(CatalogOpts());
     ASSERT_TRUE(store->StartLogging(&live, &error)) << error;
     for (const Op& op : ops) ApplyOp(&live, op);
     store->StopLogging(&live);
@@ -191,8 +185,7 @@ TEST(PersistCrashTest, TornRecordAtArbitraryByteOffsetsIsChoppedCleanly) {
       std::string error;
       auto store = Store::Open(options, &error);
       ASSERT_NE(store, nullptr) << error;
-      EncodingCache cache;
-      service::CommunityCatalog live(CatalogOpts(&cache));
+      service::CommunityCatalog live(CatalogOpts());
       ASSERT_TRUE(store->StartLogging(&live, &error)) << error;
       for (const Op& op : ops) ApplyOp(&live, op);
       EXPECT_TRUE(injector.dead);
@@ -209,14 +202,12 @@ TEST(PersistCrashTest, TornRecordAtArbitraryByteOffsetsIsChoppedCleanly) {
     OpenStats stats;
     auto store = Store::Open(options, &error, &stats);
     ASSERT_NE(store, nullptr) << error;
-    EncodingCache cache;
-    service::CommunityCatalog recovered(CatalogOpts(&cache));
+    service::CommunityCatalog recovered(CatalogOpts());
     ASSERT_TRUE(store->RestoreInto(&recovered, &error, &stats)) << error;
     EXPECT_EQ(stats.log_records_replayed, durable);
     EXPECT_EQ(stats.log_torn_bytes > 0, image.torn);
 
-    EncodingCache shadow_cache;
-    service::CommunityCatalog shadow(CatalogOpts(&shadow_cache));
+    service::CommunityCatalog shadow(CatalogOpts());
     BuildShadow(&shadow, durable);
     EXPECT_TRUE(
         service::CatalogsIdentical(shadow, recovered, /*eps=*/2, kTau));
@@ -254,8 +245,7 @@ TEST(PersistCrashTest, RecoveredStoreResumesLoggingAndConverges) {
     std::string error;
     auto store = Store::Open(options, &error);
     ASSERT_NE(store, nullptr) << error;
-    EncodingCache cache;
-    service::CommunityCatalog live(CatalogOpts(&cache));
+    service::CommunityCatalog live(CatalogOpts());
     ASSERT_TRUE(store->StartLogging(&live, &error)) << error;
     for (const Op& op : ops) ApplyOp(&live, op);
     ASSERT_TRUE(injector.dead);
@@ -273,16 +263,14 @@ TEST(PersistCrashTest, RecoveredStoreResumesLoggingAndConverges) {
     OpenStats stats;
     auto store = Store::Open(options, &error, &stats);
     ASSERT_NE(store, nullptr) << error;
-    EncodingCache cache;
-    service::CommunityCatalog live(CatalogOpts(&cache));
+    service::CommunityCatalog live(CatalogOpts());
     ASSERT_TRUE(store->RestoreInto(&live, &error, &stats)) << error;
     ASSERT_EQ(stats.log_records_replayed, durable);
     ASSERT_TRUE(store->StartLogging(&live, &error)) << error;
     for (size_t i = durable; i < ops.size(); ++i) ApplyOp(&live, ops[i]);
     store->StopLogging(&live);
 
-    EncodingCache shadow_cache;
-    service::CommunityCatalog shadow(CatalogOpts(&shadow_cache));
+    service::CommunityCatalog shadow(CatalogOpts());
     BuildShadow(&shadow, ops.size());
     EXPECT_TRUE(service::CatalogsIdentical(shadow, live, /*eps=*/2, kTau));
   }
@@ -320,8 +308,7 @@ TEST(PersistCrashTest, TornLogHeaderRestartsTheLogInsteadOfWedging) {
     auto store = Store::Open(options, &error, &stats);
     ASSERT_NE(store, nullptr) << error;
     EXPECT_GT(stats.log_torn_bytes, 0u);
-    EncodingCache cache;
-    service::CommunityCatalog live(CatalogOpts(&cache));
+    service::CommunityCatalog live(CatalogOpts());
     ASSERT_TRUE(store->RestoreInto(&live, &error, &stats)) << error;
     EXPECT_EQ(stats.log_records_replayed, 0u);
     ASSERT_TRUE(store->StartLogging(&live, &error)) << error;
@@ -337,8 +324,7 @@ TEST(PersistCrashTest, TornLogHeaderRestartsTheLogInsteadOfWedging) {
   auto store = Store::Open(options, &error, &stats);
   ASSERT_NE(store, nullptr) << error;
   EXPECT_EQ(stats.log_torn_bytes, 0u);
-  EncodingCache cache;
-  service::CommunityCatalog recovered(CatalogOpts(&cache));
+  service::CommunityCatalog recovered(CatalogOpts());
   ASSERT_TRUE(store->RestoreInto(&recovered, &error, &stats)) << error;
   EXPECT_EQ(stats.log_records_replayed, 2u);
   EXPECT_EQ(recovered.size(), 2u);
@@ -353,8 +339,7 @@ TEST(PersistCrashTest, TornLogHeaderRestartsTheLogInsteadOfWedging) {
 
 TEST(PersistCrashTest, ConcurrentMutationsSurviveRestartByteIdentically) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog live(CatalogOpts(&cache));
+  service::CommunityCatalog live(CatalogOpts());
   StoreOptions options;
   options.dir = dir;
   options.log_sync_every = 8;  // batched barriers under contention
@@ -387,8 +372,7 @@ TEST(PersistCrashTest, ConcurrentMutationsSurviveRestartByteIdentically) {
   OpenStats stats;
   auto recovered_store = Store::Open(reopen, &error, &stats);
   ASSERT_NE(recovered_store, nullptr) << error;
-  EncodingCache recovered_cache;
-  service::CommunityCatalog recovered(CatalogOpts(&recovered_cache));
+  service::CommunityCatalog recovered(CatalogOpts());
   ASSERT_TRUE(recovered_store->RestoreInto(&recovered, &error, &stats))
       << error;
   EXPECT_TRUE(service::CatalogsIdentical(live, recovered, /*eps=*/2, kTau));
@@ -403,8 +387,7 @@ TEST(PersistCrashTest, ConcurrentMutationsSurviveRestartByteIdentically) {
 
 TEST(PersistCrashTest, InterruptedCheckpointLeavesOldGenerationServable) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog live(CatalogOpts(&cache));
+  service::CommunityCatalog live(CatalogOpts());
   for (uint64_t id = 1; id <= 6; ++id) {
     live.Upsert(id, MakeTestCommunity(12, id));
   }
@@ -431,8 +414,7 @@ TEST(PersistCrashTest, InterruptedCheckpointLeavesOldGenerationServable) {
   auto store = Store::Open(options, &error, &stats);
   ASSERT_NE(store, nullptr) << error;
   EXPECT_EQ(store->generation(), 1u);
-  EncodingCache recovered_cache;
-  service::CommunityCatalog recovered(CatalogOpts(&recovered_cache));
+  service::CommunityCatalog recovered(CatalogOpts());
   ASSERT_TRUE(store->RestoreInto(&recovered, &error, &stats)) << error;
   EXPECT_TRUE(service::CatalogsIdentical(live, recovered, /*eps=*/2, kTau));
 

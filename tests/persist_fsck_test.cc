@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/encoding_cache.h"
 #include "core/signature.h"
 #include "data/generator.h"
 #include "persist/crc32.h"
@@ -60,9 +59,7 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
 /// Builds a store with a sealed segment (every artifact class present)
 /// plus a log tail with both record kinds.
 void BuildStore(const std::string& dir) {
-  EncodingCache cache;
   service::CommunityCatalog::Options options;
-  options.cache = &cache;
   options.warm_eps = 2;
   options.signatures = SignatureOptions{};
   service::CommunityCatalog catalog(options);

@@ -44,9 +44,8 @@ std::string FreshDir() {
   return tmpl;
 }
 
-service::CommunityCatalog::Options CatalogOpts(EncodingCache* cache) {
+service::CommunityCatalog::Options CatalogOpts() {
   service::CommunityCatalog::Options options;
-  options.cache = cache;
   options.warm_eps = 2;
   options.signatures = SignatureOptions{};
   return options;
@@ -54,8 +53,8 @@ service::CommunityCatalog::Options CatalogOpts(EncodingCache* cache) {
 
 constexpr double kTau = 0.1;
 
-/// Restores the store's state into a fresh catalog (own cold cache) and
-/// requires deep byte-identity with `expected`.
+/// Restores the store's state into a fresh catalog and requires deep
+/// byte-identity with `expected`.
 void ExpectRestoresIdentical(const std::string& dir,
                              const service::CommunityCatalog& expected) {
   StoreOptions options;
@@ -63,8 +62,7 @@ void ExpectRestoresIdentical(const std::string& dir,
   std::string error;
   auto store = Store::Open(options, &error);
   ASSERT_NE(store, nullptr) << error;
-  EncodingCache cache;
-  service::CommunityCatalog restored(CatalogOpts(&cache));
+  service::CommunityCatalog restored(CatalogOpts());
   ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
   EXPECT_EQ(restored.size(), expected.size());
   EXPECT_EQ(restored.latest_version(), expected.latest_version());
@@ -92,8 +90,7 @@ TEST(PersistStoreTest, FreshStoreOpensEmpty) {
 
 TEST(PersistStoreTest, CheckpointRoundTripIsByteIdentical) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 24; ++id) {
     catalog.Upsert(id * 3,
                    MakeTestCommunity(12 + static_cast<uint32_t>(id % 7), id));
@@ -116,8 +113,7 @@ TEST(PersistStoreTest, CheckpointRoundTripIsByteIdentical) {
 
 TEST(PersistStoreTest, LogTailReplaysOnTopOfSealedSegment) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 10; ++id) {
     catalog.Upsert(id, MakeTestCommunity(16, id));
   }
@@ -147,8 +143,7 @@ TEST(PersistStoreTest, LogTailRefreshingAnIdTwiceReplaysLastWins) {
   // writer refreshed twice appears twice in that batch: the last
   // occurrence must win, exactly as the writer's second Upsert did.
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 10; ++id) {
     catalog.Upsert(id, MakeTestCommunity(16, id));
   }
@@ -172,8 +167,7 @@ TEST(PersistStoreTest, LogTailRefreshingAnIdTwiceReplaysLastWins) {
 
   auto store = Store::Open(options, &error);
   ASSERT_NE(store, nullptr) << error;
-  EncodingCache restored_cache;
-  service::CommunityCatalog restored(CatalogOpts(&restored_cache));
+  service::CommunityCatalog restored(CatalogOpts());
   OpenStats stats;
   ASSERT_TRUE(store->RestoreInto(&restored, &error, &stats)) << error;
   EXPECT_EQ(stats.log_records_replayed, 5u);
@@ -185,8 +179,7 @@ TEST(PersistStoreTest, LogTailRefreshingAnIdTwiceReplaysLastWins) {
 
 TEST(PersistStoreTest, LogOnlyStoreRecoversWithoutAnySegment) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
 
   StoreOptions options;
   options.dir = dir;
@@ -219,8 +212,7 @@ TEST(PersistStoreTest, RestartedLoggingKeepsEarlierSessionsRecords) {
   // the open-time length — a stop/start cycle used to truncate away
   // every record the first session had already fsync-acknowledged.
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
 
   StoreOptions options;
   options.dir = dir;
@@ -250,8 +242,7 @@ TEST(PersistStoreTest, RestartedLoggingKeepsEarlierSessionsRecords) {
     OpenStats stats;
     auto store = Store::Open(reopen, &error, &stats);
     ASSERT_NE(store, nullptr) << error;
-    EncodingCache recovered_cache;
-    service::CommunityCatalog recovered(CatalogOpts(&recovered_cache));
+    service::CommunityCatalog recovered(CatalogOpts());
     ASSERT_TRUE(store->RestoreInto(&recovered, &error, &stats)) << error;
     EXPECT_EQ(stats.log_records_replayed, 5u);  // 4 upserts + 1 remove
   }
@@ -260,8 +251,7 @@ TEST(PersistStoreTest, RestartedLoggingKeepsEarlierSessionsRecords) {
 
 TEST(PersistStoreTest, CheckpointAdvancesGenerationAndDropsOldFiles) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   catalog.Upsert(1, MakeTestCommunity(16, 1));
 
   StoreOptions options;
@@ -302,29 +292,27 @@ std::string ReadFileBytes(const std::string& path) {
 }
 
 TEST(PersistStoreTest, CheckpointSealsEntryArtifactsWhateverTheCacheHolds) {
-  // Same history into two catalogs: one cache holds everything, the
-  // other's budget is far below the catalog's artifacts, so it keeps
-  // evicting them. The segments must not differ by a byte, and sealing
-  // must not rebuild anything (the entries carry their artifacts).
-  EncodingCache unlimited;
-  EncodingCache tight(/*capacity_bytes=*/4096);
-  service::CommunityCatalog roomy_catalog(CatalogOpts(&unlimited));
-  service::CommunityCatalog tight_catalog(CatalogOpts(&tight));
-  for (uint64_t id = 1; id <= 30; ++id) {
-    const Community community =
-        MakeTestCommunity(10 + static_cast<uint32_t>(id % 9), 300 + id);
-    roomy_catalog.Upsert(id, Community(community));
-    tight_catalog.Upsert(id, Community(community));
+  // Same history into two catalogs, one of them configured with a cache
+  // (the catalog ignores it). Both segments carry the entries' own
+  // artifacts and must not differ by a byte; the cache stays empty.
+  EncodingCache cache;
+  service::CommunityCatalog::Options with_cache = CatalogOpts();
+  with_cache.cache = &cache;
+  service::CommunityCatalog cached_catalog(with_cache);
+  service::CommunityCatalog plain_catalog(CatalogOpts());
+  for (service::CommunityCatalog* catalog :
+       {&cached_catalog, &plain_catalog}) {
+    for (uint64_t id = 1; id <= 30; ++id) {
+      catalog->Upsert(id, MakeTestCommunity(
+                              10 + static_cast<uint32_t>(id % 9), 300 + id));
+    }
+    catalog->Upsert(4, Community(*catalog->Get(4).community));  // refresh
+    catalog->Remove(7);
   }
-  roomy_catalog.Remove(7);
-  tight_catalog.Remove(7);
-  ASSERT_GT(tight.GetStats().evictions, 0u);
-  ASSERT_EQ(unlimited.GetStats().evictions, 0u);
 
   std::string paths[2];
-  const service::CommunityCatalog* catalogs[2] = {&roomy_catalog,
-                                                  &tight_catalog};
-  const uint64_t built_before = tight.GetStats().bytes_built;
+  const service::CommunityCatalog* catalogs[2] = {&cached_catalog,
+                                                  &plain_catalog};
   for (int arm = 0; arm < 2; ++arm) {
     StoreOptions options;
     options.dir = FreshDir();
@@ -333,17 +321,149 @@ TEST(PersistStoreTest, CheckpointSealsEntryArtifactsWhateverTheCacheHolds) {
     ASSERT_NE(store, nullptr) << error;
     ASSERT_TRUE(store->Checkpoint(*catalogs[arm], &error)) << error;
     paths[arm] = store->SegmentPath(store->generation());
+    std::string map_error;
+    auto segment = MappedSegment::Map(paths[arm], false, false, &map_error);
+    ASSERT_NE(segment, nullptr) << map_error;
+    EXPECT_NE(segment->header().flags & kSegHasEncodings, 0u);
   }
-  EXPECT_EQ(tight.GetStats().bytes_built, built_before);
-  const std::string roomy_bytes = ReadFileBytes(paths[0]);
-  EXPECT_FALSE(roomy_bytes.empty());
-  EXPECT_TRUE(roomy_bytes == ReadFileBytes(paths[1]));
+  const std::string cached_bytes = ReadFileBytes(paths[0]);
+  EXPECT_FALSE(cached_bytes.empty());
+  EXPECT_TRUE(cached_bytes == ReadFileBytes(paths[1]));
+  const EncodingCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
+  const std::string dir = FreshDir();
+  service::CommunityCatalog catalog(CatalogOpts());
+  for (uint64_t id = 1; id <= 6; ++id) {
+    catalog.Upsert(id, MakeTestCommunity(14, id));
+  }
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  {
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+    // A log tail that rewrites every entry, all but one with unchanged
+    // content: one multi-entry RestoreBatch on the pool at replay.
+    ASSERT_TRUE(store->StartLogging(&catalog, &error)) << error;
+    for (uint64_t id = 1; id <= 6; ++id) {
+      catalog.Upsert(id, id == 4 ? MakeTestCommunity(14, 404)
+                                 : Community(*catalog.Get(id).community));
+    }
+    store->StopLogging(&catalog);
+  }
+
+  // No catalog here has a cache: the warm-parameter check applies to
+  // every catalog, since every one adopts the mapped artifacts.
+  for (const bool other_eps : {true, false}) {
+    service::CommunityCatalog::Options mismatched = CatalogOpts();
+    if (other_eps) {
+      mismatched.warm_eps = 5;
+    } else {
+      mismatched.warm_parts = 2;
+    }
+    service::CommunityCatalog wrong(mismatched);
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    error.clear();
+    EXPECT_FALSE(store->RestoreInto(&wrong, &error));
+    EXPECT_NE(error.find("warm parameters"), std::string::npos) << error;
+    EXPECT_EQ(wrong.size(), 0u);
+  }
+
+  service::CommunityCatalog restored(CatalogOpts());
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
+  EXPECT_TRUE(service::CatalogsIdentical(catalog, restored, /*eps=*/2, kTau));
+  for (const service::CatalogEntry& entry : restored.Snapshot()) {
+    ASSERT_NE(entry.encodings, nullptr);
+    // A view over the mapping owns no heap: the log-tail rewrites with
+    // unchanged content share the segment entries' views; the changed
+    // one built its own.
+    const bool mapped = entry.id != 4;
+    EXPECT_EQ(entry.encodings->encoded_b->MemoryBytes() == 0, mapped);
+    EXPECT_EQ(entry.encodings->encoded_a->MemoryBytes() == 0, mapped);
+    EXPECT_EQ(entry.encodings->window->MemoryBytes() == 0, mapped);
+  }
+
+  // A refresh with unchanged content shares the mapped artifacts; one
+  // with new content builds its own.
+  const service::CatalogEntry mapped = restored.Get(3);
+  restored.Upsert(3, Community(*mapped.community));
+  EXPECT_EQ(restored.Get(3).encodings, mapped.encodings);
+  EXPECT_EQ(restored.Get(3).signature, mapped.signature);
+  restored.Upsert(3, MakeTestCommunity(14, 303));
+  EXPECT_NE(restored.Get(3).encodings, mapped.encodings);
+  EXPECT_GT(restored.Get(3).encodings->encoded_b->MemoryBytes(), 0u);
+}
+
+TEST(PersistStoreTest, RestoreRejectsLogVersionsOutsideTheHorizon) {
+  // A log record's CRC vouches for its bytes, not for its version: one
+  // below the horizon (the segment's next_version, 1 without a segment)
+  // or one whose successor would wrap must fail the restore cleanly,
+  // before anything installs.
+  const Community community = MakeTestCommunity(12, 77);
+  struct Case {
+    bool with_segment;
+    uint64_t version;  ///< 0 = one below the segment's horizon
+    bool valid;
+  };
+  const Case cases[] = {
+      {false, 0, false},          {false, UINT64_MAX, false},
+      {true, 0, false},           {true, UINT64_MAX, false},
+      {false, 1, true},           {true, UINT64_MAX - 1, true},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = FreshDir();
+    StoreOptions options;
+    options.dir = dir;
+    std::string error;
+    uint64_t version = c.version;
+    {
+      auto store = Store::Open(options, &error);
+      ASSERT_NE(store, nullptr) << error;
+      if (c.with_segment) {
+        service::CommunityCatalog catalog(CatalogOpts());
+        for (uint64_t id = 1; id <= 3; ++id) {
+          catalog.Upsert(id, MakeTestCommunity(12, id));
+        }
+        ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+        if (version == 0) version = catalog.latest_version();
+      }
+      LogWriter writer;
+      ASSERT_TRUE(writer.Open(store->LogPath(store->generation()),
+                              store->generation(), 1, 0, nullptr, &error))
+          << error;
+      ASSERT_TRUE(writer.AppendUpsert(9, version, community));
+      writer.Close();
+    }
+    const std::string where = "segment " + std::to_string(c.with_segment) +
+                              " version " + std::to_string(version);
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    service::CommunityCatalog restored(CatalogOpts());
+    error.clear();
+    EXPECT_EQ(store->RestoreInto(&restored, &error), c.valid) << where;
+    if (c.valid) {
+      EXPECT_EQ(restored.Get(9).version, version) << where;
+      EXPECT_EQ(restored.latest_version(), version) << where;
+    } else {
+      EXPECT_NE(error.find("version outside"), std::string::npos)
+          << where << ": " << error;
+      EXPECT_EQ(restored.size(), 0u) << where;
+    }
+  }
 }
 
 TEST(PersistStoreTest, RestoredEntriesAreCopyOnWriteOverTheMapping) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   catalog.Upsert(5, MakeTestCommunity(16, 5));
   catalog.Upsert(6, MakeTestCommunity(16, 6));
 
@@ -356,8 +476,7 @@ TEST(PersistStoreTest, RestoredEntriesAreCopyOnWriteOverTheMapping) {
     ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
   }
 
-  EncodingCache restored_cache;
-  service::CommunityCatalog restored(CatalogOpts(&restored_cache));
+  service::CommunityCatalog restored(CatalogOpts());
   auto store = Store::Open(options, &error);
   ASSERT_NE(store, nullptr) << error;
   ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
@@ -389,8 +508,7 @@ TEST(PersistStoreTest, RestoredEntriesAreCopyOnWriteOverTheMapping) {
 
 TEST(PersistStoreTest, RestoreRejectsMismatchedWarmParameters) {
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   catalog.Upsert(1, MakeTestCommunity(16, 1));
 
   StoreOptions options;
@@ -404,8 +522,7 @@ TEST(PersistStoreTest, RestoreRejectsMismatchedWarmParameters) {
 
   // A reader configured for different warm parameters must be refused:
   // the segment's encoded artifacts were built for (eps=2, parts=4).
-  EncodingCache other_cache;
-  service::CommunityCatalog::Options mismatched = CatalogOpts(&other_cache);
+  service::CommunityCatalog::Options mismatched = CatalogOpts();
   mismatched.warm_eps = 3;
   service::CommunityCatalog wrong(mismatched);
   auto store = Store::Open(options, &error);
@@ -419,8 +536,7 @@ TEST(PersistStoreTest, RestoreRejectsCorruptVersionColumnGracefully) {
   // value must surface as the graceful "run csj_fsck" shape error, not
   // abort inside RestoreBatch.
   const std::string dir = FreshDir();
-  EncodingCache cache;
-  service::CommunityCatalog catalog(CatalogOpts(&cache));
+  service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 4; ++id) {
     catalog.Upsert(id, MakeTestCommunity(12, id));
   }
@@ -455,8 +571,7 @@ TEST(PersistStoreTest, RestoreRejectsCorruptVersionColumnGracefully) {
 
   auto store = Store::Open(options, &error);
   ASSERT_NE(store, nullptr) << error;
-  EncodingCache restored_cache;
-  service::CommunityCatalog restored(CatalogOpts(&restored_cache));
+  service::CommunityCatalog restored(CatalogOpts());
   EXPECT_FALSE(store->RestoreInto(&restored, &error));
   EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
 }

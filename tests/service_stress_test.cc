@@ -35,7 +35,6 @@ TEST(ServiceStressTest, CatalogChurnVersusQueriesAndLiveSessions) {
   EncodingCache cache;
   CommunityCatalog::Options catalog_options;
   catalog_options.shards = 4;
-  catalog_options.cache = &cache;
   CommunityCatalog catalog(catalog_options);
   constexpr uint32_t kIds = 12;
   for (uint64_t id = 1; id <= kIds; ++id) {
@@ -145,7 +144,6 @@ TEST(ServiceStressTest, ServerUnderConcurrentMixedLoad) {
   CsjServer::Options options;
   options.workers = 3;
   options.queue_capacity = 4;  // small: admission control must fire
-  options.catalog.cache = &cache;
   CsjServer server(options);
 
   WorkloadOptions workload_options;

@@ -263,26 +263,26 @@ TEST(TopKServiceTest, ExpiredDeadlineReturnsFlaggedPartial) {
 
 // ---- Entry artifacts vs the per-couple path --------------------------
 
-/// One catalog of the entry-artifact differential. Without a cache the
-/// entries carry no artifacts and every couple takes the per-couple path.
+/// One catalog of the entry-artifact differential, with the cache its
+/// queries hand to JoinOptions::cache (null for none).
 struct Arm {
   std::unique_ptr<EncodingCache> cache;
   std::unique_ptr<CommunityCatalog> catalog;
 };
 
 constexpr Epsilon kWarmEps = 2;
+/// A warm eps no query of the differential uses: that catalog's entries
+/// never serve a couple, so it is the per-couple reference.
+constexpr Epsilon kOtherWarmEps = 5;
 
 Arm MakeArm(const std::vector<Community>& entries, uint32_t shards,
-            bool with_cache, size_t cache_bytes) {
+            Epsilon warm_eps, bool with_cache, size_t cache_bytes) {
   Arm arm;
   CommunityCatalog::Options options;
   options.shards = shards;
-  options.warm_eps = kWarmEps;
+  options.warm_eps = warm_eps;
   options.signatures = SignatureOptions{};
-  if (with_cache) {
-    arm.cache = std::make_unique<EncodingCache>(cache_bytes);
-    options.cache = arm.cache.get();
-  }
+  if (with_cache) arm.cache = std::make_unique<EncodingCache>(cache_bytes);
   arm.catalog = std::make_unique<CommunityCatalog>(options);
   for (size_t i = 0; i < entries.size(); ++i) {
     arm.catalog->Upsert(i + 1, Community(entries[i]));
@@ -349,20 +349,23 @@ TEST(TopKServiceTest, EntryArtifactsMatchThePerCouplePath) {
     queries.push_back(entries[3]);  // a query equal to a catalog entry
 
     const uint32_t shards = shard_counts[s % 3];
-    const Arm plain = MakeArm(entries, shards, /*with_cache=*/false, 0);
-    const Arm warm = MakeArm(entries, shards, /*with_cache=*/true, 0);
-    // A budget far below one entry's artifacts: the cache keeps almost
-    // nothing, the entries keep everything.
-    const Arm tight = MakeArm(entries, shards, /*with_cache=*/true, 2048);
-    ASSERT_GT(tight.cache->GetStats().evictions, 0u);
-    const TopKSimilarService plain_service(plain.catalog.get());
+    const Arm reference = MakeArm(entries, shards, kOtherWarmEps,
+                                  /*with_cache=*/false, 0);
+    const Arm plain =
+        MakeArm(entries, shards, kWarmEps, /*with_cache=*/false, 0);
+    const Arm warm = MakeArm(entries, shards, kWarmEps, /*with_cache=*/true, 0);
+    // A budget far below one couple's encodings: off the warm eps the
+    // per-couple path keeps evicting what it builds.
+    const Arm tight =
+        MakeArm(entries, shards, kWarmEps, /*with_cache=*/true, 2048);
+    const TopKSimilarService reference_service(reference.catalog.get());
 
     for (size_t q = 0; q < queries.size(); ++q) {
       for (const Method method : methods) {
         for (const uint32_t k : {1u, 3u, 10u}) {
           for (const bool prescreen : {false, true}) {
             // eps 3 differs from the warm eps: the per-couple path serves
-            // both arms, through the cache on the warm ones.
+            // every arm, through the cache on the arms that have one.
             for (const Epsilon eps : {kWarmEps, Epsilon{3}}) {
               TopKOptions options;
               options.k = k;
@@ -374,20 +377,23 @@ TEST(TopKServiceTest, EntryArtifactsMatchThePerCouplePath) {
                 options.query_threads = 4;
                 options.batch_size = 2;
               }
-              const TopKResult want = plain_service.Query(queries[q], options);
+              const TopKResult want =
+                  reference_service.Query(queries[q], options);
               const std::string where =
                   "scenario " + std::to_string(s) + " query " +
                   std::to_string(q) + " " + MethodName(method) + " k " +
                   std::to_string(k) + " prescreen " +
                   std::to_string(prescreen) + " eps " + std::to_string(eps);
-              for (const Arm* arm : {&warm, &tight}) {
+              for (const Arm* arm : {&plain, &warm, &tight}) {
                 options.join.cache = arm->cache.get();
-                const EncodingCache::Stats before = arm->cache->GetStats();
+                const EncodingCache::Stats before =
+                    arm->cache == nullptr ? EncodingCache::Stats{}
+                                          : arm->cache->GetStats();
                 const TopKResult got =
                     TopKSimilarService(arm->catalog.get())
                         .Query(queries[q], options);
                 ExpectSameAnswer(got, want, where);
-                if (eps == kWarmEps) {
+                if (eps == kWarmEps && arm->cache != nullptr) {
                   // The entries' artifacts and the query's own encodings
                   // served every couple: the cache saw no lookup at all.
                   const EncodingCache::Stats after = arm->cache->GetStats();
@@ -404,6 +410,8 @@ TEST(TopKServiceTest, EntryArtifactsMatchThePerCouplePath) {
         }
       }
     }
+    EXPECT_GT(warm.cache->GetStats().misses, 0u);  // eps 3 went through it
+    EXPECT_GT(tight.cache->GetStats().evictions, 0u);
   }
   EXPECT_EQ(compared, 6u * 4 * 2 * 3 * 2 * 2);
   EXPECT_GT(bound_skipped, 0u);  // the cutoff fired, so the bounds mattered
@@ -414,7 +422,7 @@ TEST(TopKServiceTest, AdHocQueriesLeaveTheEncodingCacheUnchanged) {
   data::VkLikeGenerator gen(data::Category::kMusic);
   const Community anchor = data::MakeCommunity(gen, 20, rng);
   const Arm arm = MakeArm(SeededEntries(9301, anchor, 24), /*shards=*/4,
-                          /*with_cache=*/true, /*cache_bytes=*/0);
+                          kWarmEps, /*with_cache=*/true, /*cache_bytes=*/0);
   const EncodingCache::Stats before = arm.cache->GetStats();
 
   const TopKSimilarService service(arm.catalog.get());
@@ -446,7 +454,7 @@ TEST(TopKServiceTest, ConcurrentQueriesShareEntryArtifacts) {
         gen, static_cast<uint32_t>(rng.Between(14, 24)), rng));
   }
   const Arm arm = MakeArm(SeededEntries(9401, queries[0], 30), /*shards=*/4,
-                          /*with_cache=*/true, /*cache_bytes=*/0);
+                          kWarmEps, /*with_cache=*/false, /*cache_bytes=*/0);
   const TopKSimilarService service(arm.catalog.get());
   TopKOptions options;
   options.k = 4;
@@ -487,9 +495,7 @@ TEST(TopKServiceTest, ReachBoundRefinesAFewCouplesOnAPrescreenCatalog) {
   shape.eps = 1;
   shape.seed = testing::TestSeed(9500);
   const ServeWorkload workload(shape);
-  EncodingCache cache(0);
   CommunityCatalog::Options catalog_options;
-  catalog_options.cache = &cache;
   catalog_options.warm_eps = shape.eps;
   catalog_options.signatures = SignatureOptions{};
   CommunityCatalog catalog(catalog_options);

@@ -177,8 +177,8 @@ echo "prescreen smoke gate passed: ${prescreen_small_json} ${prescreen_large_jso
 
 # populate_smoke: the bulk-load ingestion pipeline on the same 100k
 # scenario. csj_serve populates one arm, replays the OTHER arm into a
-# scratch server with its own cold cache, deep-compares the two catalogs
-# (entries, versions, digests, sketch tables, probe verdicts), and
+# fresh scratch server, deep-compares the two catalogs (entries,
+# versions, digests, MinMax artifacts, sketch tables, probe verdicts), and
 # reports the wall-clock ratio. State identity is a hard gate (csj_serve
 # also exits non-zero itself on a mismatch); the >= 2x speedup claim is a
 # timing measurement on a shared CI box, so a miss is retried ONCE on a
@@ -286,9 +286,10 @@ echo "evolve smoke gate passed: ${evolve_json}"
 # persist_smoke: the memory-mapped store end to end on the same 100k
 # scenario. csj_serve populates, logs the serve loop's churn into the
 # store, folds it into a sealed generation, then cold-reopens and
-# restores into a scratch catalog with its own cold cache; the restored
-# state must deep-compare identical (entries, versions, digests, sketch
-# tables, probe verdicts) and the warm load must beat a fresh populate
+# restores into a fresh scratch catalog, whose entries' artifacts must
+# come from the segment; the restored state must deep-compare identical
+# (entries, versions, digests, MinMax artifacts, sketch tables, probe
+# verdicts) and the warm load must beat a fresh populate
 # by >= 5x. Identity is a hard gate (csj_serve also exits non-zero
 # itself on a mismatch); the speedup claim is a timing measurement on a
 # shared CI box, so a miss is retried ONCE on a fresh run before

@@ -27,7 +27,9 @@
 # the persistent store (persist_crash_test: concurrent upsert/remove
 # writers stream through the durable-log sink inside the shard critical
 # sections while the LogWriter serializes appends on its own mutex, then
-# the recovered state must match the live catalog byte for byte).
+# the recovered state must match the live catalog byte for byte, and
+# persist_test: restored entries hand their mapped artifacts to same-
+# content refreshes that run on pool threads).
 # Configures a dedicated build tree with CSJ_ENABLE_TSAN=ON and runs the
 # relevant test binaries under TSAN.
 #
@@ -46,11 +48,11 @@ cmake --build "${build_dir}" -j \
            catalog_test bulk_load_test topk_service_test \
            service_stress_test signature_test prescreen_test \
            request_queue_test result_cache_test net_test evolve_stress_test \
-           persist_crash_test
+           persist_crash_test persist_test
 
 # halt_on_error: any race fails the gate immediately.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${build_dir}" --output-on-failure -j 1 \
-        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash'
+        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore'
 
 echo "TSAN gate passed."

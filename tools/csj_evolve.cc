@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
 
   csj::EncodingCache cache;
   csj::service::CommunityCatalog::Options catalog_options;
-  catalog_options.cache = &cache;
   catalog_options.warm_eps = drift.base.eps;
   catalog_options.mutation_log_capacity = std::max<size_t>(
       1, static_cast<size_t>(flags.GetInt("log_capacity")));
@@ -379,11 +378,7 @@ int main(int argc, char** argv) {
                      store_error.c_str());
         return 1;
       }
-      csj::EncodingCache scratch_cache;
-      csj::service::CommunityCatalog::Options scratch_options =
-          catalog_options;
-      scratch_options.cache = &scratch_cache;
-      csj::service::CommunityCatalog scratch(scratch_options);
+      csj::service::CommunityCatalog scratch(catalog_options);
       rusage faults_before{};
       rusage faults_after{};
       getrusage(RUSAGE_SELF, &faults_before);

@@ -1,7 +1,7 @@
 // csj_serve — closed-loop load driver for the serving subsystem.
 //
-// Boots a CsjServer (sharded catalog + warmed encoding cache + bounded
-// request queue + worker crew), populates it with a seeded brand catalog,
+// Boots a CsjServer (sharded catalog whose entries carry their MinMax
+// artifacts + bounded request queue + worker crew), populates it with a seeded brand catalog,
 // then replays a deterministic request mix (top-k reads with uniform or
 // zipf-skewed query popularity, plus upsert/remove churn) from N
 // closed-loop client threads. Reports throughput and p50/p95/p99 latency
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
                "path (false: per-entry Upsert reference arm)");
   flags.Define("populate_compare", "false",
                "also populate a scratch server through the OTHER arm "
-               "(own cold cache), deep-verify byte-identical catalog + "
+               "(own catalog), deep-verify byte-identical catalog + "
                "index state, and record the bulk-vs-sequential speedup");
   flags.Define("compare", "0",
                "after the closed loop, run N queries through BOTH arms "
@@ -221,7 +221,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The serving cache: entries warmed at Upsert, hit by every query.
+  // The ad-hoc join cache: couples the entries' own artifacts do not
+  // serve (another eps or method) build their encodings here.
   csj::EncodingCache cache;
 
   csj::service::CsjServer::Options server_options;
@@ -229,7 +230,6 @@ int main(int argc, char** argv) {
       std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("workers")));
   server_options.queue_capacity = std::max<size_t>(
       1, static_cast<size_t>(flags.GetInt("queue_capacity")));
-  server_options.catalog.cache = &cache;
   server_options.catalog.warm_eps =
       static_cast<csj::Epsilon>(flags.GetInt("eps"));
   server_options.result_cache = use_result_cache;
@@ -370,18 +370,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The bulk-vs-sequential gate: a scratch server with its own COLD
-  // cache runs the other arm (both arms must pay the same builds for an
-  // honest speedup), then both catalog + index states are deep-compared.
+  // The bulk-vs-sequential gate: a scratch server runs the other arm
+  // (both arms build every entry's artifacts, for an honest speedup),
+  // then both catalog + index states are deep-compared.
   csj::service::ServeWorkload::PopulateStats other_stats;
   bool populate_identical = true;
   double populate_speedup = 0.0;
   bool populate_speedup_ok = false;
   if (populate_compare) {
-    csj::EncodingCache scratch_cache;
-    csj::service::CsjServer::Options scratch_options = server_options;
-    scratch_options.catalog.cache = &scratch_cache;
-    csj::service::CsjServer scratch(scratch_options);
+    csj::service::CsjServer scratch(server_options);
     if (bulk_load) {
       workload.PopulateSequential(&scratch, &other_stats);
     } else {
@@ -614,7 +611,7 @@ int main(int argc, char** argv) {
   // The persistence gate: quiesce the log, fold the loop's churn into a
   // fresh sealed generation, then open the SAME directory through a cold
   // store handle and prove the restored catalog is byte-identical to the
-  // live one (snapshots, versions, cache residency, index layout) — and
+  // live one (snapshots, versions, MinMax artifacts, index layout) — and
   // that the warm load beats the fresh populate by >= 5x.
   bool persist_identical = true;
   bool persist_speedup_ok = true;
@@ -642,13 +639,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "store re-open failed: %s\n", store_error.c_str());
       return 1;
     }
-    // The scratch catalog gets its own COLD cache: warm-load residency
-    // must come from the segment, not from the live server's cache.
-    csj::EncodingCache scratch_cache;
-    csj::service::CommunityCatalog::Options scratch_options =
-        server_options.catalog;
-    scratch_options.cache = &scratch_cache;
-    csj::service::CommunityCatalog scratch(scratch_options);
+    // A fresh scratch catalog: its entries' artifacts must come from the
+    // segment's mapped columns, not from the live server's entries.
+    csj::service::CommunityCatalog scratch(server_options.catalog);
     rusage faults_before{};
     rusage faults_after{};
     getrusage(RUSAGE_SELF, &faults_before);

@@ -158,8 +158,8 @@ std::unique_ptr<Store> Store::Open(StoreOptions options, std::string* error,
 
   if (store->generation_ >= 1) {
     store->segment_ = MappedSegment::Map(
-        store->SegmentPath(store->generation_), store->options_.use_madvise,
-        store->options_.use_hugepages, error);
+        store->SegmentPath(store->generation_), /*willneed=*/true,
+        /*hugepages=*/true, error);
     if (store->segment_ == nullptr) return nullptr;
   }
   if (stats != nullptr) {
@@ -727,10 +727,10 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
       }
     }
   }
-  // Remap so a same-process RestoreInto (populate-compare, tests) reads
-  // the generation just sealed.
-  segment_ = MappedSegment::Map(segment_path, options_.use_madvise,
-                                options_.use_hugepages, error);
+  // Remap so a later RestoreInto through this handle reads the
+  // generation just sealed.
+  segment_ = MappedSegment::Map(segment_path, /*willneed=*/true,
+                                /*hugepages=*/true, error);
   if (segment_ == nullptr) return false;
 
   if (stats != nullptr) {

@@ -13,11 +13,9 @@
 namespace csj::persist {
 
 struct StoreOptions {
-  /// Store directory; created (one level) when absent.
+  /// Store directory; created (one level) when absent. Mapped segments
+  /// always get the MADV_WILLNEED and MADV_HUGEPAGE hints.
   std::string dir;
-  /// madvise hints applied to mapped segments (see MappedSegment::Map).
-  bool use_madvise = true;
-  bool use_hugepages = true;
   /// fsync barrier cadence of the mutation log (records per barrier; 1
   /// makes every mutation durable before its shard lock is released).
   size_t log_sync_every = 1;
@@ -109,7 +107,8 @@ class Store {
   uint64_t generation() const { return generation_; }
   /// True when the store holds restorable state — a sealed segment or a
   /// non-empty log tail (e.g. a store that crashed before its first
-  /// checkpoint). Drives the --warm_restart populate-or-restore choice.
+  /// checkpoint). Drives csj_serve's --warm_restart populate-or-restore
+  /// choice.
   bool has_data() const {
     return generation_ >= 1 || !log_image_.records.empty();
   }

@@ -20,9 +20,9 @@ namespace csj::service {
 /// bounded history, not state — a restored catalog starts with an empty
 /// journal and consumers resynchronize via mutation_seq() cursors.
 ///
-/// This is the identity oracle shared by `csj_serve --populate_compare`,
-/// the persist differential gates (`--persist_compare`, crash-injection
-/// tests) and the bulk-load tests.
+/// This is the identity oracle shared by the bulk-load tests, the
+/// persist tests (round trip, crash injection, a drifted catalog restored
+/// from checkpoints and log replay) and perfbench's cold-reopen check.
 bool CatalogsIdentical(const CommunityCatalog& lhs,
                        const CommunityCatalog& rhs, Epsilon eps,
                        double threshold);

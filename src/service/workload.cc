@@ -109,30 +109,10 @@ void ServeWorkload::Populate(CsjServer* server, PopulateStats* stats) const {
   CommunityCatalog::BulkLoadStats bulk_stats;
   server->catalog().BulkLoad(std::move(batch), &bulk_stats);
   if (stats != nullptr) {
-    stats->bulk = true;
     stats->entries = n;
     stats->encode_seconds = bulk_stats.encode_seconds;
     stats->sketch_seconds = bulk_stats.sketch_seconds;
     stats->install_seconds = bulk_stats.install_seconds;
-    stats->total_seconds = timer.Seconds();
-    stats->entries_per_sec =
-        stats->total_seconds > 0 ? n / stats->total_seconds : 0.0;
-  }
-}
-
-void ServeWorkload::PopulateSequential(CsjServer* server,
-                                       PopulateStats* stats) const {
-  util::Timer timer;
-  const uint32_t n = static_cast<uint32_t>(communities_.size());
-  // One Upsert per entry in ascending-id order: concurrent Upserts would
-  // take versions in thread-interleaving order, which no BulkLoad (and
-  // no rerun) reproduces.
-  for (uint32_t i = 0; i < n; ++i) {
-    server->catalog().Upsert(i + 1, Community(*communities_[i]));
-  }
-  if (stats != nullptr) {
-    stats->bulk = false;
-    stats->entries = n;
     stats->total_seconds = timer.Seconds();
     stats->entries_per_sec =
         stats->total_seconds > 0 ? n / stats->total_seconds : 0.0;

@@ -81,10 +81,8 @@ class ServeWorkload {
   std::shared_ptr<const Community> MintAgainstAnchor(
       util::Rng& rng, uint64_t* anchor_id = nullptr) const;
 
-  /// Per-phase populate accounting (BulkLoad phases are zero for the
-  /// sequential arm, which has no phase boundaries to time).
+  /// Per-phase populate accounting (the BulkLoad phases plus wall time).
   struct PopulateStats {
-    bool bulk = false;
     uint32_t entries = 0;
     double total_seconds = 0.0;
     double encode_seconds = 0.0;
@@ -94,15 +92,10 @@ class ServeWorkload {
   };
 
   /// Installs the seeded entries into `server` (id i+1 <- communities()[i])
-  /// through CommunityCatalog::BulkLoad — byte-identical end state to the
-  /// sequential arm below, at a fraction of the per-entry cost.
+  /// through CommunityCatalog::BulkLoad — byte-identical end state to one
+  /// Upsert per entry in ascending-id order (BulkLoadTest pins this), at
+  /// a fraction of the per-entry cost.
   void Populate(CsjServer* server, PopulateStats* stats = nullptr) const;
-
-  /// The per-entry Upsert reference arm (what Populate did before bulk
-  /// ingestion existed). Kept callable for the bulk-vs-sequential
-  /// identity gates and the populate speedup benchmark.
-  void PopulateSequential(CsjServer* server,
-                          PopulateStats* stats = nullptr) const;
 
   /// Mints the next request of the mix. `topk_template` supplies the
   /// read-side parameters (k, method, join options — point join.cache at

@@ -22,6 +22,10 @@ bool IsNumber(const std::string& value) {
   return end == value.c_str() + value.size();
 }
 
+bool IsNegative(const std::string& number) {
+  return std::strtod(number.c_str(), nullptr) < 0.0;
+}
+
 }  // namespace
 
 void Flags::Define(const std::string& name, const std::string& default_value,
@@ -87,6 +91,14 @@ bool Flags::Parse(int argc, char** argv) {
       std::fprintf(stderr, "flag --%s: '%s' is not a %s\n", name.c_str(),
                    value.c_str(),
                    spec.type == Type::kBool ? "boolean" : "number");
+      return false;
+    }
+    // Counts, sizes and rates default to non-negative values, and callers
+    // cast them to unsigned: a negative one would wrap to a huge budget.
+    if (spec.type == Type::kNumber && IsNegative(value) &&
+        !IsNegative(spec.default_value)) {
+      std::fprintf(stderr, "flag --%s: '%s' must not be negative\n",
+                   name.c_str(), value.c_str());
       return false;
     }
     spec.value = value;

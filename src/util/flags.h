@@ -12,8 +12,9 @@ namespace csj::util {
 /// bench and example binaries. A flag's default fixes its type: `true` /
 /// `false` make it a boolean, a number makes it numeric, anything else a
 /// string. A bare boolean `--name` means true and leaves a following
-/// `--…` token alone. Unknown flags and values that do not fully parse as
-/// the flag's type are errors, so typos in experiment invocations fail
+/// `--…` token alone. Unknown flags, values that do not fully parse as
+/// the flag's type, and negative values of a numeric flag whose default
+/// is non-negative are errors, so typos in experiment invocations fail
 /// loudly instead of silently running another configuration.
 class Flags {
  public:

@@ -5,9 +5,13 @@
 // three k values. Trigger events are cross-checked against the observed
 // fresh-ranking diffs at the same points: a trigger fires exactly when
 // the ranked (id, similarity) sequence moved — no missed, no spurious.
+// A drifted catalog must also survive the durable store: checkpoints at
+// quiesce points plus the mutation log restore it byte-identically.
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,7 +22,9 @@
 #include "core/method.h"
 #include "evolve/drift.h"
 #include "evolve/maintainer.h"
+#include "persist/store.h"
 #include "service/catalog.h"
+#include "service/deep_compare.h"
 #include "service/topk.h"
 #include "test_seed.h"
 
@@ -281,6 +287,97 @@ TEST(EvolveDifferentialTest, PrescreenFallbackIdentity) {
   const auto stats = maintainer.GetStats();
   EXPECT_EQ(stats.fast_paths, 0u);
   EXPECT_GT(stats.fallbacks, 0u);
+}
+
+/// Cold-opens the store in `dir` and restores it into a fresh catalog
+/// configured like `live`; the result must deep-compare identical to
+/// `live` (entries, versions, digests, MinMax artifacts, sketch layout).
+void ExpectRestoresIdentical(const std::string& dir,
+                             const service::CommunityCatalog& live,
+                             persist::OpenStats* stats) {
+  persist::StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  auto store = persist::Store::Open(options, &error, stats);
+  ASSERT_NE(store, nullptr) << error;
+  service::CommunityCatalog restored(live.options());
+  ASSERT_TRUE(store->RestoreInto(&restored, &error, stats)) << error;
+  EXPECT_EQ(restored.size(), live.size());
+  EXPECT_EQ(restored.latest_version(), live.latest_version());
+  EXPECT_TRUE(service::CatalogsIdentical(live, restored,
+                                         live.options().warm_eps,
+                                         /*threshold=*/0.1));
+}
+
+/// The drift replayer against a durable store, checkpointing the way a
+/// long-running evolution driver does: seal the base catalog, log every
+/// quiesced epoch, checkpoint (log attached) at some quiesce points, and
+/// stop logging before the final checkpoint. A cold restore mid-run
+/// (sealed segment + log tail, as after a crash) and at the end must both
+/// bring back the drifted catalog byte-identically.
+TEST(EvolveDifferentialTest, DriftedCatalogSurvivesCheckpointAndLogReplay) {
+  DriftOptions drift;
+  drift.base.catalog_size = 20;
+  drift.base.community_size = 24;
+  drift.base.cluster_size = 4;
+  drift.base.eps = 1;
+  drift.base.seed = testing::TestSeed(41) % 100000 + 1;
+  drift.events = 96;
+  drift.quiesce_every = 12;
+  drift.seed = drift.base.seed * 7 + 5;
+  DriftModel model(drift);
+
+  EncodingCache cache;
+  service::CommunityCatalog::Options catalog_options;
+  catalog_options.warm_eps = drift.base.eps;
+  catalog_options.signatures = SignatureOptions{};
+  service::CommunityCatalog catalog(catalog_options);
+  DriftReplayer::Options replay;
+  replay.session_join.eps = drift.base.eps;
+  replay.session_join.cache = &cache;
+  DriftReplayer replayer(&model, &catalog, replay);
+
+  std::string dir = ::testing::TempDir() + "csj_evolve_store_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  persist::StoreOptions store_options;
+  store_options.dir = dir;
+  std::string error;
+  auto store = persist::Store::Open(store_options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+  ASSERT_TRUE(store->StartLogging(&catalog, &error)) << error;
+
+  // Epochs end at quiesce points, so every epoch boundary may checkpoint;
+  // the mid-run restore lands one epoch after a checkpoint, on a log tail.
+  constexpr uint32_t kCheckpointEvery = 3;
+  constexpr uint32_t kMidRunEpoch = 4;
+  ASSERT_GT(model.epochs(), kMidRunEpoch + 1);
+  uint64_t births = 0;
+  uint64_t deaths = 0;
+  for (uint32_t e = 0; e < model.epochs(); ++e) {
+    const EpochStats epoch = replayer.ApplyEpoch(e);
+    births += epoch.births;
+    deaths += epoch.deaths;
+    if ((e + 1) % kCheckpointEvery == 0 && e + 1 != model.epochs()) {
+      ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+    }
+    if (e == kMidRunEpoch) {
+      SCOPED_TRACE("mid-run restore");
+      persist::OpenStats mid;
+      ExpectRestoresIdentical(dir, catalog, &mid);
+      EXPECT_GE(mid.generation, 2u) << "no mid-run checkpoint sealed";
+      EXPECT_GT(mid.log_records_replayed, 0u) << "no log tail to replay";
+    }
+  }
+  EXPECT_GT(births, 0u) << "the trace never birthed a community";
+  EXPECT_GT(deaths, 0u) << "the trace never killed a community";
+
+  store->StopLogging(&catalog);
+  ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+  SCOPED_TRACE("final restore");
+  persist::OpenStats final_stats;
+  ExpectRestoresIdentical(dir, catalog, &final_stats);
+  EXPECT_EQ(final_stats.segment_entries, catalog.size());
 }
 
 }  // namespace

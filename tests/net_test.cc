@@ -4,7 +4,8 @@
 // enum values, mid-frame EOF) and the roundtrip contracts (chunked
 // feeds, multi-frame buffers, double BIT patterns surviving the wire).
 // Loopback tests then prove the end-to-end identity — a top-k answered
-// over TCP is byte-identical to the direct in-process query — plus
+// over TCP, computed or served from the result cache, is byte-identical
+// to the direct in-process query — plus
 // admission control (kRejected frames for shed requests) and the
 // drop-on-broken-framing connection policy.
 
@@ -367,47 +368,61 @@ bool SendAll(int fd, const std::vector<uint8_t>& bytes) {
 TEST(NetLoopback, TopKOverTcpIsByteIdenticalToDirectQuery) {
   const service::ServeWorkload workload(
       LoopbackWorkload(csj::testing::TestSeed(0x4E7)));
-  service::CsjServer server(service::CsjServer::Options{});
-  workload.Populate(&server);
+  // The result-cache arm asks every query twice: the first answer is
+  // computed, the second is a cache hit that crosses the same wire.
+  for (const bool result_cache : {false, true}) {
+    SCOPED_TRACE(result_cache ? "result cache on" : "result cache off");
+    service::CsjServer::Options server_options;
+    server_options.result_cache = result_cache;
+    service::CsjServer server(server_options);
+    workload.Populate(&server);
 
-  NetServer::Options net_options;
-  NetServer net_server(&server, net_options);
-  std::unique_ptr<NetClient> client =
-      NetClient::Connect("127.0.0.1", net_server.port());
-  ASSERT_NE(client, nullptr);
+    NetServer::Options net_options;
+    NetServer net_server(&server, net_options);
+    std::unique_ptr<NetClient> client =
+        NetClient::Connect("127.0.0.1", net_server.port());
+    ASSERT_NE(client, nullptr);
 
-  service::TopKOptions topk;
-  topk.k = 5;
-  for (const std::shared_ptr<const Community>& community :
-       workload.communities()) {
-    const service::TopKResult reference =
-        server.topk().Query(*community, topk);
+    const int rounds = result_cache ? 2 : 1;
+    service::TopKOptions topk;
+    topk.k = 5;
+    for (const std::shared_ptr<const Community>& community :
+         workload.communities()) {
+      const service::TopKResult reference =
+          server.topk().Query(*community, topk);
 
-    WireRequest request;
-    request.kind = service::RequestKind::kTopK;
-    request.k = 5;
-    request.community = community;
-    WireResponse response;
-    ASSERT_TRUE(client->Call(request, &response));
-    ASSERT_EQ(response.status, service::ServeStatus::kOk);
-    // Byte identity across serialization: same (id, version) and the
-    // same similarity BIT patterns (TopKEntry::operator== compares
-    // doubles by value; the bit check below is the stronger claim).
-    ASSERT_EQ(response.entries.size(), reference.entries.size());
-    for (size_t i = 0; i < reference.entries.size(); ++i) {
-      EXPECT_EQ(response.entries[i].id, reference.entries[i].id);
-      EXPECT_EQ(response.entries[i].version, reference.entries[i].version);
-      EXPECT_EQ(std::bit_cast<uint64_t>(response.entries[i].similarity),
-                std::bit_cast<uint64_t>(reference.entries[i].similarity));
+      WireRequest request;
+      request.kind = service::RequestKind::kTopK;
+      request.k = 5;
+      request.community = community;
+      for (int round = 0; round < rounds; ++round) {
+        WireResponse response;
+        ASSERT_TRUE(client->Call(request, &response));
+        ASSERT_EQ(response.status, service::ServeStatus::kOk);
+        EXPECT_EQ(response.cache_hit, round == 1) << "round " << round;
+        // Byte identity across serialization: same (id, version) and the
+        // same similarity BIT patterns (TopKEntry::operator== compares
+        // doubles by value; the bit check below is the stronger claim).
+        ASSERT_EQ(response.entries.size(), reference.entries.size());
+        for (size_t i = 0; i < reference.entries.size(); ++i) {
+          EXPECT_EQ(response.entries[i].id, reference.entries[i].id);
+          EXPECT_EQ(response.entries[i].version,
+                    reference.entries[i].version);
+          EXPECT_EQ(std::bit_cast<uint64_t>(response.entries[i].similarity),
+                    std::bit_cast<uint64_t>(reference.entries[i].similarity));
+        }
+        EXPECT_NE(response.state_version, 0u);
+      }
     }
-    EXPECT_NE(response.state_version, 0u);
-  }
 
-  net_server.Shutdown();
-  const NetServer::Stats stats = net_server.GetStats();
-  EXPECT_EQ(stats.decode_errors, 0u);
-  EXPECT_EQ(stats.frames_decoded, workload.communities().size());
-  EXPECT_EQ(stats.frames_sent, workload.communities().size());
+    net_server.Shutdown();
+    const NetServer::Stats stats = net_server.GetStats();
+    const uint64_t calls = workload.communities().size() *
+                           static_cast<uint64_t>(rounds);
+    EXPECT_EQ(stats.decode_errors, 0u);
+    EXPECT_EQ(stats.frames_decoded, calls);
+    EXPECT_EQ(stats.frames_sent, calls);
+  }
 }
 
 TEST(NetLoopback, UpsertAndRemoveOverTcp) {

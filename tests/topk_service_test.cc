@@ -506,6 +506,9 @@ TEST(TopKServiceTest, ReachBoundRefinesAFewCouplesOnAPrescreenCatalog) {
 
   uint64_t admissible = 0;
   uint64_t refined = 0;
+  uint64_t probed = 0;
+  uint64_t skipped = 0;
+  uint64_t fallbacks = 0;
   util::Rng rng(testing::TestSeed(9501));
   for (int q = 0; q < 24; ++q) {
     const Community& query = *workload.communities()[rng.Below(
@@ -526,11 +529,20 @@ TEST(TopKServiceTest, ReachBoundRefinesAFewCouplesOnAPrescreenCatalog) {
     EXPECT_EQ(walked.stats.admissible, want.stats.admissible) << where;
     admissible += walked.stats.admissible;
     refined += walked.stats.refined;
+    probed += screened.stats.prescreen_probed;
+    skipped += screened.stats.prescreen_skipped;
+    fallbacks += screened.stats.fallback;
   }
   // The interval bound on encoded totals refined ~100% of admissible
   // couples here; the reach bound refines little beyond the top-k.
   EXPECT_LE(refined * 20, admissible)
       << "refined " << refined << " of " << admissible << " admissible";
+  // The prescreen's structural claims at this shape: the sweep admits
+  // under 10% of the catalog to the exact path (~4% measured), and every
+  // top-k certifies from its candidates without the exhaustive fallback.
+  EXPECT_LT(probed * 10, probed + skipped)
+      << "probed " << probed << " of " << probed + skipped << " swept";
+  EXPECT_EQ(fallbacks, 0u);
 }
 
 }  // namespace

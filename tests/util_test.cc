@@ -318,7 +318,6 @@ TEST(FlagsTest, RejectsValuesThatDoNotParseAsTheDefaultsType) {
     return flags.Parse(2, const_cast<char**>(argv));
   };
   EXPECT_TRUE(parses("--count=12"));
-  EXPECT_TRUE(parses("--count=-3"));
   EXPECT_TRUE(parses("--ratio=1e-3"));
   EXPECT_TRUE(parses("--on=yes"));
   EXPECT_TRUE(parses("--on=0"));
@@ -329,6 +328,33 @@ TEST(FlagsTest, RejectsValuesThatDoNotParseAsTheDefaultsType) {
   EXPECT_FALSE(parses("--ratio=0.5.1"));
   EXPECT_FALSE(parses("--on=maybe"));
   EXPECT_FALSE(parses("--on=--compare=6"));
+}
+
+TEST(FlagsTest, NonNegativeDefaultRejectsNegativeValues) {
+  const auto parses = [](const char* value) {
+    Flags flags;
+    flags.Define("requests", "200", "a count");
+    flags.Define("ratio", "0.0", "a fraction");
+    flags.Define("offset", "-1", "a signed number");
+    const std::string arg = value;
+    const char* argv[] = {"prog", arg.c_str()};
+    return flags.Parse(2, const_cast<char**>(argv));
+  };
+  // A negative count would wrap to a 2^64 - 1 request budget once the
+  // driver casts it to unsigned.
+  EXPECT_FALSE(parses("--requests=-1"));
+  EXPECT_FALSE(parses("--ratio=-0.5"));
+  EXPECT_FALSE(parses("--ratio=-1e-9"));
+  EXPECT_TRUE(parses("--requests=0"));
+  // A negative default declares a signed flag.
+  EXPECT_TRUE(parses("--offset=-3"));
+  EXPECT_TRUE(parses("--offset=4"));
+
+  Flags spaced;
+  spaced.Define("clients", "4", "a count");
+  const char* argv[] = {"prog", "--clients", "-1"};
+  EXPECT_FALSE(spaced.Parse(3, const_cast<char**>(argv)));
+  EXPECT_EQ(spaced.GetInt("clients"), 4);
 }
 
 TEST(FlagsTest, HelpReturnsFalseAndListsFlags) {

@@ -1,44 +1,23 @@
 #!/bin/sh
-# CI-style performance smoke gate: builds a Release tree, runs a small
-# bench_pipeline sweep at pipeline_threads {1,4} (plus the single-couple
-# join_threads and matching_threads sweeps), and FAILS when the JSON
-# reports a scaling regression (threads=4 slower than threads=1 beyond
-# the bench's 10% noise margin) or any report-identity mismatch. This is the check that
-# keeps "parallelism going backwards" out of BENCH_pipeline.json instead
-# of buried in it. Also runs the serve_smoke gate: csj_serve at low load
-# must complete every request with zero rejects and emit a parseable
-# latency report. The prescreen_smoke gate then proves the signature
-# prescreen end to end: on a small catalog (where most queries take the
-# exhaustive fallback) and on a 100k-entry catalog (where almost none
-# do), the prescreen arm must return byte-identical rankings to the
-# exhaustive scan, probe under 10% of the big catalog, and beat the scan
-# arm's wall clock — the sub-linear candidate generation either pays for
-# itself or the gate fails. The populate_smoke gate holds the bulk-load
-# ingestion pipeline to its contract on the same 100k catalog: state
-# byte-identical to a sequential Upsert replay, the pack prefilter
-# actually skipping packs, and bulk >= 2x faster than sequential (timing
-# leg retried once against CI noise). Finally the net_smoke gate drives the whole
-# networked stack over loopback with the versioned result cache on: zero
-# rejects and decode/transport errors, both identity gates (cached arm
-# and net arm byte-identical to direct recompute), a >= 50% cache hit
-# rate under zipf-skewed traffic, and cache-hit p99 strictly below the
-# compute p99 — the cache either pays for itself or the gate fails. The
-# evolve_smoke gate closes with the evolution subsystem: csj_evolve
-# replays a seeded drift trace against the live catalog and requires the
-# maintained rankings byte-identical to fresh recomputes at every quiesce
-# point, exact triggers, a nonzero trigger count, and the maintained path
-# cheaper than recomputing (timing leg retried once against CI noise).
-# The persist_smoke gate closes with the memory-mapped store: the 100k
-# catalog checkpoints to a sealed segment, the serve loop's churn flows
-# through the mutation log, and a cold reopen must restore deep-identical
-# state at >= 5x the populate wall clock (timing leg retried once), with
-# csj_fsck auditing the surviving store clean in deep mode.
+# Release performance smoke: the two gates that no ctest case and no
+# perfbench workload holds.
 #
-# Usage:
-#   tools/ci_perf_smoke.sh [build-dir]          build + sweep + check
-#                                               (default: build-perf)
-#   tools/ci_perf_smoke.sh --check-json FILE    only check an existing
-#                                               bench_pipeline JSON
+# 1. Pipeline scaling. A small bench_pipeline sweep at pipeline_threads
+#    {1,4} (plus the single-couple join_threads and matching_threads
+#    sweeps) FAILS when the JSON reports a scaling regression (threads=4
+#    slower than threads=1 beyond the bench's 10% noise margin) or any
+#    report-identity mismatch.
+# 2. Warm restart. A first csj_serve process populates the 100k-entry
+#    prescreen catalog, seals it into a store and logs the closed loop's
+#    churn; a second process restores that store (segment map + log
+#    replay) with --warm_restart. The populate wall time of the first
+#    must be >= 5x the load wall time of the second. The ratio is a
+#    timing measurement on a shared box, so a miss is retried ONCE on a
+#    fresh store before failing. csj_fsck then audits the store in deep
+#    mode (recomputing digests, sketches and encodings from the mapped
+#    payloads) and must exit clean.
+#
+# Usage: tools/ci_perf_smoke.sh [build-dir]   (default: build-perf)
 set -eu
 
 check_json() {
@@ -77,17 +56,12 @@ check_json() {
   echo "perf smoke check passed: ${json_file}"
 }
 
-if [ "${1:-}" = "--check-json" ]; then
-  check_json "${2:?usage: ci_perf_smoke.sh --check-json FILE}"
-  exit 0
-fi
-
 build_dir="${1:-build-perf}"
 
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DCSJ_BUILD_EXAMPLES=OFF
-cmake --build "${build_dir}" -j --target bench_pipeline csj_serve csj_evolve csj_fsck
+cmake --build "${build_dir}" -j --target bench_pipeline csj_serve csj_fsck
 
 git_sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 json_out="${build_dir}/perf_smoke.json"
@@ -102,233 +76,63 @@ json_out="${build_dir}/perf_smoke.json"
 
 check_json "${json_out}"
 
-# serve_smoke: the serving subsystem end to end at LOW load (clients <
-# workers, roomy queue) — every request must complete, zero rejects, and
-# the emitted report must carry the latency percentiles. csj_serve exits
-# non-zero itself when serve_ok is false; the greps keep the gate honest
-# against report-schema drift.
-serve_json="${build_dir}/serve_smoke.json"
-"${build_dir}/tools/csj_serve" \
-  --catalog=12 --size=100 --requests=120 --clients=2 --workers=4 \
-  --queue_capacity=64 --upsert_fraction=0.05 \
-  --json="${serve_json}" \
-  --git_sha="${git_sha}" --build_type=Release
-if ! grep -Eq '"rejected": ?0[,}]' "${serve_json}"; then
-  echo "FAIL: rejects at low load in ${serve_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"serve_ok": ?true' "${serve_json}"; then
-  echo "FAIL: serve_ok!=true in ${serve_json}" >&2
-  exit 1
-fi
-if ! grep -q '"p99":' "${serve_json}"; then
-  echo "FAIL: latency percentiles missing from ${serve_json}" >&2
-  exit 1
-fi
-echo "serve smoke gate passed: ${serve_json}"
-
-# prescreen_smoke, part 1: small catalog. With 24 entries and k=5 the
-# candidate set usually cannot certify a full top-k above the threshold,
-# so this leg exercises the FALLBACK path; identity must hold anyway
-# (csj_serve exits non-zero itself when the compare arms diverge). The
-# greps keep the gate honest against report-schema drift: the fallback
-# counter must be PRESENT, not merely nonzero.
-prescreen_small_json="${build_dir}/prescreen_smoke_small.json"
-"${build_dir}/tools/csj_serve" \
-  --catalog=24 --size=60 --requests=60 --clients=2 --workers=2 \
-  --upsert_fraction=0.05 --prescreen=true --compare=6 \
-  --json="${prescreen_small_json}" \
-  --git_sha="${git_sha}" --build_type=Release
-if ! grep -Eq '"compare_identical": ?true' "${prescreen_small_json}"; then
-  echo "FAIL: prescreen diverged from scan in ${prescreen_small_json}" >&2
-  exit 1
-fi
-if ! grep -q '"fallbacks":' "${prescreen_small_json}"; then
-  echo "FAIL: fallback accounting missing from ${prescreen_small_json}" >&2
-  exit 1
-fi
-
-# prescreen_smoke, part 2: the 100k point (the scenario BENCH_serve_large
-# is generated from, trimmed to smoke size). Identity is required as
-# above, plus the two performance claims: the sweep must admit under 10%
-# of the catalog (probed_fraction_ok) and the prescreen arm must finish
-# its queries in less wall time than the scan arm (prescreen_faster) —
-# both computed by csj_serve from the same compare run.
-prescreen_large_json="${build_dir}/prescreen_smoke_large.json"
-"${build_dir}/tools/csj_serve" \
-  --catalog_size=100000 --size=40 --cluster=12 --plant_lo=0.5 \
-  --plant_hi=0.8 --k=5 --requests=40 --clients=2 --workers=2 \
-  --zipf=1.1 --upsert_fraction=0 --prescreen=true --compare=4 \
-  --json="${prescreen_large_json}" \
-  --git_sha="${git_sha}" --build_type=Release
-if ! grep -Eq '"compare_identical": ?true' "${prescreen_large_json}"; then
-  echo "FAIL: prescreen diverged from scan in ${prescreen_large_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"probed_fraction_ok": ?true' "${prescreen_large_json}"; then
-  echo "FAIL: prescreen probed >= 10% of the 100k catalog in ${prescreen_large_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"prescreen_faster": ?true' "${prescreen_large_json}"; then
-  echo "FAIL: prescreen arm slower than exhaustive scan in ${prescreen_large_json}" >&2
-  exit 1
-fi
-echo "prescreen smoke gate passed: ${prescreen_small_json} ${prescreen_large_json}"
-
-# populate_smoke: the bulk-load ingestion pipeline on the same 100k
-# scenario. csj_serve populates one arm, replays the OTHER arm into a
-# fresh scratch server, deep-compares the two catalogs (entries,
-# versions, digests, MinMax artifacts, sketch tables, probe verdicts), and
-# reports the wall-clock ratio. State identity is a hard gate (csj_serve
-# also exits non-zero itself on a mismatch); the >= 2x speedup claim is a
-# timing measurement on a shared CI box, so a miss is retried ONCE on a
-# fresh run before failing — the same best-of-N stance bench_pipeline
-# takes, bounded to one retry so a real regression still fails fast. The
-# pack-skip grep proves the second filter level actually fired during the
-# serve loop rather than riding along inert.
-populate_json="${build_dir}/populate_smoke.json"
-run_populate_leg() {
-  "${build_dir}/tools/csj_serve" \
-    --catalog_size=100000 --size=40 --cluster=12 --plant_lo=0.5 \
-    --plant_hi=0.8 --k=5 --requests=20 --clients=2 --workers=2 \
-    --zipf=1.1 --upsert_fraction=0 --prescreen=true --compare=0 \
-    --populate_compare=true \
-    --json="${populate_json}" \
-    --git_sha="${git_sha}" --build_type=Release
-}
-run_populate_leg
-if ! grep -Eq '"populate_identical": ?true' "${populate_json}"; then
-  echo "FAIL: bulk-loaded catalog diverged from sequential Upsert replay in ${populate_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"packs_skipped": ?[1-9]' "${populate_json}"; then
-  echo "FAIL: pack prefilter never skipped a pack in ${populate_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"populate_speedup_ok": ?true' "${populate_json}"; then
-  echo "populate_smoke: bulk < 2x sequential on first run, retrying once" >&2
-  run_populate_leg
-  if ! grep -Eq '"populate_identical": ?true' "${populate_json}"; then
-    echo "FAIL: bulk-loaded catalog diverged from sequential Upsert replay in ${populate_json}" >&2
-    exit 1
-  fi
-  if ! grep -Eq '"populate_speedup_ok": ?true' "${populate_json}"; then
-    echo "FAIL: bulk populate < 2x sequential on both runs in ${populate_json}" >&2
-    exit 1
-  fi
-fi
-echo "populate smoke gate passed: ${populate_json}"
-
-# net_smoke: the binary wire protocol + result cache end to end. Every
-# request crosses loopback TCP (closed loop AND the identity probes);
-# zipf 1.1 traffic repeats hot queries so the versioned cache must reach
-# a 50% hit rate, serve hits with a lower p99 than computes, and stay
-# byte-identical to direct recompute under 5% upsert churn. csj_serve
-# exits non-zero itself when any identity gate fails; the greps keep the
-# report schema honest.
-net_json="${build_dir}/net_smoke.json"
-"${build_dir}/tools/csj_serve" \
-  --catalog=24 --size=150 --requests=400 --clients=4 --workers=2 \
-  --zipf=1.1 --upsert_fraction=0.05 --result_cache=true --net=true \
-  --compare=8 \
-  --json="${net_json}" \
-  --git_sha="${git_sha}" --build_type=Release
-for gate in \
-    '"rejected": ?0[,}]' '"decode_errors": ?0[,}]' \
-    '"transport_errors": ?0[,}]' '"net_identity": ?true' \
-    '"cache_identity": ?true' '"cache_hit_rate_ok": ?true' \
-    '"cache_hit_faster": ?true'; do
-  if ! grep -Eq "${gate}" "${net_json}"; then
-    echo "FAIL: ${gate} not satisfied in ${net_json}" >&2
-    exit 1
-  fi
-done
-echo "net smoke gate passed: ${net_json}"
-
-# evolve_smoke: the evolution subsystem end to end. csj_evolve drives a
-# seeded drift stream (joins/leaves/decay/births/deaths) through the live
-# catalog and compares the TopKMaintainer's rankings against fresh
-# recomputes at every quiesce point; it exits non-zero itself on any
-# identity or trigger mismatch. The greps hold the report to its claims:
-# byte identity, trigger exactness, a trace that actually fired triggers,
-# and the maintained path beating recompute wall clock. The last is a
-# timing measurement on a shared CI box, so a miss is retried ONCE on a
-# fresh run before failing.
-evolve_json="${build_dir}/evolve_smoke.json"
-run_evolve_leg() {
-  "${build_dir}/tools/csj_evolve" \
-    --catalog=400 --size=30 --cluster=4 --events=400 --quiesce_every=50 \
-    --queries=4 --k=5 --eps=1 \
-    --json="${evolve_json}" \
-    --git_sha="${git_sha}" --build_type=Release
-}
-run_evolve_leg
-for gate in '"evolve_identical": ?true' '"trigger_exact": ?true' \
-            '"triggers_fired": ?[1-9]'; do
-  if ! grep -Eq "${gate}" "${evolve_json}"; then
-    echo "FAIL: ${gate} not satisfied in ${evolve_json}" >&2
-    exit 1
-  fi
-done
-if ! grep -Eq '"maintained_faster": ?true' "${evolve_json}"; then
-  echo "evolve_smoke: maintained path slower than recompute on first run, retrying once" >&2
-  run_evolve_leg
-  for gate in '"evolve_identical": ?true' '"trigger_exact": ?true' \
-              '"maintained_faster": ?true'; do
-    if ! grep -Eq "${gate}" "${evolve_json}"; then
-      echo "FAIL: ${gate} not satisfied in ${evolve_json}" >&2
-      exit 1
-    fi
-  done
-fi
-echo "evolve smoke gate passed: ${evolve_json}"
-
-# persist_smoke: the memory-mapped store end to end on the same 100k
-# scenario. csj_serve populates, logs the serve loop's churn into the
-# store, folds it into a sealed generation, then cold-reopens and
-# restores into a fresh scratch catalog, whose entries' artifacts must
-# come from the segment; the restored state must deep-compare identical
-# (entries, versions, digests, MinMax artifacts, sketch tables, probe
-# verdicts) and the warm load must beat a fresh populate
-# by >= 5x. Identity is a hard gate (csj_serve also exits non-zero
-# itself on a mismatch); the speedup claim is a timing measurement on a
-# shared CI box, so a miss is retried ONCE on a fresh run before
-# failing. The store directory is recreated per leg so the comparison
-# never rides a stale generation. csj_fsck then audits the surviving
-# store in deep mode — recomputing digests, sketches, and encodings from
-# the mapped payloads — and must exit clean.
-persist_json="${build_dir}/persist_smoke.json"
+# persist_smoke: populate in one process, warm-restart in another.
 persist_dir="${build_dir}/persist_smoke_store"
+populate_json="${build_dir}/persist_smoke_populate.json"
+restart_json="${build_dir}/persist_smoke_restart.json"
+
+serve_persist() {
+  # $1 = JSON output; any further arguments go to csj_serve. A failed run
+  # (serve_ok false, store error) is a hard failure, never retried.
+  serve_json="$1"
+  shift
+  if ! "${build_dir}/tools/csj_serve" \
+      --catalog_size=100000 --size=40 --cluster=12 --plant_lo=0.5 \
+      --plant_hi=0.8 --k=5 --requests=20 --clients=2 --workers=2 \
+      --zipf=1.1 --upsert_fraction=0.05 --prescreen=true \
+      --store_dir="${persist_dir}" --json="${serve_json}" \
+      --git_sha="${git_sha}" --build_type=Release "$@"; then
+    echo "FAIL: csj_serve failed writing ${serve_json}" >&2
+    exit 1
+  fi
+}
+
+json_number() {
+  # The first value of key $1 in JSON file $2.
+  grep -o "\"$1\":[^,}]*" "$2" | head -n 1 | cut -d: -f2
+}
+
+persist_ratio=0
 run_persist_leg() {
   rm -rf "${persist_dir}"
-  "${build_dir}/tools/csj_serve" \
-    --catalog_size=100000 --size=40 --cluster=12 --plant_lo=0.5 \
-    --plant_hi=0.8 --k=5 --requests=20 --clients=2 --workers=2 \
-    --zipf=1.1 --upsert_fraction=0.05 --prescreen=true --compare=0 \
-    --store_dir="${persist_dir}" --persist_compare=true \
-    --json="${persist_json}" \
-    --git_sha="${git_sha}" --build_type=Release
-}
-run_persist_leg
-if ! grep -Eq '"identical": ?true' "${persist_json}"; then
-  echo "FAIL: restored store diverged from the live catalog in ${persist_json}" >&2
-  exit 1
-fi
-if ! grep -Eq '"speedup_ok": ?true' "${persist_json}"; then
-  echo "persist_smoke: warm load < 5x populate on first run, retrying once" >&2
-  run_persist_leg
-  if ! grep -Eq '"identical": ?true' "${persist_json}"; then
-    echo "FAIL: restored store diverged from the live catalog in ${persist_json}" >&2
+  serve_persist "${populate_json}"
+  serve_persist "${restart_json}" --warm_restart=true
+  if ! grep -Eq '"warm_restart": ?true' "${restart_json}"; then
+    echo "FAIL: the second run did not restore the store in ${restart_json}" >&2
     exit 1
   fi
-  if ! grep -Eq '"speedup_ok": ?true' "${persist_json}"; then
-    echo "FAIL: warm load < 5x populate on both runs in ${persist_json}" >&2
-    exit 1
+  populate_s="$(json_number populate_seconds "${populate_json}")"
+  load_s="$(json_number load_seconds "${restart_json}")"
+  persist_ratio="$(awk -v p="${populate_s}" -v l="${load_s}" \
+    'BEGIN { if (l > 0) printf "%.2f", p / l; else print 0 }')"
+  echo "persist_smoke: populate ${populate_s} s / warm load ${load_s} s = ${persist_ratio}x (floor 5x)"
+  awk -v r="${persist_ratio}" 'BEGIN { exit !(r >= 5) }'
+}
+
+persist_ok=1
+if ! run_persist_leg; then
+  echo "persist_smoke: warm load < 5x populate on first run, retrying once" >&2
+  if ! run_persist_leg; then
+    persist_ok=0
   fi
 fi
 if ! "${build_dir}/tools/csj_fsck" --dir="${persist_dir}" --deep=true; then
   echo "FAIL: csj_fsck found corruption in ${persist_dir}" >&2
   exit 1
 fi
-echo "persist smoke gate passed: ${persist_json}"
+if [ "${persist_ok}" -ne 1 ]; then
+  echo "FAIL: warm load < 5x populate on both runs (last ${persist_ratio}x)" >&2
+  exit 1
+fi
+echo "persist smoke gate passed: ${restart_json}"
 echo "perf smoke gate passed."

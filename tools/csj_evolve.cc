@@ -3,23 +3,22 @@
 // Builds a seeded drift scenario (per-community user join/leave streams,
 // counter decay, community birth/death) over a ServeWorkload catalog,
 // registers standing top-k queries with the TopKMaintainer, and replays
-// the trace epoch by epoch. At every refresh point the maintained
-// ranking is compared BYTE-FOR-BYTE against a fresh
-// TopKSimilarService::Query recompute, and the maintainer's triggers are
-// cross-checked against the observed fresh-ranking diffs (no missed, no
-// spurious). The run measures staleness-vs-recompute cost: events
-// applied, triggers fired, maintained vs fresh wall time, and the
-// maximum ranking staleness window (drift events a changed ranking had
-// accumulated before its refresh observed the change).
+// the trace epoch by epoch. The run measures the refresh cost of
+// maintained rankings against recomputing them: at every refresh point
+// each maintained ranking is timed against a fresh
+// TopKSimilarService::Query, the maintained path's cost baseline. It
+// also reports events applied, triggers fired and the maximum ranking
+// staleness window (drift events a changed ranking had accumulated
+// before its refresh observed the change).
 //
 //   ./csj_evolve --catalog_size=400 --size=30 --events=300
 //                --quiesce_every=50 --queries=4 --k=5
-//                --json=BENCH_evolve.json
 //
-// Identity or trigger-exactness failures exit nonzero — this driver is a
-// correctness gate first and a benchmark second.
+// Since the fresh recompute runs anyway, the driver also compares the
+// two rankings byte for byte and cross-checks each trigger against the
+// fresh-ranking diff (no missed, no spurious), and exits nonzero on a
+// mismatch; EvolveDifferentialTest proves the same over 300+ traces.
 
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -37,8 +36,6 @@
 #include "core/signature.h"
 #include "evolve/drift.h"
 #include "evolve/maintainer.h"
-#include "persist/store.h"
-#include "service/deep_compare.h"
 #include "service/result_cache.h"
 #include "service/topk.h"
 #include "util/flags.h"
@@ -93,18 +90,6 @@ int main(int argc, char** argv) {
   flags.Define("result_cache", "false",
                "publish stable maintained rankings into a versioned "
                "result cache");
-  flags.Define("store_dir", "",
-               "persistent store directory (empty = RAM only); every "
-               "quiesced mutation appends to the durable log");
-  flags.Define("checkpoint_every", "0",
-               "epochs between mid-run checkpoints at quiesce points "
-               "(the catalog is quiescent there by construction; 0 = "
-               "seal only the base catalog and the final state)");
-  flags.Define("warm_restart", "true",
-               "after the run: re-open the sealed store cold, restore "
-               "into a scratch catalog and deep-verify the drifted "
-               "catalog comes back byte-identical (only meaningful with "
-               "--store_dir)");
   flags.Define("seed", "42", "workload (catalog) seed");
   flags.Define("drift_seed", "99", "drift stream seed");
   flags.Define("json", "", "write the results as JSON to this path");
@@ -169,42 +154,6 @@ int main(int argc, char** argv) {
   const double populate_seconds = build_timer.Seconds();
   std::printf("model %.2fs, populate %.2fs, %u epochs\n", model_seconds,
               populate_seconds, model.epochs());
-
-  // Persistence: seal the base catalog, then log every quiesced
-  // mutation. DriftReplayer only writes the catalog inside Quiesce, so
-  // epoch boundaries are quiesce points — exactly where Checkpoint is
-  // allowed to fold the log into a new sealed generation.
-  const std::string store_dir = flags.GetString("store_dir");
-  const auto checkpoint_every =
-      static_cast<uint32_t>(std::max<int64_t>(0,
-                                              flags.GetInt("checkpoint_every")));
-  const bool warm_restart = flags.GetBool("warm_restart");
-  std::unique_ptr<csj::persist::Store> store;
-  uint64_t checkpoints = 0;
-  double save_seconds = 0.0;
-  if (!store_dir.empty()) {
-    csj::persist::StoreOptions store_options;
-    store_options.dir = store_dir;
-    std::string store_error;
-    store = csj::persist::Store::Open(store_options, &store_error);
-    if (store == nullptr) {
-      std::fprintf(stderr, "store open failed: %s\n", store_error.c_str());
-      return 1;
-    }
-    csj::persist::CheckpointStats base_stats;
-    if (!store->Checkpoint(catalog, &store_error, &base_stats)) {
-      std::fprintf(stderr, "base checkpoint failed: %s\n",
-                   store_error.c_str());
-      return 1;
-    }
-    ++checkpoints;
-    save_seconds += base_stats.snapshot_seconds + base_stats.write_seconds +
-                    base_stats.commit_seconds;
-    if (!store->StartLogging(&catalog, &store_error)) {
-      std::fprintf(stderr, "log attach failed: %s\n", store_error.c_str());
-      return 1;
-    }
-  }
 
   csj::service::TopKOptions topk;
   topk.k = std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("k")));
@@ -275,23 +224,6 @@ int main(int argc, char** argv) {
     session_rebuilds += epoch.session_rebuilds;
     for (auto& pending : events_since_refresh) pending += epoch.events;
 
-    // Quiesce points double as checkpoint sites: Quiesce() just
-    // returned, so no mutation is in flight and the log can roll.
-    if (store != nullptr && checkpoint_every > 0 &&
-        (e + 1) % checkpoint_every == 0 && e + 1 != model.epochs()) {
-      std::string store_error;
-      csj::persist::CheckpointStats epoch_checkpoint;
-      if (!store->Checkpoint(catalog, &store_error, &epoch_checkpoint)) {
-        std::fprintf(stderr, "checkpoint failed at epoch %u: %s\n", e,
-                     store_error.c_str());
-        return 1;
-      }
-      ++checkpoints;
-      save_seconds += epoch_checkpoint.snapshot_seconds +
-                      epoch_checkpoint.write_seconds +
-                      epoch_checkpoint.commit_seconds;
-    }
-
     const bool refresh_now =
         ((e + 1) % refresh_every == 0) || (e + 1 == model.epochs());
     if (!refresh_now) continue;
@@ -348,65 +280,7 @@ int main(int argc, char** argv) {
   const double speedup =
       maintained_seconds > 0 ? fresh_seconds / maintained_seconds : 0.0;
 
-  // Seal the drifted end state, then prove a cold open restores it
-  // byte-identically (the populate-vs-load wall time is what a restart
-  // of this driver would skip: model build + base populate + replay).
-  bool persist_identical = true;
-  double persist_load_seconds = 0.0;
-  long persist_minflt = 0;
-  long persist_majflt = 0;
-  csj::persist::OpenStats reopen_stats;
-  if (store != nullptr) {
-    std::string store_error;
-    store->StopLogging(&catalog);
-    csj::persist::CheckpointStats final_checkpoint;
-    if (!store->Checkpoint(catalog, &store_error, &final_checkpoint)) {
-      std::fprintf(stderr, "final checkpoint failed: %s\n",
-                   store_error.c_str());
-      return 1;
-    }
-    ++checkpoints;
-    save_seconds += final_checkpoint.snapshot_seconds +
-                    final_checkpoint.write_seconds +
-                    final_checkpoint.commit_seconds;
-    if (warm_restart) {
-      auto reopened = csj::persist::Store::Open(
-          csj::persist::StoreOptions{.dir = store_dir}, &store_error,
-          &reopen_stats);
-      if (reopened == nullptr) {
-        std::fprintf(stderr, "store re-open failed: %s\n",
-                     store_error.c_str());
-        return 1;
-      }
-      csj::service::CommunityCatalog scratch(catalog_options);
-      rusage faults_before{};
-      rusage faults_after{};
-      getrusage(RUSAGE_SELF, &faults_before);
-      csj::util::Timer restore_timer;
-      if (!reopened->RestoreInto(&scratch, &store_error, &reopen_stats)) {
-        std::fprintf(stderr, "restore failed: %s\n", store_error.c_str());
-        return 1;
-      }
-      persist_load_seconds = restore_timer.Seconds();
-      getrusage(RUSAGE_SELF, &faults_after);
-      persist_minflt = faults_after.ru_minflt - faults_before.ru_minflt;
-      persist_majflt = faults_after.ru_majflt - faults_before.ru_majflt;
-      persist_identical = csj::service::CatalogsIdentical(
-          catalog, scratch, drift.base.eps,
-          flags.GetDouble("prescreen_threshold"));
-      std::printf(
-          "persist: %llu checkpoints (%.2f s saved), warm load %.3f s vs "
-          "populate+replay %.2f s, state %s; load faults %ld minor / %ld "
-          "major\n",
-          static_cast<unsigned long long>(checkpoints), save_seconds,
-          persist_load_seconds, populate_seconds + drift_seconds,
-          persist_identical ? "identical" : "MISMATCH", persist_minflt,
-          persist_majflt);
-    }
-  }
-
-  const bool evolve_ok =
-      identity && trigger_exact && triggers_consistent && persist_identical;
+  const bool evolve_ok = identity && trigger_exact && triggers_consistent;
 
   std::printf(
       "done in %.2fs: %llu events, %llu installs, %llu removes, "
@@ -481,29 +355,6 @@ int main(int argc, char** argv) {
     json.Key("fresh_seconds"); json.Double(fresh_seconds);
     json.Key("maintained_speedup"); json.Double(speedup);
     json.Key("maintained_faster"); json.Bool(maintained_faster);
-    json.Key("persist");
-    json.BeginObject();
-    json.Key("enabled"); json.Bool(store != nullptr);
-    json.Key("store_dir"); json.String(store_dir);
-    json.Key("checkpoint_every"); json.Uint(checkpoint_every);
-    json.Key("checkpoints"); json.Uint(checkpoints);
-    json.Key("generation");
-    json.Uint(store != nullptr ? store->generation() : 0);
-    json.Key("save_seconds"); json.Double(save_seconds);
-    // Populate-vs-load: a restart restoring the sealed state skips the
-    // model build + base populate + full drift replay.
-    json.Key("populate_seconds");
-    json.Double(populate_seconds + drift_seconds);
-    json.Key("load_seconds"); json.Double(persist_load_seconds);
-    json.Key("identical"); json.Bool(persist_identical);
-    json.Key("segment_entries"); json.Uint(reopen_stats.segment_entries);
-    json.Key("segment_bytes"); json.Uint(reopen_stats.segment_bytes);
-    json.Key("map_seconds"); json.Double(reopen_stats.map_seconds);
-    json.Key("restore_seconds"); json.Double(reopen_stats.restore_seconds);
-    json.Key("replay_seconds"); json.Double(reopen_stats.replay_seconds);
-    json.Key("load_minflt"); json.Int(persist_minflt);
-    json.Key("load_majflt"); json.Int(persist_majflt);
-    json.EndObject();
     json.Key("evolve_identical"); json.Bool(identity);
     json.Key("evolve_ok"); json.Bool(evolve_ok);
     json.EndObject();
@@ -511,7 +362,6 @@ int main(int argc, char** argv) {
     out << json.Take() << "\n";
     std::printf("wrote %s\n", json_path.c_str());
   }
-  // Identity and trigger exactness are correctness gates; wall-time
-  // comparisons are reported but never fail the run by themselves.
+  // Wall-time comparisons are reported but never fail the run.
   return evolve_ok ? 0 : 1;
 }

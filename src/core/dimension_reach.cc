@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 
 #include "util/logging.h"
 
@@ -171,6 +172,19 @@ uint32_t DimensionReach::CountReachable(const Community& other) const {
     if (Reachable(row)) ++reachable;
   }
   return reachable;
+}
+
+void DimensionReach::Prefetch(const Community& other) {
+  // Every line of the rows up to the cap: a community is one allocation
+  // that the count walks front to back, but too short a stream for the
+  // hardware prefetcher to ramp up on before it ends.
+  const std::span<const Count> flat = other.flat();
+  const auto* first = reinterpret_cast<const char*>(flat.data());
+  const char* last = first + std::min(flat.size_bytes(), kPrefetchBytes);
+  for (const char* line = first; line < last; line += 64) {
+    __builtin_prefetch(line);
+  }
+  if (first != last) __builtin_prefetch(last - 1);
 }
 
 size_t DimensionReach::MemoryBytes() const {

@@ -1,25 +1,13 @@
 #include "core/epsilon_predicate.h"
 
-// Function multiversioning for the hottest kernel in the system: the
-// compiler emits one clone of EpsilonMatches per listed ISA and an ifunc
-// resolver picks the widest one the CPU supports when the binary loads.
-// The portable baseline build is untouched — no -march flags change —
-// yet machines with AVX2/AVX-512 run 8/16-lane packed min/max.
-//
-// Gated to x86-64 ELF GNU toolchains (ifunc needs ELF + glibc-style
-// resolution) and disabled under Thread/AddressSanitizer, whose early
-// interposers do not get along with load-time ifunc resolvers.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-#define CSJ_EPSILON_CLONES \
-  __attribute__((target_clones("default", "sse4.2", "avx2", "avx512f")))
-#else
-#define CSJ_EPSILON_CLONES
-#endif
+// EpsilonMatches and the 1-vs-many kernels are the hottest code in the
+// system; CSJ_TARGET_CLONES (core/cpu_dispatch.h) compiles them once per
+// ISA and dispatches by cpuid at load time.
+#include "core/cpu_dispatch.h"
 
 namespace csj {
 
-CSJ_EPSILON_CLONES
+CSJ_TARGET_CLONES
 bool EpsilonMatches(std::span<const Count> b, std::span<const Count> a,
                     Epsilon eps) {
   const size_t d = b.size();
@@ -189,7 +177,7 @@ inline void MatchManyBody(const T* __restrict probe, Dim d,
 
 }  // namespace
 
-CSJ_EPSILON_CLONES
+CSJ_TARGET_CLONES
 void EpsilonMatchesMany(std::span<const Count> b, const VerifyWindow& window,
                         uint32_t begin, uint32_t end, Epsilon eps,
                         uint64_t* mask) {
@@ -197,7 +185,7 @@ void EpsilonMatchesMany(std::span<const Count> b, const VerifyWindow& window,
                                 mask);
 }
 
-CSJ_EPSILON_CLONES
+CSJ_TARGET_CLONES
 void EpsilonMatchesManyFloat(std::span<const float> b,
                              const VerifyWindowF& window, uint32_t begin,
                              uint32_t end, float eps_norm, uint64_t* mask) {

@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -138,6 +139,12 @@ bool DecodeRequestPayload(Cursor cursor, WireRequest* request) {
     return false;
   }
   if (!ValidKind(kind) || !ValidMethod(method) || (flags & ~0x07u) != 0) {
+    return false;
+  }
+  // Deadlines and thresholds are finite numbers; an infinite or NaN one
+  // is a malformed frame, not a request to serve.
+  if (!std::isfinite(request->deadline_seconds) ||
+      !std::isfinite(request->prescreen_threshold)) {
     return false;
   }
   request->kind = static_cast<service::RequestKind>(kind);

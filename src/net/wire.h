@@ -36,6 +36,7 @@ namespace csj::net {
 ///   u64 id (upsert/remove target)
 ///   f64 deadline_seconds (0 = none)
 ///   f64 prescreen_threshold
+///       (both must be finite: an infinite or NaN value is kBadPayload)
 ///   if has-community: u32 d, u32 users, u32 name bytes, name,
 ///                     users*d u32 counters (row-major)
 ///

@@ -77,11 +77,17 @@ bool CsjServer::Enqueue(QueuedRequest queued) {
     return false;
   }
   queued.admitted = std::chrono::steady_clock::now();
-  if (queued.request.deadline_seconds > 0.0) {
+  // A deadline the clock cannot represent is no deadline: converting it
+  // to clock ticks would overflow. Half the clock's remaining range
+  // (centuries) leaves room for the conversion's rounding.
+  const double seconds = queued.request.deadline_seconds;
+  const double headroom = std::chrono::duration<double>(
+                              Deadline::max() - queued.admitted)
+                              .count();
+  if (seconds > 0.0 && seconds < headroom / 2) {
     queued.deadline =
         queued.admitted + std::chrono::duration_cast<Deadline::duration>(
-                              std::chrono::duration<double>(
-                                  queued.request.deadline_seconds));
+                              std::chrono::duration<double>(seconds));
   }
   const std::optional<Deadline> deadline = queued.deadline;
   return queue_->TryPush(std::move(queued), deadline);

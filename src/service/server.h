@@ -48,8 +48,9 @@ struct ServeRequest {
   /// Latency budget in seconds, measured from ADMISSION (TryPush), so
   /// queueing time counts against it — a request stuck behind a burst
   /// expires instead of consuming refine work nobody is waiting for.
-  /// 0 = no deadline. Also the queue's EDF key: tighter deadlines are
-  /// served first, deadline-free requests keep arrival order.
+  /// 0 = no deadline, and so is one beyond the steady clock's range.
+  /// Also the queue's EDF key: tighter deadlines are served first,
+  /// deadline-free requests keep arrival order.
   double deadline_seconds = 0.0;
 };
 

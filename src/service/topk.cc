@@ -153,14 +153,14 @@ TopKResult TopKSimilarService::QueryPrescreen(
   // exhaustive one iff k results exist with the k-th at or above tau —
   // nothing skipped can then displace or tie into the ranking. Anything
   // less certifies nothing and triggers the exhaustive fallback. A probe
-  // that skipped nothing has nothing to fall back FOR; and a deadline
-  // blown on the candidate walk returns the flagged partial as a scan
-  // query would.
+  // that skipped nothing by cap has nothing to fall back FOR: slots of
+  // another dimensionality or an inadmissible size are inadmissible to
+  // the scan too. And a deadline blown on the candidate walk returns the
+  // flagged partial as a scan query would.
   const uint32_t k = std::max(options.k, 1u);
   const bool certified = result.entries.size() >= k &&
                          result.entries.back().similarity >= tau;
-  if (certified || result.deadline_expired ||
-      probe.stats.passed == probe.stats.examined) {
+  if (certified || result.deadline_expired || probe.stats.skipped_cap == 0) {
     result.stats.catalog_entries =
         static_cast<uint32_t>(probe.stats.examined);
     return result;
@@ -230,6 +230,14 @@ TopKResult TopKSimilarService::Walk(
   const auto tasks = static_cast<uint32_t>(admissible.size());
   std::vector<double> bounds(tasks);
   const auto bound_one = [&](uint32_t c) {
+    // Candidates are scattered over the heap: start the next one's rows,
+    // and the one after's community header, while this one counts.
+    if (c + 1 < tasks) {
+      DimensionReach::Prefetch(*snapshot[admissible[c + 1]].community);
+    }
+    if (c + 2 < tasks) {
+      __builtin_prefetch(snapshot[admissible[c + 2]].community.get());
+    }
     bounds[c] = scorer.Bound(snapshot[admissible[c]]);
   };
   if (threads > 1 && tasks > 1) {

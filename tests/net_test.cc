@@ -292,6 +292,39 @@ TEST(NetWire, TopKAboveResponseCapIsBadPayload) {
   EXPECT_EQ(frame.request.k, kMaxTopKEntries);
 }
 
+TEST(NetWire, NonFiniteDeadlineOrThresholdIsBadPayload) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const bool threshold : {false, true}) {
+    for (const double bad : {kInf, -kInf, kNaN}) {
+      WireRequest request;
+      request.kind = service::RequestKind::kTopK;
+      request.community = MakeTestCommunity();
+      (threshold ? request.prescreen_threshold : request.deadline_seconds) =
+          bad;
+      std::vector<uint8_t> bytes;
+      EncodeRequestFrame(1, request, &bytes);
+      FrameDecoder decoder;
+      decoder.Feed(bytes.data(), bytes.size());
+      DecodedFrame frame;
+      EXPECT_EQ(decoder.Next(&frame), WireStatus::kBadPayload)
+          << (threshold ? "threshold " : "deadline ") << bad;
+    }
+  }
+  // A huge but finite deadline is well formed; serving treats it as none.
+  WireRequest request;
+  request.kind = service::RequestKind::kTopK;
+  request.community = MakeTestCommunity();
+  request.deadline_seconds = 1e10;
+  std::vector<uint8_t> bytes;
+  EncodeRequestFrame(1, request, &bytes);
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), bytes.size());
+  DecodedFrame frame;
+  ASSERT_EQ(decoder.Next(&frame), WireStatus::kOk);
+  EXPECT_EQ(frame.request.deadline_seconds, 1e10);
+}
+
 TEST(NetWire, CounterLengthMismatchIsBadPayload) {
   WireRequest request;
   request.kind = service::RequestKind::kTopK;
@@ -622,11 +655,89 @@ TEST(NetLoopback, EmptyUpsertIsMalformedAndTheServerKeepsServing) {
   EXPECT_EQ(server.catalog().Get(3).version, version_before);
 }
 
+TEST(NetLoopback, HugeDeadlineIsNoDeadlineAndNonFiniteIsMalformed) {
+  const service::ServeWorkload workload(
+      LoopbackWorkload(csj::testing::TestSeed(0x4EE)));
+  service::CsjServer server(service::CsjServer::Options{});
+  workload.Populate(&server);
+  NetServer net_server(&server, NetServer::Options{});
+  std::unique_ptr<NetClient> client =
+      NetClient::Connect("127.0.0.1", net_server.port());
+  ASSERT_NE(client, nullptr);
+
+  WireRequest request;
+  request.kind = service::RequestKind::kTopK;
+  request.k = 5;
+  request.community = workload.communities()[0];
+  WireResponse want;
+  ASSERT_TRUE(client->Call(request, &want));
+  ASSERT_EQ(want.status, service::ServeStatus::kOk);
+  ASSERT_FALSE(want.entries.empty());
+
+  // Deadlines past the steady clock's range (~292 years of nanoseconds)
+  // are no deadline: the answer is the deadline-free one.
+  for (const double seconds : {1e10, 1e300}) {
+    request.deadline_seconds = seconds;
+    WireResponse response;
+    ASSERT_TRUE(client->Call(request, &response)) << seconds;
+    EXPECT_EQ(response.status, service::ServeStatus::kOk) << seconds;
+    EXPECT_FALSE(response.deadline_expired) << seconds;
+    ASSERT_EQ(response.entries.size(), want.entries.size()) << seconds;
+    for (size_t i = 0; i < want.entries.size(); ++i) {
+      EXPECT_EQ(response.entries[i].id, want.entries[i].id);
+      EXPECT_EQ(std::bit_cast<uint64_t>(response.entries[i].similarity),
+                std::bit_cast<uint64_t>(want.entries[i].similarity));
+    }
+  }
+
+  // In process, where no decoder stands guard, inf and NaN are no
+  // deadline either.
+  for (const double seconds : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    service::ServeRequest direct;
+    direct.kind = service::RequestKind::kTopK;
+    direct.community = request.community;
+    direct.topk.k = 5;
+    direct.deadline_seconds = seconds;
+    const service::ServeResponse response =
+        server.SubmitAndWait(std::move(direct));
+    EXPECT_EQ(response.status, service::ServeStatus::kOk) << seconds;
+    EXPECT_EQ(response.topk.entries.size(), want.entries.size()) << seconds;
+  }
+
+  // Over the wire they are malformed frames: each drops its connection.
+  uint64_t dropped = 0;
+  for (const double seconds : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    request.deadline_seconds = seconds;
+    std::vector<uint8_t> bytes;
+    EncodeRequestFrame(1, request, &bytes);
+    const int fd = RawConnect(net_server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(SendAll(fd, bytes));
+    uint8_t chunk[256];
+    while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+    }
+    ::close(fd);
+    ++dropped;
+    for (int spin = 0; spin < 100; ++spin) {
+      if (net_server.GetStats().decode_errors >= dropped) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    EXPECT_EQ(net_server.GetStats().decode_errors, dropped) << seconds;
+  }
+
+  // The server keeps serving.
+  request.deadline_seconds = 0.0;
+  WireResponse after;
+  ASSERT_TRUE(client->Call(request, &after));
+  EXPECT_EQ(after.status, service::ServeStatus::kOk);
+  EXPECT_EQ(after.entries.size(), want.entries.size());
+}
+
 TEST(NetLoopback, HostileTopKQueriesMatchTheExhaustivePath) {
   const service::ServeWorkload workload(
       LoopbackWorkload(csj::testing::TestSeed(0x4ED)));
-  service::CsjServer server(service::CsjServer::Options{});
-  workload.Populate(&server);
   const Dim d = workload.communities()[0]->d();
 
   // Counters near UINT32_MAX at the catalog's dimensionality: no bitmap
@@ -645,14 +756,8 @@ TEST(NetLoopback, HostileTopKQueriesMatchTheExhaustivePath) {
   std::vector<Count> row(wide_d);
   for (Dim k = 0; k < wide_d; ++k) row[k] = k % 3 == 0 ? kMax - k % 7 : k;
   const auto wide = std::make_shared<const Community>(wide_d, row, "wide");
-  server.catalog().Upsert(1001, Community(wide_d, row));
-  row[wide_d / 2] += 2;
-  server.catalog().Upsert(1002, Community(wide_d, row));
-
-  NetServer net_server(&server, NetServer::Options{});
-  std::unique_ptr<NetClient> client =
-      NetClient::Connect("127.0.0.1", net_server.port());
-  ASSERT_NE(client, nullptr);
+  std::vector<Count> near_row = row;
+  near_row[wide_d / 2] += 2;
 
   struct Case {
     std::shared_ptr<const Community> query;
@@ -663,45 +768,68 @@ TEST(NetLoopback, HostileTopKQueriesMatchTheExhaustivePath) {
                         {heavy, kMax, true},
                         {wide, 1, true},
                         {wide, kMax, true}};
-  for (const Case& c : cases) {
-    const std::string where = "d " + std::to_string(c.query->d()) + " eps " +
-                              std::to_string(c.eps);
-    const DimensionReach reach(*c.query, c.eps);
-    EXPECT_LE(reach.MemoryBytes(), DimensionReach::kMemoryMultiple *
-                                       c.query->flat().size() * sizeof(Count))
-        << where;
+  // The prescreen arm sweeps a signature index: the wide and the
+  // near-UINT32_MAX queries reach the sweep's kernel over TCP.
+  for (const bool prescreen : {false, true}) {
+    SCOPED_TRACE(prescreen ? "prescreen on" : "prescreen off");
+    service::CsjServer::Options server_options;
+    if (prescreen) server_options.catalog.signatures = SignatureOptions{};
+    service::CsjServer server(server_options);
+    workload.Populate(&server);
+    server.catalog().Upsert(1001, Community(wide_d, row));
+    server.catalog().Upsert(1002, Community(wide_d, near_row));
 
-    WireRequest request;
-    request.kind = service::RequestKind::kTopK;
-    request.k = 5;
-    request.eps = c.eps;
-    request.community = c.query;
-    WireResponse response;
-    ASSERT_TRUE(client->Call(request, &response)) << where;
-    ASSERT_EQ(response.status, service::ServeStatus::kOk) << where;
+    NetServer net_server(&server, NetServer::Options{});
+    std::unique_ptr<NetClient> client =
+        NetClient::Connect("127.0.0.1", net_server.port());
+    ASSERT_NE(client, nullptr);
 
-    service::TopKOptions exhaustive;
-    exhaustive.k = 5;
-    exhaustive.join.eps = c.eps;
-    exhaustive.use_bound_cutoff = false;
-    const service::TopKResult want =
-        server.topk().Query(*c.query, exhaustive);
-    ASSERT_EQ(response.entries.size(), want.entries.size()) << where;
-    EXPECT_FALSE(want.entries.empty()) << where;
-    for (size_t i = 0; i < want.entries.size(); ++i) {
-      EXPECT_EQ(response.entries[i].id, want.entries[i].id) << where;
-      EXPECT_EQ(response.entries[i].version, want.entries[i].version)
+    for (const Case& c : cases) {
+      const std::string where = "d " + std::to_string(c.query->d()) +
+                                " eps " + std::to_string(c.eps);
+      const DimensionReach reach(*c.query, c.eps);
+      EXPECT_LE(reach.MemoryBytes(), DimensionReach::kMemoryMultiple *
+                                         c.query->flat().size() *
+                                         sizeof(Count))
           << where;
-      EXPECT_EQ(std::bit_cast<uint64_t>(response.entries[i].similarity),
-                std::bit_cast<uint64_t>(want.entries[i].similarity))
+
+      WireRequest request;
+      request.kind = service::RequestKind::kTopK;
+      request.k = 5;
+      request.eps = c.eps;
+      request.prescreen = prescreen;
+      request.community = c.query;
+      WireResponse response;
+      ASSERT_TRUE(client->Call(request, &response)) << where;
+      ASSERT_EQ(response.status, service::ServeStatus::kOk) << where;
+      if (prescreen && c.reachable) {
+        // The sweep passed at least one slot to the exact path.
+        EXPECT_GT(response.prescreen_probed, 0u) << where;
+      }
+
+      service::TopKOptions exhaustive;
+      exhaustive.k = 5;
+      exhaustive.join.eps = c.eps;
+      exhaustive.use_bound_cutoff = false;
+      const service::TopKResult want =
+          server.topk().Query(*c.query, exhaustive);
+      ASSERT_EQ(response.entries.size(), want.entries.size()) << where;
+      EXPECT_FALSE(want.entries.empty()) << where;
+      for (size_t i = 0; i < want.entries.size(); ++i) {
+        EXPECT_EQ(response.entries[i].id, want.entries[i].id) << where;
+        EXPECT_EQ(response.entries[i].version, want.entries[i].version)
+            << where;
+        EXPECT_EQ(std::bit_cast<uint64_t>(response.entries[i].similarity),
+                  std::bit_cast<uint64_t>(want.entries[i].similarity))
+            << where;
+      }
+      EXPECT_EQ(!want.entries.empty() && want.entries[0].similarity > 0.0,
+                c.reachable)
           << where;
     }
-    EXPECT_EQ(!want.entries.empty() && want.entries[0].similarity > 0.0,
-              c.reachable)
-        << where;
+    net_server.Shutdown();
+    EXPECT_EQ(net_server.GetStats().decode_errors, 0u);
   }
-  net_server.Shutdown();
-  EXPECT_EQ(net_server.GetStats().decode_errors, 0u);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -229,6 +230,66 @@ TEST(PrescreenTest, ThresholdZeroAdmitsEverythingAndSkipsFallback) {
   EXPECT_EQ(result.stats.prescreen_skipped, 0u);
   EXPECT_EQ(result.stats.prescreen_probed,
             static_cast<uint64_t>(result.stats.catalog_entries));
+}
+
+TEST(PrescreenTest, SlotsSkippedOnlyForDimensionOrSizeNeedNoFallback) {
+  // Slots of another dimensionality or an inadmissible size are
+  // inadmissible to the scan too, so a sweep that skipped nothing by cap
+  // already holds every admissible entry: even an uncertified result
+  // (fewer than k entries) must equal the scan without a fallback.
+  CommunityCatalog catalog(WithSignatures());
+  util::Rng rng(testing::TestSeed(7005));
+  // Rows within eps = 1 of `base`, `users` of them.
+  const auto near_copy = [&](const Community& base, uint32_t users) {
+    std::vector<Count> flat;
+    for (uint32_t u = 0; u < users; ++u) {
+      for (const Count v : base.User(u % base.size())) {
+        flat.push_back(v + static_cast<Count>(rng.Below(2)));
+      }
+    }
+    return Community(base.d(), std::move(flat));
+  };
+  data::VkLikeGenerator gen(data::Category::kSport);
+  const Community query = data::MakeCommunity(gen, 20, rng);
+  // A query of a foreign dimensionality, to which the entries of the
+  // generator's d are inadmissible.
+  const Dim foreign_d = query.d() + 3;
+  std::vector<Count> foreign_flat(static_cast<size_t>(20) * foreign_d);
+  for (Count& v : foreign_flat) v = static_cast<Count>(rng.Below(30));
+  const Community foreign(foreign_d, std::move(foreign_flat));
+  // Near copies of both queries (caps near 1), and copies of `query`
+  // too large to be admissible against it.
+  for (uint64_t id = 1; id <= 3; ++id) {
+    catalog.Upsert(id, near_copy(foreign, 20));
+    catalog.Upsert(10 + id, near_copy(query, 20));
+  }
+  for (uint64_t id = 21; id <= 22; ++id) {
+    catalog.Upsert(id, near_copy(query, 60));
+  }
+
+  const TopKSimilarService service(&catalog);
+  const uint32_t catalog_size = catalog.size();
+  for (const Community* q : {&foreign, &query}) {
+    TopKOptions options;
+    options.k = 5;  // more than the three admissible near copies
+    options.join.eps = 1;
+    options.prescreen_threshold = 0.10;
+    options.prescreen = false;
+    const TopKResult scan = service.Query(*q, options);
+    options.prescreen = true;
+    const TopKResult screened = service.Query(*q, options);
+    SCOPED_TRACE("query d " + std::to_string(q->d()));
+    ASSERT_EQ(scan.entries.size(), 3u);  // uncertified: fewer than k
+    ASSERT_EQ(screened.entries.size(), scan.entries.size());
+    for (size_t i = 0; i < scan.entries.size(); ++i) {
+      EXPECT_EQ(screened.entries[i], scan.entries[i]) << "rank " << i;
+    }
+    EXPECT_EQ(screened.stats.fallback, 0u);
+    EXPECT_GT(screened.stats.prescreen_skipped, 0u);
+    EXPECT_EQ(screened.stats.prescreen_probed +
+                  screened.stats.prescreen_skipped,
+              catalog_size);
+  }
 }
 
 TEST(PrescreenTest, IndexTracksCatalogUnderConcurrentChurn) {

@@ -30,7 +30,10 @@
 # top-k frames: core/dimension_reach.cc indexes per-dimension bitmaps and
 # interval lists by counters read from catalog entries and from wire
 # frames, up to UINT32_MAX, so a word index past a bitmap's end is a
-# heap overflow ASan reports).
+# heap overflow ASan reports), and the prescreen sweep's packed row loads
+# (core/signature.cc ends each breakpoint row with a block overlapping
+# its predecessor; a block read past the last row would be an overflow
+# of the pack's table).
 #
 # Usage: tools/ci_asan.sh [build-dir]   (default: build-asan)
 set -eu

@@ -9,7 +9,6 @@
 #include "core/cpu_dispatch.h"
 #include "core/similarity.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace csj {
 namespace {
@@ -21,11 +20,11 @@ uint32_t ClampQuantiles(uint32_t q) {
   return std::clamp(q, kMinQuantiles, kMaxQuantiles);
 }
 
-/// Rank of breakpoint j over `sampled` sorted values: j * (sampled-1) / Q.
-/// Monotone in j, 0 at j = 0, sampled - 1 at j = Q.
-inline uint32_t RankOf(uint32_t j, uint32_t sampled, uint32_t quantiles) {
+/// Rank of breakpoint j over `n` sorted values: j * (n-1) / Q. Monotone
+/// in j, 0 at j = 0, n - 1 at j = Q.
+inline uint32_t RankOf(uint32_t j, uint32_t n, uint32_t quantiles) {
   return static_cast<uint32_t>(
-      (static_cast<uint64_t>(j) * (sampled - 1)) / quantiles);
+      (static_cast<uint64_t>(j) * (n - 1)) / quantiles);
 }
 
 /// Radix-sort all d columns at once through composite (dim << vbits) |
@@ -45,13 +44,12 @@ inline uint32_t RankOf(uint32_t j, uint32_t sampled, uint32_t quantiles) {
 /// store-to-forward chains whenever consecutive keys land in the same
 /// bucket (bucket 0 otherwise absorbs every zero).
 template <typename KeyT>
-void RadixRankExtract(const Community& community,
-                      const std::vector<UserId>& users, bool all_users,
-                      uint32_t sampled, Dim d, uint32_t vbits, uint32_t dbits,
-                      uint32_t quantiles, const uint32_t* ranks,
-                      std::vector<KeyT>& keys, std::vector<KeyT>& aux,
-                      std::vector<uint32_t>& zeros, Count* table) {
-  const size_t total = static_cast<size_t>(d) * sampled;
+void RadixRankExtract(const Community& community, uint32_t n, Dim d,
+                      uint32_t vbits, uint32_t dbits, uint32_t quantiles,
+                      const uint32_t* ranks, std::vector<KeyT>& keys,
+                      std::vector<KeyT>& aux, std::vector<uint32_t>& zeros,
+                      Count* table) {
+  const size_t total = static_cast<size_t>(d) * n;
   keys.resize(total);
   aux.resize(total);
   zeros.assign(d, 0);
@@ -68,8 +66,8 @@ void RadixRankExtract(const Community& community,
   // of mis-sketching.
   Count seen = 0;
   size_t p = 0;
-  for (uint32_t i = 0; i < sampled; ++i) {
-    const Count* row = community.User(all_users ? i : users[i]).data();
+  for (uint32_t i = 0; i < n; ++i) {
+    const Count* row = community.User(i).data();
     for (Dim k = 0; k < d; ++k) {
       const Count v = row[k];
       seen |= v;
@@ -97,7 +95,7 @@ void RadixRankExtract(const Community& community,
     }
   }
   // `zeros` held nonzero tallies during the sweep; flip it.
-  for (Dim k = 0; k < d; ++k) zeros[k] = sampled - zeros[k];
+  for (Dim k = 0; k < d; ++k) zeros[k] = n - zeros[k];
   KeyT* src = keys.data();
   KeyT* dst = aux.data();
   for (uint32_t pass = 0; pass < passes; ++pass) {
@@ -124,7 +122,7 @@ void RadixRankExtract(const Community& community,
       const uint32_t r = ranks[j];
       row[j] = r < z ? Count{0} : (static_cast<Count>(column[r - z]) & mask);
     }
-    col_start += sampled - z;
+    col_start += n - z;
   }
 }
 
@@ -137,36 +135,14 @@ CommunitySignature::CommunitySignature(const Community& community,
   d_ = community.d();
   quantiles_ = ClampQuantiles(options.quantiles);
 
-  // recall_target < 1: deterministic per-user coin from the seed and the
-  // user's position. The same (community, options) always sketches the
-  // same subset, independent of build thread or call order.
-  std::vector<UserId> users;
-  const double recall = std::clamp(options.recall_target, 0.0, 1.0);
-  if (recall >= 1.0) {
-    users.resize(n_);
-    std::iota(users.begin(), users.end(), UserId{0});
-  } else {
-    users.reserve(n_);
-    const uint64_t threshold = static_cast<uint64_t>(
-        recall * static_cast<double>(UINT64_MAX));
-    for (UserId u = 0; u < n_; ++u) {
-      uint64_t state = options.seed ^ (0xD1B54A32D192ED03ULL * (u + 1));
-      if (util::SplitMix64(state) <= threshold) users.push_back(u);
-    }
-    if (users.empty()) users.push_back(0);  // a sketch needs >= 1 user
-  }
-  sampled_ = static_cast<uint32_t>(users.size());
-
   std::vector<Count> table(static_cast<size_t>(d_) * (quantiles_ + 1));
-  std::vector<Count> column(sampled_);
+  std::vector<Count> column(n_);
   for (Dim k = 0; k < d_; ++k) {
-    for (uint32_t i = 0; i < sampled_; ++i) {
-      column[i] = community.User(users[i])[k];
-    }
+    for (uint32_t i = 0; i < n_; ++i) column[i] = community.User(i)[k];
     std::sort(column.begin(), column.end());
     Count* row = table.data() + static_cast<size_t>(k) * (quantiles_ + 1);
     for (uint32_t j = 0; j <= quantiles_; ++j) {
-      row[j] = column[RankOf(j, sampled_, quantiles_)];
+      row[j] = column[RankOf(j, n_, quantiles_)];
     }
   }
   table_ = std::move(table);
@@ -175,14 +151,12 @@ CommunitySignature::CommunitySignature(const Community& community,
 CommunitySignature::CommunitySignature(const TableView& view,
                                        std::shared_ptr<const void> owner)
     : n_(view.n),
-      sampled_(view.sampled),
       quantiles_(view.quantiles),
       d_(view.d),
       table_(ColumnStorage<Count>::View(
           view.table, static_cast<size_t>(view.d) * (view.quantiles + 1))),
       owner_(std::move(owner)) {
   CSJ_CHECK_GE(n_, 1u);
-  CSJ_CHECK_GE(sampled_, 1u);
   CSJ_CHECK_GE(d_, 1u);
   CSJ_CHECK_EQ(ClampQuantiles(quantiles_), quantiles_);
   CSJ_CHECK(view.table != nullptr);
@@ -197,22 +171,6 @@ CommunitySignature::CommunitySignature(const Community& community,
   n_ = community.size();
   d_ = community.d();
   quantiles_ = ClampQuantiles(options.quantiles);
-
-  // Same deterministic subset as the reference constructor.
-  std::vector<UserId>& users = scratch->users;
-  users.clear();
-  const double recall = std::clamp(options.recall_target, 0.0, 1.0);
-  const bool all_users = recall >= 1.0;
-  if (!all_users) {
-    const uint64_t threshold =
-        static_cast<uint64_t>(recall * static_cast<double>(UINT64_MAX));
-    for (UserId u = 0; u < n_; ++u) {
-      uint64_t state = options.seed ^ (0xD1B54A32D192ED03ULL * (u + 1));
-      if (util::SplitMix64(state) <= threshold) users.push_back(u);
-    }
-    if (users.empty()) users.push_back(0);  // a sketch needs >= 1 user
-  }
-  sampled_ = all_users ? n_ : static_cast<uint32_t>(users.size());
   std::vector<Count> table(static_cast<size_t>(d_) * (quantiles_ + 1));
 
   // A sketch is d order-statistic rows, one per counter column. Instead
@@ -224,34 +182,33 @@ CommunitySignature::CommunitySignature(const Community& community,
   // constructor's bytes exactly.
   Count max_counter = max_counter_hint;
   if (max_counter == 0) {
-    for (uint32_t i = 0; i < sampled_; ++i) {
-      const Count* row = community.User(all_users ? i : users[i]).data();
+    for (uint32_t i = 0; i < n_; ++i) {
+      const Count* row = community.User(i).data();
       for (Dim k = 0; k < d_; ++k) max_counter = std::max(max_counter, row[k]);
     }
   }
   const uint32_t vbits = std::bit_width(std::max(max_counter, Count{1}));
   const uint32_t dbits = d_ <= 1 ? 0 : std::bit_width(d_ - 1);
 
-  // Breakpoint ranks depend on (j, sampled, quantiles) only — hoist the
+  // Breakpoint ranks depend on (j, n, quantiles) only — hoist the
   // 64-bit divisions out of the per-dimension loops (d * (Q+1) of them
   // otherwise; the divider is the rank loop's hot instruction).
   uint32_t ranks[kMaxQuantiles + 1];
   for (uint32_t j = 0; j <= quantiles_; ++j) {
-    ranks[j] = RankOf(j, sampled_, quantiles_);
+    ranks[j] = RankOf(j, n_, quantiles_);
   }
 
   if (vbits + dbits <= 16) {
-    RadixRankExtract<uint16_t>(community, users, all_users, sampled_, d_,
-                               vbits, dbits, quantiles_, ranks,
-                               scratch->keys16, scratch->aux16,
+    RadixRankExtract<uint16_t>(community, n_, d_, vbits, dbits, quantiles_,
+                               ranks, scratch->keys16, scratch->aux16,
                                scratch->zeros, table.data());
     table_ = std::move(table);
     return;
   }
   if (vbits + dbits <= 32) {
-    RadixRankExtract<Count>(community, users, all_users, sampled_, d_, vbits,
-                            dbits, quantiles_, ranks, scratch->columns,
-                            scratch->aux, scratch->zeros, table.data());
+    RadixRankExtract<Count>(community, n_, d_, vbits, dbits, quantiles_,
+                            ranks, scratch->columns, scratch->aux,
+                            scratch->zeros, table.data());
     table_ = std::move(table);
     return;
   }
@@ -259,26 +216,26 @@ CommunitySignature::CommunitySignature(const Community& community,
   // Fallback for counters too wide to share a 32-bit key with the dim
   // tag: transpose once, then per-column sorts of the nonzero tail.
   std::vector<Count>& columns = scratch->columns;
-  columns.resize(static_cast<size_t>(d_) * sampled_);
-  for (uint32_t i = 0; i < sampled_; ++i) {
-    const Count* row = community.User(all_users ? i : users[i]).data();
+  columns.resize(static_cast<size_t>(d_) * n_);
+  for (uint32_t i = 0; i < n_; ++i) {
+    const Count* row = community.User(i).data();
     for (Dim k = 0; k < d_; ++k) {
-      columns[static_cast<size_t>(k) * sampled_ + i] = row[k];
+      columns[static_cast<size_t>(k) * n_ + i] = row[k];
     }
   }
   for (Dim k = 0; k < d_; ++k) {
-    Count* column = columns.data() + static_cast<size_t>(k) * sampled_;
+    Count* column = columns.data() + static_cast<size_t>(k) * n_;
     // Counters are unsigned, so the sorted column is a zero prefix
     // followed by the sorted nonzeros: compact the nonzeros to the
     // front, sort only them, and resolve ranks against the implicit
     // zero prefix.
     uint32_t nonzeros = 0;
-    for (uint32_t i = 0; i < sampled_; ++i) {
+    for (uint32_t i = 0; i < n_; ++i) {
       const Count v = column[i];
       if (v != 0) column[nonzeros++] = v;
     }
     std::sort(column, column + nonzeros);
-    const uint32_t zeros = sampled_ - nonzeros;
+    const uint32_t zeros = n_ - nonzeros;
     Count* row = table.data() + static_cast<size_t>(k) * (quantiles_ + 1);
     for (uint32_t j = 0; j <= quantiles_; ++j) {
       const uint32_t r = ranks[j];
@@ -288,7 +245,7 @@ CommunitySignature::CommunitySignature(const Community& community,
   table_ = std::move(table);
 }
 
-uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t sampled,
+uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t size,
                                   int64_t lo, int64_t hi) {
   const uint32_t quantiles = static_cast<uint32_t>(row.size()) - 1;
   if (hi < static_cast<int64_t>(row[0]) ||
@@ -297,10 +254,10 @@ uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t sampled,
   }
   // Upper bound on count(value <= hi): the smallest breakpoint above hi
   // sits at rank r_j, so at most r_j values can be <= hi.
-  uint32_t ub_leq = sampled;
+  uint32_t ub_leq = size;
   for (uint32_t j = 0; j <= quantiles; ++j) {
     if (static_cast<int64_t>(row[j]) > hi) {
-      ub_leq = RankOf(j, sampled, quantiles);
+      ub_leq = RankOf(j, size, quantiles);
       break;
     }
   }
@@ -309,7 +266,7 @@ uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t sampled,
   uint32_t lb_lt = 0;
   for (uint32_t j = quantiles + 1; j-- > 0;) {
     if (static_cast<int64_t>(row[j]) < lo) {
-      lb_lt = RankOf(j, sampled, quantiles) + 1;
+      lb_lt = RankOf(j, size, quantiles) + 1;
       break;
     }
   }
@@ -339,11 +296,11 @@ double SignatureSimilarityCap(const CommunitySignature& query,
     // Matched users of either side must land inside the other side's
     // eps-extended value span in this dimension.
     const uint32_t in_query = SignatureCountUpperBound(
-        query_row, query.sampled(),
+        query_row, query.size(),
         static_cast<int64_t>(entry_row[0]) - eps,
         static_cast<int64_t>(entry_row[quantiles]) + eps);
     const uint32_t in_entry = SignatureCountUpperBound(
-        entry_row, entry.sampled(),
+        entry_row, entry.size(),
         static_cast<int64_t>(query_row[0]) - eps,
         static_cast<int64_t>(query_row[quantiles]) + eps);
     ub = std::min(ub, std::min(in_query, in_entry));
@@ -380,24 +337,22 @@ Dim SignatureHomeDim(const CommunitySignature& signature) {
   return best;
 }
 
-SignatureIndex::SignatureIndex(uint32_t shards,
-                               const SignatureOptions& options)
-    : options_(options), shards_(std::max(shards, 1u)) {
+SignatureIndex::SignatureIndex(const SignatureOptions& options)
+    : options_(options) {
   options_.quantiles = ClampQuantiles(options_.quantiles);
 }
 
-void SignatureIndex::InstallSlot(
-    Shard& shard, uint64_t id, uint64_t version,
-    std::shared_ptr<const CommunitySignature> signature) {
-  auto it = shard.locate.find(id);
-  if (it != shard.locate.end()) {
+void SignatureIndex::InstallSlot(uint64_t id, uint64_t version,
+                                 const CommunitySignature& signature) {
+  auto it = locate_.find(id);
+  if (it != locate_.end()) {
     // Replace: drop the old slot first — the community may have changed
     // dimensionality or home category, which moves it to another pack.
-    RemoveSlot(shard, it->second.first, it->second.second);
+    RemoveSlot(it->second.first, it->second.second);
   }
-  const Dim d = signature->d();
-  const PackKey key{d, SignatureHomeDim(*signature)};
-  Pack& pack = shard.packs[key];
+  const Dim d = signature.d();
+  const PackKey key{d, SignatureHomeDim(signature)};
+  Pack& pack = packs_[key];
   if (pack.stride == 0) {
     pack.d = d;
     pack.stride = static_cast<uint32_t>(d) * (options_.quantiles + 1);
@@ -405,36 +360,31 @@ void SignatureIndex::InstallSlot(
   const uint32_t slot = static_cast<uint32_t>(pack.ids.size());
   pack.ids.push_back(id);
   pack.versions.push_back(version);
-  pack.sizes.push_back(signature->size());
-  pack.sampled.push_back(signature->sampled());
-  pack.table.insert(pack.table.end(), signature->table().begin(),
-                    signature->table().end());
+  pack.sizes.push_back(signature.size());
+  pack.table.insert(pack.table.end(), signature.table().begin(),
+                    signature.table().end());
   // Widen the coarse summary (never shrink — see the header note).
   if (pack.dim_min.empty()) {
     pack.dim_min.assign(d, 0);
     pack.dim_max.assign(d, 0);
     for (Dim k = 0; k < d; ++k) {
-      const auto row = signature->DimTable(k);
+      const auto row = signature.DimTable(k);
       pack.dim_min[k] = row[0];
-      pack.dim_max[k] = row[signature->quantiles()];
+      pack.dim_max[k] = row[signature.quantiles()];
     }
-    pack.min_size = signature->size();
+    pack.min_size = signature.size();
   } else {
     for (Dim k = 0; k < d; ++k) {
-      const auto row = signature->DimTable(k);
+      const auto row = signature.DimTable(k);
       pack.dim_min[k] = std::min(pack.dim_min[k], row[0]);
-      pack.dim_max[k] = std::max(pack.dim_max[k], row[signature->quantiles()]);
+      pack.dim_max[k] = std::max(pack.dim_max[k], row[signature.quantiles()]);
     }
-    pack.min_size = std::min(pack.min_size, signature->size());
+    pack.min_size = std::min(pack.min_size, signature.size());
   }
-  pack.signatures.push_back(std::move(signature));
-  shard.locate[id] = {key, slot};
+  locate_[id] = {key, slot};
 }
 
-void SignatureIndex::InstallBatch(uint32_t shard_index,
-                                  std::span<SlotInstall> batch) {
-  CSJ_CHECK(shard_index < shards_.size());
-  Shard& shard = shards_[shard_index];
+void SignatureIndex::InstallBatch(std::span<const SlotInstall> batch) {
   // Reservation pass: upper-bound each target pack's growth so the
   // install loop never reallocates mid-batch. A resident id replaced
   // within its own pack frees its old slot first and needs no room;
@@ -454,71 +404,61 @@ void SignatureIndex::InstallBatch(uint32_t shard_index,
         << "signature resolution does not match the index";
     const PackKey key{element.signature->d(),
                       SignatureHomeDim(*element.signature)};
-    const auto resident = shard.locate.find(element.id);
-    if (resident == shard.locate.end() || resident->second.first != key) {
+    const auto resident = locate_.find(element.id);
+    if (resident == locate_.end() || resident->second.first != key) {
       ++growth[key];
     }
   }
   for (const auto& [key, count] : growth) {
-    Pack& pack = shard.packs[key];
+    Pack& pack = packs_[key];
     const size_t target = pack.ids.size() + count;
     const size_t stride =
         static_cast<size_t>(key.first) * (options_.quantiles + 1);
     grow(pack.ids, target);
     grow(pack.versions, target);
     grow(pack.sizes, target);
-    grow(pack.sampled, target);
     grow(pack.table, target * stride);
-    grow(pack.signatures, target);
   }
   // Same for the id map; its `reserve` rehashes (even shrinks) whenever
   // the bucket count it computes differs, so call it only to grow.
-  auto& locate = shard.locate;
-  const size_t located = locate.size() + batch.size();
+  const size_t located = locate_.size() + batch.size();
   if (static_cast<double>(located) >
-      static_cast<double>(locate.bucket_count()) * locate.max_load_factor()) {
-    locate.reserve(std::max(located, 2 * locate.size()));
+      static_cast<double>(locate_.bucket_count()) * locate_.max_load_factor()) {
+    locate_.reserve(std::max(located, 2 * locate_.size()));
   }
-  for (SlotInstall& element : batch) {
-    InstallSlot(shard, element.id, element.version,
-                std::move(element.signature));
+  for (const SlotInstall& element : batch) {
+    InstallSlot(element.id, element.version, *element.signature);
   }
 }
 
-bool SignatureIndex::Remove(uint32_t shard_index, uint64_t id) {
-  CSJ_CHECK(shard_index < shards_.size());
-  Shard& shard = shards_[shard_index];
-  auto it = shard.locate.find(id);
-  if (it == shard.locate.end()) return false;
-  RemoveSlot(shard, it->second.first, it->second.second);
+bool SignatureIndex::Remove(uint64_t id) {
+  auto it = locate_.find(id);
+  if (it == locate_.end()) return false;
+  RemoveSlot(it->second.first, it->second.second);
   return true;
 }
 
-void SignatureIndex::RemoveSlot(Shard& shard, PackKey key, uint32_t slot) {
-  auto pack_it = shard.packs.find(key);
-  CSJ_CHECK(pack_it != shard.packs.end());
+void SignatureIndex::RemoveSlot(PackKey key, uint32_t slot) {
+  auto pack_it = packs_.find(key);
+  CSJ_CHECK(pack_it != packs_.end());
   Pack& pack = pack_it->second;
   const uint32_t last = static_cast<uint32_t>(pack.ids.size()) - 1;
-  shard.locate.erase(pack.ids[slot]);
+  locate_.erase(pack.ids[slot]);
   if (slot != last) {
     // Swap-with-last keeps the columns dense; only the moved id's locate
     // entry needs fixing.
     pack.ids[slot] = pack.ids[last];
     pack.versions[slot] = pack.versions[last];
     pack.sizes[slot] = pack.sizes[last];
-    pack.sampled[slot] = pack.sampled[last];
     std::memcpy(pack.table.data() + static_cast<size_t>(slot) * pack.stride,
                 pack.table.data() + static_cast<size_t>(last) * pack.stride,
                 static_cast<size_t>(pack.stride) * sizeof(Count));
-    pack.signatures[slot] = std::move(pack.signatures[last]);
-    shard.locate[pack.ids[slot]] = {key, slot};
+    locate_[pack.ids[slot]] = {key, slot};
   }
   pack.ids.pop_back();
   pack.versions.pop_back();
   pack.sizes.pop_back();
-  pack.sampled.pop_back();
   pack.table.resize(pack.table.size() - pack.stride);
-  pack.signatures.pop_back();
 }
 
 namespace {
@@ -554,7 +494,7 @@ bool DimProvesPackBelow(const CommunitySignature& query_sig, Epsilon eps,
   const int64_t pack_hi = static_cast<int64_t>(dim_max[k]);
   if (static_cast<int64_t>(row[quantiles]) + eps < pack_lo) return true;
   if (static_cast<int64_t>(row[0]) - eps > pack_hi) return true;
-  const uint32_t ub = SignatureCountUpperBound(row, query_sig.sampled(),
+  const uint32_t ub = SignatureCountUpperBound(row, query_sig.size(),
                                                pack_lo - eps, pack_hi + eps);
   return static_cast<double>(ub) / denom < threshold;
 }
@@ -584,8 +524,8 @@ bool PackBelowThreshold(const CommunitySignature& query_sig, Epsilon eps,
   return false;
 }
 
-/// A couple's per-side count bounds, tabulated: of `sampled` values
-/// sketched at ranks r_j = j * (sampled - 1) / Q, at most ub[c] lie at or
+/// A couple's per-side count bounds, tabulated: of `n` values sketched
+/// at ranks r_j = j * (n - 1) / Q, at most ub[c] lie at or
 /// below a value that exactly c breakpoints reach (r_c, or all of them
 /// at c = Q + 1), and at least lb[c] lie below a value that c breakpoints
 /// lie below (r_{c-1} + 1, or none at c = 0). Bound() is then
@@ -595,11 +535,11 @@ struct RankRows {
   uint32_t ub[kMaxQuantiles + 2];
   uint32_t lb[kMaxQuantiles + 2];
 
-  RankRows(uint32_t sampled, uint32_t quantiles) {
-    // r_j = j * t + (j * r) / Q with sampled - 1 = Q * t + r, stepped
-    // without a division per breakpoint.
-    const uint32_t t = (sampled - 1) / quantiles;
-    const uint32_t r = (sampled - 1) % quantiles;
+  RankRows(uint32_t n, uint32_t quantiles) {
+    // r_j = j * t + (j * r) / Q with n - 1 = Q * t + r, stepped without
+    // a division per breakpoint.
+    const uint32_t t = (n - 1) / quantiles;
+    const uint32_t r = (n - 1) % quantiles;
     uint32_t rank = 0;
     uint32_t rem = 0;
     lb[0] = 0;
@@ -611,7 +551,7 @@ struct RankRows {
       rem -= carry * quantiles;
       rank += t + carry;
     }
-    ub[quantiles + 1] = sampled;
+    ub[quantiles + 1] = n;
   }
 
   uint32_t Bound(uint32_t le, uint32_t lt) const {
@@ -649,7 +589,7 @@ struct SweepQuery {
         first(first_probe),
         eps(query_eps),
         threshold(query_threshold),
-        ranks(query.sampled(), query.quantiles()) {}
+        ranks(query.size(), query.quantiles()) {}
 };
 
 /// Slots ahead of the sweep whose first-probe rows are prefetched.
@@ -778,7 +718,7 @@ struct RowTally {
 /// count bounds, so no division runs per dimension.
 CSJ_TARGET_CLONES
 bool SweepSlot(const SweepQuery& query, const Count* entry_table,
-               uint32_t entry_sampled, uint32_t entry_size) {
+               uint32_t entry_size) {
   const uint32_t len = query.len;
   const uint32_t bn = std::min(query.size, entry_size);
   const double denom = static_cast<double>(bn);
@@ -791,7 +731,7 @@ bool SweepSlot(const SweepQuery& query, const Count* entry_table,
   uint32_t ub =
       std::min(bn, query.ranks.Bound(counts.query_le, counts.query_lt));
   if (static_cast<double>(ub) / denom < query.threshold) return false;
-  const RankRows entry_ranks(entry_sampled, len - 1);
+  const RankRows entry_ranks(entry_size, len - 1);
   ub = std::min(ub, entry_ranks.Bound(counts.entry_le, counts.entry_lt));
   if (static_cast<double>(ub) / denom < query.threshold) return false;
 
@@ -807,13 +747,11 @@ bool SweepSlot(const SweepQuery& query, const Count* entry_table,
 
 }  // namespace
 
-void SignatureIndex::ProbeShard(uint32_t shard_index, const ProbeQuery& query,
-                                std::vector<PrescreenCandidate>* out,
-                                PrescreenStats* stats) const {
-  CSJ_CHECK(shard_index < shards_.size());
+void SignatureIndex::Probe(const ProbeQuery& query,
+                           std::vector<PrescreenCandidate>* out,
+                           PrescreenStats* stats) const {
   CSJ_CHECK(query.signature != nullptr);
   CSJ_CHECK(query.probe_order.size() == query.signature->d());
-  const Shard& shard = shards_[shard_index];
   const CommunitySignature& query_sig = *query.signature;
   const uint32_t query_size = query_sig.size();
   const uint32_t quantiles = query_sig.quantiles();
@@ -821,7 +759,7 @@ void SignatureIndex::ProbeShard(uint32_t shard_index, const ProbeQuery& query,
                          query.probe_order[0]);
   const size_t first_row =
       static_cast<size_t>(query.probe_order[0]) * (quantiles + 1);
-  for (const auto& [key, pack] : shard.packs) {
+  for (const auto& [key, pack] : packs_) {
     const uint64_t slots = pack.ids.size();
     if (slots == 0) continue;
     stats->examined += slots;
@@ -866,7 +804,7 @@ void SignatureIndex::ProbeShard(uint32_t shard_index, const ProbeQuery& query,
       // Every cap is >= 0, so an inert probe passes every slot unswept.
       const bool passes =
           query.threshold <= 0 ||
-          SweepSlot(sweep, entry_table, pack.sampled[slot], entry_size);
+          SweepSlot(sweep, entry_table, entry_size);
       if (passes) {
         ++stats->passed;
         out->push_back({pack.ids[slot], pack.versions[slot]});
@@ -875,44 +813,6 @@ void SignatureIndex::ProbeShard(uint32_t shard_index, const ProbeQuery& query,
       }
     }
   }
-}
-
-std::shared_ptr<const CommunitySignature> SignatureIndex::Lookup(
-    uint32_t shard_index, uint64_t id, uint64_t* version) const {
-  CSJ_CHECK(shard_index < shards_.size());
-  const Shard& shard = shards_[shard_index];
-  auto it = shard.locate.find(id);
-  if (it == shard.locate.end()) return nullptr;
-  const auto& pack = shard.packs.at(it->second.first);
-  if (version != nullptr) *version = pack.versions[it->second.second];
-  return pack.signatures[it->second.second];
-}
-
-uint64_t SignatureIndex::size() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) total += shard.locate.size();
-  return total;
-}
-
-size_t SignatureIndex::MemoryBytes() const {
-  size_t total = sizeof(*this);
-  for (const Shard& shard : shards_) {
-    for (const auto& [key, pack] : shard.packs) {
-      total += pack.ids.capacity() * sizeof(uint64_t) +
-               pack.versions.capacity() * sizeof(uint64_t) +
-               pack.sizes.capacity() * sizeof(uint32_t) +
-               pack.sampled.capacity() * sizeof(uint32_t) +
-               pack.table.capacity() * sizeof(Count) +
-               (pack.dim_min.capacity() + pack.dim_max.capacity()) *
-                   sizeof(Count);
-      for (const auto& sig : pack.signatures) {
-        if (sig != nullptr) total += sig->MemoryBytes();
-      }
-    }
-    total += shard.locate.size() *
-             (sizeof(uint64_t) + sizeof(std::pair<PackKey, uint32_t>));
-  }
-  return total;
 }
 
 }  // namespace csj

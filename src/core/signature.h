@@ -60,20 +60,6 @@ struct SignatureOptions {
   /// More quantiles -> tighter caps, bigger sketch. Clamped to [2, 256].
   uint32_t quantiles = 16;
 
-  /// Recall control in the spirit of CPSJoin: at 1.0 (default) every
-  /// user enters the sketch and the containment guarantee above is exact.
-  /// Below 1.0 each community's users are subsampled (deterministically,
-  /// from `seed`) before the quantile tables are built — sketches build
-  /// faster and caps become estimates, so entries near the threshold may
-  /// be dismissed; expected recall degrades gracefully with the sampling
-  /// rate. Serving keeps 1.0; the knob exists for offline sweeps.
-  /// Clamped to (0, 1].
-  double recall_target = 1.0;
-
-  /// Seed for the recall_target subsampling. Signatures are functions of
-  /// (community bytes, options) only — same seed, same sketch, on any
-  /// thread count.
-  uint64_t seed = 0x5349474E41545552ULL;  // "SIGNATUR"
 };
 
 /// Reusable scratch for the bulk-ingestion sketch builder (one per
@@ -84,7 +70,6 @@ struct SketchScratch {
   std::vector<uint16_t> keys16;  ///< half-width keys (vbits + dbits <= 16)
   std::vector<uint16_t> aux16;   ///< half-width radix scatter buffer
   std::vector<uint32_t> zeros;   ///< per-dim zero-counter tallies
-  std::vector<UserId> users;     ///< sampled user ids (recall_target < 1)
 };
 
 /// One community's sketch: d equi-rank breakpoint rows, dimension-major.
@@ -118,7 +103,6 @@ class CommunitySignature {
   /// `quantiles` must already be the clamped value the builders stored.
   struct TableView {
     uint32_t n = 0;
-    uint32_t sampled = 0;
     uint32_t quantiles = 0;
     Dim d = 0;
     const Count* table = nullptr;
@@ -126,10 +110,9 @@ class CommunitySignature {
   CommunitySignature(const TableView& view,
                      std::shared_ptr<const void> owner);
 
-  /// True community size (admissibility checks, the cap's denominator).
+  /// Community size: every user is sketched, so the rank arithmetic,
+  /// the admissibility checks and the cap's denominator all count it.
   uint32_t size() const { return n_; }
-  /// Users actually sketched (== size() at recall_target 1.0).
-  uint32_t sampled() const { return sampled_; }
   Dim d() const { return d_; }
   uint32_t quantiles() const { return quantiles_; }
 
@@ -143,13 +126,8 @@ class CommunitySignature {
   /// packed sweep columns).
   std::span<const Count> table() const { return table_.span(); }
 
-  size_t MemoryBytes() const {
-    return table_.OwnedBytes() + sizeof(*this);
-  }
-
  private:
   uint32_t n_ = 0;
-  uint32_t sampled_ = 0;
   uint32_t quantiles_ = 0;
   Dim d_ = 0;
   /// d * (quantiles + 1), dimension-major; owned when built, borrowed
@@ -158,14 +136,14 @@ class CommunitySignature {
   std::shared_ptr<const void> owner_;
 };
 
-/// Certified upper bound on the number of sketched users whose value in
-/// the row's dimension lies in [lo, hi]. `row` is one DimTable row
-/// (quantiles + 1 breakpoints over `sampled` sorted values). The bound is
-/// exact rank arithmetic: if breakpoint j (at rank r_j = j*(sampled-1)/Q)
-/// exceeds hi, at most r_j values are <= hi; if it is below lo, at least
-/// r_j + 1 values are < lo.
-uint32_t SignatureCountUpperBound(std::span<const Count> row,
-                                  uint32_t sampled, int64_t lo, int64_t hi);
+/// Certified upper bound on the number of users whose value in the row's
+/// dimension lies in [lo, hi]. `row` is one DimTable row (quantiles + 1
+/// breakpoints over `size` sorted values). The bound is exact rank
+/// arithmetic: if breakpoint j (at rank r_j = j*(size-1)/Q) exceeds hi,
+/// at most r_j values are <= hi; if it is below lo, at least r_j + 1
+/// values are < lo.
+uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t size,
+                                  int64_t lo, int64_t hi);
 
 /// Upper bound on similarity(B, A) for the couple behind the two
 /// sketches (B = the smaller community, query wins ties — the same
@@ -196,7 +174,7 @@ std::vector<Dim> SignatureProbeOrder(const CommunitySignature& query);
 /// exactly what the pack-level prefilter needs to skip whole packs.
 Dim SignatureHomeDim(const CommunitySignature& signature);
 
-/// Sweep accounting, accumulated across shards by one probe.
+/// Sweep accounting, accumulated across a catalog's shards by one probe.
 struct PrescreenStats {
   uint64_t examined = 0;  ///< index slots looked at
   uint64_t passed = 0;    ///< cap >= threshold
@@ -217,50 +195,51 @@ struct PrescreenCandidate {
   uint64_t version = 0;
 };
 
-/// Sharded packed sketch store — the structure a prescreen query sweeps
-/// instead of computing exact bounds against the whole catalog.
+/// One catalog shard's packed sketch store — the structure a prescreen
+/// query sweeps instead of computing exact bounds against the whole
+/// catalog. The community catalog keeps one per shard, beside the
+/// shard's entry map.
 ///
-/// Sharding mirrors the community catalog's: the OWNER maps an id to a
-/// shard (the catalog uses its own id hash) and passes the shard index
-/// to every call. The index keeps per-shard, per-dimensionality packs of
-/// slot-major rows (ids, versions, sizes, breakpoint tables) so a probe
-/// is one cache-friendly linear sweep per pack with no pointer chasing.
+/// The index keeps one pack of slot-major rows (ids, versions, sizes,
+/// breakpoint tables) per (dimensionality, home dimension), so a probe is
+/// one cache-friendly linear sweep per pack with no pointer chasing. It
+/// copies each sketch's table into its pack and keeps no reference to the
+/// sketch itself.
 ///
-/// Concurrency: externally synchronized PER SHARD. The index takes no
-/// locks of its own; the community catalog wraps every InstallBatch/Remove in
-/// the same exclusive shard lock that guards the entry map and every
-/// ProbeShard in the same shared lock — so the sketch store and the
-/// entry map can never disagree about which (id, version) is resident,
-/// which is what makes a probe's candidate list consistent with the
-/// snapshot a query refines against.
+/// Concurrency: externally synchronized. The index takes no locks of its
+/// own; the community catalog wraps every InstallBatch/Remove in the same
+/// exclusive shard lock that guards the entry map and every Probe in the
+/// same shared lock — so the sketch store and the entry map can never
+/// disagree about which (id, version) is resident, which is what makes a
+/// probe's candidate list consistent with the snapshot a query refines
+/// against.
 class SignatureIndex {
  public:
-  SignatureIndex(uint32_t shards, const SignatureOptions& options);
+  /// Clamps options.quantiles like the sketch builders do.
+  explicit SignatureIndex(const SignatureOptions& options);
 
   const SignatureOptions& options() const { return options_; }
-  uint32_t shards() const { return static_cast<uint32_t>(shards_.size()); }
 
   /// One element of an InstallBatch: installs (or replaces) the sketch
   /// for `id`. `signature` must be built with options() (one resolution
-  /// per index).
+  /// per index); it is read during the call only.
   struct SlotInstall {
     uint64_t id = 0;
     uint64_t version = 0;
-    std::shared_ptr<const CommunitySignature> signature;
+    const CommunitySignature* signature = nullptr;
   };
 
-  /// Installs a shard batch (one element or many) under the caller's ONE
-  /// exclusive shard lock. Each target pack grows at most once per batch,
+  /// Installs a batch (one element or many) under the caller's ONE
+  /// exclusive lock. Each target pack grows at most once per batch,
   /// geometrically, so a stream of small batches stays amortized O(1) per
   /// slot. Elements install in order — replacing ids already resident and
   /// duplicates within the batch — so the resulting pack columns and
   /// summaries depend only on the sequence of elements, never on how it
-  /// was split into batches. Signatures are consumed (moved out of the
-  /// batch).
-  void InstallBatch(uint32_t shard, std::span<SlotInstall> batch);
+  /// was split into batches.
+  void InstallBatch(std::span<const SlotInstall> batch);
 
   /// Drops `id`'s sketch. Returns false when absent.
-  bool Remove(uint32_t shard, uint64_t id);
+  bool Remove(uint64_t id);
 
   struct ProbeQuery {
     const CommunitySignature* signature = nullptr;
@@ -272,43 +251,30 @@ class SignatureIndex {
     std::span<const Dim> probe_order;
   };
 
-  /// Sweeps one shard, appending passing (id, version) pairs to `out`
+  /// Sweeps the index, appending passing (id, version) pairs to `out`
   /// and accumulating into `stats`. A slot passes iff its exact
   /// SignatureSimilarityCap (no early exit) reaches the threshold. The
   /// per-slot pass is compiled per ISA and dispatched by CPU feature like
   /// EpsilonMatches; its default clone runs the same packed code at the
   /// baseline ISA. Only rows shorter than 16 breakpoints, and builds
   /// without GNU vector extensions, count one breakpoint at a time.
-  void ProbeShard(uint32_t shard, const ProbeQuery& query,
-                  std::vector<PrescreenCandidate>* out,
-                  PrescreenStats* stats) const;
-
-  /// The resident sketch for `id` (null when absent); `version` (if
-  /// non-null) receives its installed version.
-  std::shared_ptr<const CommunitySignature> Lookup(
-      uint32_t shard, uint64_t id, uint64_t* version = nullptr) const;
-
-  /// Resident sketch count over all shards.
-  uint64_t size() const;
-
-  size_t MemoryBytes() const;
+  void Probe(const ProbeQuery& query, std::vector<PrescreenCandidate>* out,
+             PrescreenStats* stats) const;
 
  private:
-  /// Packs group a shard's slots by (dimensionality, home dimension):
-  /// same-home communities look alike, so one coarse per-pack summary
-  /// is tight enough to dismiss the whole pack against most queries.
+  /// Packs group the slots by (dimensionality, home dimension): same-home
+  /// communities look alike, so one coarse per-pack summary is tight
+  /// enough to dismiss the whole pack against most queries.
   using PackKey = std::pair<Dim, Dim>;  ///< (d, SignatureHomeDim)
 
-  /// Slot-major columns of one (shard, d, home) group.
+  /// Slot-major columns of one (d, home) group.
   struct Pack {
     Dim d = 0;
     uint32_t stride = 0;  ///< d * (quantiles + 1) Counts per slot
     std::vector<uint64_t> ids;
     std::vector<uint64_t> versions;
-    std::vector<uint32_t> sizes;    ///< true community sizes
-    std::vector<uint32_t> sampled;  ///< sketched user counts
-    std::vector<Count> table;       ///< slot-major breakpoint rows
-    std::vector<std::shared_ptr<const CommunitySignature>> signatures;
+    std::vector<uint32_t> sizes;  ///< community sizes
+    std::vector<Count> table;     ///< slot-major breakpoint rows
 
     /// Coarse summary for the pack prefilter, maintained WIDEN-ONLY:
     /// dim_min[k] <= every resident slot's smallest breakpoint in k and
@@ -321,18 +287,15 @@ class SignatureIndex {
     std::vector<Count> dim_max;
     uint32_t min_size = 0;
   };
-  struct Shard {
-    /// id -> (pack key, slot).
-    std::unordered_map<uint64_t, std::pair<PackKey, uint32_t>> locate;
-    std::map<PackKey, Pack> packs;
-  };
 
-  void InstallSlot(Shard& shard, uint64_t id, uint64_t version,
-                   std::shared_ptr<const CommunitySignature> signature);
-  void RemoveSlot(Shard& shard, PackKey key, uint32_t slot);
+  void InstallSlot(uint64_t id, uint64_t version,
+                   const CommunitySignature& signature);
+  void RemoveSlot(PackKey key, uint32_t slot);
 
   SignatureOptions options_;
-  std::vector<Shard> shards_;
+  /// id -> (pack key, slot).
+  std::unordered_map<uint64_t, std::pair<PackKey, uint32_t>> locate_;
+  std::map<PackKey, Pack> packs_;
 };
 
 }  // namespace csj

@@ -14,7 +14,7 @@ namespace {
 
 /// Generation-time membership simulation of one live community: just
 /// enough state to mint valid events (live keys, next fresh key, the
-/// frozen source buffer join payloads are sampled from).
+/// frozen source buffer join payloads are drawn from).
 struct SimCommunity {
   std::shared_ptr<const Community> source;
   std::vector<uint64_t> live_keys;

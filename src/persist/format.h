@@ -108,7 +108,10 @@ enum class SectionKind : uint32_t {
   kUsersPrefix = 8,   ///< uint64[n+1] user-count prefix sums (total U)
   kCountsPrefix = 9,  ///< uint64[n+1] counter prefix sums (total C)
   kCounts = 10,       ///< uint32[C]   row-major community counters
-  kSampled = 11,      ///< uint32[n]   signature sampled counts
+  /// Reserved: uint32[n] sketched-user counts, written by older
+  /// versions. Restore and fsck ignore it (every sketch covers its
+  /// whole community).
+  kSampled = 11,
   kSigPrefix = 12,    ///< uint64[n+1] sketch-table prefix sums
   kSigTables = 13,    ///< uint32[...] quantile tables, d_i*(q+1) each
   kSumsPrefix = 14,   ///< uint64[n+1] part-sum prefix sums (total S)

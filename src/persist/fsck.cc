@@ -37,7 +37,7 @@ const char* KindName(uint32_t kind) {
     case SectionKind::kUsersPrefix: return "users_prefix";
     case SectionKind::kCountsPrefix: return "counts_prefix";
     case SectionKind::kCounts: return "counts";
-    case SectionKind::kSampled: return "sampled";
+    case SectionKind::kSampled: return "reserved";
     case SectionKind::kSigPrefix: return "sig_prefix";
     case SectionKind::kSigTables: return "sig_tables";
     case SectionKind::kSumsPrefix: return "sums_prefix";
@@ -108,25 +108,18 @@ void DeepVerifyEntry(const MappedSegment& segment, size_t i,
   }
 
   if (has_signatures) {
-    const auto sampled = segment.Column<uint32_t>(SectionKind::kSampled);
     const auto sig_prefix =
         segment.Column<uint64_t>(SectionKind::kSigPrefix);
     const auto sig_tables = segment.Column<Count>(SectionKind::kSigTables);
-    // Subsampled sketches (recall_target < 1) depend on the writer's
-    // seed, which the segment does not carry; serving uses recall 1.0,
-    // where sampled == users and the rebuild is deterministic.
-    if (sampled[i] == users) {
-      SignatureOptions sig_options;
-      sig_options.quantiles = header.sig_quantiles;
-      const CommunitySignature rebuilt(community, sig_options);
-      const auto stored =
-          sig_tables.subspan(sig_prefix[i], sig_prefix[i + 1] - sig_prefix[i]);
-      const auto table = rebuilt.table();
-      if (rebuilt.sampled() != sampled[i] ||
-          !std::equal(table.begin(), table.end(), stored.begin(),
-                      stored.end())) {
-        reporter->Fatal(tag + ": stored sketch disagrees with recomputation");
-      }
+    SignatureOptions sig_options;
+    sig_options.quantiles = header.sig_quantiles;
+    const CommunitySignature rebuilt(community, sig_options);
+    const auto stored =
+        sig_tables.subspan(sig_prefix[i], sig_prefix[i + 1] - sig_prefix[i]);
+    const auto table = rebuilt.table();
+    if (!std::equal(table.begin(), table.end(), stored.begin(),
+                    stored.end())) {
+      reporter->Fatal(tag + ": stored sketch disagrees with recomputation");
     }
   }
 
@@ -274,22 +267,15 @@ bool VerifySegmentShapes(const MappedSegment& segment, Reporter* reporter) {
   }
 
   if (ok && has_signatures) {
-    const auto sampled = segment.Column<uint32_t>(SectionKind::kSampled);
     const auto sig_prefix =
         segment.Column<uint64_t>(SectionKind::kSigPrefix);
     const auto sig_tables = segment.Column<Count>(SectionKind::kSigTables);
-    if (sampled.size() != n || sig_prefix.size() != n + 1) {
+    if (sig_prefix.size() != n + 1) {
       fail("signature column lengths disagree with the entry count");
     }
     for (size_t i = 0; i < n && ok; ++i) {
-      const uint64_t users = users_prefix[i + 1] - users_prefix[i];
-      if (sampled[i] == 0 || sampled[i] > users) {
-        fail("entry id " + std::to_string(ids[i]) +
-             ": sampled count outside [1, users]");
-      }
-      if (ok && sig_prefix[i + 1] - sig_prefix[i] !=
-                    static_cast<uint64_t>(dims[i]) *
-                        (header.sig_quantiles + 1)) {
+      if (sig_prefix[i + 1] - sig_prefix[i] !=
+          static_cast<uint64_t>(dims[i]) * (header.sig_quantiles + 1)) {
         fail("entry id " + std::to_string(ids[i]) +
              ": sketch prefix disagrees with d * (quantiles + 1)");
       }

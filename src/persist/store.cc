@@ -226,7 +226,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       *error = "store warm parameters disagree with the catalog's";
       return false;
     }
-    if (has_signatures != (catalog->signature_index() != nullptr)) {
+    if (has_signatures != (catalog->signature_options() != nullptr)) {
       *error = "store signature configuration disagrees with the catalog's";
       return false;
     }
@@ -251,7 +251,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     const auto counts_prefix =
         segment_->Column<uint64_t>(SectionKind::kCountsPrefix);
     const auto counts = segment_->Column<Count>(SectionKind::kCounts);
-    const auto sampled = segment_->Column<uint32_t>(SectionKind::kSampled);
     const auto sig_prefix =
         segment_->Column<uint64_t>(SectionKind::kSigPrefix);
     const auto sig_tables = segment_->Column<Count>(SectionKind::kSigTables);
@@ -285,8 +284,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
         counts_prefix.size() != n + 1) {
       return shape_error("entry columns");
     }
-    if (has_signatures &&
-        (sampled.size() != n || sig_prefix.size() != n + 1)) {
+    if (has_signatures && sig_prefix.size() != n + 1) {
       return shape_error("signature columns");
     }
     if (has_encodings &&
@@ -371,7 +369,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
           if (has_signatures) {
             CommunitySignature::TableView view;
             view.n = users;
-            view.sampled = sampled[i];
             view.quantiles = header.sig_quantiles;
             view.d = d;
             view.table = sig_tables.data() + sig_prefix[i];
@@ -529,7 +526,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   util::Timer timer;
   const std::vector<service::CatalogEntry> snapshot = catalog.Snapshot();
   const auto n = static_cast<uint32_t>(snapshot.size());
-  const bool has_signatures = catalog.signature_index() != nullptr;
+  const bool has_signatures = catalog.signature_options() != nullptr;
 
   // Derived shapes + prefix arrays (serial, O(n)).
   std::vector<EntryShape> shapes(n);
@@ -568,7 +565,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<uint32_t> dims(n), max_counters(n);
   std::vector<uint8_t> names(name_prefix[n]);
   std::vector<Count> counts(counts_prefix[n]);
-  std::vector<uint32_t> sampled(has_signatures ? n : 0);
   std::vector<Count> sig_tables(has_signatures ? sig_prefix[n] : 0);
   std::vector<uint64_t> b_ids(users_prefix[n]);
   std::vector<UserId> b_real(users_prefix[n]);
@@ -596,7 +592,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     CopyBytes(counts.data() + counts_prefix[i], flat.data(),
               flat.size() * sizeof(Count));
     if (has_signatures) {
-      sampled[i] = entry.signature->sampled();
       const auto table = entry.signature->table();
       CopyBytes(sig_tables.data() + sig_prefix[i], table.data(),
                 table.size() * sizeof(Count));
@@ -659,7 +654,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
       counts_prefix.size() * 8);
   add(SectionKind::kCounts, 4, counts.data(), counts.size() * 4);
   if (has_signatures) {
-    add(SectionKind::kSampled, 4, sampled.data(), sampled.size() * 4);
     add(SectionKind::kSigPrefix, 8, sig_prefix.data(),
         sig_prefix.size() * 8);
     add(SectionKind::kSigTables, 4, sig_tables.data(), sig_tables.size() * 4);

@@ -29,8 +29,8 @@ CommunityCatalog::CommunityCatalog(Options options) : options_(options) {
   options_.shards = std::max(options_.shards, 1u);
   shards_ = std::vector<Shard>(options_.shards);
   if (options_.signatures.has_value()) {
-    signature_index_ = std::make_unique<SignatureIndex>(
-        options_.shards, *options_.signatures);
+    for (Shard& shard : shards_) shard.signatures.emplace(*options_.signatures);
+    options_.signatures = shards_.front().signatures->options();
   }
   if (options_.mutation_log_capacity > 0) {
     mutation_log_ = std::make_unique<MutationLog>();
@@ -264,14 +264,14 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
     // max counter feeds the radix key width, saving the builder its own
     // max-scan pass.
     phase_timer.Reset();
-    if (signature_index_ != nullptr) {
+    if (options_.signatures.has_value()) {
       run_wave(
           chunk, count,
           [](const CatalogEntry& entry) { return entry.signature == nullptr; },
           [&](CatalogEntry& entry) {
             thread_local SketchScratch scratch;
             entry.signature = std::make_shared<const CommunitySignature>(
-                *entry.community, signature_index_->options(), &scratch,
+                *entry.community, *options_.signatures, &scratch,
                 entry.digest.max_counter);
           });
     }
@@ -306,16 +306,15 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
     by_shard[ShardIndexOf(entries[i].id)].push_back(i);
   }
   std::vector<SignatureIndex::SlotInstall> installs;
-  for (uint32_t shard_index = 0; shard_index < shards_.size();
-       ++shard_index) {
-    const std::vector<uint32_t>& members = by_shard[shard_index];
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const std::vector<uint32_t>& members = by_shard[s];
     if (members.empty()) continue;
-    Shard& shard = shards_[shard_index];
-    if (signature_index_ != nullptr) {
+    Shard& shard = shards_[s];
+    if (shard.signatures.has_value()) {
       installs.clear();
       for (const uint32_t i : members) {
         installs.push_back(
-            {entries[i].id, entries[i].version, entries[i].signature});
+            {entries[i].id, entries[i].version, entries[i].signature.get()});
       }
     }
     mutations_started_.fetch_add(1, std::memory_order_acq_rel);
@@ -339,6 +338,13 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
                          /*remove=*/false);
         }
       }
+      // Entry map and sketch store commit in one critical section, so a
+      // probe (under the shared lock) always sees them in agreement. The
+      // sketches install first: the move loop below can release one (a
+      // duplicate id's earlier entry) before the index has copied it.
+      if (shard.signatures.has_value()) {
+        shard.signatures->InstallBatch(installs);
+      }
       for (const uint32_t i : members) {
         // Entries are single-use here: moving skips four shared_ptr
         // refcount round-trips per element. The end hint makes each
@@ -347,11 +353,6 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
         const uint64_t id = entries[i].id;
         shard.entries.insert_or_assign(shard.entries.end(), id,
                                        std::move(entries[i]));
-      }
-      // Entry map and sketch store commit in one critical section, so a
-      // probe (under the shared lock) always sees them in agreement.
-      if (signature_index_ != nullptr) {
-        signature_index_->InstallBatch(shard_index, installs);
       }
     }
     mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
@@ -362,8 +363,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
 }
 
 bool CommunityCatalog::Remove(uint64_t id) {
-  const uint32_t shard_index = ShardIndexOf(id);
-  Shard& shard = shards_[shard_index];
+  Shard& shard = ShardOf(id);
   bool removed = false;
   // The clock must tick before we can know whether the id is resident, so
   // a Remove of an absent id ticks too: a spurious invalidation for
@@ -372,9 +372,7 @@ bool CommunityCatalog::Remove(uint64_t id) {
   {
     std::unique_lock lock(shard.mu);
     removed = shard.entries.erase(id) > 0;
-    if (removed && signature_index_ != nullptr) {
-      signature_index_->Remove(shard_index, id);
-    }
+    if (removed && shard.signatures.has_value()) shard.signatures->Remove(id);
     // Only a remove that actually erased something is logged: a Remove
     // of an absent id changes no observable state for log consumers.
     if (removed && mutation_log_ != nullptr) {
@@ -416,7 +414,7 @@ std::vector<CatalogEntry> CommunityCatalog::Snapshot() const {
 CommunityCatalog::ProbeResult CommunityCatalog::ProbeCandidates(
     const CommunitySignature& query_signature,
     std::span<const Dim> probe_order, Epsilon eps, double threshold) const {
-  CSJ_CHECK(signature_index_ != nullptr)
+  CSJ_CHECK(options_.signatures.has_value())
       << "ProbeCandidates requires Options::signatures";
   ProbeResult result;
   SignatureIndex::ProbeQuery probe;
@@ -425,12 +423,10 @@ CommunityCatalog::ProbeResult CommunityCatalog::ProbeCandidates(
   probe.threshold = threshold;
   probe.probe_order = probe_order;
   std::vector<PrescreenCandidate> passing;
-  for (uint32_t shard_index = 0; shard_index < shards_.size();
-       ++shard_index) {
-    const Shard& shard = shards_[shard_index];
+  for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
     passing.clear();
-    signature_index_->ProbeShard(shard_index, probe, &passing, &result.stats);
+    shard.signatures->Probe(probe, &passing, &result.stats);
     for (const PrescreenCandidate& candidate : passing) {
       const auto it = shard.entries.find(candidate.id);
       // Index rows and entries commit under one exclusive lock, so a

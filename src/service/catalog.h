@@ -61,8 +61,8 @@ struct CatalogEntry {
   /// radix width and pre-screens the same-id content check of the ingest
   /// path. Queries never digest an entry again: they read `encodings`.
   CommunityDigest digest;
-  /// Prescreen sketch, built at ingest when the catalog has a signature
-  /// index configured (null otherwise). Frozen with the community.
+  /// Prescreen sketch, built at ingest when the catalog has
+  /// Options::signatures set (null otherwise). Frozen with the community.
   std::shared_ptr<const CommunitySignature> signature;
   /// MinMax artifacts under the catalog's warm parameters; set on every
   /// resident entry. The top-k walk refines from them and a checkpoint
@@ -192,11 +192,13 @@ class CommunityCatalog {
     /// joins the old way, through JoinOptions::cache or local encodings.
     Epsilon warm_eps = 1;
     uint32_t warm_parts = 4;
-    /// When set, the catalog maintains a SignatureIndex: the ingest path
-    /// builds each entry's sketch in its build waves (outside any lock)
-    /// and installs it under the SAME exclusive shard lock as the entry
-    /// map, so index and entries can never disagree. Queries use
-    /// ProbeCandidates() for sub-linear candidate generation.
+    /// When set, every shard keeps a SignatureIndex beside its entry map:
+    /// the ingest path builds each entry's sketch in its build waves
+    /// (outside any lock) and installs it under the SAME exclusive shard
+    /// lock as the entry, so index and entries can never disagree.
+    /// Queries use ProbeCandidates() for sub-linear candidate generation.
+    /// The catalog keeps these options with quantiles clamped as the
+    /// sketch builders clamp them.
     std::optional<SignatureOptions> signatures;
     /// When nonzero, every successful mutation (Upsert, BulkLoad member,
     /// Remove of a resident id) appends a MutationRecord to a bounded
@@ -313,7 +315,7 @@ class CommunityCatalog {
   /// are equal exactly when the catalog is quiescent.
   ///
   /// The clock is what makes version-tagged read results (the server's
-  /// hot-query result cache, its shared snapshot) provably safe:
+  /// hot-query result cache) provably safe:
   ///
   ///   f1 = mutations_finished();      // BEFORE the read
   ///   ... snapshot / compute ...
@@ -360,12 +362,12 @@ class CommunityCatalog {
                                                 uint64_t entry_id,
                                                 const JoinOptions& join) const;
 
-  /// Sweeps the signature index and returns the entries whose certified
-  /// similarity cap reaches `threshold` (ascending id, like Snapshot()),
-  /// plus the sweep accounting. Like a snapshot this is PER-SHARD atomic:
-  /// within a shard the index verdicts and the returned entries observe
-  /// one consistent state. Requires a configured signature index and a
-  /// query signature built with its options.
+  /// Sweeps every shard's signature index and returns the entries whose
+  /// certified similarity cap reaches `threshold` (ascending id, like
+  /// Snapshot()), plus the sweep accounting. Like a snapshot this is
+  /// PER-SHARD atomic: within a shard the index verdicts and the returned
+  /// entries observe one consistent state. Requires Options::signatures
+  /// and a query signature built with signature_options().
   struct ProbeResult {
     std::vector<CatalogEntry> candidates;
     PrescreenStats stats;
@@ -374,16 +376,10 @@ class CommunityCatalog {
                               std::span<const Dim> probe_order, Epsilon eps,
                               double threshold) const;
 
-  /// The signature configuration, or nullptr when prescreening is off.
+  /// The signature configuration (quantiles clamped), or nullptr when
+  /// prescreening is off.
   const SignatureOptions* signature_options() const {
-    return signature_index_ == nullptr ? nullptr
-                                       : &signature_index_->options();
-  }
-
-  /// The underlying index (nullptr when off). Exposed for tests and
-  /// stats; mutating calls remain the catalog's alone.
-  const SignatureIndex* signature_index() const {
-    return signature_index_.get();
+    return options_.signatures.has_value() ? &*options_.signatures : nullptr;
   }
 
   /// The construction options (the persistence layer reads the warm
@@ -407,6 +403,10 @@ class CommunityCatalog {
   struct alignas(64) Shard {
     mutable std::shared_mutex mu;
     std::map<uint64_t, CatalogEntry> entries;
+    /// The shard's sketch store, set iff Options::signatures is. It
+    /// changes under the exclusive lock together with `entries` and is
+    /// probed under the shared one.
+    std::optional<SignatureIndex> signatures;
   };
 
   /// The bounded mutation log (see Options::mutation_log_capacity). Its
@@ -438,9 +438,6 @@ class CommunityCatalog {
 
   Options options_;
   std::vector<Shard> shards_;
-  /// Sketch store mirroring shards_ one-to-one; every mutation happens
-  /// under the matching shard's exclusive lock (see Options::signatures).
-  std::unique_ptr<SignatureIndex> signature_index_;
   /// Null when Options::mutation_log_capacity == 0.
   std::unique_ptr<MutationLog> mutation_log_;
   /// The durable-log seam (see SetMutationSink); empty when detached.

@@ -7,14 +7,14 @@
 namespace csj::service {
 
 /// Deep byte-identity between two quiesced catalogs: entries (id,
-/// version, digest, counters, MinMax artifact bytes, sketch bytes) AND
-/// signature-index layout.
-/// Pack layout is compared through per-shard probes — an inert probe
-/// (threshold 0) enumerates every slot in pack/slot order, so identical
-/// candidate SEQUENCES plus identical sweep stats pin the physical
-/// layout; a thresholded probe additionally exercises the pack
-/// prefilter on both sides. ProbeCandidates cannot stand in for the
-/// layout half because it re-sorts candidates by id.
+/// version, digest, counters, MinMax artifact bytes, sketch bytes), the
+/// shard count, and the sketch layer. The sketch layer is compared through
+/// ProbeCandidates on both sides, with three catalog entries as queries:
+/// an inert probe (threshold 0) must examine every entry and pass the
+/// same (id, version) list on both sides, and a probe at `threshold`
+/// must pass the same list with the same examined, passed and skipped_*
+/// counts, which exercises the pack prefilter too. packs_skipped is not
+/// compared: how slots group into packs depends on insertion history.
 ///
 /// The in-RAM mutation journal is deliberately NOT compared: it is
 /// bounded history, not state — a restored catalog starts with an empty

@@ -43,7 +43,7 @@ TopKResultCache::Shard& TopKResultCache::ShardOf(const ResultCacheKey& key) {
   return *shards_[util::SplitMix64(state) % shards_.size()];
 }
 
-TopKResultCache::Ranking TopKResultCache::Lookup(const ResultCacheKey& key) {
+TopKResultCache::Ranking TopKResultCache::Find(const ResultCacheKey& key) {
   Shard& shard = ShardOf(key);
   Ranking ranking;
   {

@@ -47,7 +47,7 @@ struct ResultCacheKey {
 ///    catalog.mutations_finished() before the compute equaled
 ///    catalog.mutations_started() after it (see catalog.h). The tag is
 ///    that common value, carried in key.state_version.
-///  - Lookup(key) only ever returns an entry whose FULL key — including
+///  - Find(key) only ever returns an entry whose FULL key — including
 ///    state_version — matches. The caller forms the key from the current
 ///    clock, so a cached ranking from any older catalog state can never
 ///    be returned: invalidation is free, no sweep, no epochs, just the
@@ -79,7 +79,7 @@ class TopKResultCache {
   explicit TopKResultCache(Options options);
 
   /// The cached ranking for `key`, or nullptr. Counted as hit/miss.
-  Ranking Lookup(const ResultCacheKey& key);
+  Ranking Find(const ResultCacheKey& key);
 
   /// Installs a complete ranking computed at key.state_version. Replaces
   /// an equal-key entry (benign race of two same-key misses). Entries

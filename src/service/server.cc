@@ -141,40 +141,6 @@ void CsjServer::WorkerLoop() {
   }
 }
 
-TopKResult CsjServer::QueryStableScan(
-    const Community& query, const TopKOptions& options,
-    const std::optional<Deadline>& deadline, bool stable,
-    uint64_t clock_tag) {
-  // The prescreen path probes the signature index instead of
-  // snapshotting; snapshot sharing only applies to scan-mode queries
-  // (same inertness conditions as TopKSimilarService::Query).
-  if (options.prescreen && catalog_->signature_options() != nullptr &&
-      !query.empty()) {
-    return topk_->Query(query, options, deadline);
-  }
-  std::shared_ptr<const std::vector<CatalogEntry>> snapshot;
-  if (stable) {
-    std::lock_guard lock(snapshot_mu_);
-    if (snapshot_tag_ == clock_tag && snapshot_ != nullptr) {
-      snapshot = snapshot_;
-    }
-  }
-  if (snapshot != nullptr) {
-    snapshot_reuses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    snapshot = std::make_shared<const std::vector<CatalogEntry>>(
-        catalog_->Snapshot());
-    // Publish for reuse only when the snapshot provably captured the
-    // stable state `clock_tag` (no mutation began while we built it).
-    if (stable && catalog_->mutations_started() == clock_tag) {
-      std::lock_guard lock(snapshot_mu_);
-      snapshot_tag_ = clock_tag;
-      snapshot_ = snapshot;
-    }
-  }
-  return topk_->QuerySnapshot(query, *snapshot, options, deadline);
-}
-
 void CsjServer::ExecuteTopK(const QueuedRequest& queued,
                             ServeResponse* response) {
   const ServeRequest& request = queued.request;
@@ -188,7 +154,7 @@ void CsjServer::ExecuteTopK(const QueuedRequest& queued,
   ResultCacheKey key;
   if (cache_ != nullptr && stable) {
     key = MakeResultCacheKey(clock_tag, request);
-    if (TopKResultCache::Ranking hit = cache_->Lookup(key)) {
+    if (TopKResultCache::Ranking hit = cache_->Find(key)) {
       // Hit: the tag still matching `started` (checked when `stable` was
       // computed) proves the catalog state is bit-identical to the one
       // the ranking was computed against; serving it IS recomputing it.
@@ -203,8 +169,8 @@ void CsjServer::ExecuteTopK(const QueuedRequest& queued,
     cache_bypasses_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  response->topk = QueryStableScan(*request.community, request.topk,
-                                   queued.deadline, stable, clock_tag);
+  response->topk =
+      topk_->Query(*request.community, request.topk, queued.deadline);
   response->status = response->topk.deadline_expired
                          ? ServeStatus::kDeadlineExpired
                          : ServeStatus::kOk;
@@ -299,7 +265,6 @@ CsjServer::Stats CsjServer::GetStats() const {
   stats.completed = completed_.load(std::memory_order_relaxed);
   stats.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   stats.queue_high_water = queue_->high_water();
-  stats.snapshot_reuses = snapshot_reuses_.load(std::memory_order_relaxed);
   stats.cache_bypasses = cache_bypasses_.load(std::memory_order_relaxed);
   if (cache_ != nullptr) stats.result_cache = cache_->GetStats();
   return stats;

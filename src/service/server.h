@@ -98,10 +98,7 @@ struct ServeResponse {
 /// the catalog state is bit-identical to the one the entry was computed
 /// against). Misses computed against a PROVEN-stable catalog are
 /// installed on the way out; while the catalog churns the cache is
-/// bypassed entirely (counted in Stats::cache_bypasses). Stable-state
-/// scan queries additionally share one catalog snapshot per clock tag
-/// (Stats::snapshot_reuses) so a burst of hot queries admitted at the
-/// same version pays for ONE Snapshot() instead of N.
+/// bypassed entirely (counted in Stats::cache_bypasses).
 ///
 /// Deadlines are checked between request phases: after the queue wait,
 /// after the bound phase, and between refine waves. An expired request
@@ -164,8 +161,6 @@ class CsjServer {
     uint64_t deadline_expired = 0;
     /// Deepest backlog the admission queue ever reached.
     uint64_t queue_high_water = 0;
-    /// Stable-state scan queries served from a shared catalog snapshot.
-    uint64_t snapshot_reuses = 0;
     /// kTopK requests that skipped the result cache because the catalog
     /// mutation clock was unstable around them.
     uint64_t cache_bypasses = 0;
@@ -209,10 +204,6 @@ class CsjServer {
   void WorkerLoop();
   ServeResponse Execute(QueuedRequest& queued);
   void ExecuteTopK(const QueuedRequest& queued, ServeResponse* response);
-  TopKResult QueryStableScan(const Community& query,
-                             const TopKOptions& options,
-                             const std::optional<Deadline>& deadline,
-                             bool stable, uint64_t clock_tag);
   void RecordLatency(ServeStatus status, double seconds);
 
   Options options_;
@@ -221,18 +212,12 @@ class CsjServer {
   std::unique_ptr<TopKResultCache> cache_;
   std::unique_ptr<BoundedRequestQueue<QueuedRequest>> queue_;
   std::vector<std::thread> workers_;
-  /// Shared catalog snapshot for stable-state scan queries: valid while
-  /// the mutation clock still reads `snapshot_tag_`.
-  std::mutex snapshot_mu_;
-  uint64_t snapshot_tag_ = 0;
-  std::shared_ptr<const std::vector<CatalogEntry>> snapshot_;
   /// Indexed by ServeStatus (kRejected's slot stays empty: rejected
   /// requests never execute, the client measures those).
   LatencyRecorder latency_[4];
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> deadline_expired_{0};
   std::atomic<uint64_t> sequence_{0};
-  std::atomic<uint64_t> snapshot_reuses_{0};
   std::atomic<uint64_t> cache_bypasses_{0};
   std::atomic<bool> shutdown_{false};
 };

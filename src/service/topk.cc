@@ -182,14 +182,6 @@ TopKResult TopKSimilarService::QueryPrescreen(
   return full;
 }
 
-TopKResult TopKSimilarService::QuerySnapshot(
-    const Community& query, const std::vector<CatalogEntry>& snapshot,
-    const TopKOptions& options,
-    const std::optional<Deadline>& deadline) const {
-  return Walk(CoupleScorer(*catalog_, query, options), query, snapshot,
-              options, deadline);
-}
-
 TopKResult TopKSimilarService::Walk(
     const CoupleScorer& scorer, const Community& query,
     const std::vector<CatalogEntry>& snapshot, const TopKOptions& options,
@@ -266,10 +258,9 @@ TopKResult TopKSimilarService::Walk(
     return result;
   }
 
-  // Phase 2: refine waves, best bound first, cutoff between waves.
+  // Phase 2: refine waves of `threads` joins, best bound first, cutoff
+  // between waves.
   util::Timer refine_timer;
-  const uint32_t wave_size =
-      options.batch_size > 0 ? options.batch_size : threads;
   // The intra-join budget mirrors the pipeline's rule: with up to
   // `threads` joins in flight per wave, each join gets its fair share of
   // the pool (the whole pool when the wave is a single giant couple).
@@ -295,7 +286,7 @@ TopKResult TopKSimilarService::Walk(
     }
 
     const uint32_t wave_end =
-        std::min(next + wave_size, static_cast<uint32_t>(candidates.size()));
+        std::min(next + threads, static_cast<uint32_t>(candidates.size()));
     const uint32_t wave = wave_end - next;
     ++result.stats.waves;
     wave_results.assign(wave, TopKEntry{});

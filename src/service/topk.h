@@ -45,17 +45,14 @@ struct TopKOptions {
   /// against; results are identical either way, only work differs.
   bool use_bound_cutoff = true;
 
-  /// Exact joins executed per refine wave. Within a wave, joins run as
-  /// pool tasks in cost-aware (most-expensive-first) order; between
-  /// waves the cutoff re-checks. 0 = auto: the applied thread count, so
-  /// a serial query degenerates to the classic one-at-a-time walk with
-  /// the tightest possible cutoff. Larger batches trade a few extra
-  /// refinements for fewer pool round-trips; results never change.
-  uint32_t batch_size = 0;
-
   /// Threads applied WITHIN this query (bound phase + each refine wave).
   /// 1 = fully inline, no pool interaction — a server running many
   /// concurrent requests gets its parallelism across requests instead.
+  /// A refine wave executes as many exact joins as threads are applied,
+  /// as pool tasks in cost-aware (most-expensive-first) order; between
+  /// waves the cutoff re-checks. A serial query is therefore the classic
+  /// one-at-a-time walk with the tightest possible cutoff; results never
+  /// depend on the wave size.
   uint32_t query_threads = 1;
 
   /// Pool override; null = ThreadPool::Global().
@@ -194,7 +191,7 @@ class CoupleScorer {
 
 /// The catalog-backed top-k similarity query engine.
 ///
-/// Algorithm (QuerySnapshot): for every snapshot entry, orient the couple
+/// Algorithm (the walk): for every snapshot entry, orient the couple
 /// by size (smaller side plays B, query wins ties) and drop inadmissible
 /// couples; bound every admissible couple (batched on the pool); walk
 /// candidates in (bound desc, id asc) order, refining in waves and
@@ -229,19 +226,12 @@ class TopKSimilarService {
   /// `catalog` is not owned and must outlive the service.
   explicit TopKSimilarService(const CommunityCatalog* catalog);
 
-  /// Snapshots the catalog and runs QuerySnapshot — or, with
+  /// Snapshots the catalog and runs the walk over it — or, with
   /// TopKOptions::prescreen on a signature-indexed catalog, probes the
   /// index and runs the same walk on the candidates only (exhaustive
   /// fallback when the candidates cannot certify a full top-k).
   TopKResult Query(const Community& query, const TopKOptions& options,
                    const std::optional<Deadline>& deadline = {}) const;
-
-  /// Runs the query against an explicit snapshot (the server reuses one
-  /// snapshot across phases of a request; tests pin synthetic ones).
-  TopKResult QuerySnapshot(const Community& query,
-                           const std::vector<CatalogEntry>& snapshot,
-                           const TopKOptions& options,
-                           const std::optional<Deadline>& deadline = {}) const;
 
  private:
   TopKResult QueryPrescreen(const CoupleScorer& scorer,

@@ -69,9 +69,9 @@ void UpsertEach(const Batch& batch, CommunityCatalog* catalog) {
 }
 
 /// Deep bytewise comparison of two quiesced catalogs: entry maps (ids,
-/// versions, digests, counter buffers), signature index residency and
-/// sketch table bytes, and the probe verdicts a prescreen query would
-/// see. This is the test's definition of "byte-identical state".
+/// versions, digests, counter buffers, sketch table bytes), and the
+/// probe verdicts a prescreen query would see, inert probe included.
+/// This is the test's definition of "byte-identical state".
 void ExpectCatalogsIdentical(const CommunityCatalog& bulk,
                              const CommunityCatalog& sequential) {
   const std::vector<CatalogEntry> bulk_snapshot = bulk.Snapshot();
@@ -92,49 +92,30 @@ void ExpectCatalogsIdentical(const CommunityCatalog& bulk,
     ASSERT_EQ(b_flat.size(), s_flat.size()) << "id " << b.id;
     EXPECT_TRUE(std::equal(b_flat.begin(), b_flat.end(), s_flat.begin()))
         << "counter buffers diverged for id " << b.id;
+    // Both sides carry a bytewise-equal sketch, or neither does.
+    ASSERT_EQ(b.signature == nullptr, s.signature == nullptr) << "id " << b.id;
+    if (b.signature == nullptr) continue;
+    EXPECT_EQ(b.signature->size(), s.signature->size());
+    const auto b_table = b.signature->table();
+    const auto s_table = s.signature->table();
+    ASSERT_EQ(b_table.size(), s_table.size()) << "id " << b.id;
+    EXPECT_TRUE(std::equal(b_table.begin(), b_table.end(), s_table.begin()))
+        << "sketch tables diverged for id " << b.id;
   }
 
-  const SignatureIndex* bulk_index = bulk.signature_index();
-  const SignatureIndex* seq_index = sequential.signature_index();
-  ASSERT_EQ(bulk_index == nullptr, seq_index == nullptr);
-  if (bulk_index == nullptr) return;
-  ASSERT_EQ(bulk_index->size(), seq_index->size());
-  for (const CatalogEntry& entry : bulk_snapshot) {
-    // Each id must be resident in exactly one shard of each index, at the
-    // same version, with bytewise-equal breakpoint tables.
-    std::shared_ptr<const CommunitySignature> from_bulk;
-    std::shared_ptr<const CommunitySignature> from_seq;
-    uint64_t bulk_version = 0;
-    uint64_t seq_version = 0;
-    for (uint32_t shard = 0; shard < bulk_index->shards(); ++shard) {
-      if (auto found = bulk_index->Lookup(shard, entry.id, &bulk_version)) {
-        EXPECT_EQ(from_bulk, nullptr) << "id " << entry.id << " twice";
-        from_bulk = std::move(found);
-      }
-      if (auto found = seq_index->Lookup(shard, entry.id, &seq_version)) {
-        EXPECT_EQ(from_seq, nullptr) << "id " << entry.id << " twice";
-        from_seq = std::move(found);
-      }
-    }
-    ASSERT_NE(from_bulk, nullptr) << "id " << entry.id;
-    ASSERT_NE(from_seq, nullptr) << "id " << entry.id;
-    EXPECT_EQ(bulk_version, seq_version) << "id " << entry.id;
-    EXPECT_EQ(from_bulk->size(), from_seq->size());
-    EXPECT_EQ(from_bulk->sampled(), from_seq->sampled());
-    const auto b_table = from_bulk->table();
-    const auto s_table = from_seq->table();
-    ASSERT_EQ(b_table.size(), s_table.size()) << "id " << entry.id;
-    EXPECT_TRUE(std::equal(b_table.begin(), b_table.end(), s_table.begin()))
-        << "sketch tables diverged for id " << entry.id;
-  }
+  const SignatureOptions* options = bulk.signature_options();
+  ASSERT_EQ(options == nullptr, sequential.signature_options() == nullptr);
+  if (options == nullptr) return;
 
   // The pack-level state (summaries included) must agree behaviorally:
   // identical candidates, identical sweep accounting — including the
-  // pack prefilter's skip count — for the same probe.
+  // pack prefilter's skip count — for the same probe. The inert probe
+  // (threshold 0) examines every resident slot: each entry is resident
+  // in exactly one index slot on both sides.
   const Community query = MakeTestCommunity(18, 424242);
-  const CommunitySignature query_signature(query, bulk_index->options());
+  const CommunitySignature query_signature(query, *options);
   const std::vector<Dim> order = SignatureProbeOrder(query_signature);
-  for (const double threshold : {0.05, 0.25, 0.60}) {
+  for (const double threshold : {0.0, 0.05, 0.25, 0.60}) {
     const auto bulk_probe =
         bulk.ProbeCandidates(query_signature, order, /*eps=*/2, threshold);
     const auto seq_probe = sequential.ProbeCandidates(query_signature, order,
@@ -145,6 +126,7 @@ void ExpectCatalogsIdentical(const CommunityCatalog& bulk,
       EXPECT_EQ(bulk_probe.candidates[i].version,
                 seq_probe.candidates[i].version);
     }
+    EXPECT_EQ(bulk_probe.stats.examined, bulk_snapshot.size());
     EXPECT_EQ(bulk_probe.stats.examined, seq_probe.stats.examined);
     EXPECT_EQ(bulk_probe.stats.passed, seq_probe.stats.passed);
     EXPECT_EQ(bulk_probe.stats.skipped_cap, seq_probe.stats.skipped_cap);
@@ -466,24 +448,25 @@ TEST(BulkLoadTest, SurvivesConcurrentChurnAndQueries) {
     EXPECT_EQ(entry.community->size(), 14u);
   }
 
-  // Quiesced: the index and the entry map agree exactly.
-  const SignatureIndex* index = catalog.signature_index();
-  ASSERT_NE(index, nullptr);
+  // Quiesced: the index and the entry map agree exactly. Entries hold 12
+  // or 14 users, all admissible against a 14-user query, so an inert
+  // probe passes every resident entry once, at its snapshot version.
   const std::vector<CatalogEntry> snapshot = catalog.Snapshot();
-  ASSERT_EQ(index->size(), snapshot.size());
+  const CommunitySignature probe_signature(MakeTestCommunity(14, 8900),
+                                           *catalog.signature_options());
+  const auto inert = catalog.ProbeCandidates(
+      probe_signature, SignatureProbeOrder(probe_signature), /*eps=*/2, 0.0);
+  EXPECT_EQ(inert.stats.examined, snapshot.size());
+  EXPECT_EQ(inert.stats.passed, snapshot.size());
+  ASSERT_EQ(inert.candidates.size(), snapshot.size());
   std::vector<uint64_t> versions;
-  for (const CatalogEntry& entry : snapshot) {
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    const CatalogEntry& entry = snapshot[i];
     versions.push_back(entry.version);
-    uint32_t resident_in = 0;
-    for (uint32_t shard = 0; shard < index->shards(); ++shard) {
-      uint64_t version = 0;
-      const auto signature = index->Lookup(shard, entry.id, &version);
-      if (signature == nullptr) continue;
-      ++resident_in;
-      EXPECT_EQ(version, entry.version) << "id " << entry.id;
-      EXPECT_EQ(signature->size(), entry.community->size());
-    }
-    EXPECT_EQ(resident_in, 1u) << "id " << entry.id;
+    EXPECT_EQ(inert.candidates[i].id, entry.id);
+    EXPECT_EQ(inert.candidates[i].version, entry.version) << "id " << entry.id;
+    ASSERT_NE(entry.signature, nullptr) << "id " << entry.id;
+    EXPECT_EQ(entry.signature->size(), entry.community->size());
   }
   std::sort(versions.begin(), versions.end());
   EXPECT_EQ(std::adjacent_find(versions.begin(), versions.end()),

@@ -576,5 +576,65 @@ TEST(PersistStoreTest, RestoreRejectsCorruptVersionColumnGracefully) {
   EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
 }
 
+TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsSampledSection) {
+  // Older writers sealed a kSampled section (sketched-user counts) beside
+  // the sketch tables. Restore and fsck ignore it whatever it holds: a 0,
+  // or a count below the community size, once reached the sketch restore
+  // constructor unchecked.
+  const std::string dir = FreshDir();
+  service::CommunityCatalog catalog(CatalogOpts());
+  for (uint64_t id = 1; id <= 6; ++id) {
+    catalog.Upsert(id, MakeTestCommunity(12 + static_cast<uint32_t>(id), id));
+  }
+
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  {
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+  }
+
+  // Reseal the segment with the section added, as an older writer would
+  // have sealed it.
+  const std::string seg = dir + "/seg-1.csj";
+  const std::string resealed = seg + ".resealed";
+  {
+    auto segment = MappedSegment::Map(seg, false, false, &error);
+    ASSERT_NE(segment, nullptr) << error;
+    ASSERT_EQ(segment->Find(SectionKind::kSampled), nullptr);
+    const SegmentHeader& header = segment->header();
+    SegmentParams params;
+    params.entry_count = header.entry_count;
+    params.next_version = header.next_version;
+    params.warm_eps = header.warm_eps;
+    params.warm_parts = header.warm_parts;
+    params.sig_quantiles = header.sig_quantiles;
+    params.flags = header.flags;
+    std::vector<uint32_t> sampled(header.entry_count);
+    for (size_t i = 0; i < sampled.size(); ++i) {
+      sampled[i] = static_cast<uint32_t>(i % 2);
+    }
+    std::vector<SectionSpec> sections;
+    for (const SectionDesc& desc : segment->sections()) {
+      sections.push_back({static_cast<SectionKind>(desc.kind), desc.elem_size,
+                          segment->data() + desc.offset, desc.byte_size});
+    }
+    sections.push_back({SectionKind::kSampled, 4, sampled.data(),
+                        sampled.size() * sizeof(uint32_t)});
+    ASSERT_TRUE(WriteSegment(resealed, params, sections, &error)) << error;
+  }
+  ASSERT_EQ(std::rename(resealed.c_str(), seg.c_str()), 0);
+
+  ExpectRestoresIdentical(dir, catalog);
+  FsckOptions fsck_options;
+  fsck_options.dir = dir;
+  fsck_options.deep = true;
+  FsckReport report;
+  ASSERT_TRUE(FsckStore(fsck_options, &report));
+  EXPECT_TRUE(report.clean());
+}
+
 }  // namespace
 }  // namespace csj::persist

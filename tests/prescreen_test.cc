@@ -360,22 +360,29 @@ TEST(PrescreenTest, IndexTracksCatalogUnderConcurrentChurn) {
   stop.store(true, std::memory_order_release);
   for (uint32_t r = kWriters; r < crew.size(); ++r) crew[r].join();
 
-  // Quiesced: index and entry map must agree exactly.
-  const SignatureIndex* index = catalog.signature_index();
-  ASSERT_NE(index, nullptr);
+  // Quiesced: index and entry map must agree exactly. Entries hold 12-24
+  // users, all admissible against an 18-user query, so an inert probe
+  // passes every resident entry once, at its snapshot version.
   const std::vector<CatalogEntry> snapshot = catalog.Snapshot();
-  ASSERT_EQ(index->size(), snapshot.size());
-  for (const CatalogEntry& entry : snapshot) {
-    uint32_t resident_in = 0;
-    for (uint32_t shard = 0; shard < index->shards(); ++shard) {
-      uint64_t version = 0;
-      const auto signature = index->Lookup(shard, entry.id, &version);
-      if (signature == nullptr) continue;
-      ++resident_in;
-      EXPECT_EQ(version, entry.version) << "id " << entry.id;
-      EXPECT_EQ(signature->size(), entry.community->size());
+  {
+    util::Rng rng(testing::TestSeed(7350));
+    data::VkLikeGenerator gen(data::Category::kInternet);
+    const CommunitySignature probe_signature(data::MakeCommunity(gen, 18, rng),
+                                             *catalog.signature_options());
+    const auto inert = catalog.ProbeCandidates(
+        probe_signature, SignatureProbeOrder(probe_signature), 1, 0.0);
+    EXPECT_EQ(inert.stats.examined, snapshot.size());
+    EXPECT_EQ(inert.stats.passed, snapshot.size());
+    ASSERT_EQ(inert.candidates.size(), snapshot.size());
+    for (size_t i = 0; i < snapshot.size(); ++i) {
+      EXPECT_EQ(inert.candidates[i].id, snapshot[i].id);
+      EXPECT_EQ(inert.candidates[i].version, snapshot[i].version)
+          << "id " << snapshot[i].id;
     }
-    EXPECT_EQ(resident_in, 1u) << "id " << entry.id;
+  }
+  for (const CatalogEntry& entry : snapshot) {
+    ASSERT_NE(entry.signature, nullptr) << "id " << entry.id;
+    EXPECT_EQ(entry.signature->size(), entry.community->size());
   }
 
   // And the settled catalog still serves identical rankings both ways.

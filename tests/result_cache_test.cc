@@ -46,11 +46,11 @@ ResultCacheKey MakeKey(uint64_t state_version, uint64_t fingerprint,
 TEST(ResultCache, MissThenInsertThenHit) {
   TopKResultCache cache(TopKResultCache::Options{4, 64});
   const ResultCacheKey key = MakeKey(5, 0xF00D);
-  EXPECT_EQ(cache.Lookup(key), nullptr);
+  EXPECT_EQ(cache.Find(key), nullptr);
 
   const std::vector<TopKEntry> entries = {{1, 3, 0.5}, {2, 1, 0.25}};
   cache.Insert(key, MakeRanking(entries));
-  const TopKResultCache::Ranking hit = cache.Lookup(key);
+  const TopKResultCache::Ranking hit = cache.Find(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, entries);
 
@@ -65,10 +65,10 @@ TEST(ResultCache, FullKeyMustMatch) {
   TopKResultCache cache(TopKResultCache::Options{4, 64});
   cache.Insert(MakeKey(5, 0xF00D, /*k=*/10), MakeRanking({{1, 1, 0.5}}));
   // Same query, same state, different k: a different computation.
-  EXPECT_EQ(cache.Lookup(MakeKey(5, 0xF00D, /*k=*/3)), nullptr);
+  EXPECT_EQ(cache.Find(MakeKey(5, 0xF00D, /*k=*/3)), nullptr);
   // Same everything, older state: never served.
-  EXPECT_EQ(cache.Lookup(MakeKey(4, 0xF00D, /*k=*/10)), nullptr);
-  EXPECT_NE(cache.Lookup(MakeKey(5, 0xF00D, /*k=*/10)), nullptr);
+  EXPECT_EQ(cache.Find(MakeKey(4, 0xF00D, /*k=*/10)), nullptr);
+  EXPECT_NE(cache.Find(MakeKey(5, 0xF00D, /*k=*/10)), nullptr);
 }
 
 TEST(ResultCache, NewerTagInvalidatesShard) {
@@ -80,9 +80,9 @@ TEST(ResultCache, NewerTagInvalidatesShard) {
   cache.Insert(MakeKey(5, 0xBEEF, 3), MakeRanking({{1, 1, 0.5}}));
   cache.Insert(MakeKey(6, 0xBEEF, 7), MakeRanking({{2, 2, 0.75}}));
 
-  EXPECT_EQ(cache.Lookup(MakeKey(5, 0xBEEF, 10)), nullptr);
-  EXPECT_EQ(cache.Lookup(MakeKey(5, 0xBEEF, 3)), nullptr);
-  EXPECT_NE(cache.Lookup(MakeKey(6, 0xBEEF, 7)), nullptr);
+  EXPECT_EQ(cache.Find(MakeKey(5, 0xBEEF, 10)), nullptr);
+  EXPECT_EQ(cache.Find(MakeKey(5, 0xBEEF, 3)), nullptr);
+  EXPECT_NE(cache.Find(MakeKey(6, 0xBEEF, 7)), nullptr);
 
   const TopKResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.invalidations, 2u);
@@ -95,7 +95,7 @@ TEST(ResultCache, StaleInsertIsDropped) {
   // A ranking computed against superseded state 5 arrives late (two
   // same-shard queries raced across an upsert): it must not be installed.
   cache.Insert(MakeKey(5, 0xCAFE, 10), MakeRanking({{1, 1, 0.5}}));
-  EXPECT_EQ(cache.Lookup(MakeKey(5, 0xCAFE, 10)), nullptr);
+  EXPECT_EQ(cache.Find(MakeKey(5, 0xCAFE, 10)), nullptr);
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
@@ -108,9 +108,9 @@ TEST(ResultCache, FifoEvictionAtCapacity) {
   const TopKResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.entries, 4u);
-  EXPECT_EQ(cache.Lookup(MakeKey(9, 0x1000)), nullptr);  // oldest: gone
-  EXPECT_EQ(cache.Lookup(MakeKey(9, 0x1001)), nullptr);
-  EXPECT_NE(cache.Lookup(MakeKey(9, 0x1005)), nullptr);  // newest: kept
+  EXPECT_EQ(cache.Find(MakeKey(9, 0x1000)), nullptr);  // oldest: gone
+  EXPECT_EQ(cache.Find(MakeKey(9, 0x1001)), nullptr);
+  EXPECT_NE(cache.Find(MakeKey(9, 0x1005)), nullptr);  // newest: kept
 }
 
 TEST(ResultCache, ReinsertSameKeyDoesNotGrow) {

@@ -148,8 +148,8 @@ TEST(TopKServiceTest, CutoffIdenticalToExhaustiveRefine) {
 }
 
 TEST(TopKServiceTest, CutoffIdenticalUnderBatchedParallelWaves) {
-  // Wave batching (batch_size > 1, pool threads) refines extra candidates
-  // per wave; the merged ranking must not change.
+  // Multi-couple waves (query_threads > 1, one join per thread per wave)
+  // refine extra candidates per wave; the merged ranking must not change.
   uint64_t skipped = 0;
   uint64_t saved = 0;
   for (uint64_t s = 0; s < 16; ++s) {
@@ -169,7 +169,6 @@ TEST(TopKServiceTest, CutoffIdenticalUnderBatchedParallelWaves) {
 
     TopKOptions batched = serial;
     batched.use_bound_cutoff = true;
-    batched.batch_size = 2;
     batched.query_threads = 4;
     const TopKResult waved = service.Query(scenario.query, batched);
 
@@ -375,7 +374,6 @@ TEST(TopKServiceTest, EntryArtifactsMatchThePerCouplePath) {
               options.prescreen_threshold = 0.2;
               if (k == 3) {  // parallel bound phase and waves
                 options.query_threads = 4;
-                options.batch_size = 2;
               }
               const TopKResult want =
                   reference_service.Query(queries[q], options);

@@ -15,7 +15,9 @@
 # signature suites (packed sketch columns swapped on removal, candidate
 # lists holding (id, version) pairs across fallback reruns), the bulk
 # ingestion suite (frozen community buffers moved through the waves and
-# installed under per-shard locks, thread-local sketch scratch), the result
+# installed under per-shard locks, each shard's sketch store copying its
+# batch's sketches before a duplicate id's later entry can release them,
+# thread-local sketch scratch), the result
 # cache (shared rankings handed out across invalidation/eviction), and
 # the wire/net suites (FrameDecoder's lazily-compacted buffer, the
 # reactor's connection teardown racing in-flight worker responses), and

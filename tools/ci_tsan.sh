@@ -12,10 +12,10 @@
 # shutdown paths — service_stress_test is written specifically for this
 # gate), plus the prescreen signature layer (concurrent sketch builds in
 # signature_test, and prescreen_test's IndexTracksCatalogUnderConcurrent-
-# Churn, which probes the signature index while writers churn the same
-# shard locks, and bulk_load_test's SurvivesConcurrentChurnAndQueries,
-# where a BulkLoad's per-shard installs race upserts, removes and
-# probes), the EDF request queue (request_queue_test's notify-
+# Churn, which probes each shard's signature index under its shard lock
+# while writers churn the same shard's entries and sketches, and
+# bulk_load_test's SurvivesConcurrentChurnAndQueries, where a BulkLoad's
+# per-shard installs race upserts, removes and probes), the EDF request queue (request_queue_test's notify-
 # outside-lock producer/consumer stress is written for this gate), the
 # versioned result cache (result_cache_test's churn differential: readers
 # race an upserting writer through the cache), and the network front end

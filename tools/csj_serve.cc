@@ -501,14 +501,13 @@ int main(int argc, char** argv) {
     std::printf(
         "result cache: %llu hits / %llu misses (%.0f%% loop hit rate), "
         "hit p99 %.3f ms vs compute p99 %.3f ms, %llu invalidations, "
-        "%llu bypasses, %llu snapshot reuses\n",
+        "%llu bypasses\n",
         static_cast<unsigned long long>(server_stats.result_cache.hits),
         static_cast<unsigned long long>(server_stats.result_cache.misses),
         loop_hit_rate * 100.0, hit_summary.p99_ms, miss_summary.p99_ms,
         static_cast<unsigned long long>(
             server_stats.result_cache.invalidations),
-        static_cast<unsigned long long>(server_stats.cache_bypasses),
-        static_cast<unsigned long long>(server_stats.snapshot_reuses));
+        static_cast<unsigned long long>(server_stats.cache_bypasses));
   }
   if (use_net) {
     std::printf(
@@ -637,7 +636,6 @@ int main(int argc, char** argv) {
     json.Key("evictions"); json.Uint(server_stats.result_cache.evictions);
     json.Key("entries"); json.Uint(server_stats.result_cache.entries);
     json.Key("bypasses"); json.Uint(server_stats.cache_bypasses);
-    json.Key("snapshot_reuses"); json.Uint(server_stats.snapshot_reuses);
     json.Key("hit_p50_ms"); json.Double(hit_summary.p50_ms);
     json.Key("hit_p99_ms"); json.Double(hit_summary.p99_ms);
     json.Key("compute_p50_ms"); json.Double(miss_summary.p50_ms);

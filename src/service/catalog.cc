@@ -347,12 +347,9 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
       }
       for (const uint32_t i : members) {
         // Entries are single-use here: moving skips four shared_ptr
-        // refcount round-trips per element. The end hint makes each
-        // insert O(1) for the common ascending-id batch; out-of-order ids
-        // just fall back to a plain tree insert.
+        // refcount round-trips per element.
         const uint64_t id = entries[i].id;
-        shard.entries.insert_or_assign(shard.entries.end(), id,
-                                       std::move(entries[i]));
+        shard.entries.insert_or_assign(id, std::move(entries[i]));
       }
     }
     mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
@@ -400,9 +397,9 @@ std::vector<CatalogEntry> CommunityCatalog::Snapshot() const {
     std::shared_lock lock(shard.mu);
     for (const auto& [id, entry] : shard.entries) snapshot.push_back(entry);
   }
-  // Shards partition ids by hash, so the concatenation is ordered within
-  // a shard but not globally; one sort restores the deterministic
-  // ascending-id order every consumer (and the top-k tie-break) assumes.
+  // Shards hold hashed maps, so the concatenation is in no particular
+  // order; one sort restores the deterministic ascending-id order every
+  // consumer (and the top-k tie-break) assumes.
   std::sort(snapshot.begin(), snapshot.end(),
             [](const CatalogEntry& x, const CatalogEntry& y) {
               return x.id < y.id;
@@ -433,7 +430,10 @@ CommunityCatalog::ProbeResult CommunityCatalog::ProbeCandidates(
       // passing id is always resident at exactly the probed version.
       CSJ_CHECK(it != shard.entries.end());
       CSJ_CHECK(it->second.version == candidate.version);
-      result.candidates.push_back(it->second);
+      CatalogEntry& head = result.candidates.emplace_back();
+      head.id = candidate.id;
+      head.version = candidate.version;
+      head.community = it->second.community;
     }
   }
   // Same deterministic ascending-id order as Snapshot(): the top-k walk's

@@ -5,12 +5,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/community.h"
@@ -29,10 +29,10 @@ namespace csj::service {
 /// Baseline methods' natural-order community window. Immutable.
 ///
 /// Cache-line aligned: a restore allocates these blocks back to back,
-/// and every snapshot or probe copy of an entry bumps the block's
+/// and every snapshot or Get copy of an entry bumps the block's
 /// refcount, so readers on two cores copying neighbouring entries would
 /// otherwise bounce one line (measured on churn_durable: ~10% of read
-/// throughput).
+/// throughput). Probe heads carry no encodings and touch no block.
 struct alignas(64) EntryEncodings {
   std::shared_ptr<const EncodedB> encoded_b;
   std::shared_ptr<const EncodedA> encoded_a;
@@ -369,6 +369,11 @@ class CommunityCatalog {
   /// entries observe one consistent state. Requires Options::signatures
   /// and a query signature built with signature_options().
   struct ProbeResult {
+    /// Candidate HEADS: `id`, `version` and `community` are set, while
+    /// `signature`, `encodings` and `digest` stay unset. A walk bounds
+    /// thousands of candidates and refines a handful, so the probe copies
+    /// only what the bound reads; CoupleScorer::Refine fetches a refined
+    /// head's artifacts with Get() and a version check.
     std::vector<CatalogEntry> candidates;
     PrescreenStats stats;
   };
@@ -402,7 +407,9 @@ class CommunityCatalog {
  private:
   struct alignas(64) Shard {
     mutable std::shared_mutex mu;
-    std::map<uint64_t, CatalogEntry> entries;
+    /// Hashed: a probe looks up every passing candidate, and only
+    /// Snapshot() iterates, sorting globally by id anyway.
+    std::unordered_map<uint64_t, CatalogEntry> entries;
     /// The shard's sketch store, set iff Options::signatures is. It
     /// changes under the exclusive lock together with `entries` and is
     /// probed under the shared one.

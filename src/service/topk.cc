@@ -40,7 +40,8 @@ bool DeadlinePassed(const std::optional<Deadline>& deadline) {
 
 CoupleScorer::CoupleScorer(const CommunityCatalog& catalog,
                            const Community& query, const TopKOptions& options)
-    : query_(query),
+    : catalog_(catalog),
+      query_(query),
       method_(options.method),
       reach_(query, options.join.eps) {
   const CommunityCatalog::Options& warm = catalog.options();
@@ -74,10 +75,6 @@ bool CoupleScorer::Admissible(const CatalogEntry& entry) const {
   return SizesAdmissible(couple.b->size(), couple.a->size());
 }
 
-const EntryEncodings* CoupleScorer::Served(const CatalogEntry& entry) const {
-  return query_b_.has_value() ? entry.encodings.get() : nullptr;
-}
-
 double CoupleScorer::Bound(const CatalogEntry& entry) const {
   const uint32_t size_b = Orient(entry).b->size();
   if (size_b == 0) return 0.0;  // also every couple of an empty query
@@ -92,7 +89,22 @@ double CoupleScorer::Bound(const CatalogEntry& entry) const {
 double CoupleScorer::Refine(const CatalogEntry& entry,
                             const JoinOptions& join) const {
   const Couple couple = Orient(entry);
-  if (const EntryEncodings* encodings = Served(entry)) {
+  // A probe head carries no artifacts: fetch the resident entry's, unless
+  // it moved on since the probe — then refine the pinned community the
+  // per-couple way (same bits either way).
+  std::shared_ptr<const EntryEncodings> fetched;
+  const EntryEncodings* encodings = nullptr;
+  if (query_b_.has_value()) {
+    encodings = entry.encodings.get();
+    if (encodings == nullptr) {
+      CatalogEntry resident = catalog_.Get(entry.id);
+      if (resident.version == entry.version) {
+        fetched = std::move(resident.encodings);
+        encodings = fetched.get();
+      }
+    }
+  }
+  if (encodings != nullptr) {
     const EncodedB& encd_b =
         couple.query_is_b ? *query_b_ : *encodings->encoded_b;
     const EncodedA& encd_a =

@@ -144,9 +144,14 @@ struct TopKResult {
 /// whose method is Ex-MinMax or Ap-MinMax when `join.eps` equals the
 /// catalog's warm_eps, the clamped part counts of `join.encoding_parts`
 /// and warm_parts agree, and no EventLog is attached; every resident
-/// entry carries artifacts (CatalogEntry::encodings). Every other couple
-/// — a non-MinMax method, another eps or part count, an event log, or a
-/// synthetic snapshot entry without artifacts — refines through
+/// entry carries artifacts (CatalogEntry::encodings). Refine is the one
+/// place that fetches them for a probe head (an entry without artifacts,
+/// see CommunityCatalog::ProbeResult): it looks the id up in the catalog
+/// and uses the resident entry's artifacts when that entry still has the
+/// head's version. Every other couple — a non-MinMax method, another eps
+/// or part count, an event log, a head whose entry was replaced or
+/// removed since the probe (its pinned community is refined), or a
+/// synthetic entry the catalog does not hold — refines through
 /// ComputeSimilarity (which goes through `join.cache` when set). Both
 /// paths yield the same similarity bits, so which one runs never changes
 /// a ranking or a walk counter. Const and thread-safe once built.
@@ -173,14 +178,13 @@ class CoupleScorer {
   /// any method: min(reachable entry users, |B|) / |B|.
   double Bound(const CatalogEntry& entry) const;
 
-  /// Exact similarity of the admissible oriented couple. `join` is the
-  /// scorer's join options, possibly with another thread budget or pool.
+  /// Exact similarity of the admissible oriented couple; `entry` may be
+  /// a probe head. `join` is the scorer's join options, possibly with
+  /// another thread budget or pool.
   double Refine(const CatalogEntry& entry, const JoinOptions& join) const;
 
  private:
-  /// The entry's artifacts when they serve this query, else null.
-  const EntryEncodings* Served(const CatalogEntry& entry) const;
-
+  const CommunityCatalog& catalog_;
   const Community& query_;
   Method method_;
   DimensionReach reach_;

@@ -93,20 +93,42 @@ TEST(CatalogTest, UpsertIsCopyOnWrite) {
 }
 
 TEST(CatalogTest, SnapshotIsAscendingById) {
-  CommunityCatalog::Options options;
-  options.shards = 4;  // force ids to straddle shards
-  CommunityCatalog catalog(options);
-  const std::vector<uint64_t> ids = {42, 7, 1000, 3, 19, 256, 8, 77};
-  for (const uint64_t id : ids) {
-    catalog.Upsert(id, MakeTestCommunity(16, id));
-  }
-  const std::vector<CatalogEntry> snapshot = catalog.Snapshot();
-  ASSERT_EQ(snapshot.size(), ids.size());
-  for (size_t i = 1; i < snapshot.size(); ++i) {
-    EXPECT_LT(snapshot[i - 1].id, snapshot[i].id);
-  }
-  for (const CatalogEntry& entry : snapshot) {
-    EXPECT_NE(entry.community, nullptr);
+  // Shards hold their entries in hashed maps; Snapshot() and the probe
+  // both restore ascending id order.
+  for (const bool signatures : {false, true}) {
+    CommunityCatalog::Options options;
+    options.shards = 4;  // force ids to straddle shards
+    if (signatures) options.signatures = SignatureOptions{};
+    CommunityCatalog catalog(options);
+    const std::vector<uint64_t> ids = {42, 7, 1000, 3, 19, 256, 8, 77};
+    for (const uint64_t id : ids) {
+      catalog.Upsert(id, MakeTestCommunity(16, id));
+    }
+    const std::vector<CatalogEntry> snapshot = catalog.Snapshot();
+    ASSERT_EQ(snapshot.size(), ids.size());
+    for (size_t i = 1; i < snapshot.size(); ++i) {
+      EXPECT_LT(snapshot[i - 1].id, snapshot[i].id);
+    }
+    for (const CatalogEntry& entry : snapshot) {
+      EXPECT_NE(entry.community, nullptr);
+    }
+    if (!signatures) continue;
+
+    // An inert probe (every entry is admissible against a 16-user query)
+    // lists the same ids as heads: the snapshot's community, no artifacts.
+    const CommunitySignature query(MakeTestCommunity(16, 1),
+                                   *catalog.signature_options());
+    const CommunityCatalog::ProbeResult inert = catalog.ProbeCandidates(
+        query, SignatureProbeOrder(query), /*eps=*/1, /*threshold=*/0.0);
+    ASSERT_EQ(inert.candidates.size(), snapshot.size());
+    for (size_t i = 0; i < snapshot.size(); ++i) {
+      const CatalogEntry& head = inert.candidates[i];
+      EXPECT_EQ(head.id, snapshot[i].id);
+      EXPECT_EQ(head.version, snapshot[i].version);
+      EXPECT_EQ(head.community, snapshot[i].community) << "id " << head.id;
+      EXPECT_EQ(head.encodings, nullptr) << "id " << head.id;
+      EXPECT_EQ(head.signature, nullptr) << "id " << head.id;
+    }
   }
 }
 

@@ -4,22 +4,27 @@
 // bits — as the exhaustive scan, on hundreds of seeded catalogs. The
 // suite also pins the fallback contract (certified results skip the
 // fallback, uncertified ones rerun exhaustively), the stats invariants,
-// the inert configurations, and index/entry-map consistency under
-// concurrent upsert/remove churn (the TSan target).
+// the inert configurations, how a probe head is refined once its entry
+// moved on, and index/entry-map consistency under concurrent
+// upsert/remove churn (the TSan target).
 
 #include "service/topk.h"
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/encoding_cache.h"
 #include "core/method.h"
 #include "core/signature.h"
+#include "core/similarity.h"
 #include "data/community_sampler.h"
 #include "data/generator.h"
 #include "service/catalog.h"
@@ -290,6 +295,85 @@ TEST(PrescreenTest, SlotsSkippedOnlyForDimensionOrSizeNeedNoFallback) {
                   screened.stats.prescreen_skipped,
               catalog_size);
   }
+}
+
+TEST(PrescreenTest, HeadsRefineFromResidentArtifactsOrTheirPinnedCommunity) {
+  // A probe hands the walk heads without artifacts; Refine fetches the
+  // resident entry's artifacts only while it still has the head's
+  // version. A head whose entry was replaced or removed after the probe
+  // refines its pinned community instead, to the same bits.
+  Scenario scenario;
+  BuildScenario(&scenario, 7500, /*eps=*/1);
+  CommunityCatalog& catalog = scenario.catalog;
+  EncodingCache cache;
+  TopKOptions options;
+  options.method = Method::kExMinMax;
+  options.join.eps = 1;  // the catalog's warm eps: artifacts serve
+  options.join.cache = &cache;
+  const CoupleScorer scorer(catalog, scenario.query, options);
+  // The per-couple path on the probed community, without the cache.
+  JoinOptions plain = options.join;
+  plain.cache = nullptr;
+  const auto per_couple = [&](const CatalogEntry& head) {
+    const CoupleScorer::Couple couple = scorer.Orient(head);
+    return ComputeSimilarity(options.method, *couple.b, *couple.a, plain)
+        ->Similarity();
+  };
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+
+  const CommunitySignature signature(scenario.query,
+                                     *catalog.signature_options());
+  const CommunityCatalog::ProbeResult probe = catalog.ProbeCandidates(
+      signature, SignatureProbeOrder(signature), options.join.eps, 0.0);
+  std::vector<CatalogEntry> heads;
+  for (const CatalogEntry& head : probe.candidates) {
+    EXPECT_EQ(head.encodings, nullptr) << "id " << head.id;
+    EXPECT_EQ(head.signature, nullptr) << "id " << head.id;
+    if (scorer.Admissible(head)) heads.push_back(head);
+  }
+  ASSERT_GE(heads.size(), 3u);
+  // The replaced head must refine above 0, so that its new content (far
+  // from every query user) would refine to other bits.
+  const auto replaced = std::find_if(
+      heads.begin(), heads.end(),
+      [&](const CatalogEntry& head) { return per_couple(head) > 0.0; });
+  ASSERT_NE(replaced, heads.end());
+  const uint64_t replaced_id = replaced->id;
+  const uint64_t removed_id =
+      (replaced == heads.begin() ? heads.back() : heads.front()).id;
+
+  const std::span<const Count> near = replaced->community->flat();
+  std::vector<Count> far(near.begin(), near.end());
+  for (Count& v : far) v += 1000;
+  catalog.Upsert(replaced_id, Community(replaced->community->d(),
+                                        std::move(far)));
+  ASSERT_TRUE(catalog.Remove(removed_id));
+  ASSERT_NE(bits(per_couple(catalog.Get(replaced_id))),
+            bits(per_couple(*replaced)));
+
+  uint32_t moved = 0;
+  uint32_t unchanged = 0;
+  for (const CatalogEntry& head : heads) {
+    if (head.id == replaced_id || head.id == removed_id) {
+      EXPECT_EQ(bits(scorer.Refine(head, options.join)),
+                bits(per_couple(head)))
+          << "moved head " << head.id;
+      ++moved;
+      continue;
+    }
+    const CatalogEntry entry = catalog.Get(head.id);
+    ASSERT_EQ(entry.version, head.version);
+    const EncodingCache::Stats before = cache.GetStats();
+    const double got = scorer.Refine(head, options.join);
+    const EncodingCache::Stats after = cache.GetStats();
+    EXPECT_EQ(bits(got), bits(scorer.Refine(entry, options.join)))
+        << "unchanged head " << head.id;
+    EXPECT_EQ(after.hits, before.hits) << "unchanged head " << head.id;
+    EXPECT_EQ(after.misses, before.misses) << "unchanged head " << head.id;
+    ++unchanged;
+  }
+  EXPECT_EQ(moved, 2u);
+  EXPECT_GT(unchanged, 0u);
 }
 
 TEST(PrescreenTest, IndexTracksCatalogUnderConcurrentChurn) {

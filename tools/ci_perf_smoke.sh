@@ -83,7 +83,8 @@ restart_json="${build_dir}/persist_smoke_restart.json"
 
 serve_persist() {
   # $1 = JSON output; any further arguments go to csj_serve. A failed run
-  # (serve_ok false, store error) is a hard failure, never retried.
+  # (serve_ok false, store error, a warm restart on a store that holds no
+  # data) is a hard failure, never retried.
   serve_json="$1"
   shift
   if ! "${build_dir}/tools/csj_serve" \
@@ -107,10 +108,6 @@ run_persist_leg() {
   rm -rf "${persist_dir}"
   serve_persist "${populate_json}"
   serve_persist "${restart_json}" --warm_restart=true
-  if ! grep -Eq '"warm_restart": ?true' "${restart_json}"; then
-    echo "FAIL: the second run did not restore the store in ${restart_json}" >&2
-    exit 1
-  fi
   populate_s="$(json_number populate_seconds "${populate_json}")"
   load_s="$(json_number load_seconds "${restart_json}")"
   persist_ratio="$(awk -v p="${populate_s}" -v l="${load_s}" \

@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
                "append to the durable log while the loop runs");
   flags.Define("warm_restart", "false",
                "restore the catalog from --store_dir (segment map + "
-               "logplay) instead of populating; falls back to populate "
-               "when the store is empty");
+               "log replay) instead of populating; exits 1 when the "
+               "store holds no data");
   flags.Define("seed", "42", "workload seed");
   flags.Define("json", "", "write the results as JSON to this path");
   flags.Define("git_sha", "", "source revision stamped into the JSON");
@@ -266,8 +266,13 @@ int main(int argc, char** argv) {
   }
 
   csj::service::ServeWorkload::PopulateStats populate_stats;
-  const bool warm_loaded = store != nullptr &&
-                           flags.GetBool("warm_restart") && store->has_data();
+  const bool warm_loaded = flags.GetBool("warm_restart");
+  if (warm_loaded && (store == nullptr || !store->has_data())) {
+    std::fprintf(stderr, "warm restart: %s\n",
+                 store == nullptr ? "needs --store_dir"
+                                  : "store holds no data");
+    return 1;
+  }
   double load_seconds = 0.0;
   long load_minflt = 0;
   long load_majflt = 0;

@@ -124,7 +124,9 @@ enum class SectionKind : uint32_t {
   kEncACols = 21,     ///< uint64[2S]  EncodedA part-major lo/hi columns
   kWindowPrefix = 22, ///< uint64[n+1] padded-window prefix sums (total W)
   kEncAWindow = 23,   ///< uint32[W]   EncodedA verify windows (sorted order)
-  kComWindow = 24,    ///< uint32[W]   community verify windows (user order)
+  /// Reserved: uint32[W] user-order community windows, written by older
+  /// versions. Restore and fsck ignore it (no query reads one).
+  kComWindow = 24,
 };
 
 /// One section descriptor (32 bytes). Payload bytes live at

@@ -50,7 +50,7 @@ const char* KindName(uint32_t kind) {
     case SectionKind::kEncACols: return "enc_a_cols";
     case SectionKind::kWindowPrefix: return "window_prefix";
     case SectionKind::kEncAWindow: return "enc_a_window";
-    case SectionKind::kComWindow: return "com_window";
+    case SectionKind::kComWindow: return "reserved";
   }
   return "unknown";
 }
@@ -136,7 +136,6 @@ void DeepVerifyEntry(const MappedSegment& segment, size_t i,
     const auto window_prefix =
         segment.Column<uint64_t>(SectionKind::kWindowPrefix);
     const auto a_window = segment.Column<Count>(SectionKind::kEncAWindow);
-    const auto c_window = segment.Column<Count>(SectionKind::kComWindow);
 
     const Encoder encoder(d, header.warm_eps,
                           ClampedParts(header.warm_parts, d));
@@ -175,16 +174,6 @@ void DeepVerifyEntry(const MappedSegment& segment, size_t i,
     if (!a_ok) {
       reporter->Fatal(tag +
                       ": stored EncodedA disagrees with recomputation");
-    }
-
-    VerifyWindow rebuilt_window;
-    rebuilt_window.Assign(users, d,
-                          [&](uint32_t u) { return community.User(u); });
-    if (std::memcmp(rebuilt_window.BlockData(0), c_window.data() + w0,
-                    window * sizeof(Count)) != 0) {
-      reporter->Fatal(tag +
-                      ": stored community window disagrees with "
-                      "recomputation");
     }
   }
 }
@@ -325,8 +314,6 @@ bool VerifySegmentShapes(const MappedSegment& segment, Reporter* reporter) {
           segment.Column<uint64_t>(SectionKind::kEncACols).size() !=
               2 * total_sums ||
           segment.Column<Count>(SectionKind::kEncAWindow).size() !=
-              window_prefix[n] ||
-          segment.Column<Count>(SectionKind::kComWindow).size() !=
               window_prefix[n]) {
         fail("encoding column lengths disagree with the prefix totals");
       }

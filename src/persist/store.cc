@@ -136,7 +136,8 @@ std::unique_ptr<Store> Store::Open(StoreOptions options, std::string* error,
                                    OpenStats* stats) {
   if (stats != nullptr) *stats = OpenStats{};
   auto store = std::unique_ptr<Store>(new Store(std::move(options)));
-  if (::mkdir(store->options_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
+  if (store->options_.create_if_missing &&
+      ::mkdir(store->options_.dir.c_str(), 0755) != 0 && errno != EEXIST) {
     *error = Errno("mkdir " + store->options_.dir);
     return nullptr;
   }
@@ -148,6 +149,10 @@ std::unique_ptr<Store> Store::Open(StoreOptions options, std::string* error,
     return nullptr;
   }
   if (!present) {
+    if (!store->options_.create_if_missing) {
+      *error = store->options_.dir + ": no store here";
+      return nullptr;
+    }
     // Fresh store: commit generation 0 (no segment, no log) so every
     // later open — including one racing a crash during the FIRST
     // checkpoint — finds a committed superblock to trust.
@@ -266,7 +271,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     const auto window_prefix =
         segment_->Column<uint64_t>(SectionKind::kWindowPrefix);
     const auto a_window = segment_->Column<Count>(SectionKind::kEncAWindow);
-    const auto c_window = segment_->Column<Count>(SectionKind::kComWindow);
 
     // Shape validation — the zero-copy views below index the mapped
     // columns through the prefix arrays, and those arrays live in
@@ -340,8 +344,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
           users_prefix[n] != a_real.size() ||
           sums_prefix[n] != b_sums.size() ||
           2 * sums_prefix[n] != a_cols.size() ||
-          window_prefix[n] != a_window.size() ||
-          window_prefix[n] != c_window.size()) {
+          window_prefix[n] != a_window.size()) {
         return shape_error("encoding bytes");
       }
     }
@@ -397,10 +400,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
             a.window = a_window.data() + window_prefix[i];
             encodings->encoded_a =
                 std::make_shared<const EncodedA>(a, segment_);
-            auto window = std::make_shared<VerifyWindow>();
-            window->AssignView(users, d, c_window.data() + window_prefix[i],
-                               segment_);
-            encodings->window = std::move(window);
             entry.encodings = std::move(encodings);
           }
         });
@@ -574,7 +573,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<UserId> a_real(users_prefix[n]);
   std::vector<uint64_t> a_cols(2 * sums_prefix[n]);
   std::vector<Count> a_window(window_prefix[n]);
-  std::vector<Count> c_window(window_prefix[n]);
 
   // Parallel fill: every entry writes disjoint column stretches. The
   // MinMax artifacts are the entries' own.
@@ -598,7 +596,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     }
     const EncodedB* encoded_b = entry.encodings->encoded_b.get();
     const EncodedA* encoded_a = entry.encodings->encoded_a.get();
-    const VerifyWindow* window = entry.encodings->window.get();
     for (uint32_t u = 0; u < shape.users; ++u) {
       b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
       b_real[users_prefix[i] + u] = encoded_b->real_id(u);
@@ -617,8 +614,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                     sizeof(uint64_t));
     std::memcpy(a_window.data() + window_prefix[i],
                 encoded_a->window().BlockData(0),
-                shape.window * sizeof(Count));
-    std::memcpy(c_window.data() + window_prefix[i], window->BlockData(0),
                 shape.window * sizeof(Count));
   });
   if (stats != nullptr) stats->snapshot_seconds = timer.Seconds();
@@ -670,7 +665,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   add(SectionKind::kWindowPrefix, 8, window_prefix.data(),
       window_prefix.size() * 8);
   add(SectionKind::kEncAWindow, 4, a_window.data(), a_window.size() * 4);
-  add(SectionKind::kComWindow, 4, c_window.data(), c_window.size() * 4);
 
   const std::string segment_path = SegmentPath(new_generation);
   if (!WriteSegment(segment_path, params, sections, error)) return false;

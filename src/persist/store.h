@@ -16,6 +16,9 @@ struct StoreOptions {
   /// Store directory; created (one level) when absent. Mapped segments
   /// always get the MADV_WILLNEED and MADV_HUGEPAGE hints.
   std::string dir;
+  /// When false, Open of a directory without a committed superblock
+  /// fails and writes nothing (no directory, no superblock).
+  bool create_if_missing = true;
   /// fsync barrier cadence of the mutation log (records per barrier; 1
   /// makes every mutation durable before its shard lock is released).
   size_t log_sync_every = 1;

@@ -251,10 +251,6 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
               std::make_shared<const EncodedB>(community, *memo.encoder);
           encodings->encoded_a =
               std::make_shared<const EncodedA>(community, *memo.encoder);
-          auto window = std::make_shared<VerifyWindow>();
-          window->Assign(community.size(), d,
-                         [&](uint32_t u) { return community.User(u); });
-          encodings->window = std::move(window);
           entry.encodings = std::move(encodings);
         });
     encode_seconds += phase_timer.Seconds();
@@ -389,6 +385,17 @@ CatalogEntry CommunityCatalog::Get(uint64_t id) const {
   std::shared_lock lock(shard.mu);
   const auto it = shard.entries.find(id);
   return it == shard.entries.end() ? CatalogEntry{} : it->second;
+}
+
+std::shared_ptr<const EntryEncodings> CommunityCatalog::EncodingsAt(
+    uint64_t id, uint64_t version) const {
+  const Shard& shard = ShardOf(id);
+  std::shared_lock lock(shard.mu);
+  const auto it = shard.entries.find(id);
+  if (it == shard.entries.end() || it->second.version != version) {
+    return nullptr;
+  }
+  return it->second.encodings;
 }
 
 std::vector<CatalogEntry> CommunityCatalog::Snapshot() const {

@@ -25,8 +25,8 @@ namespace csj::service {
 
 /// The MinMax artifacts of one catalog entry under the catalog's warm
 /// parameters (Options::warm_eps, clamped Options::warm_parts): the B-
-/// and A-side encodings (the A side carries its verify window) and the
-/// Baseline methods' natural-order community window. Immutable.
+/// and A-side encodings, the A side carrying its verify window.
+/// Immutable.
 ///
 /// Cache-line aligned: a restore allocates these blocks back to back,
 /// and every snapshot or Get copy of an entry bumps the block's
@@ -36,7 +36,6 @@ namespace csj::service {
 struct alignas(64) EntryEncodings {
   std::shared_ptr<const EncodedB> encoded_b;
   std::shared_ptr<const EncodedA> encoded_a;
-  std::shared_ptr<const VerifyWindow> window;
 };
 
 /// One resident catalog community, as handed out by Get()/Snapshot().
@@ -167,16 +166,15 @@ class LiveCoupleSession {
 /// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path, and
 /// CatalogEntry is its one record. Its build waves run OUTSIDE any shard
 /// lock and make whatever the entry does not carry: the digest, the
-/// entry's MinMax artifacts (EncodedB, EncodedA and the Baseline SoA
-/// window for (warm_eps, warm_parts), so no query against the entry
-/// builds or looks up an encoding) and the prescreen sketch (when
-/// `signatures` is set). An entry whose content equals the resident
-/// entry under its id inherits that entry's artifacts and sketch instead
-/// of building them. Its install section then takes each touched shard's
-/// exclusive lock once, between one mutation-clock tick pair. Upsert is
-/// the one-entry case of that path, which is why an Upsert loop, a
-/// BulkLoad and a RestoreBatch of the same entries leave byte-identical
-/// state.
+/// entry's MinMax artifacts (EncodedB and EncodedA for (warm_eps,
+/// warm_parts), so no query against the entry builds or looks up an
+/// encoding) and the prescreen sketch (when `signatures` is set). An
+/// entry whose content equals the resident entry under its id inherits
+/// that entry's artifacts and sketch instead of building them. Its
+/// install section then takes each touched shard's exclusive lock once,
+/// between one mutation-clock tick pair. Upsert is the one-entry case of
+/// that path, which is why an Upsert loop, a BulkLoad and a RestoreBatch
+/// of the same entries leave byte-identical state.
 class CommunityCatalog {
  public:
   struct Options {
@@ -294,6 +292,12 @@ class CommunityCatalog {
   /// (community == nullptr) when absent.
   CatalogEntry Get(uint64_t id) const;
 
+  /// The resident MinMax artifacts of `id` while its entry still has
+  /// `version`, else null (absent, or replaced since). One refcount
+  /// bump, where Get() copies the whole entry.
+  std::shared_ptr<const EntryEncodings> EncodingsAt(uint64_t id,
+                                                    uint64_t version) const;
+
   /// All resident entries, ascending id (deterministic for a quiesced
   /// catalog). See the class comment for cross-shard semantics.
   std::vector<CatalogEntry> Snapshot() const;
@@ -373,7 +377,7 @@ class CommunityCatalog {
     /// `signature`, `encodings` and `digest` stay unset. A walk bounds
     /// thousands of candidates and refines a handful, so the probe copies
     /// only what the bound reads; CoupleScorer::Refine fetches a refined
-    /// head's artifacts with Get() and a version check.
+    /// head's artifacts with EncodingsAt().
     std::vector<CatalogEntry> candidates;
     PrescreenStats stats;
   };

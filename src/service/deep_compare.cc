@@ -24,7 +24,7 @@ bool WindowsIdentical(const VerifyWindow& lhs, const VerifyWindow& rhs) {
 
 /// Every column the walk refines from and a checkpoint seals: ids, real
 /// ids and part sums of the B side; mins, maxs, real ids, part columns
-/// and verify window of the A side; the natural-order window.
+/// and verify window of the A side.
 bool ArtifactsIdentical(const EntryEncodings& lhs, const EntryEncodings& rhs) {
   const EncodedB& lhs_b = *lhs.encoded_b;
   const EncodedB& rhs_b = *rhs.encoded_b;
@@ -57,8 +57,7 @@ bool ArtifactsIdentical(const EntryEncodings& lhs, const EntryEncodings& rhs) {
                   2 * static_cast<size_t>(lhs_a.size()) * lhs_a.parts())) {
     return false;
   }
-  return WindowsIdentical(lhs_a.window(), rhs_a.window()) &&
-         WindowsIdentical(*lhs.window, *rhs.window);
+  return WindowsIdentical(lhs_a.window(), rhs_a.window());
 }
 
 }  // namespace

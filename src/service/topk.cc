@@ -97,11 +97,8 @@ double CoupleScorer::Refine(const CatalogEntry& entry,
   if (query_b_.has_value()) {
     encodings = entry.encodings.get();
     if (encodings == nullptr) {
-      CatalogEntry resident = catalog_.Get(entry.id);
-      if (resident.version == entry.version) {
-        fetched = std::move(resident.encodings);
-        encodings = fetched.get();
-      }
+      fetched = catalog_.EncodingsAt(entry.id, entry.version);
+      encodings = fetched.get();
     }
   }
   if (encodings != nullptr) {

@@ -146,10 +146,10 @@ struct TopKResult {
 /// and warm_parts agree, and no EventLog is attached; every resident
 /// entry carries artifacts (CatalogEntry::encodings). Refine is the one
 /// place that fetches them for a probe head (an entry without artifacts,
-/// see CommunityCatalog::ProbeResult): it looks the id up in the catalog
-/// and uses the resident entry's artifacts when that entry still has the
-/// head's version. Every other couple — a non-MinMax method, another eps
-/// or part count, an event log, a head whose entry was replaced or
+/// see CommunityCatalog::ProbeResult): CommunityCatalog::EncodingsAt
+/// hands it the resident entry's artifacts while that entry still has
+/// the head's version. Every other couple — a non-MinMax method, another
+/// eps or part count, an event log, a head whose entry was replaced or
 /// removed since the probe (its pinned community is refined), or a
 /// synthetic entry the catalog does not hold — refines through
 /// ComputeSimilarity (which goes through `join.cache` when set). Both

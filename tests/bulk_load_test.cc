@@ -200,13 +200,13 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
 
   const char* columns[] = {"none",  "b ids",  "b real", "b sums",
                            "a mins", "a maxs", "a real", "a cols",
-                           "a window", "window"};
-  for (int column = 0; column < 10; ++column) {
+                           "a window"};
+  for (int column = 0; column < 9; ++column) {
     SCOPED_TRACE(columns[column]);
     struct Copy {
       std::vector<uint64_t> b_ids, b_sums, a_mins, a_maxs, a_cols;
       std::vector<UserId> b_real, a_real;
-      std::vector<Count> a_window, window;
+      std::vector<Count> a_window;
     };
     auto copy = std::make_shared<Copy>();
     for (uint32_t u = 0; u < n; ++u) {
@@ -221,8 +221,6 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
     copy->a_cols.assign(a.part_lo(0), a.part_lo(0) + 2 * sums);
     copy->a_window.assign(a.window().BlockData(0),
                           a.window().BlockData(0) + padded);
-    copy->window.assign(source.window->BlockData(0),
-                        source.window->BlockData(0) + padded);
     switch (column) {
       case 1: ++copy->b_ids[0]; break;
       case 2: ++copy->b_real[0]; break;
@@ -232,7 +230,6 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
       case 6: ++copy->a_real[0]; break;
       case 7: ++copy->a_cols[0]; break;
       case 8: ++copy->a_window[0]; break;
-      case 9: ++copy->window[0]; break;
       default: break;
     }
     auto encodings = std::make_shared<EntryEncodings>();
@@ -253,9 +250,6 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
     a_columns.cols = copy->a_cols.data();
     a_columns.window = copy->a_window.data();
     encodings->encoded_a = std::make_shared<const EncodedA>(a_columns, copy);
-    auto window = std::make_shared<VerifyWindow>();
-    window->AssignView(n, d, copy->window.data(), copy);
-    encodings->window = std::move(window);
 
     // Every other entry keeps the reference's own artifacts and digest.
     std::vector<CatalogEntry> restore = entries;

@@ -158,25 +158,33 @@ struct Expected {
     }
     const EncodedB& b = *entry.encodings->encoded_b;
     const EncodedA& a = *entry.encodings->encoded_a;
-    const VerifyWindow& window = *entry.encodings->window;
-    if (b.size() != encoded_b.size() || a.size() != encoded_a.size() ||
-        window.size() != community.size()) {
+    if (b.size() != encoded_b.size() || b.parts() != encoded_b.parts() ||
+        a.size() != encoded_a.size() || a.parts() != encoded_a.parts() ||
+        a.window().size() != encoded_a.window().size() ||
+        a.window().d() != encoded_a.window().d()) {
       return false;
     }
     for (uint32_t u = 0; u < b.size(); ++u) {
       if (b.encoded_id(u) != encoded_b.encoded_id(u) ||
           b.real_id(u) != encoded_b.real_id(u) ||
-          !std::ranges::equal(b.part_sums(u), encoded_b.part_sums(u)) ||
           a.encoded_min(u) != encoded_a.encoded_min(u) ||
           a.encoded_max(u) != encoded_a.encoded_max(u) ||
           a.real_id(u) != encoded_a.real_id(u)) {
         return false;
       }
-      for (Dim k = 0; k < community.d(); ++k) {
-        if (window.Value(u, k) != community.User(u)[k]) return false;
-      }
     }
-    return std::ranges::equal(entry.signature->table(), signature.table());
+    // The flat part-sum, part-column and verify-window buffers, byte for
+    // byte (window padding included).
+    const size_t sums = static_cast<size_t>(b.size()) * b.parts();
+    const size_t padded = VerifyWindow::PaddedCount(a.size(), community.d());
+    return std::equal(b.part_sums(0).data(), b.part_sums(0).data() + sums,
+                      encoded_b.part_sums(0).data()) &&
+           std::equal(a.part_lo(0), a.part_lo(0) + 2 * sums,
+                      encoded_a.part_lo(0)) &&
+           std::equal(a.window().BlockData(0),
+                      a.window().BlockData(0) + padded,
+                      encoded_a.window().BlockData(0)) &&
+           std::ranges::equal(entry.signature->table(), signature.table());
   }
 
   Community community;

@@ -88,6 +88,22 @@ TEST(PersistStoreTest, FreshStoreOpensEmpty) {
   EXPECT_TRUE(stats.opened_existing);
 }
 
+TEST(PersistStoreTest, OpenWithoutCreateRefusesAnEmptyDirectoryUntouched) {
+  const std::string dir = FreshDir();
+  StoreOptions options;
+  options.dir = dir;
+  options.create_if_missing = false;
+  std::string error;
+  EXPECT_EQ(Store::Open(options, &error), nullptr);
+  EXPECT_NE(error.find("no store"), std::string::npos) << error;
+  EXPECT_FALSE(std::ifstream(dir + "/superblock.csj").good());
+
+  // A missing directory is not created either.
+  options.dir = dir + "/absent";
+  EXPECT_EQ(Store::Open(options, &error), nullptr);
+  EXPECT_NE(::access(options.dir.c_str(), F_OK), 0);
+}
+
 TEST(PersistStoreTest, CheckpointRoundTripIsByteIdentical) {
   const std::string dir = FreshDir();
   service::CommunityCatalog catalog(CatalogOpts());
@@ -389,7 +405,6 @@ TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
     const bool mapped = entry.id != 4;
     EXPECT_EQ(entry.encodings->encoded_b->MemoryBytes() == 0, mapped);
     EXPECT_EQ(entry.encodings->encoded_a->MemoryBytes() == 0, mapped);
-    EXPECT_EQ(entry.encodings->window->MemoryBytes() == 0, mapped);
   }
 
   // A refresh with unchanged content shares the mapped artifacts; one
@@ -576,17 +591,13 @@ TEST(PersistStoreTest, RestoreRejectsCorruptVersionColumnGracefully) {
   EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
 }
 
-TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsSampledSection) {
-  // Older writers sealed a kSampled section (sketched-user counts) beside
-  // the sketch tables. Restore and fsck ignore it whatever it holds: a 0,
-  // or a count below the community size, once reached the sketch restore
-  // constructor unchecked.
+/// Checkpoints `catalog` into a fresh store, reseals its segment with one
+/// more section of `kind` holding `payload` (as an older writer would
+/// have sealed it), and requires restore and deep fsck to ignore it.
+void ExpectOlderSectionIgnored(const service::CommunityCatalog& catalog,
+                               SectionKind kind,
+                               const std::vector<uint32_t>& payload) {
   const std::string dir = FreshDir();
-  service::CommunityCatalog catalog(CatalogOpts());
-  for (uint64_t id = 1; id <= 6; ++id) {
-    catalog.Upsert(id, MakeTestCommunity(12 + static_cast<uint32_t>(id), id));
-  }
-
   StoreOptions options;
   options.dir = dir;
   std::string error;
@@ -596,14 +607,12 @@ TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsSampledSection) {
     ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
   }
 
-  // Reseal the segment with the section added, as an older writer would
-  // have sealed it.
   const std::string seg = dir + "/seg-1.csj";
   const std::string resealed = seg + ".resealed";
   {
     auto segment = MappedSegment::Map(seg, false, false, &error);
     ASSERT_NE(segment, nullptr) << error;
-    ASSERT_EQ(segment->Find(SectionKind::kSampled), nullptr);
+    ASSERT_EQ(segment->Find(kind), nullptr);
     const SegmentHeader& header = segment->header();
     SegmentParams params;
     params.entry_count = header.entry_count;
@@ -612,17 +621,13 @@ TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsSampledSection) {
     params.warm_parts = header.warm_parts;
     params.sig_quantiles = header.sig_quantiles;
     params.flags = header.flags;
-    std::vector<uint32_t> sampled(header.entry_count);
-    for (size_t i = 0; i < sampled.size(); ++i) {
-      sampled[i] = static_cast<uint32_t>(i % 2);
-    }
     std::vector<SectionSpec> sections;
     for (const SectionDesc& desc : segment->sections()) {
       sections.push_back({static_cast<SectionKind>(desc.kind), desc.elem_size,
                           segment->data() + desc.offset, desc.byte_size});
     }
-    sections.push_back({SectionKind::kSampled, 4, sampled.data(),
-                        sampled.size() * sizeof(uint32_t)});
+    sections.push_back(
+        {kind, 4, payload.data(), payload.size() * sizeof(uint32_t)});
     ASSERT_TRUE(WriteSegment(resealed, params, sections, &error)) << error;
   }
   ASSERT_EQ(std::rename(resealed.c_str(), seg.c_str()), 0);
@@ -634,6 +639,56 @@ TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsSampledSection) {
   FsckReport report;
   ASSERT_TRUE(FsckStore(fsck_options, &report));
   EXPECT_TRUE(report.clean());
+}
+
+void UpsertSixEntries(service::CommunityCatalog* catalog) {
+  for (uint64_t id = 1; id <= 6; ++id) {
+    catalog->Upsert(id, MakeTestCommunity(12 + static_cast<uint32_t>(id), id));
+  }
+}
+
+TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsSampledSection) {
+  // Older writers sealed a kSampled section (sketched-user counts) beside
+  // the sketch tables. Restore and fsck ignore it whatever it holds: a 0,
+  // or a count below the community size, once reached the sketch restore
+  // constructor unchecked.
+  service::CommunityCatalog catalog(CatalogOpts());
+  UpsertSixEntries(&catalog);
+  std::vector<uint32_t> sampled(catalog.size());
+  for (size_t i = 0; i < sampled.size(); ++i) {
+    sampled[i] = static_cast<uint32_t>(i % 2);
+  }
+  ExpectOlderSectionIgnored(catalog, SectionKind::kSampled, sampled);
+}
+
+TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsCommunityWindow) {
+  // Older writers sealed a kComWindow section: every entry's counters as
+  // a padded user-order verify window, which no query read. Restore and
+  // fsck ignore it, whether it holds those windows or garbage of another
+  // length.
+  service::CommunityCatalog catalog(CatalogOpts());
+  UpsertSixEntries(&catalog);
+  std::vector<uint32_t> windows;
+  for (const service::CatalogEntry& entry : catalog.Snapshot()) {
+    const Community& community = *entry.community;
+    VerifyWindow window;
+    window.Assign(community.size(), community.d(),
+                  [&](uint32_t u) { return community.User(u); });
+    windows.insert(windows.end(), window.BlockData(0),
+                   window.BlockData(0) + VerifyWindow::PaddedCount(
+                                             community.size(), community.d()));
+  }
+  {
+    SCOPED_TRACE("windows");
+    ExpectOlderSectionIgnored(catalog, SectionKind::kComWindow, windows);
+  }
+  util::Rng rng(testing::TestSeed(24));
+  std::vector<uint32_t> garbage(windows.size() / 2 + 3);
+  for (uint32_t& value : garbage) {
+    value = static_cast<uint32_t>(rng());
+  }
+  SCOPED_TRACE("garbage");
+  ExpectOlderSectionIgnored(catalog, SectionKind::kComWindow, garbage);
 }
 
 }  // namespace

@@ -6,10 +6,11 @@
 // alignment, id ordering, version uniqueness and monotonicity, prefix
 // array consistency, log framing and CRCs, and log-upsert versions
 // against the sealed generation's horizon. --deep (the default)
-// additionally recomputes every entry's digest, sketch table, encoded
-// buffers and verify windows from the stored counters and requires byte
-// agreement — CRCs prove the bytes are what was written, recomputation
-// proves what was written is what the builders produce today.
+// additionally recomputes every entry's digest, sketch table and encoded
+// buffers (the EncodedA verify window included) from the stored counters
+// and requires byte agreement — CRCs prove the bytes are what was
+// written, recomputation proves what was written is what the builders
+// produce today.
 //
 //   ./csj_fsck --dir=/var/lib/csj/store            # verify, exit 0/1
 //   ./csj_fsck --dir=... --fast                    # skip recomputation
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   csj::util::Flags flags;
   flags.Define("dir", "", "store directory to verify");
   flags.Define("deep", "true",
-               "recompute digests, sketches, encodings and windows from "
+               "recompute digests, sketches and MinMax encodings from "
                "the stored counters and byte-compare");
   flags.Define("fast", "false", "alias for --deep=false");
   flags.Define("repair", "false",

@@ -241,38 +241,45 @@ int main(int argc, char** argv) {
   topk.query_threads = std::max<uint32_t>(
       1, static_cast<uint32_t>(flags.GetInt("query_threads")));
 
+  // Persistence: the store opens BEFORE populate so a warm restart can
+  // skip the build entirely — that skipped wall time is the subsystem's
+  // whole value proposition. It also opens before the workload build,
+  // and a warm restart never creates a store, so one with nothing to
+  // restore fails before it spends the build or writes a superblock.
+  const std::string store_dir = flags.GetString("store_dir");
+  const bool warm_loaded = flags.GetBool("warm_restart");
+  if (warm_loaded && store_dir.empty()) {
+    std::fprintf(stderr, "warm restart: needs --store_dir\n");
+    return 1;
+  }
+  std::unique_ptr<csj::persist::Store> store;
+  csj::persist::OpenStats open_stats;
+  if (!store_dir.empty()) {
+    csj::persist::StoreOptions store_options;
+    store_options.dir = store_dir;
+    store_options.create_if_missing = !warm_loaded;
+    std::string store_error;
+    store = csj::persist::Store::Open(store_options, &store_error,
+                                      &open_stats);
+    if (store == nullptr) {
+      std::fprintf(stderr, "%s: %s\n",
+                   warm_loaded ? "warm restart" : "store open failed",
+                   store_error.c_str());
+      return 1;
+    }
+    if (warm_loaded && !store->has_data()) {
+      std::fprintf(stderr, "warm restart: store holds no data\n");
+      return 1;
+    }
+  }
+
   std::printf("building workload: %u communities of ~%u users...\n",
               workload_options.catalog_size, workload_options.community_size);
   const csj::service::ServeWorkload workload(workload_options);
 
   csj::service::CsjServer server(server_options);
 
-  // Persistence: the store opens BEFORE populate so a warm restart can
-  // skip the build entirely — that skipped wall time is the subsystem's
-  // whole value proposition.
-  const std::string store_dir = flags.GetString("store_dir");
-  std::unique_ptr<csj::persist::Store> store;
-  csj::persist::OpenStats open_stats;
-  if (!store_dir.empty()) {
-    csj::persist::StoreOptions store_options;
-    store_options.dir = store_dir;
-    std::string store_error;
-    store = csj::persist::Store::Open(store_options, &store_error,
-                                      &open_stats);
-    if (store == nullptr) {
-      std::fprintf(stderr, "store open failed: %s\n", store_error.c_str());
-      return 1;
-    }
-  }
-
   csj::service::ServeWorkload::PopulateStats populate_stats;
-  const bool warm_loaded = flags.GetBool("warm_restart");
-  if (warm_loaded && (store == nullptr || !store->has_data())) {
-    std::fprintf(stderr, "warm restart: %s\n",
-                 store == nullptr ? "needs --store_dir"
-                                  : "store holds no data");
-    return 1;
-  }
   double load_seconds = 0.0;
   long load_minflt = 0;
   long load_majflt = 0;

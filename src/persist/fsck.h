@@ -9,11 +9,11 @@ namespace csj::persist {
 
 struct FsckOptions {
   std::string dir;
-  /// Recompute derived artifacts (digests, sketches, encodings,
-  /// windows) from the stored counters and byte-compare against the
-  /// stored columns. Catches writer bugs and semantic drift that CRCs
-  /// cannot (CRCs prove the bytes are what was written, recomputation
-  /// proves what was written is what the builders produce today).
+  /// Recompute derived artifacts (digests, sketches, MinMax encodings)
+  /// from the stored counters and compare them with the stored entries.
+  /// Catches writer bugs and semantic drift that CRCs cannot (CRCs
+  /// prove the bytes are what was written, recomputation proves what was
+  /// written is what the builders produce today).
   bool deep = true;
   /// Truncate a torn log tail in place (the only mutation fsck ever
   /// performs; everything else is strictly read-only).
@@ -45,15 +45,16 @@ struct FsckReport {
   }
 };
 
-/// Offline store verifier: walks superblock → segment → log and
-/// validates every layer — file magics, header and section-table CRCs,
-/// SECTION PAYLOAD CRCs (the check the zero-copy open path skips),
-/// offset/bound/alignment sanity, id ordering, version uniqueness and
-/// monotonicity against next_version, prefix-array consistency, log
-/// record framing and CRCs, and log-upsert versions against the sealed
-/// generation's horizon. With `deep` it additionally recomputes each
-/// entry's digest, sketch table, encoded buffers and verify windows
-/// from the stored counters and requires byte agreement.
+/// Offline store verifier: walks superblock → segment → log. Structural
+/// pass: the superblock and segment magics and header/section-table CRCs
+/// (the reads Store::Open makes), the SECTION PAYLOAD CRCs (the check the
+/// zero-copy open path skips), then the segment reader and log-version
+/// rule Store::RestoreInto applies (reader.h), whose errors become fatal
+/// findings; the log's record framing and CRCs on the way. The
+/// structural pass thus refuses what restore refuses, plus payload CRC
+/// mismatches. With `deep` it additionally rebuilds each entry's digest,
+/// sketch table and MinMax encodings from the stored counters and
+/// requires them to equal the stored entry (service::EntriesIdentical).
 ///
 /// Returns false only when the directory cannot be walked at all;
 /// corruption is reported through the findings.

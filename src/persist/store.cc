@@ -13,6 +13,7 @@
 
 #include "core/encoding.h"
 #include "persist/crc32.h"
+#include "persist/reader.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -31,44 +32,6 @@ void CopyBytes(void* dst, const void* src, size_t size) {
   if (size != 0) std::memcpy(dst, src, size);
 }
 
-/// The clamped per-entry part count, exactly Encoder's clamp — the
-/// store derives it instead of persisting it (it is a pure function of
-/// (warm_parts, d)).
-uint32_t ClampedParts(uint32_t warm_parts, Dim d) {
-  return std::clamp(warm_parts, 1u, d);
-}
-
-bool ReadSuperblock(const std::string& path, Superblock* superblock,
-                    bool* present, std::string* error) {
-  *present = false;
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return true;
-    *error = Errno("open " + path);
-    return false;
-  }
-  const ssize_t n = ::read(fd, superblock, sizeof(*superblock));
-  ::close(fd);
-  if (n != static_cast<ssize_t>(sizeof(*superblock))) {
-    *error = path + ": short superblock";
-    return false;
-  }
-  if (superblock->magic != kSuperblockMagic) {
-    *error = path + ": bad superblock magic";
-    return false;
-  }
-  if (superblock->format_version != kFormatVersion) {
-    *error = path + ": unsupported superblock format version";
-    return false;
-  }
-  if (Crc32c(superblock, offsetof(Superblock, crc)) != superblock->crc) {
-    *error = path + ": superblock CRC mismatch";
-    return false;
-  }
-  *present = true;
-  return true;
-}
-
 bool FsyncDir(const std::string& dir, std::string* error) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) {
@@ -80,15 +43,6 @@ bool FsyncDir(const std::string& dir, std::string* error) {
   ::close(fd);
   return ok;
 }
-
-/// Per-entry derived sizes the column assembly and the restore loop
-/// both need; computing them once keeps the two in lockstep.
-struct EntryShape {
-  Dim d = 0;
-  uint32_t users = 0;
-  uint32_t parts = 0;
-  size_t window = 0;  ///< VerifyWindow::PaddedCount(users, d)
-};
 
 }  // namespace
 
@@ -196,20 +150,15 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       << "RestoreInto requires a freshly constructed catalog";
   const auto& catalog_options = catalog->options();
 
-  // Log versions are CRC-covered but unvalidated: a record below the
-  // sealed horizon, or one whose successor would wrap, must fail here
-  // instead of aborting inside RestoreBatch (fsck applies the same
-  // rule). Checked before anything installs.
+  // Log versions are CRC-covered but unvalidated: one outside the
+  // horizon, or two upserts sharing one, must fail here instead of
+  // aborting inside RestoreBatch or installing twice. Checked before
+  // anything installs.
   const uint64_t horizon =
       segment_ != nullptr ? segment_->header().next_version : 1;
-  for (const LogRecord& record : log_image_.records) {
-    if (!record.remove &&
-        (record.version < horizon || record.version == UINT64_MAX)) {
-      *error = "log upsert id " + std::to_string(record.id) +
-               ": version outside [" + std::to_string(horizon) +
-               ", 2^64 - 1); run csj_fsck";
-      return false;
-    }
+  if (!CheckLogVersions(log_image_.records, horizon, error)) {
+    *error += "; run csj_fsck";
+    return false;
   }
 
   uint64_t recovered_next = 1;
@@ -218,14 +167,11 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
 
   if (segment_ != nullptr) {
     const SegmentHeader& header = segment_->header();
-    const auto n = static_cast<size_t>(header.entry_count);
-    const bool has_signatures = (header.flags & kSegHasSignatures) != 0;
-    const bool has_encodings = (header.flags & kSegHasEncodings) != 0;
-
     // The segment's derived artifacts are only adoptable into a catalog
     // shaped like the writer's; a mismatch is a configuration error,
     // not a recoverable state.
-    if (has_encodings &&
+    const bool has_signatures = (header.flags & kSegHasSignatures) != 0;
+    if ((header.flags & kSegHasEncodings) != 0 &&
         (header.warm_eps != catalog_options.warm_eps ||
          header.warm_parts != catalog_options.warm_parts)) {
       *error = "store warm parameters disagree with the catalog's";
@@ -240,169 +186,10 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       *error = "store signature quantiles disagree with the catalog's";
       return false;
     }
-
-    const auto ids = segment_->Column<uint64_t>(SectionKind::kIds);
-    const auto versions = segment_->Column<uint64_t>(SectionKind::kVersions);
-    const auto dims = segment_->Column<uint32_t>(SectionKind::kDims);
-    const auto fingerprints =
-        segment_->Column<uint64_t>(SectionKind::kFingerprints);
-    const auto max_counters =
-        segment_->Column<uint32_t>(SectionKind::kMaxCounters);
-    const auto name_prefix =
-        segment_->Column<uint64_t>(SectionKind::kNamePrefix);
-    const auto names = segment_->Column<uint8_t>(SectionKind::kNames);
-    const auto users_prefix =
-        segment_->Column<uint64_t>(SectionKind::kUsersPrefix);
-    const auto counts_prefix =
-        segment_->Column<uint64_t>(SectionKind::kCountsPrefix);
-    const auto counts = segment_->Column<Count>(SectionKind::kCounts);
-    const auto sig_prefix =
-        segment_->Column<uint64_t>(SectionKind::kSigPrefix);
-    const auto sig_tables = segment_->Column<Count>(SectionKind::kSigTables);
-    const auto sums_prefix =
-        segment_->Column<uint64_t>(SectionKind::kSumsPrefix);
-    const auto b_ids = segment_->Column<uint64_t>(SectionKind::kEncBIds);
-    const auto b_real = segment_->Column<UserId>(SectionKind::kEncBReal);
-    const auto b_sums = segment_->Column<uint64_t>(SectionKind::kEncBSums);
-    const auto a_mins = segment_->Column<uint64_t>(SectionKind::kEncAMins);
-    const auto a_maxs = segment_->Column<uint64_t>(SectionKind::kEncAMaxs);
-    const auto a_real = segment_->Column<UserId>(SectionKind::kEncAReal);
-    const auto a_cols = segment_->Column<uint64_t>(SectionKind::kEncACols);
-    const auto window_prefix =
-        segment_->Column<uint64_t>(SectionKind::kWindowPrefix);
-    const auto a_window = segment_->Column<Count>(SectionKind::kEncAWindow);
-
-    // Shape validation — the zero-copy views below index the mapped
-    // columns through the prefix arrays, and those arrays live in
-    // payload bytes the open path did NOT CRC (see MappedSegment). This
-    // O(n) pass proves every derived index in bounds, so corrupt
-    // prefixes fail loudly here instead of reading out of the mapping.
-    auto shape_error = [&](const char* what) {
-      *error = std::string("segment column shape invalid (") + what +
-               "); run csj_fsck";
+    if (!ReadSegmentEntries(segment_, &pending, error)) {
+      *error = "segment column shape invalid (" + *error + "); run csj_fsck";
       return false;
-    };
-    if (ids.size() != n || versions.size() != n || dims.size() != n ||
-        fingerprints.size() != n || max_counters.size() != n ||
-        name_prefix.size() != n + 1 || users_prefix.size() != n + 1 ||
-        counts_prefix.size() != n + 1) {
-      return shape_error("entry columns");
     }
-    if (has_signatures && sig_prefix.size() != n + 1) {
-      return shape_error("signature columns");
-    }
-    if (has_encodings &&
-        (sums_prefix.size() != n + 1 || window_prefix.size() != n + 1)) {
-      return shape_error("encoding prefixes");
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0 && ids[i] <= ids[i - 1]) return shape_error("id order");
-      // Versions live in un-CRC'd payload bytes like the prefixes: a
-      // corrupt value must fail here, not abort inside RestoreBatch.
-      if (versions[i] == 0 || versions[i] >= header.next_version) {
-        return shape_error("version range");
-      }
-      const Dim d = dims[i];
-      const uint64_t users = users_prefix[i + 1] - users_prefix[i];
-      if (d == 0 || users == 0 || users_prefix[i + 1] < users_prefix[i]) {
-        return shape_error("entry sizes");
-      }
-      if (counts_prefix[i + 1] - counts_prefix[i] !=
-          users * static_cast<uint64_t>(d)) {
-        return shape_error("counter prefix");
-      }
-      if (has_signatures &&
-          sig_prefix[i + 1] - sig_prefix[i] !=
-              static_cast<uint64_t>(d) * (header.sig_quantiles + 1)) {
-        return shape_error("sketch prefix");
-      }
-      if (has_encodings) {
-        const uint32_t parts =
-            ClampedParts(header.warm_parts, static_cast<Dim>(d));
-        if (sums_prefix[i + 1] - sums_prefix[i] != users * parts) {
-          return shape_error("part-sum prefix");
-        }
-        if (window_prefix[i + 1] - window_prefix[i] !=
-            VerifyWindow::PaddedCount(static_cast<uint32_t>(users), d)) {
-          return shape_error("window prefix");
-        }
-      }
-      if (name_prefix[i + 1] < name_prefix[i]) {
-        return shape_error("name prefix");
-      }
-    }
-    if (name_prefix[n] != names.size()) return shape_error("name bytes");
-    if (counts_prefix[n] != counts.size()) return shape_error("counter bytes");
-    if (has_signatures && sig_prefix[n] != sig_tables.size()) {
-      return shape_error("sketch bytes");
-    }
-    if (has_encodings) {
-      if (users_prefix[n] != b_ids.size() ||
-          users_prefix[n] != b_real.size() ||
-          users_prefix[n] != a_mins.size() ||
-          users_prefix[n] != a_maxs.size() ||
-          users_prefix[n] != a_real.size() ||
-          sums_prefix[n] != b_sums.size() ||
-          2 * sums_prefix[n] != a_cols.size() ||
-          window_prefix[n] != a_window.size()) {
-        return shape_error("encoding bytes");
-      }
-    }
-
-    // Build the restored entries. Everything large is a VIEW pinned by
-    // the mapping; per entry this allocates only the control blocks. A
-    // segment without artifacts leaves them to the ingest path.
-    pending.resize(n);
-    util::ThreadPool::Global().Run(
-        static_cast<uint32_t>(n), [&](uint32_t i) {
-          service::CatalogEntry& entry = pending[i];
-          const Dim d = dims[i];
-          const auto users =
-              static_cast<uint32_t>(users_prefix[i + 1] - users_prefix[i]);
-          entry.id = ids[i];
-          entry.version = versions[i];
-          entry.digest = {fingerprints[i], max_counters[i]};
-          std::string name(
-              reinterpret_cast<const char*>(names.data()) + name_prefix[i],
-              name_prefix[i + 1] - name_prefix[i]);
-          entry.community = std::make_shared<const Community>(
-              Community::FromView(d, counts.data() + counts_prefix[i],
-                                  static_cast<size_t>(users) * d, segment_,
-                                  std::move(name)));
-          if (has_signatures) {
-            CommunitySignature::TableView view;
-            view.n = users;
-            view.quantiles = header.sig_quantiles;
-            view.d = d;
-            view.table = sig_tables.data() + sig_prefix[i];
-            entry.signature =
-                std::make_shared<const CommunitySignature>(view, segment_);
-          }
-          if (has_encodings) {
-            const uint32_t parts = ClampedParts(header.warm_parts, d);
-            auto encodings = std::make_shared<service::EntryEncodings>();
-            EncodedB::Columns b;
-            b.parts = parts;
-            b.n = users;
-            b.ids = b_ids.data() + users_prefix[i];
-            b.real = b_real.data() + users_prefix[i];
-            b.sums = b_sums.data() + sums_prefix[i];
-            encodings->encoded_b =
-                std::make_shared<const EncodedB>(b, segment_);
-            EncodedA::Columns a;
-            a.parts = parts;
-            a.n = users;
-            a.d = d;
-            a.mins = a_mins.data() + users_prefix[i];
-            a.maxs = a_maxs.data() + users_prefix[i];
-            a.real = a_real.data() + users_prefix[i];
-            a.cols = a_cols.data() + 2 * sums_prefix[i];
-            a.window = a_window.data() + window_prefix[i];
-            encodings->encoded_a =
-                std::make_shared<const EncodedA>(a, segment_);
-            entry.encodings = std::move(encodings);
-          }
-        });
     recovered_next = std::max<uint64_t>(recovered_next, header.next_version);
   }
 
@@ -527,8 +314,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   const auto n = static_cast<uint32_t>(snapshot.size());
   const bool has_signatures = catalog.signature_options() != nullptr;
 
-  // Derived shapes + prefix arrays (serial, O(n)).
-  std::vector<EntryShape> shapes(n);
+  // Prefix arrays (serial, O(n)), laid out by the reader's LayoutOf.
   std::vector<uint64_t> name_prefix(n + 1, 0);
   std::vector<uint64_t> users_prefix(n + 1, 0);
   std::vector<uint64_t> counts_prefix(n + 1, 0);
@@ -539,24 +325,20 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
       has_signatures ? catalog.signature_options()->quantiles : 0;
   for (uint32_t i = 0; i < n; ++i) {
     const service::CatalogEntry& entry = snapshot[i];
-    EntryShape& shape = shapes[i];
-    shape.d = entry.community->d();
-    shape.users = entry.community->size();
-    shape.parts = ClampedParts(catalog_options.warm_parts, shape.d);
-    shape.window = VerifyWindow::PaddedCount(shape.users, shape.d);
+    const uint32_t users = entry.community->size();
+    const EntryLayout layout =
+        LayoutOf(entry.community->d(), users, catalog_options.warm_parts,
+                 sig_quantiles);
     name_prefix[i + 1] = name_prefix[i] + entry.community->name().size();
-    users_prefix[i + 1] = users_prefix[i] + shape.users;
-    counts_prefix[i + 1] =
-        counts_prefix[i] + static_cast<uint64_t>(shape.users) * shape.d;
+    users_prefix[i + 1] = users_prefix[i] + users;
+    counts_prefix[i + 1] = counts_prefix[i] + layout.counts;
     if (has_signatures) {
       CSJ_CHECK(entry.signature != nullptr);
-      sig_prefix[i + 1] =
-          sig_prefix[i] + static_cast<uint64_t>(shape.d) * (sig_quantiles + 1);
+      sig_prefix[i + 1] = sig_prefix[i] + layout.sketch;
     }
     CSJ_CHECK(entry.encodings != nullptr);
-    sums_prefix[i + 1] =
-        sums_prefix[i] + static_cast<uint64_t>(shape.users) * shape.parts;
-    window_prefix[i + 1] = window_prefix[i] + shape.window;
+    sums_prefix[i + 1] = sums_prefix[i] + layout.sums;
+    window_prefix[i + 1] = window_prefix[i] + layout.window;
   }
 
   // Column buffers.
@@ -578,12 +360,11 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   // MinMax artifacts are the entries' own.
   util::ThreadPool::Global().Run(n, [&](uint32_t i) {
     const service::CatalogEntry& entry = snapshot[i];
-    const EntryShape& shape = shapes[i];
     ids[i] = entry.id;
     versions[i] = entry.version;
     fingerprints[i] = entry.digest.fingerprint;
     max_counters[i] = entry.digest.max_counter;
-    dims[i] = shape.d;
+    dims[i] = entry.community->d();
     CopyBytes(names.data() + name_prefix[i], entry.community->name().data(),
               entry.community->name().size());
     const auto flat = entry.community->flat();
@@ -596,7 +377,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     }
     const EncodedB* encoded_b = entry.encodings->encoded_b.get();
     const EncodedA* encoded_a = entry.encodings->encoded_a.get();
-    for (uint32_t u = 0; u < shape.users; ++u) {
+    for (uint32_t u = 0; u < entry.community->size(); ++u) {
       b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
       b_real[users_prefix[i] + u] = encoded_b->real_id(u);
       a_mins[users_prefix[i] + u] = encoded_a->encoded_min(u);
@@ -605,16 +386,14 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     }
     // part_sums(0) / part_lo(0) are the first elements of the flat
     // SoA buffers; the whole column is contiguous behind them.
+    const size_t sums = sums_prefix[i + 1] - sums_prefix[i];
     std::memcpy(b_sums.data() + sums_prefix[i],
-                encoded_b->part_sums(0).data(),
-                static_cast<size_t>(shape.users) * shape.parts *
-                    sizeof(uint64_t));
+                encoded_b->part_sums(0).data(), sums * sizeof(uint64_t));
     std::memcpy(a_cols.data() + 2 * sums_prefix[i], encoded_a->part_lo(0),
-                2 * static_cast<size_t>(shape.users) * shape.parts *
-                    sizeof(uint64_t));
+                2 * sums * sizeof(uint64_t));
     std::memcpy(a_window.data() + window_prefix[i],
                 encoded_a->window().BlockData(0),
-                shape.window * sizeof(Count));
+                (window_prefix[i + 1] - window_prefix[i]) * sizeof(Count));
   });
   if (stats != nullptr) stats->snapshot_seconds = timer.Seconds();
   timer.Reset();

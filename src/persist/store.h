@@ -82,11 +82,14 @@ class Store {
   /// snapshots, versions, MinMax artifact bytes, sketch-index layout and
   /// every top-k ranking come back byte-identical. Segment entries adopt
   /// the mapped artifacts; a log record that rewrote an id with equal
-  /// content shares the resident entry's. The catalog must be configured
-  /// with the same warm parameters and signature options the writer
-  /// used (checked against the segment header). A log upsert whose
-  /// version lies outside [the segment's next_version (1 without a
-  /// segment), 2^64 - 1) fails the restore before anything installs.
+  /// content shares the resident entry's.
+  ///
+  /// Before anything installs, the log must pass CheckLogVersions, the
+  /// catalog must be configured with the writer's warm parameters and
+  /// signature options (checked against the segment header), and the
+  /// segment must pass ReadSegmentEntries (reader.h). A broken rule
+  /// fails the restore with a "run csj_fsck" error: restore refuses
+  /// exactly what csj_fsck's structural pass refuses, payload CRCs aside.
   bool RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                    OpenStats* stats = nullptr);
 

@@ -62,6 +62,39 @@ bool ArtifactsIdentical(const EntryEncodings& lhs, const EntryEncodings& rhs) {
 
 }  // namespace
 
+bool EntriesIdentical(const CatalogEntry& a, const CatalogEntry& b) {
+  if (a.id != b.id || a.version != b.version ||
+      a.digest.fingerprint != b.digest.fingerprint ||
+      a.digest.max_counter != b.digest.max_counter) {
+    return false;
+  }
+  if (a.community->d() != b.community->d() ||
+      a.community->size() != b.community->size()) {
+    return false;
+  }
+  const auto a_flat = a.community->flat();
+  const auto b_flat = b.community->flat();
+  if (!std::equal(a_flat.begin(), a_flat.end(), b_flat.begin(),
+                  b_flat.end())) {
+    return false;
+  }
+  if ((a.encodings == nullptr) != (b.encodings == nullptr)) return false;
+  if (a.encodings != nullptr &&
+      !ArtifactsIdentical(*a.encodings, *b.encodings)) {
+    return false;
+  }
+  if ((a.signature == nullptr) != (b.signature == nullptr)) return false;
+  if (a.signature != nullptr) {
+    const auto a_table = a.signature->table();
+    const auto b_table = b.signature->table();
+    if (!std::equal(a_table.begin(), a_table.end(), b_table.begin(),
+                    b_table.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool CatalogsIdentical(const CommunityCatalog& lhs,
                        const CommunityCatalog& rhs, Epsilon eps,
                        double threshold) {
@@ -69,37 +102,7 @@ bool CatalogsIdentical(const CommunityCatalog& lhs,
   const std::vector<CatalogEntry> rhs_snapshot = rhs.Snapshot();
   if (lhs_snapshot.size() != rhs_snapshot.size()) return false;
   for (size_t i = 0; i < lhs_snapshot.size(); ++i) {
-    const CatalogEntry& a = lhs_snapshot[i];
-    const CatalogEntry& b = rhs_snapshot[i];
-    if (a.id != b.id || a.version != b.version ||
-        a.digest.fingerprint != b.digest.fingerprint ||
-        a.digest.max_counter != b.digest.max_counter) {
-      return false;
-    }
-    if (a.community->d() != b.community->d() ||
-        a.community->size() != b.community->size()) {
-      return false;
-    }
-    const auto a_flat = a.community->flat();
-    const auto b_flat = b.community->flat();
-    if (!std::equal(a_flat.begin(), a_flat.end(), b_flat.begin(),
-                    b_flat.end())) {
-      return false;
-    }
-    if ((a.encodings == nullptr) != (b.encodings == nullptr)) return false;
-    if (a.encodings != nullptr &&
-        !ArtifactsIdentical(*a.encodings, *b.encodings)) {
-      return false;
-    }
-    if ((a.signature == nullptr) != (b.signature == nullptr)) return false;
-    if (a.signature != nullptr) {
-      const auto a_table = a.signature->table();
-      const auto b_table = b.signature->table();
-      if (!std::equal(a_table.begin(), a_table.end(), b_table.begin(),
-                      b_table.end())) {
-        return false;
-      }
-    }
+    if (!EntriesIdentical(lhs_snapshot[i], rhs_snapshot[i])) return false;
   }
   const SignatureOptions* lhs_options = lhs.signature_options();
   if ((lhs_options == nullptr) != (rhs.signature_options() == nullptr)) {

@@ -2,7 +2,11 @@
 // class (superblock, segment header, section table, every section
 // payload, log header, log record) must surface a finding, a clean
 // store must pass, and CRC-consistent semantic corruption must be
-// caught by the deep recompute pass that checksums cannot see.
+// caught by the deep recompute pass that checksums cannot see. Restore
+// and fsck read a segment through one reader, so a duplicate version
+// behind valid CRCs fails both, and the segment-open fuzz test requires
+// every single-byte flip to fail the open or restore, restore
+// identically, or fail fsck.
 
 #include "persist/fsck.h"
 
@@ -11,6 +15,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -23,6 +29,7 @@
 #include "persist/segment.h"
 #include "persist/store.h"
 #include "service/catalog.h"
+#include "service/deep_compare.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
@@ -56,13 +63,17 @@ void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-/// Builds a store with a sealed segment (every artifact class present)
-/// plus a log tail with both record kinds.
-void BuildStore(const std::string& dir) {
+service::CommunityCatalog::Options CatalogOpts() {
   service::CommunityCatalog::Options options;
   options.warm_eps = 2;
   options.signatures = SignatureOptions{};
-  service::CommunityCatalog catalog(options);
+  return options;
+}
+
+/// Builds a store with a sealed segment (every artifact class present)
+/// plus a log tail with both record kinds.
+void BuildStore(const std::string& dir) {
+  service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 12; ++id) {
     catalog.Upsert(id, MakeTestCommunity(10 + static_cast<uint32_t>(id % 6),
                                          id));
@@ -193,30 +204,26 @@ TEST(PersistFsckTest, FlippedLogBytesAreDetected) {
   EXPECT_TRUE(Fsck(dir).clean());
 }
 
-TEST(PersistFsckTest, CrcConsistentSemanticCorruptionNeedsDeepMode) {
-  const std::string dir = FreshDir();
-  BuildStore(dir);
-  const std::string seg = dir + "/seg-1.csj";
+/// Rewrites the payload of section `kind` in segment `seg` through
+/// `mutate`, then REPAIRS every checksum above it (section CRC, table
+/// CRC, header CRC) so the file stays structurally immaculate: only a
+/// rule on the values themselves can catch the change.
+void RewriteSectionUnderValidCrcs(
+    const std::string& seg, SectionKind kind,
+    const std::function<void(uint8_t* payload, size_t size)>& mutate) {
   std::vector<uint8_t> bytes = ReadFile(seg);
-
-  // Flip one counter in the kCounts payload, then REPAIR every checksum
-  // above it (section CRC, table CRC, header CRC) so the file is
-  // structurally immaculate. Only recomputation can catch this.
   SegmentHeader header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   std::vector<SectionDesc> sections(header.section_count);
   std::memcpy(sections.data(), bytes.data() + sizeof(header),
               sections.size() * sizeof(SectionDesc));
-  SectionDesc* counts = nullptr;
+  SectionDesc* target = nullptr;
   for (SectionDesc& desc : sections) {
-    if (desc.kind == static_cast<uint32_t>(SectionKind::kCounts)) {
-      counts = &desc;
-    }
+    if (desc.kind == static_cast<uint32_t>(kind)) target = &desc;
   }
-  ASSERT_NE(counts, nullptr);
-  ASSERT_GT(counts->byte_size, 0u);
-  bytes[counts->offset + counts->byte_size / 2] ^= 0x01;
-  counts->crc = Crc32c(bytes.data() + counts->offset, counts->byte_size);
+  ASSERT_NE(target, nullptr);
+  mutate(bytes.data() + target->offset, target->byte_size);
+  target->crc = Crc32c(bytes.data() + target->offset, target->byte_size);
   std::memcpy(bytes.data() + sizeof(header), sections.data(),
               sections.size() * sizeof(SectionDesc));
   header.table_crc = Crc32c(bytes.data() + sizeof(header),
@@ -224,6 +231,20 @@ TEST(PersistFsckTest, CrcConsistentSemanticCorruptionNeedsDeepMode) {
   header.crc = Crc32c(&header, offsetof(SegmentHeader, crc));
   std::memcpy(bytes.data(), &header, sizeof(header));
   WriteFile(seg, bytes);
+}
+
+TEST(PersistFsckTest, CrcConsistentSemanticCorruptionNeedsDeepMode) {
+  const std::string dir = FreshDir();
+  BuildStore(dir);
+
+  // Flip one counter in the kCounts payload behind valid CRCs. Only
+  // recomputation can catch this.
+  RewriteSectionUnderValidCrcs(
+      dir + "/seg-1.csj", SectionKind::kCounts,
+      [](uint8_t* payload, size_t size) {
+        ASSERT_GT(size, 0u);
+        payload[size / 2] ^= 0x01;
+      });
 
   // Structurally clean: the fast pass sees nothing.
   EXPECT_TRUE(Fsck(dir, /*deep=*/false).clean());
@@ -231,6 +252,105 @@ TEST(PersistFsckTest, CrcConsistentSemanticCorruptionNeedsDeepMode) {
   // longer agree with the stored counters.
   const FsckReport deep = Fsck(dir, /*deep=*/true);
   EXPECT_FALSE(deep.clean());
+}
+
+TEST(PersistFsckTest, RestoreAndFsckRejectADuplicateSegmentVersion) {
+  // One entry takes its neighbour's version behind valid CRCs. Restore
+  // would install both at that version; the shared reader refuses it for
+  // restore and fsck alike, without the deep pass.
+  const std::string dir = FreshDir();
+  BuildStore(dir);
+  RewriteSectionUnderValidCrcs(
+      dir + "/seg-1.csj", SectionKind::kVersions,
+      [](uint8_t* payload, size_t size) {
+        ASSERT_GE(size, 2 * sizeof(uint64_t));
+        std::memcpy(payload + sizeof(uint64_t), payload, sizeof(uint64_t));
+      });
+
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  service::CommunityCatalog restored(CatalogOpts());
+  EXPECT_FALSE(store->RestoreInto(&restored, &error));
+  EXPECT_NE(error.find("run csj_fsck"), std::string::npos) << error;
+  EXPECT_EQ(restored.size(), 0u);
+
+  const FsckReport report = Fsck(dir, /*deep=*/false);
+  EXPECT_FALSE(report.clean());
+  bool named = false;
+  for (const FsckFinding& finding : report.findings) {
+    named = named || finding.message.find("share version") != std::string::npos;
+  }
+  EXPECT_TRUE(named);
+}
+
+TEST(PersistSegmentFuzzTest, EveryFlipFailsRestoresIdenticallyOrFailsFsck) {
+  // Segment-open fuzzing: single-byte flips of every header and section
+  // table byte, plus a fixed-seed sample of payload bytes. Each must end
+  // in an Open or RestoreInto error, a restore identical to the written
+  // catalog, or a non-clean fsck. None may abort: that would take the
+  // whole binary down.
+  const std::string dir = FreshDir();
+  service::CommunityCatalog written(CatalogOpts());
+  for (uint64_t id = 1; id <= 8; ++id) {
+    written.Upsert(id, MakeTestCommunity(9 + static_cast<uint32_t>(id), id));
+  }
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  {
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(written, &error)) << error;
+  }
+  const std::string seg = dir + "/seg-1.csj";
+  const std::vector<uint8_t> pristine = ReadFile(seg);
+  SegmentHeader header;
+  std::memcpy(&header, pristine.data(), sizeof(header));
+  const size_t table_end =
+      sizeof(SegmentHeader) + header.section_count * sizeof(SectionDesc);
+  ASSERT_LT(table_end, pristine.size());
+
+  // The payload sample: 32 bytes of every section, so each column and
+  // prefix is hit, plus 256 anywhere past the table (padding included).
+  util::Rng rng(testing::TestSeed(23));
+  std::vector<size_t> offsets(table_end);
+  std::iota(offsets.begin(), offsets.end(), size_t{0});
+  std::vector<SectionDesc> sections(header.section_count);
+  std::memcpy(sections.data(), pristine.data() + sizeof(header),
+              sections.size() * sizeof(SectionDesc));
+  for (const SectionDesc& desc : sections) {
+    for (int sample = 0; sample < 32 && desc.byte_size > 0; ++sample) {
+      offsets.push_back(desc.offset + rng() % desc.byte_size);
+    }
+  }
+  for (int sample = 0; sample < 256; ++sample) {
+    offsets.push_back(table_end + rng() % (pristine.size() - table_end));
+  }
+  size_t refused = 0;
+  for (const size_t offset : offsets) {
+    std::vector<uint8_t> bytes = pristine;
+    bytes[offset] ^= static_cast<uint8_t>(1 + rng() % 255);
+    WriteFile(seg, bytes);
+    auto store = Store::Open(options, &error);
+    service::CommunityCatalog restored(CatalogOpts());
+    if (store == nullptr || !store->RestoreInto(&restored, &error)) {
+      ++refused;
+      continue;
+    }
+    if (service::CatalogsIdentical(written, restored, /*eps=*/2, 0.1)) {
+      continue;
+    }
+    EXPECT_FALSE(Fsck(dir, /*deep=*/false).clean())
+        << "byte " << offset << " restored differently yet passed fsck";
+  }
+  // Every header and table flip breaks a CRC the open path checks, and
+  // the reader's rules refuse some payload flips too.
+  EXPECT_GT(refused, table_end);
+  WriteFile(seg, pristine);
+  EXPECT_TRUE(Fsck(dir).clean());
 }
 
 }  // namespace

@@ -420,19 +420,22 @@ TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
 
 TEST(PersistStoreTest, RestoreRejectsLogVersionsOutsideTheHorizon) {
   // A log record's CRC vouches for its bytes, not for its version: one
-  // below the horizon (the segment's next_version, 1 without a segment)
-  // or one whose successor would wrap must fail the restore cleanly,
-  // before anything installs.
+  // below the horizon (the segment's next_version, 1 without a segment),
+  // one whose successor would wrap, or two upserts sharing one must fail
+  // the restore cleanly, before anything installs. fsck applies the same
+  // rule: it passes exactly what restore takes.
   const Community community = MakeTestCommunity(12, 77);
   struct Case {
     bool with_segment;
     uint64_t version;  ///< 0 = one below the segment's horizon
+    bool twice;        ///< a second upsert (id 10) at the same version
     bool valid;
   };
   const Case cases[] = {
-      {false, 0, false},          {false, UINT64_MAX, false},
-      {true, 0, false},           {true, UINT64_MAX, false},
-      {false, 1, true},           {true, UINT64_MAX - 1, true},
+      {false, 0, false, false},     {false, UINT64_MAX, false, false},
+      {true, 0, false, false},      {true, UINT64_MAX, false, false},
+      {false, 1, false, true},      {true, UINT64_MAX - 1, false, true},
+      {false, 1, true, false},      {true, UINT64_MAX - 1, true, false},
   };
   for (const Case& c : cases) {
     const std::string dir = FreshDir();
@@ -456,10 +459,14 @@ TEST(PersistStoreTest, RestoreRejectsLogVersionsOutsideTheHorizon) {
                               store->generation(), 1, 0, nullptr, &error))
           << error;
       ASSERT_TRUE(writer.AppendUpsert(9, version, community));
+      if (c.twice) {
+        ASSERT_TRUE(writer.AppendUpsert(10, version, community));
+      }
       writer.Close();
     }
     const std::string where = "segment " + std::to_string(c.with_segment) +
-                              " version " + std::to_string(version);
+                              " version " + std::to_string(version) +
+                              " twice " + std::to_string(c.twice);
     auto store = Store::Open(options, &error);
     ASSERT_NE(store, nullptr) << error;
     service::CommunityCatalog restored(CatalogOpts());
@@ -469,10 +476,17 @@ TEST(PersistStoreTest, RestoreRejectsLogVersionsOutsideTheHorizon) {
       EXPECT_EQ(restored.Get(9).version, version) << where;
       EXPECT_EQ(restored.latest_version(), version) << where;
     } else {
-      EXPECT_NE(error.find("version outside"), std::string::npos)
+      EXPECT_NE(error.find(c.twice ? "share version" : "version outside"),
+                std::string::npos)
           << where << ": " << error;
+      EXPECT_NE(error.find("run csj_fsck"), std::string::npos) << where;
       EXPECT_EQ(restored.size(), 0u) << where;
     }
+    FsckOptions fsck_options;
+    fsck_options.dir = dir;
+    FsckReport report;
+    ASSERT_TRUE(FsckStore(fsck_options, &report));
+    EXPECT_EQ(report.clean(), c.valid) << where;
   }
 }
 

@@ -29,7 +29,9 @@
 # sections while the LogWriter serializes appends on its own mutex, then
 # the recovered state must match the live catalog byte for byte, and
 # persist_test: restored entries hand their mapped artifacts to same-
-# content refreshes that run on pool threads).
+# content refreshes that run on pool threads, and persist_fsck_test: the
+# segment reader builds entries on pool threads and deep verify reports
+# from them through one mutex).
 # Configures a dedicated build tree with CSJ_ENABLE_TSAN=ON and runs the
 # relevant test binaries under TSAN.
 #
@@ -48,11 +50,11 @@ cmake --build "${build_dir}" -j \
            catalog_test bulk_load_test topk_service_test \
            service_stress_test signature_test prescreen_test \
            request_queue_test result_cache_test net_test evolve_stress_test \
-           persist_crash_test persist_test
+           persist_crash_test persist_test persist_fsck_test
 
 # halt_on_error: any race fails the gate immediately.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${build_dir}" --output-on-failure -j 1 \
-        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore'
+        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck'
 
 echo "TSAN gate passed."

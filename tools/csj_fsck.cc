@@ -1,19 +1,21 @@
 // csj_fsck — offline verifier for a persistent catalog store.
 //
-// Walks superblock → sealed segment → mutation log and validates every
-// layer: magics, header/section-table CRCs, section payload CRCs (the
-// check the zero-copy open path deliberately skips), offsets and
-// alignment, id ordering, version uniqueness and monotonicity, prefix
-// array consistency, log framing and CRCs, and log-upsert versions
-// against the sealed generation's horizon. --deep (the default)
-// additionally recomputes every entry's digest, sketch table and encoded
-// buffers (the EncodedA verify window included) from the stored counters
-// and requires byte agreement — CRCs prove the bytes are what was
+// Walks superblock → sealed segment → mutation log. It checks the
+// superblock and the segment's magics and header/section-table CRCs,
+// then the section payload CRCs (the check the zero-copy open path
+// deliberately skips), then the segment and log rules restore itself
+// applies, through the same reader: column lengths, ascending ids,
+// unique versions below next_version, prefix-sum steps and totals, and
+// unique log-upsert versions at or above the sealed generation's
+// horizon. Log framing and CRCs are checked on the way. --deep (the
+// default) additionally recomputes every entry's digest, sketch table
+// and EncodedB/EncodedA artifacts from the stored counters and requires
+// them to equal the stored ones — CRCs prove the bytes are what was
 // written, recomputation proves what was written is what the builders
 // produce today.
 //
 //   ./csj_fsck --dir=/var/lib/csj/store            # verify, exit 0/1
-//   ./csj_fsck --dir=... --fast                    # skip recomputation
+//   ./csj_fsck --dir=... --deep=false              # skip recomputation
 //   ./csj_fsck --dir=... --repair                  # truncate a torn tail
 //
 // Exit codes: 0 clean (possibly with non-fatal notes — a torn log tail
@@ -31,7 +33,6 @@ int main(int argc, char** argv) {
   flags.Define("deep", "true",
                "recompute digests, sketches and MinMax encodings from "
                "the stored counters and byte-compare");
-  flags.Define("fast", "false", "alias for --deep=false");
   flags.Define("repair", "false",
                "truncate a torn log tail in place (the only mutation "
                "fsck ever performs)");
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
 
   csj::persist::FsckOptions options;
   options.dir = flags.GetString("dir");
-  options.deep = flags.GetBool("deep") && !flags.GetBool("fast");
+  options.deep = flags.GetBool("deep");
   options.repair = flags.GetBool("repair");
 
   csj::persist::FsckReport report;

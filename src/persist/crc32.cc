@@ -35,12 +35,9 @@ const Tables& GetTables() {
   return tables;
 }
 
-}  // namespace
-
-uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+/// Slice-by-8 over the inverted running CRC `crc`.
+uint32_t UpdateSoftware(const uint8_t* p, size_t size, uint32_t crc) {
   const auto& t = GetTables().t;
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = ~seed;
   // Align to 8 so the slice loop reads whole words.
   while (size > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
     crc = t[0][(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
@@ -63,7 +60,55 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = t[0][(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
     --size;
   }
-  return ~crc;
+  return crc;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+/// The SSE4.2 `crc32` instruction computes exactly the table step above
+/// (reflected Castagnoli, no pre- or post-inversion), 8 bytes per
+/// instruction on one dependency chain.
+__attribute__((target("sse4.2"))) uint32_t UpdateHardware(const uint8_t* p,
+                                                          size_t size,
+                                                          uint32_t crc) {
+  while (size > 0 && (reinterpret_cast<uintptr_t>(p) & 7u) != 0) {
+    crc = __builtin_ia32_crc32qi(crc, *p++);
+    --size;
+  }
+  uint64_t wide = crc;
+  while (size >= 8) {
+    uint64_t word;
+    __builtin_memcpy(&word, p, 8);
+    wide = __builtin_ia32_crc32di(wide, word);
+    p += 8;
+    size -= 8;
+  }
+  crc = static_cast<uint32_t>(wide);
+  while (size > 0) {
+    crc = __builtin_ia32_crc32qi(crc, *p++);
+    --size;
+  }
+  return crc;
+}
+
+/// Chosen once per process. A plain CPUID test rather than an ifunc, so
+/// the sanitizer builds run the same path as Release.
+bool HardwareCrc() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return supported;
+}
+#endif
+
+}  // namespace
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+  const auto* p = static_cast<const uint8_t*>(data);
+#if defined(__x86_64__) && defined(__GNUC__)
+  if (HardwareCrc()) return ~UpdateHardware(p, size, ~seed);
+#endif
+  return ~UpdateSoftware(p, size, ~seed);
 }
 
 }  // namespace csj::persist

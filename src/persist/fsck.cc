@@ -189,7 +189,7 @@ bool FsckStore(const FsckOptions& options, FsckReport* report) {
         reporter.Fatal(error);
       }
       if (image.torn) {
-        report->torn_tail_bytes = image.bytes.size() - image.truncated_at;
+        report->torn_tail_bytes = image.file_size - image.truncated_at;
         reporter.Note("torn log tail: " +
                       std::to_string(report->torn_tail_bytes) +
                       " bytes past the last valid record");

@@ -1,6 +1,7 @@
 #include "persist/log.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -220,6 +221,10 @@ uint64_t LogWriter::end_offset() const {
   return end_offset_;
 }
 
+void LogImage::Unmap::operator()(const uint8_t* data) const {
+  ::munmap(const_cast<uint8_t*>(data), size);
+}
+
 bool ReadLog(const std::string& path, uint64_t expect_generation,
              LogImage* image, std::string* error) {
   *image = LogImage{};
@@ -236,31 +241,28 @@ bool ReadLog(const std::string& path, uint64_t expect_generation,
     ::close(fd);
     return false;
   }
-  image->bytes.resize(static_cast<size_t>(st.st_size));
-  size_t got = 0;
-  while (got < image->bytes.size()) {
-    const ssize_t n =
-        ::read(fd, image->bytes.data() + got, image->bytes.size() - got);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      *error = Errno("read " + path);
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    got += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  image->bytes.resize(got);
-
-  if (image->bytes.size() < sizeof(LogHeader)) {
+  const auto size = static_cast<size_t>(st.st_size);
+  image->file_size = size;
+  if (size < sizeof(LogHeader)) {
     // A header that never hit the disk: an empty log with a torn tail.
-    image->torn = !image->bytes.empty();
+    ::close(fd);
+    image->torn = size > 0;
     image->truncated_at = 0;
     return true;
   }
+  void* mapping =
+      ::mmap(nullptr, size, PROT_READ, MAP_SHARED | MAP_POPULATE, fd, 0);
+  ::close(fd);  // the mapping keeps its own reference
+  if (mapping == MAP_FAILED) {
+    *error = Errno("mmap " + path);
+    return false;
+  }
+  image->mapping_ = std::unique_ptr<const uint8_t, LogImage::Unmap>(
+      static_cast<const uint8_t*>(mapping), LogImage::Unmap{size});
+  const std::span<const uint8_t> bytes = image->bytes();
+
   LogHeader header;
-  std::memcpy(&header, image->bytes.data(), sizeof(header));
+  std::memcpy(&header, bytes.data(), sizeof(header));
   if (header.magic != kLogMagic) {
     *error = path + ": bad log magic";
     return false;
@@ -280,17 +282,17 @@ bool ReadLog(const std::string& path, uint64_t expect_generation,
   image->generation = header.generation;
 
   size_t cursor = sizeof(LogHeader);
-  while (cursor < image->bytes.size()) {
+  while (cursor < bytes.size()) {
     const size_t record_start = cursor;
-    if (image->bytes.size() - cursor < sizeof(LogRecordPrefix)) break;
+    if (bytes.size() - cursor < sizeof(LogRecordPrefix)) break;
     LogRecordPrefix prefix;
-    std::memcpy(&prefix, image->bytes.data() + cursor, sizeof(prefix));
+    std::memcpy(&prefix, bytes.data() + cursor, sizeof(prefix));
     cursor += sizeof(prefix);
-    if (image->bytes.size() - cursor < prefix.payload_size) {
+    if (bytes.size() - cursor < prefix.payload_size) {
       cursor = record_start;
       break;
     }
-    const uint8_t* payload = image->bytes.data() + cursor;
+    const uint8_t* payload = bytes.data() + cursor;
     if (Crc32c(payload, prefix.payload_size) != prefix.payload_crc) {
       cursor = record_start;
       break;
@@ -346,7 +348,7 @@ bool ReadLog(const std::string& path, uint64_t expect_generation,
     image->records.push_back(std::move(record));
   }
   image->truncated_at = cursor;
-  image->torn = cursor < image->bytes.size();
+  image->torn = cursor < bytes.size();
   return true;
 }
 

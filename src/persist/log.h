@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,10 +24,11 @@ struct LogRecord {
   uint32_t users = 0;
   std::string name;
   /// Byte offset of the counter payload inside the log file image.
-  /// Offsets, not copies: replay memcpys rows out of the image (the log
-  /// tail is small — the bulk of a store lives in the sealed segment,
-  /// which IS served zero-copy; counter offsets in the log are not
-  /// alignment-guaranteed, so a view would be UB anyway).
+  /// Offsets, not copies: replay copies each community's counters
+  /// straight out of the mapped image (the log tail is small — the bulk
+  /// of a store lives in the sealed segment, which IS served zero-copy;
+  /// counter offsets in the log are not alignment-guaranteed, so a view
+  /// would be UB anyway).
   size_t counts_offset = 0;
 };
 
@@ -114,23 +117,46 @@ class LogWriter {
   FaultInjector* fault_ = nullptr;  // not owned; null in production
 };
 
-/// Reads a log file into RAM and decodes the valid record prefix.
+/// A log file mapped read-only, with its valid record prefix decoded.
 /// `truncated_at` reports where the valid prefix ends; when it is short
-/// of the file size the tail is TORN (short prefix, short payload, or
-/// CRC mismatch — all equivalent: the writer died mid-append) and
-/// `torn` is set. A missing file is an empty log, not an error.
+/// of `file_size` the tail is TORN (short prefix, short payload, or CRC
+/// mismatch — all equivalent: the writer died mid-append) and `torn` is
+/// set. A missing file is an empty log, not an error; so is a file too
+/// short to hold a header (torn when it holds any byte). The image owns
+/// its mapping and unmaps it when destroyed or assigned over.
 struct LogImage {
-  std::vector<uint8_t> bytes;  ///< the whole file image
   std::vector<LogRecord> records;
   uint64_t generation = 0;
+  uint64_t file_size = 0;     ///< length of the file when it was read
   uint64_t truncated_at = 0;  ///< byte length of the valid prefix
   bool torn = false;
   bool present = false;  ///< the file existed
+
+  /// The mapped file: every record's `counts_offset` points into it.
+  /// Empty when no header was read. Reading past `truncated_at` after
+  /// the file was truncated there (LogWriter::Open, csj_fsck --repair)
+  /// would fault; nothing past it is ever read.
+  std::span<const uint8_t> bytes() const {
+    return {mapping_.get(), mapping_.get_deleter().size};
+  }
+
+ private:
+  friend bool ReadLog(const std::string&, uint64_t, LogImage*, std::string*);
+
+  /// Holds the mapping length; unique_ptr value-initializes it to 0.
+  struct Unmap {
+    size_t size;
+    void operator()(const uint8_t* data) const;
+  };
+  std::unique_ptr<const uint8_t, Unmap> mapping_;
 };
 
-/// Decodes `path`. Returns false only on a STRUCTURAL failure that
-/// recovery must not paper over: unreadable file, bad magic, bad
-/// header CRC, or a generation mismatch against `expect_generation`.
+/// Maps `path` read-only and prefaulted (MAP_POPULATE: no zero-fill, no
+/// copy) and decodes its valid record prefix, checking the header CRC
+/// and every record's payload CRC. Returns false only on a STRUCTURAL
+/// failure that recovery must not paper over: unreadable file, bad
+/// magic, bad header CRC, or a generation mismatch against
+/// `expect_generation`.
 /// A torn tail is NOT a failure — the image carries the valid prefix.
 bool ReadLog(const std::string& path, uint64_t expect_generation,
              LogImage* image, std::string* error);

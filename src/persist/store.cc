@@ -44,6 +44,47 @@ bool FsyncDir(const std::string& dir, std::string* error) {
   return ok;
 }
 
+/// Reads counters stored at any byte offset (log payloads carry no
+/// alignment), so a vector is filled from the image in one pass with no
+/// zero-fill first. It has just the operations std::vector's range
+/// constructor uses: distance, dereference and increment.
+class UnalignedCounts {
+ public:
+  using iterator_category = std::random_access_iterator_tag;
+  using value_type = Count;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = Count;
+
+  UnalignedCounts() = default;
+  explicit UnalignedCounts(const uint8_t* at) : at_(at) {}
+
+  Count operator*() const {
+    Count value;
+    std::memcpy(&value, at_, sizeof(value));
+    return value;
+  }
+  UnalignedCounts& operator++() {
+    at_ += sizeof(Count);
+    return *this;
+  }
+  UnalignedCounts operator++(int) {
+    UnalignedCounts before = *this;
+    ++*this;
+    return before;
+  }
+  UnalignedCounts operator+(size_t n) const {
+    return UnalignedCounts(at_ + n * sizeof(Count));
+  }
+  difference_type operator-(const UnalignedCounts& other) const {
+    return (at_ - other.at_) / static_cast<difference_type>(sizeof(Count));
+  }
+  bool operator==(const UnalignedCounts&) const = default;
+
+ private:
+  const uint8_t* at_ = nullptr;
+};
+
 }  // namespace
 
 std::string Store::SuperblockPath() const {
@@ -131,14 +172,17 @@ std::unique_ptr<Store> Store::Open(StoreOptions options, std::string* error,
     }
   }
 
+  timer.Reset();
   if (!ReadLog(store->LogPath(store->generation_), store->generation_,
                &store->log_image_, error)) {
     return nullptr;
   }
   store->log_end_ = store->log_image_.truncated_at;
+  store->log_has_records_ = !store->log_image_.records.empty();
   if (stats != nullptr) {
+    stats->log_read_seconds = timer.Seconds();
     stats->log_torn_bytes =
-        store->log_image_.bytes.size() - store->log_image_.truncated_at;
+        store->log_image_.file_size - store->log_image_.truncated_at;
   }
   return store;
 }
@@ -148,6 +192,10 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   CSJ_CHECK(catalog != nullptr);
   CSJ_CHECK_EQ(catalog->size(), 0u)
       << "RestoreInto requires a freshly constructed catalog";
+  if (log_replayed_) {
+    *error = "the log tail was already replayed; reopen the store";
+    return false;
+  }
   const auto& catalog_options = catalog->options();
 
   // Log versions are CRC-covered but unvalidated: one outside the
@@ -216,7 +264,27 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   const double restore_seconds = timer.Seconds();
   timer.Reset();
 
-  for (const LogRecord& record : log_image_.records) {
+  // Build every upsert's community on the pool, copied straight out of
+  // the mapped image; the install loop below stays sequential, so the
+  // batches, removes and last-wins order are the writer's.
+  const std::vector<LogRecord>& records = log_image_.records;
+  const uint8_t* image = log_image_.bytes().data();
+  std::vector<std::shared_ptr<const Community>> built(records.size());
+  util::ThreadPool::Global().Run(
+      static_cast<uint32_t>(records.size()), [&](uint32_t i) {
+        const LogRecord& record = records[i];
+        if (record.remove) return;
+        const UnalignedCounts counts(image + record.counts_offset);
+        built[i] = std::make_shared<const Community>(
+            record.d,
+            std::vector<Count>(counts,
+                               counts + static_cast<size_t>(record.users) *
+                                            record.d),
+            record.name);
+      });
+
+  for (size_t i = 0; i < records.size(); ++i) {
+    const LogRecord& record = records[i];
     ++replayed;
     if (record.remove) {
       flush();
@@ -226,11 +294,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     service::CatalogEntry entry;
     entry.id = record.id;
     entry.version = record.version;
-    std::vector<Count> counts(static_cast<size_t>(record.users) * record.d);
-    std::memcpy(counts.data(), log_image_.bytes.data() + record.counts_offset,
-                counts.size() * sizeof(Count));
-    entry.community = std::make_shared<const Community>(
-        Community(record.d, std::move(counts), record.name));
+    entry.community = std::move(built[i]);
     // Derived artifacts (digest included) were never checkpointed for
     // log-tail entries; RestoreBatch builds them on the ingest path
     // Upsert uses, or shares the resident entry's when the record
@@ -243,6 +307,11 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   // Pin the version counter to the recovered horizon even when the tail
   // ends in removes (an empty RestoreBatch only advances the counter).
   catalog->RestoreBatch({}, recovered_next, nullptr);
+
+  // The replayed tail now lives in the catalog: drop the mapping (the
+  // log's length stays in log_end_, where StartLogging resumes).
+  log_image_ = LogImage{};
+  log_replayed_ = true;
 
   if (stats != nullptr) {
     stats->restore_seconds = restore_seconds;
@@ -473,6 +542,8 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     (void)::unlink(SegmentPath(old_generation).c_str());
     (void)::unlink(LogPath(old_generation).c_str());
     log_image_ = LogImage{};
+    log_has_records_ = false;
+    log_replayed_ = false;
     log_end_ = 0;
     if (logging_) {
       writer_ = std::make_unique<LogWriter>();

@@ -34,9 +34,16 @@ struct OpenStats {
   uint64_t segment_bytes = 0;
   uint64_t log_records_replayed = 0;
   uint64_t log_torn_bytes = 0;  ///< bytes past the valid prefix
-  double map_seconds = 0.0;      ///< superblock + segment map + validate
+  /// Superblock + segment map + structural validation in Open, plus
+  /// RestoreInto's ReadSegmentEntries (the column-shape rules).
+  double map_seconds = 0.0;
+  /// ReadLog in Open: map the log, check its header and every record's
+  /// payload CRC, decode the record heads.
+  double log_read_seconds = 0.0;
   double restore_seconds = 0.0;  ///< RestoreBatch over the segment image
-  double replay_seconds = 0.0;   ///< log-tail replay
+  /// Log-tail replay: the pooled community build from the mapped log,
+  /// then the sequential install/remove loop.
+  double replay_seconds = 0.0;
 };
 
 /// Accounting of one Checkpoint().
@@ -69,8 +76,8 @@ struct CheckpointStats {
 class Store {
  public:
   /// Opens (or initializes) the store directory: reads and validates
-  /// the superblock, maps the sealed segment, decodes the log's valid
-  /// prefix. Returns nullptr with `*error` set on structural corruption
+  /// the superblock, maps the sealed segment, maps the log and decodes
+  /// its valid prefix (ReadLog: header and record CRCs). Returns nullptr with `*error` set on structural corruption
   /// (csj_fsck gives the detailed diagnosis).
   static std::unique_ptr<Store> Open(StoreOptions options, std::string* error,
                                      OpenStats* stats = nullptr);
@@ -90,6 +97,11 @@ class Store {
   /// segment must pass ReadSegmentEntries (reader.h). A broken rule
   /// fails the restore with a "run csj_fsck" error: restore refuses
   /// exactly what csj_fsck's structural pass refuses, payload CRCs aside.
+  ///
+  /// Replay builds every upsert record's community on the global pool,
+  /// copied from the mapped log, then installs them in append order.
+  /// A successful restore releases the log mapping, so it runs once per
+  /// Open: a second call fails unless a Checkpoint came between.
   bool RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                    OpenStats* stats = nullptr);
 
@@ -115,9 +127,7 @@ class Store {
   /// non-empty log tail (e.g. a store that crashed before its first
   /// checkpoint). Drives csj_serve's --warm_restart populate-or-restore
   /// choice.
-  bool has_data() const {
-    return generation_ >= 1 || !log_image_.records.empty();
-  }
+  bool has_data() const { return generation_ >= 1 || log_has_records_; }
   /// Records durably appended to the current log by this process.
   uint64_t log_records() const {
     return writer_ == nullptr ? 0 : writer_->records_appended();
@@ -135,7 +145,10 @@ class Store {
   StoreOptions options_;
   uint64_t generation_ = 0;
   std::shared_ptr<MappedSegment> segment_;  // null when generation has none
+  /// The log as Open read it; released once RestoreInto replayed it.
   LogImage log_image_;
+  bool log_has_records_ = false;  ///< Open read at least one record
+  bool log_replayed_ = false;     ///< RestoreInto released log_image_
   /// Valid end of the current generation's log file: seeded from the
   /// open-time ReadLog, advanced to the writer's end_offset() whenever
   /// a writer detaches. StartLogging resumes (and truncates) HERE — not

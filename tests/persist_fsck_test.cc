@@ -6,7 +6,10 @@
 // and fsck read a segment through one reader, so a duplicate version
 // behind valid CRCs fails both, and the segment-open fuzz test requires
 // every single-byte flip to fail the open or restore, restore
-// identically, or fail fsck.
+// identically, or fail fsck. The log-decode fuzz test flips and cuts the
+// mutation log: each case must fail the open or restore, or restore
+// exactly the surviving valid record prefix with the torn byte count
+// fsck reports.
 
 #include "persist/fsck.h"
 
@@ -15,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -350,6 +354,142 @@ TEST(PersistSegmentFuzzTest, EveryFlipFailsRestoresIdenticallyOrFailsFsck) {
   // the reader's rules refuse some payload flips too.
   EXPECT_GT(refused, table_end);
   WriteFile(seg, pristine);
+  EXPECT_TRUE(Fsck(dir).clean());
+}
+
+TEST(PersistLogFuzzTest, EveryFlipOrCutFailsOrRestoresTheValidPrefix) {
+  // A sealed segment of 5 entries, then a log of upserts (new ids and
+  // refreshes) and removes behind it.
+  struct Op {
+    bool remove = false;
+    uint64_t id = 0;
+    uint32_t size = 0;
+  };
+  const std::vector<Op> ops = {{false, 20, 9},  {false, 2, 12}, {true, 4, 0},
+                               {false, 21, 11}, {true, 20, 0},  {false, 2, 8},
+                               {false, 22, 10}, {true, 1, 0}};
+  auto build = [&](service::CommunityCatalog* catalog, size_t records) {
+    for (uint64_t id = 1; id <= 5; ++id) {
+      catalog->Upsert(id, MakeTestCommunity(8 + static_cast<uint32_t>(id), id));
+    }
+    for (size_t i = 0; i < records; ++i) {
+      if (ops[i].remove) {
+        ASSERT_TRUE(catalog->Remove(ops[i].id));
+      } else {
+        catalog->Upsert(ops[i].id, MakeTestCommunity(ops[i].size, 100 + i));
+      }
+    }
+  };
+  const std::string dir = FreshDir();
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  {
+    service::CommunityCatalog written(CatalogOpts());
+    build(&written, 0);
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(written, &error)) << error;
+    ASSERT_TRUE(store->StartLogging(&written, &error)) << error;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].remove) {
+        ASSERT_TRUE(written.Remove(ops[i].id));
+      } else {
+        written.Upsert(ops[i].id, MakeTestCommunity(ops[i].size, 100 + i));
+      }
+    }
+    store->StopLogging(&written);
+  }
+  const std::string log = dir + "/log-1.csj";
+  const std::vector<uint8_t> pristine = ReadFile(log);
+
+  // ends[k]: byte length of the header plus the first k records.
+  std::vector<size_t> ends = {sizeof(LogHeader)};
+  while (ends.back() + sizeof(LogRecordPrefix) <= pristine.size()) {
+    LogRecordPrefix prefix;
+    std::memcpy(&prefix, pristine.data() + ends.back(), sizeof(prefix));
+    ends.push_back(ends.back() + sizeof(prefix) + prefix.payload_size);
+  }
+  ASSERT_EQ(ends.back(), pristine.size());
+  const size_t records = ends.size() - 1;
+
+  // The oracle for each surviving prefix: the same history applied to a
+  // plain in-RAM catalog.
+  std::vector<std::unique_ptr<service::CommunityCatalog>> shadows(records + 1);
+  auto shadow = [&](size_t k) -> const service::CommunityCatalog& {
+    if (shadows[k] == nullptr) {
+      shadows[k] = std::make_unique<service::CommunityCatalog>(CatalogOpts());
+      build(shadows[k].get(), k);
+    }
+    return *shadows[k];
+  };
+  ASSERT_EQ(records, ops.size());
+
+  // Writes `bytes` as the log; either Open/RestoreInto refuses it, or
+  // the restore equals the first `valid` records and the torn count is
+  // the bytes past `valid_end`, as fsck reports it. Returns whether the
+  // store was refused.
+  auto check = [&](const std::vector<uint8_t>& bytes, size_t valid,
+                   size_t valid_end, const std::string& what) {
+    WriteFile(log, bytes);
+    OpenStats stats;
+    auto store = Store::Open(options, &error, &stats);
+    service::CommunityCatalog restored(CatalogOpts());
+    if (store == nullptr || !store->RestoreInto(&restored, &error, &stats)) {
+      return true;
+    }
+    EXPECT_EQ(stats.log_records_replayed, valid) << what;
+    EXPECT_TRUE(service::CatalogsIdentical(shadow(valid), restored,
+                                           /*eps=*/2, 0.1))
+        << what;
+    EXPECT_EQ(stats.log_torn_bytes, bytes.size() - valid_end) << what;
+    EXPECT_EQ(stats.log_torn_bytes, Fsck(dir, /*deep=*/false).torn_tail_bytes)
+        << what;
+    return false;
+  };
+
+  // Cuts at every record boundary and one byte either side of it; a cut
+  // inside the header leaves an empty log.
+  EXPECT_FALSE(check({}, 0, 0, "cut at 0"));
+  for (size_t k = 0; k <= records; ++k) {
+    for (const size_t cut : {ends[k] - 1, ends[k], ends[k] + 1}) {
+      if (cut > pristine.size()) continue;
+      const size_t valid = cut >= ends[k] ? k : (k == 0 ? 0 : k - 1);
+      const size_t valid_end = cut < ends[0] ? 0 : ends[valid];
+      EXPECT_FALSE(check({pristine.begin(), pristine.begin() +
+                                                static_cast<ptrdiff_t>(cut)},
+                         valid, valid_end, "cut at " + std::to_string(cut)));
+    }
+  }
+
+  // Flips: every header byte (each is CRC-covered or the CRC itself, so
+  // every one must be refused), every record prefix byte, and a
+  // fixed-seed sample of payload bytes. A flip inside record r ends the
+  // valid prefix before r.
+  util::Rng rng(testing::TestSeed(24));
+  auto flip = [&](size_t offset) {
+    std::vector<uint8_t> bytes = pristine;
+    bytes[offset] ^= static_cast<uint8_t>(1 + rng() % 255);
+    size_t r = 0;
+    while (offset >= ends[r + 1]) ++r;
+    return check(bytes, r, ends[r], "flip at " + std::to_string(offset));
+  };
+  for (size_t offset = 0; offset < sizeof(LogHeader); ++offset) {
+    std::vector<uint8_t> bytes = pristine;
+    bytes[offset] ^= static_cast<uint8_t>(1 + rng() % 255);
+    EXPECT_TRUE(check(bytes, 0, 0, "header flip at " + std::to_string(offset)));
+  }
+  for (size_t r = 0; r < records; ++r) {
+    for (size_t offset = ends[r]; offset < ends[r] + sizeof(LogRecordPrefix);
+         ++offset) {
+      EXPECT_FALSE(flip(offset));
+    }
+    const size_t payload = ends[r] + sizeof(LogRecordPrefix);
+    for (int sample = 0; sample < 16; ++sample) {
+      EXPECT_FALSE(flip(payload + rng() % (ends[r + 1] - payload)));
+    }
+  }
+  WriteFile(log, pristine);
   EXPECT_TRUE(Fsck(dir).clean());
 }
 

@@ -1,6 +1,6 @@
 // Tests for the persistent catalog store: segment roundtrip, log-tail
-// replay, generation turnover, and the zero-copy restore path's
-// copy-on-write discipline.
+// replay, generation turnover, the zero-copy restore path's
+// copy-on-write discipline, and the CRC32C every persisted region uses.
 
 #include "persist/store.h"
 
@@ -20,6 +20,7 @@
 #include "core/encoding_cache.h"
 #include "core/signature.h"
 #include "data/generator.h"
+#include "persist/crc32.h"
 #include "persist/fsck.h"
 #include "service/catalog.h"
 #include "service/deep_compare.h"
@@ -52,6 +53,45 @@ service::CommunityCatalog::Options CatalogOpts() {
 }
 
 constexpr double kTau = 0.1;
+
+/// CRC32C by its definition, one bit at a time (reflected Castagnoli
+/// polynomial, inverted in and out): the oracle for whichever path
+/// Crc32c dispatches to.
+uint32_t BitwiseCrc32c(const uint8_t* data, size_t size) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(PersistCrcTest, MatchesTheCastagnoliDefinition) {
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+
+  // Every length 0-300 at each of the 8 start alignments: the head,
+  // word and tail loops each see every residue.
+  util::Rng rng(testing::TestSeed(0xC5C));
+  std::vector<uint64_t> words(40);  // 8-aligned backing, 320 bytes
+  for (uint64_t& word : words) word = rng();
+  const auto* base = reinterpret_cast<const uint8_t*>(words.data());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t size = 0; size <= 300; ++size) {
+      ASSERT_EQ(Crc32c(base + align, size), BitwiseCrc32c(base + align, size))
+          << "alignment " << align << ", length " << size;
+    }
+  }
+
+  // Chaining: the CRC of a || b continues from the CRC of a.
+  for (size_t split = 0; split <= 300; ++split) {
+    ASSERT_EQ(Crc32c(base + split, 300 - split, Crc32c(base, split)),
+              Crc32c(base, 300))
+        << "split at " << split;
+  }
+}
 
 /// Restores the store's state into a fresh catalog and requires deep
 /// byte-identity with `expected`.
@@ -219,6 +259,15 @@ TEST(PersistStoreTest, LogOnlyStoreRecoversWithoutAnySegment) {
     ASSERT_NE(store, nullptr) << error;
     EXPECT_EQ(store->generation(), 0u);
     EXPECT_TRUE(store->has_data());
+    // A restore releases the replayed log: has_data() still answers for
+    // the store, and a second restore through the handle is refused
+    // rather than silently missing the tail.
+    service::CommunityCatalog restored(CatalogOpts());
+    ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
+    EXPECT_TRUE(store->has_data());
+    service::CommunityCatalog again(CatalogOpts());
+    EXPECT_FALSE(store->RestoreInto(&again, &error));
+    EXPECT_NE(error.find("already replayed"), std::string::npos) << error;
   }
   ExpectRestoresIdentical(dir, catalog);
 }

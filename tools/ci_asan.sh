@@ -35,7 +35,13 @@
 # heap overflow ASan reports), and the prescreen sweep's packed row loads
 # (core/signature.cc ends each breakpoint row with a block overlapping
 # its predecessor; a block read past the last row would be an overflow
-# of the pack's table).
+# of the pack's table), and the mapped mutation log (persist_fsck_test's
+# log-decode fuzz test cuts and flips the log; replay copies counters out
+# of the mapping at unaligned offsets, and a read past a cut file's end
+# would fault), and the CRC32C known-answer test (the dispatched path
+# at every start alignment and length up to 300 bytes).
+#
+# The build runs one compile per CPU.
 #
 # Usage: tools/ci_asan.sh [build-dir]   (default: build-asan)
 set -eu
@@ -46,7 +52,7 @@ cmake -B "${build_dir}" -S . \
   -DCSJ_ENABLE_ASAN=ON \
   -DCSJ_BUILD_BENCHMARKS=OFF \
   -DCSJ_BUILD_EXAMPLES=OFF
-cmake --build "${build_dir}" -j
+cmake --build "${build_dir}" -j"$(nproc)"
 
 # halt_on_error: the first bad access fails the gate; detect_leaks catches
 # cache entries that outlive their last owner.

@@ -61,7 +61,7 @@ build_dir="${1:-build-perf}"
 cmake -B "${build_dir}" -S . \
   -DCMAKE_BUILD_TYPE=Release \
   -DCSJ_BUILD_EXAMPLES=OFF
-cmake --build "${build_dir}" -j --target bench_pipeline csj_serve csj_fsck
+cmake --build "${build_dir}" -j"$(nproc)" --target bench_pipeline csj_serve csj_fsck
 
 git_sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 json_out="${build_dir}/perf_smoke.json"

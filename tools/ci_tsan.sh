@@ -31,7 +31,9 @@
 # persist_test: restored entries hand their mapped artifacts to same-
 # content refreshes that run on pool threads, and persist_fsck_test: the
 # segment reader builds entries on pool threads and deep verify reports
-# from them through one mutex).
+# from them through one mutex, and its log-decode fuzz test, whose
+# restores build the replayed communities on pool threads from the
+# mapped log).
 # Configures a dedicated build tree with CSJ_ENABLE_TSAN=ON and runs the
 # relevant test binaries under TSAN.
 #
@@ -44,7 +46,7 @@ cmake -B "${build_dir}" -S . \
   -DCSJ_ENABLE_TSAN=ON \
   -DCSJ_BUILD_BENCHMARKS=OFF \
   -DCSJ_BUILD_EXAMPLES=OFF
-cmake --build "${build_dir}" -j \
+cmake --build "${build_dir}" -j"$(nproc)" \
   --target thread_pool_test parallel_test join_threads_test pipeline_test \
            encoding_cache_test matching_differential_test \
            catalog_test bulk_load_test topk_service_test \
@@ -55,6 +57,6 @@ cmake --build "${build_dir}" -j \
 # halt_on_error: any race fails the gate immediately.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${build_dir}" --output-on-failure -j 1 \
-        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck'
+        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck|PersistLogFuzz'
 
 echo "TSAN gate passed."

@@ -135,43 +135,27 @@ CommunitySignature::CommunitySignature(const Community& community,
   d_ = community.d();
   quantiles_ = ClampQuantiles(options.quantiles);
 
-  std::vector<Count> table(static_cast<size_t>(d_) * (quantiles_ + 1));
+  table_.resize(static_cast<size_t>(d_) * (quantiles_ + 1));
   std::vector<Count> column(n_);
   for (Dim k = 0; k < d_; ++k) {
     for (uint32_t i = 0; i < n_; ++i) column[i] = community.User(i)[k];
     std::sort(column.begin(), column.end());
-    Count* row = table.data() + static_cast<size_t>(k) * (quantiles_ + 1);
+    Count* row = table_.data() + static_cast<size_t>(k) * (quantiles_ + 1);
     for (uint32_t j = 0; j <= quantiles_; ++j) {
       row[j] = column[RankOf(j, n_, quantiles_)];
     }
   }
-  table_ = std::move(table);
 }
 
-CommunitySignature::CommunitySignature(const TableView& view,
-                                       std::shared_ptr<const void> owner)
-    : n_(view.n),
-      quantiles_(view.quantiles),
-      d_(view.d),
-      table_(ColumnStorage<Count>::View(
-          view.table, static_cast<size_t>(view.d) * (view.quantiles + 1))),
-      owner_(std::move(owner)) {
-  CSJ_CHECK_GE(n_, 1u);
-  CSJ_CHECK_GE(d_, 1u);
-  CSJ_CHECK_EQ(ClampQuantiles(quantiles_), quantiles_);
-  CSJ_CHECK(view.table != nullptr);
-}
-
-CommunitySignature::CommunitySignature(const Community& community,
-                                       const SignatureOptions& options,
-                                       SketchScratch* scratch,
-                                       Count max_counter_hint) {
+void BuildSketchTable(const Community& community,
+                      const SignatureOptions& options, SketchScratch* scratch,
+                      Count max_counter_hint, std::span<Count> table) {
   CSJ_CHECK(community.size() > 0) << "cannot sketch an empty community";
   CSJ_CHECK(scratch != nullptr);
-  n_ = community.size();
-  d_ = community.d();
-  quantiles_ = ClampQuantiles(options.quantiles);
-  std::vector<Count> table(static_cast<size_t>(d_) * (quantiles_ + 1));
+  const uint32_t n = community.size();
+  const Dim d = community.d();
+  const uint32_t quantiles = ClampQuantiles(options.quantiles);
+  CSJ_CHECK_EQ(table.size(), static_cast<size_t>(d) * (quantiles + 1));
 
   // A sketch is d order-statistic rows, one per counter column. Instead
   // of d separate sorts, sort ALL columns at once: pack each counter
@@ -182,67 +166,64 @@ CommunitySignature::CommunitySignature(const Community& community,
   // constructor's bytes exactly.
   Count max_counter = max_counter_hint;
   if (max_counter == 0) {
-    for (uint32_t i = 0; i < n_; ++i) {
+    for (uint32_t i = 0; i < n; ++i) {
       const Count* row = community.User(i).data();
-      for (Dim k = 0; k < d_; ++k) max_counter = std::max(max_counter, row[k]);
+      for (Dim k = 0; k < d; ++k) max_counter = std::max(max_counter, row[k]);
     }
   }
   const uint32_t vbits = std::bit_width(std::max(max_counter, Count{1}));
-  const uint32_t dbits = d_ <= 1 ? 0 : std::bit_width(d_ - 1);
+  const uint32_t dbits = d <= 1 ? 0 : std::bit_width(d - 1);
 
   // Breakpoint ranks depend on (j, n, quantiles) only — hoist the
   // 64-bit divisions out of the per-dimension loops (d * (Q+1) of them
   // otherwise; the divider is the rank loop's hot instruction).
   uint32_t ranks[kMaxQuantiles + 1];
-  for (uint32_t j = 0; j <= quantiles_; ++j) {
-    ranks[j] = RankOf(j, n_, quantiles_);
+  for (uint32_t j = 0; j <= quantiles; ++j) {
+    ranks[j] = RankOf(j, n, quantiles);
   }
 
   if (vbits + dbits <= 16) {
-    RadixRankExtract<uint16_t>(community, n_, d_, vbits, dbits, quantiles_,
+    RadixRankExtract<uint16_t>(community, n, d, vbits, dbits, quantiles,
                                ranks, scratch->keys16, scratch->aux16,
                                scratch->zeros, table.data());
-    table_ = std::move(table);
     return;
   }
   if (vbits + dbits <= 32) {
-    RadixRankExtract<Count>(community, n_, d_, vbits, dbits, quantiles_,
-                            ranks, scratch->columns, scratch->aux,
-                            scratch->zeros, table.data());
-    table_ = std::move(table);
+    RadixRankExtract<Count>(community, n, d, vbits, dbits, quantiles, ranks,
+                            scratch->columns, scratch->aux, scratch->zeros,
+                            table.data());
     return;
   }
 
   // Fallback for counters too wide to share a 32-bit key with the dim
   // tag: transpose once, then per-column sorts of the nonzero tail.
   std::vector<Count>& columns = scratch->columns;
-  columns.resize(static_cast<size_t>(d_) * n_);
-  for (uint32_t i = 0; i < n_; ++i) {
+  columns.resize(static_cast<size_t>(d) * n);
+  for (uint32_t i = 0; i < n; ++i) {
     const Count* row = community.User(i).data();
-    for (Dim k = 0; k < d_; ++k) {
-      columns[static_cast<size_t>(k) * n_ + i] = row[k];
+    for (Dim k = 0; k < d; ++k) {
+      columns[static_cast<size_t>(k) * n + i] = row[k];
     }
   }
-  for (Dim k = 0; k < d_; ++k) {
-    Count* column = columns.data() + static_cast<size_t>(k) * n_;
+  for (Dim k = 0; k < d; ++k) {
+    Count* column = columns.data() + static_cast<size_t>(k) * n;
     // Counters are unsigned, so the sorted column is a zero prefix
     // followed by the sorted nonzeros: compact the nonzeros to the
     // front, sort only them, and resolve ranks against the implicit
     // zero prefix.
     uint32_t nonzeros = 0;
-    for (uint32_t i = 0; i < n_; ++i) {
+    for (uint32_t i = 0; i < n; ++i) {
       const Count v = column[i];
       if (v != 0) column[nonzeros++] = v;
     }
     std::sort(column, column + nonzeros);
-    const uint32_t zeros = n_ - nonzeros;
-    Count* row = table.data() + static_cast<size_t>(k) * (quantiles_ + 1);
-    for (uint32_t j = 0; j <= quantiles_; ++j) {
+    const uint32_t zeros = n - nonzeros;
+    Count* row = table.data() + static_cast<size_t>(k) * (quantiles + 1);
+    for (uint32_t j = 0; j <= quantiles; ++j) {
       const uint32_t r = ranks[j];
       row[j] = r < zeros ? 0 : column[r - zeros];
     }
   }
-  table_ = std::move(table);
 }
 
 uint32_t SignatureCountUpperBound(std::span<const Count> row, uint32_t size,
@@ -323,15 +304,12 @@ std::vector<Dim> SignatureProbeOrder(const CommunitySignature& query) {
   return order;
 }
 
-Dim SignatureHomeDim(const CommunitySignature& signature) {
-  if (signature.d() == 0) return 0;
+Dim SignatureHomeDim(std::span<const Count> table, uint32_t quantiles) {
+  const size_t len = quantiles + 1;
   Dim best = 0;
-  Count best_min = signature.DimTable(0)[0];
-  for (Dim k = 1; k < signature.d(); ++k) {
-    const Count min_k = signature.DimTable(k)[0];
-    if (min_k > best_min) {
-      best = k;
-      best_min = min_k;
+  for (size_t row = len; row < table.size(); row += len) {
+    if (table[row] > table[static_cast<size_t>(best) * len]) {
+      best = static_cast<Dim>(row / len);
     }
   }
   return best;
@@ -342,93 +320,77 @@ SignatureIndex::SignatureIndex(const SignatureOptions& options)
   options_.quantiles = ClampQuantiles(options_.quantiles);
 }
 
-void SignatureIndex::InstallSlot(uint64_t id, uint64_t version,
-                                 const CommunitySignature& signature) {
-  auto it = locate_.find(id);
-  if (it != locate_.end()) {
-    // Replace: drop the old slot first — the community may have changed
-    // dimensionality or home category, which moves it to another pack.
-    RemoveSlot(it->second.first, it->second.second);
-  }
-  const Dim d = signature.d();
-  const PackKey key{d, SignatureHomeDim(signature)};
-  Pack& pack = packs_[key];
-  if (pack.stride == 0) {
-    pack.d = d;
-    pack.stride = static_cast<uint32_t>(d) * (options_.quantiles + 1);
-  }
-  const uint32_t slot = static_cast<uint32_t>(pack.ids.size());
-  pack.ids.push_back(id);
-  pack.versions.push_back(version);
-  pack.sizes.push_back(signature.size());
-  pack.table.insert(pack.table.end(), signature.table().begin(),
-                    signature.table().end());
-  // Widen the coarse summary (never shrink — see the header note).
-  if (pack.dim_min.empty()) {
-    pack.dim_min.assign(d, 0);
-    pack.dim_max.assign(d, 0);
-    for (Dim k = 0; k < d; ++k) {
-      const auto row = signature.DimTable(k);
-      pack.dim_min[k] = row[0];
-      pack.dim_max[k] = row[signature.quantiles()];
-    }
-    pack.min_size = signature.size();
-  } else {
-    for (Dim k = 0; k < d; ++k) {
-      const auto row = signature.DimTable(k);
-      pack.dim_min[k] = std::min(pack.dim_min[k], row[0]);
-      pack.dim_max[k] = std::max(pack.dim_max[k], row[signature.quantiles()]);
-    }
-    pack.min_size = std::min(pack.min_size, signature.size());
-  }
-  locate_[id] = {key, slot};
-}
-
-void SignatureIndex::InstallBatch(std::span<const SlotInstall> batch) {
-  // Reservation pass: upper-bound each target pack's growth so the
-  // install loop never reallocates mid-batch. A resident id replaced
-  // within its own pack frees its old slot first and needs no room;
-  // other replacements and duplicates within the batch can over-reserve,
-  // which only pads capacity. Growth is geometric: reserving exactly
-  // `size + growth` would reallocate a pack on every small batch,
-  // quadratic over a stream of upserts.
-  const auto grow = [](auto& column, size_t size) {
-    if (size > column.capacity()) {
-      column.reserve(std::max(size, 2 * column.capacity()));
-    }
-  };
+void SignatureIndex::InstallBatch(std::span<const SlotInstall> batch,
+                                  size_t batches) {
+  const uint32_t quantiles = options_.quantiles;
+  const size_t len = quantiles + 1;
+  // Reservation pass: each target pack's table gets room for `batches`
+  // times its growth here (an id replaced within its pack needs none), at
+  // least doubling: exact reserves would be quadratic over many upserts.
   std::map<PackKey, size_t> growth;
   for (const SlotInstall& element : batch) {
-    CSJ_CHECK(element.signature != nullptr);
-    CSJ_CHECK(element.signature->quantiles() == options_.quantiles)
-        << "signature resolution does not match the index";
-    const PackKey key{element.signature->d(),
-                      SignatureHomeDim(*element.signature)};
+    CSJ_CHECK(!element.table.empty() && element.table.size() % len == 0)
+        << "sketch table does not match the index resolution";
+    const PackKey key{static_cast<Dim>(element.table.size() / len),
+                      SignatureHomeDim(element.table, quantiles)};
     const auto resident = locate_.find(element.id);
     if (resident == locate_.end() || resident->second.first != key) {
       ++growth[key];
     }
   }
   for (const auto& [key, count] : growth) {
-    Pack& pack = packs_[key];
-    const size_t target = pack.ids.size() + count;
-    const size_t stride =
-        static_cast<size_t>(key.first) * (options_.quantiles + 1);
-    grow(pack.ids, target);
-    grow(pack.versions, target);
-    grow(pack.sizes, target);
-    grow(pack.table, target * stride);
+    std::vector<Count>& table = packs_[key].table;
+    const size_t size = table.size() + count * batches * key.first * len;
+    if (size > table.capacity()) {
+      table.reserve(std::max(size, 2 * table.capacity()));
+    }
   }
   // Same for the id map; its `reserve` rehashes (even shrinks) whenever
   // the bucket count it computes differs, so call it only to grow.
-  const size_t located = locate_.size() + batch.size();
+  const size_t located = locate_.size() + batch.size() * batches;
   if (static_cast<double>(located) >
       static_cast<double>(locate_.bucket_count()) * locate_.max_load_factor()) {
     locate_.reserve(std::max(located, 2 * locate_.size()));
   }
   for (const SlotInstall& element : batch) {
-    InstallSlot(element.id, element.version, *element.signature);
+    auto it = locate_.find(element.id);
+    if (it != locate_.end()) {
+      // Replace: drop the old slot first — the community may have changed
+      // dimensionality or home category, which moves it to another pack.
+      RemoveSlot(it->second.first, it->second.second);
+    }
+    const auto d = static_cast<Dim>(element.table.size() / len);
+    const PackKey key{d, SignatureHomeDim(element.table, quantiles)};
+    Pack& pack = packs_[key];
+    pack.stride = static_cast<uint32_t>(element.table.size());
+    const auto slot = static_cast<uint32_t>(pack.ids.size());
+    pack.ids.push_back(element.id);
+    pack.versions.push_back(element.version);
+    pack.sizes.push_back(element.size);
+    pack.table.insert(pack.table.end(), element.table.begin(),
+                      element.table.end());
+    // Widen the coarse summary (never shrink — see the header note).
+    if (pack.dim_min.empty()) {
+      pack.dim_min.assign(d, std::numeric_limits<Count>::max());
+      pack.dim_max.assign(d, 0);
+      pack.min_size = std::numeric_limits<uint32_t>::max();
+    }
+    for (Dim k = 0; k < d; ++k) {
+      const Count* row = element.table.data() + k * len;
+      pack.dim_min[k] = std::min(pack.dim_min[k], row[0]);
+      pack.dim_max[k] = std::max(pack.dim_max[k], row[quantiles]);
+    }
+    pack.min_size = std::min(pack.min_size, element.size);
+    locate_[element.id] = {key, slot};
   }
+}
+
+std::span<const Count> SignatureIndex::Row(uint64_t id) const {
+  const auto it = locate_.find(id);
+  if (it == locate_.end()) return {};
+  const Pack& pack = packs_.at(it->second.first);
+  return std::span(pack.table).subspan(
+      static_cast<size_t>(it->second.second) * pack.stride, pack.stride);
 }
 
 bool SignatureIndex::Remove(uint64_t id) {

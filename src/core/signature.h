@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
-#include "core/column_storage.h"
 #include "core/community.h"
 #include "core/types.h"
 
@@ -73,42 +71,11 @@ struct SketchScratch {
 };
 
 /// One community's sketch: d equi-rank breakpoint rows, dimension-major.
+/// Queries build these; catalog sketches live only in SignatureIndex.
 class CommunitySignature {
  public:
   CommunitySignature(const Community& community,
                      const SignatureOptions& options);
-
-  /// The bulk-ingestion fast path: the SAME table bytes as the plain
-  /// constructor (bulk_load_test proves it), built through caller-owned
-  /// scratch instead of per-call allocations. All d columns are sorted
-  /// at once by an LSD radix sort over composite (dim, counter) keys —
-  /// equal counter multisets sort to equal columns whatever the
-  /// algorithm, so the breakpoint rows come out byte-identical to the
-  /// plain constructor's per-column std::sort. `max_counter_hint`, when
-  /// nonzero, must be >= every sketched counter (BulkLoad passes the
-  /// digest's exact maximum; the constructor re-checks the bound from an
-  /// OR-accumulator and aborts on a lying hint) and skips the max-scan
-  /// pass; 0 scans. Communities whose (dim, counter) keys overflow 32
-  /// bits fall back to per-column sorts. The plain constructor stays as
-  /// the readable reference implementation.
-  CommunitySignature(const Community& community,
-                     const SignatureOptions& options, SketchScratch* scratch,
-                     Count max_counter_hint = 0);
-
-  /// A deserialized sketch: the persist path's restore constructor. The
-  /// breakpoint table is BORROWED from `table` (d * (quantiles + 1)
-  /// dimension-major values, e.g. a mapped segment's sketch section,
-  /// pinned by `owner`) — zero-copy, byte-identical to the build
-  /// constructors by the store's fsck contract (recompute agreement).
-  /// `quantiles` must already be the clamped value the builders stored.
-  struct TableView {
-    uint32_t n = 0;
-    uint32_t quantiles = 0;
-    Dim d = 0;
-    const Count* table = nullptr;
-  };
-  CommunitySignature(const TableView& view,
-                     std::shared_ptr<const void> owner);
 
   /// Community size: every user is sketched, so the rank arithmetic,
   /// the admissibility checks and the cap's denominator all count it.
@@ -122,19 +89,30 @@ class CommunitySignature {
     return {table_.data() + row, quantiles_ + 1};
   }
 
-  /// The whole dimension-major table (the index copies it into its
-  /// packed sweep columns).
-  std::span<const Count> table() const { return table_.span(); }
+  /// The whole dimension-major table: d() * (quantiles() + 1) values.
+  std::span<const Count> table() const { return table_; }
 
  private:
   uint32_t n_ = 0;
   uint32_t quantiles_ = 0;
   Dim d_ = 0;
-  /// d * (quantiles + 1), dimension-major; owned when built, borrowed
-  /// (mapped segment bytes pinned by owner_) when restored.
-  ColumnStorage<Count> table_;
-  std::shared_ptr<const void> owner_;
+  std::vector<Count> table_;
 };
+
+/// The bulk-ingestion sketch builder: writes the constructor's table
+/// bytes (bulk_load_test proves it; the constructor stays the readable
+/// reference) into `table`, d * (clamped quantiles + 1) values, through
+/// caller-owned scratch. All d columns are sorted at once by an LSD
+/// radix sort over composite (dim, counter) keys — equal counter
+/// multisets sort to equal columns whatever the algorithm.
+/// `max_counter_hint`, when nonzero, must be >= every sketched counter
+/// (ingest passes the digest's exact maximum; the builder re-checks the
+/// bound from an OR-accumulator and aborts on a lying hint) and skips
+/// the max-scan pass; 0 scans. Communities whose (dim, counter) keys
+/// overflow 32 bits fall back to per-column sorts.
+void BuildSketchTable(const Community& community,
+                      const SignatureOptions& options, SketchScratch* scratch,
+                      Count max_counter_hint, std::span<Count> table);
 
 /// Certified upper bound on the number of users whose value in the row's
 /// dimension lies in [lo, hi]. `row` is one DimTable row (quantiles + 1
@@ -165,14 +143,14 @@ double SignatureSimilarityCap(const CommunitySignature& query,
 /// early exit fires after 1-3 dimensions for most entries.
 std::vector<Dim> SignatureProbeOrder(const CommunitySignature& query);
 
-/// A community's home dimension: the one with the largest smallest
+/// A sketch table's home dimension: the one with the largest smallest
 /// breakpoint (ties: smaller dimension) — the first entry of
 /// SignatureProbeOrder, without building the whole permutation. On the
 /// profile workload this is the community's dominant category (every
 /// member holds a large counter there), so grouping index packs by home
 /// dimension makes packs internally alike and mutually disparate —
 /// exactly what the pack-level prefilter needs to skip whole packs.
-Dim SignatureHomeDim(const CommunitySignature& signature);
+Dim SignatureHomeDim(std::span<const Count> table, uint32_t quantiles);
 
 /// Sweep accounting, accumulated across a catalog's shards by one probe.
 struct PrescreenStats {
@@ -202,9 +180,9 @@ struct PrescreenCandidate {
 ///
 /// The index keeps one pack of slot-major rows (ids, versions, sizes,
 /// breakpoint tables) per (dimensionality, home dimension), so a probe is
-/// one cache-friendly linear sweep per pack with no pointer chasing. It
-/// copies each sketch's table into its pack and keeps no reference to the
-/// sketch itself.
+/// one cache-friendly linear sweep per pack with no pointer chasing. The
+/// pack row is the only resident copy of a catalog entry's sketch:
+/// Row() reads it back for checkpoints and equal-content rewrites.
 ///
 /// Concurrency: externally synchronized. The index takes no locks of its
 /// own; the community catalog wraps every InstallBatch/Remove in the same
@@ -221,25 +199,31 @@ class SignatureIndex {
   const SignatureOptions& options() const { return options_; }
 
   /// One element of an InstallBatch: installs (or replaces) the sketch
-  /// for `id`. `signature` must be built with options() (one resolution
-  /// per index); it is read during the call only.
+  /// for `id`: a dimension-major table built with options() (one
+  /// resolution per index), read during the call only, and its size.
   struct SlotInstall {
     uint64_t id = 0;
     uint64_t version = 0;
-    const CommunitySignature* signature = nullptr;
+    uint32_t size = 0;
+    std::span<const Count> table;
   };
 
   /// Installs a batch (one element or many) under the caller's ONE
   /// exclusive lock. Each target pack grows at most once per batch,
   /// geometrically, so a stream of small batches stays amortized O(1) per
-  /// slot. Elements install in order — replacing ids already resident and
+  /// slot; `batches` > 1 grows it for that many batches like this one.
+  /// Elements install in order — replacing ids already resident and
   /// duplicates within the batch — so the resulting pack columns and
   /// summaries depend only on the sequence of elements, never on how it
   /// was split into batches.
-  void InstallBatch(std::span<const SlotInstall> batch);
+  void InstallBatch(std::span<const SlotInstall> batch, size_t batches = 1);
 
   /// Drops `id`'s sketch. Returns false when absent.
   bool Remove(uint64_t id);
+
+  /// `id`'s resident sketch table, or an empty span when absent; valid
+  /// until the next InstallBatch or Remove (read it under their lock).
+  std::span<const Count> Row(uint64_t id) const;
 
   struct ProbeQuery {
     const CommunitySignature* signature = nullptr;
@@ -269,7 +253,6 @@ class SignatureIndex {
 
   /// Slot-major columns of one (d, home) group.
   struct Pack {
-    Dim d = 0;
     uint32_t stride = 0;  ///< d * (quantiles + 1) Counts per slot
     std::vector<uint64_t> ids;
     std::vector<uint64_t> versions;
@@ -288,8 +271,6 @@ class SignatureIndex {
     uint32_t min_size = 0;
   };
 
-  void InstallSlot(uint64_t id, uint64_t version,
-                   const CommunitySignature& signature);
   void RemoveSlot(PackKey key, uint32_t slot);
 
   SignatureOptions options_;

@@ -69,7 +69,7 @@ struct Reporter {
 /// Payload CRCs (the check the zero-copy open path skips), then the
 /// reader restore uses, whose error is the finding. With `deep`, every
 /// entry's digest, sketch and MinMax artifacts are rebuilt from its
-/// stored counters and compared with the reader's entry.
+/// stored counters and compared with the reader's entry and sketch row.
 void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
                    Reporter* reporter) {
   for (const SectionDesc& desc : segment->sections()) {
@@ -80,8 +80,9 @@ void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
     }
   }
   std::vector<service::CatalogEntry> entries;
+  std::vector<const Count*> sketches;
   std::string error;
-  if (!ReadSegmentEntries(segment, &entries, &error)) {
+  if (!ReadSegmentEntries(segment, &entries, &sketches, &error)) {
     reporter->Fatal(error);
     return;
   }
@@ -95,10 +96,14 @@ void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
         const Community& community = *stored.community;
         service::CatalogEntry rebuilt = stored;
         rebuilt.digest = DigestCommunity(community);
-        if (stored.signature != nullptr) {
-          rebuilt.signature =
-              std::make_shared<const CommunitySignature>(community,
-                                                         sig_options);
+        bool sketch_ok = true;
+        if (!sketches.empty()) {
+          const CommunitySignature sketch(community, sig_options);
+          // Equal quantiles make the rebuilt table as long as the
+          // mapped row the reader bounds-checked.
+          const auto table = sketch.table();
+          sketch_ok = sketch.quantiles() == header.sig_quantiles &&
+                      std::equal(table.begin(), table.end(), sketches[i]);
         }
         if (stored.encodings != nullptr) {
           const Encoder encoder(community.d(), header.warm_eps,
@@ -110,7 +115,7 @@ void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
               std::make_shared<const EncodedA>(community, encoder);
           rebuilt.encodings = std::move(encodings);
         }
-        if (!service::EntriesIdentical(stored, rebuilt)) {
+        if (!sketch_ok || !service::EntriesIdentical(stored, rebuilt)) {
           reporter->Fatal("entry id " + std::to_string(stored.id) +
                           ": stored digest, sketch or MinMax artifacts "
                           "disagree with recomputation");

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "core/encoding.h"
-#include "core/signature.h"
 #include "persist/crc32.h"
 #include "util/thread_pool.h"
 
@@ -98,8 +97,10 @@ EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t warm_parts,
 
 bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
                         std::vector<service::CatalogEntry>* entries,
+                        std::vector<const Count*>* sketches,
                         std::string* error) {
   entries->clear();
+  sketches->clear();
   const SegmentHeader& header = segment->header();
   const auto n = static_cast<size_t>(header.entry_count);
   const bool has_signatures = (header.flags & kSegHasSignatures) != 0;
@@ -219,6 +220,7 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
   // entry this allocates only the control blocks. A segment without
   // artifacts leaves them to the ingest path.
   entries->resize(n);
+  if (has_signatures) sketches->resize(n);
   util::ThreadPool::Global().Run(static_cast<uint32_t>(n), [&](uint32_t i) {
     service::CatalogEntry& entry = (*entries)[i];
     const Dim d = dims[i];
@@ -234,15 +236,7 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
         Community::FromView(d, counts.data() + counts_prefix[i],
                             static_cast<size_t>(users) * d, segment,
                             std::move(name)));
-    if (has_signatures) {
-      CommunitySignature::TableView view;
-      view.n = users;
-      view.quantiles = header.sig_quantiles;
-      view.d = d;
-      view.table = sig_tables.data() + sig_prefix[i];
-      entry.signature =
-          std::make_shared<const CommunitySignature>(view, segment);
-    }
+    if (has_signatures) (*sketches)[i] = sig_tables.data() + sig_prefix[i];
     if (has_encodings) {
       const uint32_t parts =
           LayoutOf(d, users, header.warm_parts, header.sig_quantiles).parts;

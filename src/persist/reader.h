@@ -45,12 +45,14 @@ EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t warm_parts,
 /// d >= 1 and 1 <= users < 2^32, every prefix starting at 0 and stepping
 /// by the entry's LayoutOf length, and every prefix total against its
 /// column. Then builds one view-backed CatalogEntry per stored entry, in
-/// id order, on the thread pool: community, digest, sketch (when
-/// kSegHasSignatures) and MinMax artifacts (when kSegHasEncodings), all
-/// pinned by the mapping. Returns false with `*error` naming the first
-/// broken rule; `*entries` is then empty.
+/// id order, on the thread pool: community, digest and MinMax artifacts
+/// (when kSegHasEncodings), all pinned by the mapping, and with
+/// kSegHasSignatures each entry's mapped sketch row in `*sketches`.
+/// Returns false with `*error` naming the first broken rule; `*entries`
+/// and `*sketches` are then empty.
 bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
                         std::vector<service::CatalogEntry>* entries,
+                        std::vector<const Count*>* sketches,
                         std::string* error);
 
 /// The log-version rule: every upsert's version lies in [horizon,

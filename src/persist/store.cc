@@ -212,6 +212,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   uint64_t recovered_next = 1;
   util::Timer timer;
   std::vector<service::CatalogEntry> pending;
+  std::vector<const Count*> sketches;
 
   if (segment_ != nullptr) {
     const SegmentHeader& header = segment_->header();
@@ -234,7 +235,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       *error = "store signature quantiles disagree with the catalog's";
       return false;
     }
-    if (!ReadSegmentEntries(segment_, &pending, error)) {
+    if (!ReadSegmentEntries(segment_, &pending, &sketches, error)) {
       *error = "segment column shape invalid (" + *error + "); run csj_fsck";
       return false;
     }
@@ -254,8 +255,9 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     for (const auto& entry : pending) {
       next = std::max(next, entry.version + 1);
     }
-    catalog->RestoreBatch(std::move(pending), next, nullptr);
+    catalog->RestoreBatch(std::move(pending), next, sketches);
     pending.clear();
+    sketches.clear();
   };
 
   uint64_t replayed = 0;
@@ -306,7 +308,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   flush();
   // Pin the version counter to the recovered horizon even when the tail
   // ends in removes (an empty RestoreBatch only advances the counter).
-  catalog->RestoreBatch({}, recovered_next, nullptr);
+  catalog->RestoreBatch({}, recovered_next);
 
   // The replayed tail now lives in the catalog: drop the mapping (the
   // log's length stays in log_end_, where StartLogging resumes).
@@ -378,6 +380,15 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   const auto& catalog_options = catalog.options();
   const uint64_t new_generation = generation_ + 1;
 
+  // The quiescence precondition, on the mutation clock: nothing in
+  // flight at the snapshot, and nothing started until the columns are
+  // filled (CommunityCatalog::mutations_started).
+  const uint64_t finished = catalog.mutations_finished();
+  if (catalog.mutations_started() != finished) {
+    *error = "checkpoint needs a quiescent catalog: a mutation is in flight";
+    return false;
+  }
+
   util::Timer timer;
   const std::vector<service::CatalogEntry> snapshot = catalog.Snapshot();
   const auto n = static_cast<uint32_t>(snapshot.size());
@@ -401,10 +412,7 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     name_prefix[i + 1] = name_prefix[i] + entry.community->name().size();
     users_prefix[i + 1] = users_prefix[i] + users;
     counts_prefix[i + 1] = counts_prefix[i] + layout.counts;
-    if (has_signatures) {
-      CSJ_CHECK(entry.signature != nullptr);
-      sig_prefix[i + 1] = sig_prefix[i] + layout.sketch;
-    }
+    if (has_signatures) sig_prefix[i + 1] = sig_prefix[i] + layout.sketch;
     CSJ_CHECK(entry.encodings != nullptr);
     sums_prefix[i + 1] = sums_prefix[i] + layout.sums;
     window_prefix[i + 1] = window_prefix[i] + layout.window;
@@ -426,7 +434,8 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<Count> a_window(window_prefix[n]);
 
   // Parallel fill: every entry writes disjoint column stretches. The
-  // MinMax artifacts are the entries' own.
+  // MinMax artifacts are the entries' own; the sketches are index rows.
+  std::atomic<bool> sketch_missing{false};
   util::ThreadPool::Global().Run(n, [&](uint32_t i) {
     const service::CatalogEntry& entry = snapshot[i];
     ids[i] = entry.id;
@@ -440,9 +449,14 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     CopyBytes(counts.data() + counts_prefix[i], flat.data(),
               flat.size() * sizeof(Count));
     if (has_signatures) {
-      const auto table = entry.signature->table();
-      CopyBytes(sig_tables.data() + sig_prefix[i], table.data(),
-                table.size() * sizeof(Count));
+      const std::vector<Count> table =
+          catalog.SketchAt(entry.id, entry.version);
+      if (table.size() != sig_prefix[i + 1] - sig_prefix[i]) {
+        sketch_missing.store(true, std::memory_order_relaxed);
+      } else {
+        CopyBytes(sig_tables.data() + sig_prefix[i], table.data(),
+                  table.size() * sizeof(Count));
+      }
     }
     const EncodedB* encoded_b = entry.encodings->encoded_b.get();
     const EncodedA* encoded_a = entry.encodings->encoded_a.get();
@@ -464,6 +478,11 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                 encoded_a->window().BlockData(0),
                 (window_prefix[i + 1] - window_prefix[i]) * sizeof(Count));
   });
+  // Without a racing mutation every snapshot entry has its index row.
+  if (sketch_missing || catalog.mutations_started() != finished) {
+    *error = "checkpoint needs a quiescent catalog: a mutation raced it";
+    return false;
+  }
   if (stats != nullptr) stats->snapshot_seconds = timer.Seconds();
   timer.Reset();
 
@@ -521,11 +540,11 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
 
   // Commit: roll the log under the writer lock. The lock only orders
   // sink appends against the writer swap — it does NOT cover the window
-  // between catalog.Snapshot() above and this flip. A mutation landing
-  // in that window would live only in the old-generation log, which is
-  // unlinked below, and be lost. Safety rests entirely on the
-  // documented precondition that callers checkpoint at quiesce points
-  // (no in-flight mutations from snapshot through commit).
+  // between the clock check above and this flip. A mutation landing in
+  // that window would live only in the old-generation log, which is
+  // unlinked below, and be lost. Safety there rests on the documented
+  // precondition that callers checkpoint at quiesce points (no
+  // in-flight mutations from snapshot through commit).
   {
     std::lock_guard lock(writer_mu_);
     if (writer_ != nullptr) {

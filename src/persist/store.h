@@ -71,7 +71,8 @@ struct CheckpointStats {
 /// Checkpoint and StartLogging/StopLogging require the catalog to be
 /// QUIESCENT (no in-flight mutations): the evolution subsystem's
 /// quiesce points satisfy this by construction, which is why they
-/// double as checkpoint sites. Concurrent mutations while logging is
+/// double as checkpoint sites, and Checkpoint refuses a snapshot the
+/// mutation clock shows raced. Concurrent mutations while logging is
 /// attached are fully supported — that is the normal serving mode.
 class Store {
  public:
@@ -84,7 +85,8 @@ class Store {
 
   /// Rebuilds `catalog` (must be freshly constructed and empty) to the
   /// exact pre-crash state: segment entries install zero-copy under
-  /// their original versions, then the log's valid prefix replays in
+  /// their original versions (their mapped sketch rows are copied into
+  /// the index packs), then the log's valid prefix replays in
   /// append order — per shard that is the writer's install order, so
   /// snapshots, versions, MinMax artifact bytes, sketch-index layout and
   /// every top-k ranking come back byte-identical. Segment entries adopt
@@ -118,7 +120,9 @@ class Store {
   /// artifacts), fsyncs it, commits the superblock, then deletes the
   /// old generation's files. On any failure the store still names the
   /// old generation — a half-written new segment is inert garbage.
-  /// When logging is attached, the log rolls to the new generation.
+  /// A mutation in flight at the snapshot, or started before the columns
+  /// are filled, fails it before anything is written. When logging is
+  /// attached, the log rolls to the new generation.
   bool Checkpoint(const service::CommunityCatalog& catalog, std::string* error,
                   CheckpointStats* stats = nullptr);
 

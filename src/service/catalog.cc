@@ -91,7 +91,7 @@ uint64_t CommunityCatalog::Upsert(uint64_t id, Community community) {
   std::vector<CatalogEntry> batch(1);
   batch[0].id = id;
   batch[0].community = std::make_shared<const Community>(std::move(community));
-  return Ingest(std::move(batch), /*restore=*/false, nullptr);
+  return Ingest(std::move(batch), {}, /*restore=*/false, nullptr);
 }
 
 uint64_t CommunityCatalog::BulkLoad(
@@ -102,12 +102,12 @@ uint64_t CommunityCatalog::BulkLoad(
     entries[i].id = batch[i].first;
     entries[i].community = std::move(batch[i].second);
   }
-  return Ingest(std::move(entries), /*restore=*/false, stats);
+  return Ingest(std::move(entries), {}, /*restore=*/false, stats);
 }
 
-uint64_t CommunityCatalog::RestoreBatch(std::vector<CatalogEntry> batch,
-                                        uint64_t next_version,
-                                        BulkLoadStats* stats) {
+uint64_t CommunityCatalog::RestoreBatch(
+    std::vector<CatalogEntry> batch, uint64_t next_version,
+    std::span<const Count* const> sketches) {
   CSJ_CHECK_GE(next_version, 1u);
   for (const CatalogEntry& entry : batch) {
     CSJ_CHECK_GE(entry.version, 1u);
@@ -115,7 +115,7 @@ uint64_t CommunityCatalog::RestoreBatch(std::vector<CatalogEntry> batch,
         << "restored version outside the recovered version horizon";
   }
   const bool empty = batch.empty();
-  Ingest(std::move(batch), /*restore=*/true, stats);
+  Ingest(std::move(batch), sketches, /*restore=*/true, nullptr);
   // Resume the writer's version sequence. fetch_max semantics: restore
   // only ever runs on a fresh catalog, but stay monotone regardless.
   uint64_t current = next_version_.load(std::memory_order_acquire);
@@ -126,10 +126,10 @@ uint64_t CommunityCatalog::RestoreBatch(std::vector<CatalogEntry> batch,
   return empty ? 0 : next_version - 1;
 }
 
-bool CommunityCatalog::InheritResident(CatalogEntry* entry) const {
+bool CommunityCatalog::InheritResident(CatalogEntry* entry,
+                                       std::span<Count> sketch) const {
   std::shared_ptr<const Community> community;
   std::shared_ptr<const EntryEncodings> encodings;
-  std::shared_ptr<const CommunitySignature> signature;
   {
     const Shard& shard = ShardOf(entry->id);
     std::shared_lock lock(shard.mu);
@@ -137,12 +137,17 @@ bool CommunityCatalog::InheritResident(CatalogEntry* entry) const {
     if (it == shard.entries.end()) return false;
     const CatalogEntry& resident = it->second;
     if (resident.digest.fingerprint != entry->digest.fingerprint ||
-        resident.digest.max_counter != entry->digest.max_counter) {
+        resident.digest.max_counter != entry->digest.max_counter ||
+        resident.community->d() != entry->community->d()) {
       return false;
     }
     community = resident.community;
     encodings = resident.encodings;
-    signature = resident.signature;
+    // The row is valid only under this lock: copy it before the compare
+    // (on a mismatch the sketch wave overwrites the staged bytes).
+    if (!sketch.empty()) {
+      std::ranges::copy(shard.signatures->Row(entry->id), sketch.begin());
+    }
   }
   // The byte compare runs outside the lock; the pointers pin the
   // resident copy even if a racing ingest replaces it meanwhile. That
@@ -150,16 +155,15 @@ bool CommunityCatalog::InheritResident(CatalogEntry* entry) const {
   // nothing but the content, the warm parameters and the sketch options.
   const auto mine = entry->community->flat();
   const auto theirs = community->flat();
-  if (community->d() != entry->community->d() ||
-      !std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end())) {
+  if (!std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end())) {
     return false;
   }
   entry->encodings = std::move(encodings);
-  entry->signature = std::move(signature);
   return true;
 }
 
 uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
+                                  std::span<const Count* const> sketches,
                                   bool restore, BulkLoadStats* stats) {
   if (stats != nullptr) *stats = BulkLoadStats{};
   const auto n = static_cast<uint32_t>(entries.size());
@@ -169,6 +173,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
     CSJ_CHECK(entry.community != nullptr && !entry.community->empty())
         << "catalog entries must be non-empty";
   }
+  CSJ_CHECK(sketches.empty() || sketches.size() == n);
 
   // Build OUTSIDE any lock: digesting is O(n*d), and encoding and sketch
   // building sort whole counter columns — holding a shard lock across
@@ -187,7 +192,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
                             const auto& needs, const auto& work) {
     todo.clear();
     for (uint32_t i = chunk; i < chunk + count; ++i) {
-      if (needs(entries[i])) todo.push_back(i);
+      if (needs(i)) todo.push_back(i);
     }
     pool.Run(static_cast<uint32_t>(todo.size()), [&](uint32_t t) {
       if (t + 1 < todo.size()) {
@@ -196,32 +201,50 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
           __builtin_prefetch(&next[b]);
         }
       }
-      work(entries[todo[t]]);
+      work(todo[t]);
     });
   };
 
-  // The encode and sketch waves read the same counter buffers, so they
-  // run in cache-sized chunks: at catalog scale a full-batch wave 2
-  // would find every community long since evicted and re-stream the
-  // whole catalog from DRAM, while a ~9 MB chunk is still LLC-resident
-  // from wave 1. Phase timers accumulate across chunks.
+  // One cache-sized chunk at a time: the sketch wave then finds the
+  // counters the encode wave read still LLC-resident, and a staged sketch
+  // table (the packs hold the only resident copy) lives only from its
+  // build to its chunk's install. Phase timers accumulate across chunks.
   constexpr uint32_t kWaveChunk = 2048;
-  double encode_seconds = 0.0;
-  double sketch_seconds = 0.0;
+  const bool sketching = options_.signatures.has_value();
+  const size_t row_len = sketching ? options_.signatures->quantiles + 1 : 0;
+  // Per chunk slot: the staged table (empty for a supplied one).
+  std::vector<std::vector<Count>> staged(std::min(n, kWaveChunk));
+  std::vector<uint8_t> needs_sketch(staged.size());
+  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
+  std::vector<SignatureIndex::SlotInstall> installs;
+  uint64_t last_version = 0;
   util::Timer phase_timer;
   for (uint32_t chunk = 0; chunk < n; chunk += kWaveChunk) {
     const uint32_t count = std::min(kWaveChunk, n - chunk);
+    for (uint32_t j = 0; j < count; ++j) {
+      const CatalogEntry& entry = entries[chunk + j];
+      needs_sketch[j] = sketching &&
+                        (sketches.empty() || sketches[chunk + j] == nullptr);
+      staged[j].resize(needs_sketch[j] ? entry.community->d() * row_len : 0);
+    }
+    const auto staged_row = [&](uint32_t i) {
+      return std::span<Count>(staged[i - chunk]);
+    };
 
     // Wave 1 — digest and MinMax artifacts. An entry that arrives with
     // artifacts (a segment restore) keeps them and its digest; an entry
-    // whose content equals the resident entry's shares that entry's.
+    // whose content equals the resident entry's reuses that entry's.
     phase_timer.Reset();
     run_wave(
         chunk, count,
-        [](const CatalogEntry& entry) { return entry.encodings == nullptr; },
-        [&](CatalogEntry& entry) {
+        [&](uint32_t i) { return entries[i].encodings == nullptr; },
+        [&](uint32_t i) {
+          CatalogEntry& entry = entries[i];
           entry.digest = DigestCommunity(*entry.community);
-          if (InheritResident(&entry)) return;
+          if (InheritResident(&entry, staged_row(i))) {
+            needs_sketch[i - chunk] = 0;
+            return;
+          }
           // Batches are near-always one dimensionality, so the encoder
           // (whose constructor allocates its part-boundary table) is
           // memoized per thread instead of rebuilt per entry. The memo
@@ -253,104 +276,98 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
               std::make_shared<const EncodedA>(community, *memo.encoder);
           entry.encodings = std::move(encodings);
         });
-    encode_seconds += phase_timer.Seconds();
+    if (stats != nullptr) stats->encode_seconds += phase_timer.Seconds();
 
-    // Wave 2 — sketches through the scratch-reusing fast builder
-    // (byte-identical to the reference constructor). The digest's exact
-    // max counter feeds the radix key width, saving the builder its own
-    // max-scan pass.
+    // Wave 2 — the staged sketch tables, with the digest's exact max
+    // counter as the builder's radix width (no max-scan pass).
     phase_timer.Reset();
-    if (options_.signatures.has_value()) {
-      run_wave(
-          chunk, count,
-          [](const CatalogEntry& entry) { return entry.signature == nullptr; },
-          [&](CatalogEntry& entry) {
-            thread_local SketchScratch scratch;
-            entry.signature = std::make_shared<const CommunitySignature>(
-                *entry.community, *options_.signatures, &scratch,
-                entry.digest.max_counter);
-          });
-    }
-    sketch_seconds += phase_timer.Seconds();
-  }
-  if (stats != nullptr) {
-    stats->encode_seconds = encode_seconds;
-    stats->sketch_seconds = sketch_seconds;
-  }
+    run_wave(
+        chunk, count, [&](uint32_t i) { return needs_sketch[i - chunk] != 0; },
+        [&](uint32_t i) {
+          thread_local SketchScratch scratch;
+          BuildSketchTable(*entries[i].community, *options_.signatures,
+                           &scratch, entries[i].digest.max_counter,
+                           staged_row(i));
+        });
+    if (stats != nullptr) stats->sketch_seconds += phase_timer.Seconds();
 
-  // Fresh versions are issued as one block right before the install:
-  // element i gets base + i, exactly the version a sequential Upsert loop
-  // would have issued (concurrent Upserts slot before or after the
-  // block, never inside it).
-  if (!restore) {
-    const uint64_t base = next_version_.fetch_add(n, std::memory_order_acq_rel);
-    for (uint32_t i = 0; i < n; ++i) entries[i].version = base + i;
-  }
-  const uint64_t last_version = entries[n - 1].version;
-
-  // Install — group elements by shard (batch order preserved within a
-  // shard, so duplicate ids replay with last-wins semantics), then one
-  // exclusive lock + one batched index install per shard. Each shard's
-  // install is bracketed by its own mutation-clock tick: `started` ticks
-  // BEFORE the shard flip is visible to any reader, `finished` after it
-  // is complete, so every completed shard flip is a stable state for
-  // tagged readers. The lock-free build above changes no catalog state
-  // and stays outside the window.
-  phase_timer.Reset();
-  std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  for (uint32_t i = 0; i < n; ++i) {
-    by_shard[ShardIndexOf(entries[i].id)].push_back(i);
-  }
-  std::vector<SignatureIndex::SlotInstall> installs;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const std::vector<uint32_t>& members = by_shard[s];
-    if (members.empty()) continue;
-    Shard& shard = shards_[s];
-    if (shard.signatures.has_value()) {
-      installs.clear();
-      for (const uint32_t i : members) {
-        installs.push_back(
-            {entries[i].id, entries[i].version, entries[i].signature.get()});
+    // Fresh versions are issued as one block right before the chunk's
+    // install: element i gets base + i, exactly the version a sequential
+    // Upsert loop would have issued (concurrent Upserts slot before or
+    // after the block, never inside it).
+    if (!restore) {
+      const uint64_t base =
+          next_version_.fetch_add(count, std::memory_order_acq_rel);
+      for (uint32_t j = 0; j < count; ++j) {
+        entries[chunk + j].version = base + j;
       }
     }
-    mutations_started_.fetch_add(1, std::memory_order_acq_rel);
-    {
-      std::unique_lock lock(shard.mu);
-      // The durable-log seam and the journal observe the install inside
-      // its critical section, in member (= batch) order, so neither can
-      // contradict the install order readers observe, per shard and per
-      // id. A restore replays durable history and creates none. The sink
-      // runs first, while the entries still hold their community
-      // pointers — the move loop below strips them.
-      if (!restore && mutation_sink_) {
+    last_version = entries[chunk + count - 1].version;
+    const size_t chunks_left = (n - chunk + kWaveChunk - 1) / kWaveChunk;
+
+    // Install — group the chunk by shard (batch order kept, so duplicate
+    // ids replay last-wins), then one exclusive lock + one batched index
+    // install per shard, bracketed by its own mutation-clock tick pair:
+    // `started` ticks BEFORE the shard flip is visible to any reader,
+    // `finished` after it is complete, so every completed flip is a
+    // stable state for tagged readers. The lock-free build stays outside.
+    phase_timer.Reset();
+    for (std::vector<uint32_t>& members : by_shard) members.clear();
+    for (uint32_t i = chunk; i < chunk + count; ++i) {
+      by_shard[ShardIndexOf(entries[i].id)].push_back(i);
+    }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const std::vector<uint32_t>& members = by_shard[s];
+      if (members.empty()) continue;
+      Shard& shard = shards_[s];
+      if (sketching) {
+        installs.clear();
         for (const uint32_t i : members) {
-          mutation_sink_({entries[i].id, entries[i].version,
-                          /*remove=*/false, entries[i].community});
+          const CatalogEntry& entry = entries[i];
+          const std::span<const Count> table =
+              staged[i - chunk].empty()
+                  ? std::span(sketches[i], entry.community->d() * row_len)
+                  : staged_row(i);
+          installs.push_back(
+              {entry.id, entry.version, entry.community->size(), table});
         }
       }
-      if (!restore && mutation_log_ != nullptr) {
+      mutations_started_.fetch_add(1, std::memory_order_acq_rel);
+      {
+        std::unique_lock lock(shard.mu);
+        // The durable-log seam and the journal observe the install inside
+        // its critical section, in member (= batch) order, so neither can
+        // contradict the install order readers observe, per shard and per
+        // id. A restore replays durable history and creates none. The
+        // sink runs first, while the entries still hold their community
+        // pointers — the move loop below strips them.
+        if (!restore && mutation_sink_) {
+          for (const uint32_t i : members) {
+            mutation_sink_({entries[i].id, entries[i].version,
+                            /*remove=*/false, entries[i].community});
+          }
+        }
+        if (!restore && mutation_log_ != nullptr) {
+          for (const uint32_t i : members) {
+            AppendMutation(entries[i].id, entries[i].version,
+                           /*remove=*/false);
+          }
+        }
+        // Entry map and sketch store commit in one critical section, so
+        // a probe (under the shared lock) always sees them in agreement.
+        // Packs grow once for all chunks still to come, at this rate.
+        if (sketching) shard.signatures->InstallBatch(installs, chunks_left);
         for (const uint32_t i : members) {
-          AppendMutation(entries[i].id, entries[i].version,
-                         /*remove=*/false);
+          // Entries are single-use here: moving skips the shared_ptr
+          // refcount round-trips per element.
+          const uint64_t id = entries[i].id;
+          shard.entries.insert_or_assign(id, std::move(entries[i]));
         }
       }
-      // Entry map and sketch store commit in one critical section, so a
-      // probe (under the shared lock) always sees them in agreement. The
-      // sketches install first: the move loop below can release one (a
-      // duplicate id's earlier entry) before the index has copied it.
-      if (shard.signatures.has_value()) {
-        shard.signatures->InstallBatch(installs);
-      }
-      for (const uint32_t i : members) {
-        // Entries are single-use here: moving skips four shared_ptr
-        // refcount round-trips per element.
-        const uint64_t id = entries[i].id;
-        shard.entries.insert_or_assign(id, std::move(entries[i]));
-      }
+      mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
     }
-    mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
+    if (stats != nullptr) stats->install_seconds += phase_timer.Seconds();
   }
-  if (stats != nullptr) stats->install_seconds = phase_timer.Seconds();
   upserts_.fetch_add(n, std::memory_order_relaxed);
   return last_version;
 }
@@ -396,6 +413,19 @@ std::shared_ptr<const EntryEncodings> CommunityCatalog::EncodingsAt(
     return nullptr;
   }
   return it->second.encodings;
+}
+
+std::vector<Count> CommunityCatalog::SketchAt(uint64_t id,
+                                              uint64_t version) const {
+  const Shard& shard = ShardOf(id);
+  std::shared_lock lock(shard.mu);
+  const auto it = shard.entries.find(id);
+  if (!shard.signatures.has_value() || it == shard.entries.end() ||
+      it->second.version != version) {
+    return {};
+  }
+  const std::span<const Count> row = shard.signatures->Row(id);
+  return {row.begin(), row.end()};
 }
 
 std::vector<CatalogEntry> CommunityCatalog::Snapshot() const {

@@ -39,6 +39,7 @@ struct alignas(64) EntryEncodings {
 };
 
 /// One resident catalog community, as handed out by Get()/Snapshot().
+/// Its sketch lives only in its shard's SignatureIndex (see SketchAt()).
 ///
 /// Entries are COPY-ON-WRITE: the Community behind `community` is frozen
 /// at Upsert time and never mutated afterwards — an upsert of the same id
@@ -60,14 +61,11 @@ struct CatalogEntry {
   /// radix width and pre-screens the same-id content check of the ingest
   /// path. Queries never digest an entry again: they read `encodings`.
   CommunityDigest digest;
-  /// Prescreen sketch, built at ingest when the catalog has
-  /// Options::signatures set (null otherwise). Frozen with the community.
-  std::shared_ptr<const CommunitySignature> signature;
   /// MinMax artifacts under the catalog's warm parameters; set on every
   /// resident entry. The top-k walk refines from them and a checkpoint
   /// seals them. Ingest builds them, adopts a segment's mapped views, or
   /// — when the entry's content equals the resident entry's under the
-  /// same id — shares the resident entry's copy (and its sketch).
+  /// same id — shares the resident entry's copy.
   std::shared_ptr<const EntryEncodings> encodings;
 };
 
@@ -168,13 +166,14 @@ class LiveCoupleSession {
 /// lock and make whatever the entry does not carry: the digest, the
 /// entry's MinMax artifacts (EncodedB and EncodedA for (warm_eps,
 /// warm_parts), so no query against the entry builds or looks up an
-/// encoding) and the prescreen sketch (when `signatures` is set). An
-/// entry whose content equals the resident entry under its id inherits
-/// that entry's artifacts and sketch instead of building them. Its
-/// install section then takes each touched shard's exclusive lock once,
-/// between one mutation-clock tick pair. Upsert is the one-entry case of
-/// that path, which is why an Upsert loop, a BulkLoad and a RestoreBatch
-/// of the same entries leave byte-identical state.
+/// encoding) and the prescreen sketch table (when `signatures` is set),
+/// staged one chunk of the batch at a time. An entry whose content equals
+/// the resident entry under its id inherits that entry's artifacts and
+/// sketch row instead of building them. Each chunk's install then takes
+/// each touched shard's exclusive lock once, between one mutation-clock
+/// tick pair, and copies the tables into the shard's index. Upsert is the
+/// one-entry case of that path, which is why an Upsert loop, a BulkLoad
+/// and a RestoreBatch of the same entries leave byte-identical state.
 class CommunityCatalog {
  public:
   struct Options {
@@ -221,7 +220,7 @@ class CommunityCatalog {
   /// sketched outside any lock.
   uint64_t Upsert(uint64_t id, Community community);
 
-  /// Per-phase accounting of one BulkLoad or RestoreBatch call.
+  /// Per-phase accounting of one BulkLoad call.
   struct BulkLoadStats {
     uint64_t entries = 0;
     double encode_seconds = 0.0;   ///< digest + MinMax artifact wave
@@ -234,16 +233,15 @@ class CommunityCatalog {
   /// installs the caller's frozen buffers as-is; every pointer must be
   /// non-null and non-empty. The final catalog and signature-index
   /// state is byte-identical to calling Upsert once per element in batch
-  /// order: one contiguous version block is issued after the build
-  /// waves, so element i gets the version the sequential loop would have
-  /// issued, and each shard's elements are installed in batch order
+  /// order: each chunk's contiguous version block is issued right before
+  /// its install, so element i gets the version the sequential loop would
+  /// have issued, and each shard's elements are installed in batch order
   /// (duplicate ids: last wins, exactly like repeated Upserts). What
   /// makes it fast is fewer operations, not threads: the build waves run
-  /// in cache-sized chunks and each shard takes ONE exclusive lock for
-  /// its whole sub-batch; the waves additionally scale on multi-core
-  /// hosts. Safe under concurrent Query/Upsert/Remove traffic: each shard
-  /// install ticks the mutation clock, so tagged readers see each shard
-  /// flip atomically.
+  /// in cache-sized chunks and each shard takes ONE exclusive lock per
+  /// chunk; the waves additionally scale on multi-core hosts. Safe under
+  /// concurrent Query/Upsert/Remove traffic: each shard install ticks the
+  /// mutation clock, so tagged readers see each shard flip atomically.
   uint64_t BulkLoad(
       std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> batch,
       BulkLoadStats* stats = nullptr);
@@ -263,8 +261,9 @@ class CommunityCatalog {
   /// < `next_version`. An entry that carries `encodings` keeps them and
   /// its `digest` as supplied: the caller vouches that they are this
   /// content's artifacts under the catalog's warm parameters (a segment
-  /// restore adopts the mapped views this way). A supplied `signature` is
-  /// kept too. Everything else is built as Upsert builds it. Batch order
+  /// restore adopts the mapped views this way). So are the non-null
+  /// sketch rows of `sketches` (empty or parallel to `batch`), copied into
+  /// the index. Everything else is built as Upsert builds it. Batch order
   /// is the install order within each shard, which a persist layer uses
   /// to replay the writer's exact index pack layout. An id may repeat (a
   /// log tail that refreshed it twice): the last occurrence wins,
@@ -273,7 +272,8 @@ class CommunityCatalog {
   /// to it — and the in-RAM journal stays empty: it is bounded history,
   /// not state, and consumers resynchronize via mutation_seq() cursors.
   uint64_t RestoreBatch(std::vector<CatalogEntry> batch,
-                        uint64_t next_version, BulkLoadStats* stats = nullptr);
+                        uint64_t next_version,
+                        std::span<const Count* const> sketches = {});
 
   /// Installs the DURABLE-LOG SEAM: `sink` is invoked once per effective
   /// mutation (every Upsert, every BulkLoad member, every Remove that
@@ -297,6 +297,11 @@ class CommunityCatalog {
   /// bump, where Get() copies the whole entry.
   std::shared_ptr<const EntryEncodings> EncodingsAt(uint64_t id,
                                                     uint64_t version) const;
+
+  /// A copy of `id`'s sketch table, read from its shard's index, while
+  /// its entry still has `version`; empty when absent, replaced since, or
+  /// prescreening is off.
+  std::vector<Count> SketchAt(uint64_t id, uint64_t version) const;
 
   /// All resident entries, ascending id (deterministic for a quiesced
   /// catalog). See the class comment for cross-shard semantics.
@@ -374,10 +379,10 @@ class CommunityCatalog {
   /// and a query signature built with signature_options().
   struct ProbeResult {
     /// Candidate HEADS: `id`, `version` and `community` are set, while
-    /// `signature`, `encodings` and `digest` stay unset. A walk bounds
-    /// thousands of candidates and refines a handful, so the probe copies
-    /// only what the bound reads; CoupleScorer::Refine fetches a refined
-    /// head's artifacts with EncodingsAt().
+    /// `encodings` and `digest` stay unset. A walk bounds thousands of
+    /// candidates and refines a handful, so the probe copies only what
+    /// the bound reads; CoupleScorer::Refine fetches a refined head's
+    /// artifacts with EncodingsAt().
     std::vector<CatalogEntry> candidates;
     PrescreenStats stats;
   };
@@ -416,7 +421,7 @@ class CommunityCatalog {
     std::unordered_map<uint64_t, CatalogEntry> entries;
     /// The shard's sketch store, set iff Options::signatures is. It
     /// changes under the exclusive lock together with `entries` and is
-    /// probed under the shared one.
+    /// read under the shared one.
     std::optional<SignatureIndex> signatures;
   };
 
@@ -437,15 +442,16 @@ class CommunityCatalog {
   Shard& ShardOf(uint64_t id);
   void AppendMutation(uint64_t id, uint64_t version, bool remove);
   /// The ingest path behind Upsert, BulkLoad and RestoreBatch (see the
-  /// class comment). Without `restore` the entries get one fresh version
-  /// block; with it they keep their versions and skip journal and sink.
-  /// Returns the version of the batch's last entry (0 when empty).
-  uint64_t Ingest(std::vector<CatalogEntry> entries, bool restore,
+  /// class comment). Without `restore` each chunk gets a fresh version
+  /// block; with it the entries keep their versions and skip journal and
+  /// sink. Returns the version of the batch's last entry (0 when empty).
+  uint64_t Ingest(std::vector<CatalogEntry> entries,
+                  std::span<const Count* const> sketches, bool restore,
                   BulkLoadStats* stats);
-  /// Gives `entry` (digested, no artifacts yet) the artifacts and sketch
-  /// of the resident entry under its id when both hold byte-equal
-  /// content; returns whether it did.
-  bool InheritResident(CatalogEntry* entry) const;
+  /// Gives `entry` (digested, no artifacts yet) the artifacts, and a
+  /// non-empty `sketch` the sketch row, of the resident entry under its
+  /// id when both hold byte-equal content; returns whether it did.
+  bool InheritResident(CatalogEntry* entry, std::span<Count> sketch) const;
 
   Options options_;
   std::vector<Shard> shards_;

@@ -83,15 +83,6 @@ bool EntriesIdentical(const CatalogEntry& a, const CatalogEntry& b) {
       !ArtifactsIdentical(*a.encodings, *b.encodings)) {
     return false;
   }
-  if ((a.signature == nullptr) != (b.signature == nullptr)) return false;
-  if (a.signature != nullptr) {
-    const auto a_table = a.signature->table();
-    const auto b_table = b.signature->table();
-    if (!std::equal(a_table.begin(), a_table.end(), b_table.begin(),
-                    b_table.end())) {
-      return false;
-    }
-  }
   return true;
 }
 
@@ -102,7 +93,12 @@ bool CatalogsIdentical(const CommunityCatalog& lhs,
   const std::vector<CatalogEntry> rhs_snapshot = rhs.Snapshot();
   if (lhs_snapshot.size() != rhs_snapshot.size()) return false;
   for (size_t i = 0; i < lhs_snapshot.size(); ++i) {
-    if (!EntriesIdentical(lhs_snapshot[i], rhs_snapshot[i])) return false;
+    const CatalogEntry& entry = lhs_snapshot[i];
+    if (!EntriesIdentical(entry, rhs_snapshot[i]) ||
+        lhs.SketchAt(entry.id, entry.version) !=
+            rhs.SketchAt(entry.id, entry.version)) {
+      return false;
+    }
   }
   const SignatureOptions* lhs_options = lhs.signature_options();
   if ((lhs_options == nullptr) != (rhs.signature_options() == nullptr)) {

@@ -6,19 +6,19 @@
 
 namespace csj::service {
 
-/// Deep byte-identity of two entries: id, version, digest, counters,
-/// MinMax artifact bytes and sketch bytes. CatalogsIdentical applies it
-/// to every entry pair, and csj_fsck's deep pass to a stored entry and
-/// its recomputation.
+/// Deep byte-identity of two entries: id, version, digest, counters and
+/// MinMax artifact bytes. CatalogsIdentical applies it to every entry
+/// pair, and csj_fsck's deep pass to a stored entry and its
+/// recomputation.
 bool EntriesIdentical(const CatalogEntry& lhs, const CatalogEntry& rhs);
 
 /// Deep byte-identity between two quiesced catalogs: every entry pair
-/// (EntriesIdentical), the shard count, and the sketch layer. The sketch
-/// layer is compared through ProbeCandidates on both sides, with three
-/// catalog entries as queries: an inert probe (threshold 0) must examine
-/// every entry and pass the same (id, version) list on both sides, and a
-/// probe at `threshold` must pass the same list with the same examined,
-/// passed and skipped_* counts, which exercises the pack prefilter too.
+/// (EntriesIdentical, and SketchAt bytes), the shard count, and the
+/// sketch layer, compared through ProbeCandidates on both sides with
+/// three catalog entries as queries: an inert probe (threshold 0) must
+/// examine every entry and pass the same (id, version) list on both
+/// sides, and a probe at `threshold` must pass the same list with the
+/// same examined, passed and skipped_* counts (the pack prefilter too).
 /// packs_skipped is not compared: how slots group into packs depends on
 /// insertion history.
 ///

@@ -92,14 +92,11 @@ void ExpectCatalogsIdentical(const CommunityCatalog& bulk,
     ASSERT_EQ(b_flat.size(), s_flat.size()) << "id " << b.id;
     EXPECT_TRUE(std::equal(b_flat.begin(), b_flat.end(), s_flat.begin()))
         << "counter buffers diverged for id " << b.id;
-    // Both sides carry a bytewise-equal sketch, or neither does.
-    ASSERT_EQ(b.signature == nullptr, s.signature == nullptr) << "id " << b.id;
-    if (b.signature == nullptr) continue;
-    EXPECT_EQ(b.signature->size(), s.signature->size());
-    const auto b_table = b.signature->table();
-    const auto s_table = s.signature->table();
-    ASSERT_EQ(b_table.size(), s_table.size()) << "id " << b.id;
-    EXPECT_TRUE(std::equal(b_table.begin(), b_table.end(), s_table.begin()))
+    // Both sides hold a bytewise-equal sketch, or neither does.
+    const std::vector<Count> b_sketch = bulk.SketchAt(b.id, b.version);
+    EXPECT_EQ(b_sketch.empty(), bulk.signature_options() == nullptr)
+        << "id " << b.id;
+    EXPECT_EQ(b_sketch, sequential.SketchAt(s.id, s.version))
         << "sketch tables diverged for id " << b.id;
   }
 
@@ -198,10 +195,10 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
   const Dim d = victim.community->d();
   const size_t padded = VerifyWindow::PaddedCount(n, d);
 
-  const char* columns[] = {"none",  "b ids",  "b real", "b sums",
+  const char* columns[] = {"none",   "b ids",  "b real", "b sums",
                            "a mins", "a maxs", "a real", "a cols",
-                           "a window"};
-  for (int column = 0; column < 9; ++column) {
+                           "a window", "sketch"};
+  for (int column = 0; column < 10; ++column) {
     SCOPED_TRACE(columns[column]);
     struct Copy {
       std::vector<uint64_t> b_ids, b_sums, a_mins, a_maxs, a_cols;
@@ -251,14 +248,60 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
     a_columns.window = copy->a_window.data();
     encodings->encoded_a = std::make_shared<const EncodedA>(a_columns, copy);
 
-    // Every other entry keeps the reference's own artifacts and digest.
+    // Every other entry keeps the reference's own artifacts, digest and
+    // sketch row (handed over like a segment's mapped rows).
     std::vector<CatalogEntry> restore = entries;
     restore[entries.size() / 2].encodings = std::move(encodings);
+    std::vector<std::vector<Count>> rows;
+    for (const CatalogEntry& entry : entries) {
+      rows.push_back(reference.SketchAt(entry.id, entry.version));
+    }
+    if (column == 9) ++rows[entries.size() / 2][0];
+    std::vector<const Count*> sketches;
+    for (const std::vector<Count>& row : rows) sketches.push_back(row.data());
     CommunityCatalog altered(WithEverything(4));
-    altered.RestoreBatch(std::move(restore), reference.latest_version() + 1);
+    altered.RestoreBatch(std::move(restore), reference.latest_version() + 1,
+                         sketches);
     EXPECT_EQ(CatalogsIdentical(reference, altered, /*eps=*/2,
                                 /*threshold=*/0.25),
               column == 0);
+  }
+}
+
+TEST(BulkLoadTest, ChunkedInstallMatchesSequentialAcrossChunks) {
+  // A batch spanning three ingest chunks (2048 entries each): every id
+  // repeats across chunk boundaries, and every other repeat rewrites the
+  // id with its current content, so it copies the resident pack row
+  // instead of sketching. Bulk, restore and sequential arms still agree.
+  constexpr uint32_t kEntries = 4500;
+  constexpr uint64_t kIds = 1700;
+  Batch batch;
+  std::vector<std::shared_ptr<const Community>> latest(kIds + 1);
+  for (uint32_t i = 0; i < kEntries; ++i) {
+    const uint64_t id = 1 + (static_cast<uint64_t>(i) * 7) % kIds;
+    if (latest[id] == nullptr || i % 2 == 0) {
+      latest[id] = Frozen(MakeTestCommunity(4 + i % 5, 9000 + i));
+    }
+    batch.emplace_back(id, latest[id]);
+  }
+  CommunityCatalog bulk(WithEverything(4));
+  CommunityCatalog sequential(WithEverything(4));
+  CommunityCatalog restored(WithEverything(4));
+  UpsertEach(batch, &sequential);
+  EXPECT_EQ(bulk.BulkLoad(batch), kEntries);
+  std::vector<CatalogEntry> entries(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    entries[i].id = batch[i].first;
+    entries[i].version = i + 1;
+    entries[i].community = batch[i].second;
+  }
+  EXPECT_EQ(restored.RestoreBatch(std::move(entries), kEntries + 1),
+            kEntries);
+  for (const CommunityCatalog* arm : {&bulk, &restored}) {
+    SCOPED_TRACE(arm == &bulk ? "bulk" : "restored");
+    ExpectCatalogsIdentical(*arm, sequential);
+    EXPECT_TRUE(CatalogsIdentical(*arm, sequential, /*eps=*/2,
+                                  /*threshold=*/0.25));
   }
 }
 
@@ -369,14 +412,12 @@ TEST(BulkLoadTest, FastSketchBuilderMatchesReferenceOnAllKeyWidths) {
     const CommunitySignature reference(community, options);
     const Count max_counter = DigestCommunity(community).max_counter;
     SketchScratch scratch;
-    const CommunitySignature with_hint(community, options, &scratch,
-                                       max_counter);
-    const CommunitySignature without_hint(community, options, &scratch, 0);
-    for (const CommunitySignature* fast : {&with_hint, &without_hint}) {
-      ASSERT_EQ(fast->table().size(), reference.table().size());
-      EXPECT_TRUE(std::equal(fast->table().begin(), fast->table().end(),
-                             reference.table().begin()))
-          << "fast builder diverged at counter ceiling " << ceiling;
+    for (const Count hint : {max_counter, Count{0}}) {
+      std::vector<Count> fast(reference.table().size());
+      BuildSketchTable(community, options, &scratch, hint, fast);
+      EXPECT_TRUE(std::ranges::equal(fast, reference.table()))
+          << "fast builder diverged at counter ceiling " << ceiling
+          << ", hint " << hint;
     }
   }
 }
@@ -459,8 +500,11 @@ TEST(BulkLoadTest, SurvivesConcurrentChurnAndQueries) {
     versions.push_back(entry.version);
     EXPECT_EQ(inert.candidates[i].id, entry.id);
     EXPECT_EQ(inert.candidates[i].version, entry.version) << "id " << entry.id;
-    ASSERT_NE(entry.signature, nullptr) << "id " << entry.id;
-    EXPECT_EQ(entry.signature->size(), entry.community->size());
+    const CommunitySignature fresh(*entry.community,
+                                   *catalog.signature_options());
+    EXPECT_TRUE(std::ranges::equal(catalog.SketchAt(entry.id, entry.version),
+                                   fresh.table()))
+        << "id " << entry.id;
   }
   std::sort(versions.begin(), versions.end());
   EXPECT_EQ(std::adjacent_find(versions.begin(), versions.end()),

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -127,7 +128,6 @@ TEST(CatalogTest, SnapshotIsAscendingById) {
       EXPECT_EQ(head.version, snapshot[i].version);
       EXPECT_EQ(head.community, snapshot[i].community) << "id " << head.id;
       EXPECT_EQ(head.encodings, nullptr) << "id " << head.id;
-      EXPECT_EQ(head.signature, nullptr) << "id " << head.id;
     }
   }
 }
@@ -143,7 +143,8 @@ TEST(CatalogTest, DigestMatchesRecomputation) {
 
 /// The artifacts and sketch `content` builds under warm parameters
 /// (eps 2, 4 parts) and default signature options: what a catalog entry
-/// holding `content` must carry, however it got them.
+/// holding `content`, and its index row, must carry, however they got
+/// them.
 struct Expected {
   explicit Expected(const Community& content)
       : community(content),
@@ -152,10 +153,10 @@ struct Expected {
         encoded_a(content, encoder),
         signature(content, SignatureOptions{}) {}
 
-  bool HeldBy(const CatalogEntry& entry) const {
-    if (entry.encodings == nullptr || entry.signature == nullptr) {
-      return false;
-    }
+  /// `sketch` is the entry's row, as CommunityCatalog::SketchAt copies
+  /// it.
+  bool HeldBy(const CatalogEntry& entry, std::span<const Count> sketch) const {
+    if (entry.encodings == nullptr) return false;
     const EncodedB& b = *entry.encodings->encoded_b;
     const EncodedA& a = *entry.encodings->encoded_a;
     if (b.size() != encoded_b.size() || b.parts() != encoded_b.parts() ||
@@ -184,7 +185,7 @@ struct Expected {
            std::equal(a.window().BlockData(0),
                       a.window().BlockData(0) + padded,
                       encoded_a.window().BlockData(0)) &&
-           std::ranges::equal(entry.signature->table(), signature.table());
+           std::ranges::equal(sketch, signature.table());
   }
 
   Community community;
@@ -213,21 +214,24 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   const Expected expected(profile);
   catalog.Upsert(1, Community(profile));
   const CatalogEntry first = catalog.Get(1);
-  EXPECT_TRUE(expected.HeldBy(first));
+  EXPECT_TRUE(expected.HeldBy(first, catalog.SketchAt(1, first.version)));
 
   // Equal content under the same id: a new version and buffer, the
-  // resident artifacts and sketch.
+  // resident artifacts and a copy of the resident sketch row.
   catalog.Upsert(1, Community(profile));
   const CatalogEntry refreshed = catalog.Get(1);
   EXPECT_GT(refreshed.version, first.version);
   EXPECT_NE(refreshed.community, first.community);
   EXPECT_EQ(refreshed.encodings, first.encodings);
-  EXPECT_EQ(refreshed.signature, first.signature);
+  EXPECT_TRUE(
+      expected.HeldBy(refreshed, catalog.SketchAt(1, refreshed.version)));
+  EXPECT_TRUE(catalog.SketchAt(1, first.version).empty());
 
   // The rule is per id: equal content under another id builds its own.
   catalog.Upsert(2, Community(profile));
-  EXPECT_NE(catalog.Get(2).encodings, first.encodings);
-  EXPECT_TRUE(expected.HeldBy(catalog.Get(2)));
+  const CatalogEntry second = catalog.Get(2);
+  EXPECT_NE(second.encodings, first.encodings);
+  EXPECT_TRUE(expected.HeldBy(second, catalog.SketchAt(2, second.version)));
 
   // Changed content (one counter) rebuilds both.
   std::vector<Count> counts(profile.flat().begin(), profile.flat().end());
@@ -236,8 +240,8 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   catalog.Upsert(1, Community(changed));
   const CatalogEntry rebuilt = catalog.Get(1);
   EXPECT_NE(rebuilt.encodings, first.encodings);
-  EXPECT_NE(rebuilt.signature, first.signature);
-  EXPECT_TRUE(Expected(changed).HeldBy(rebuilt));
+  EXPECT_TRUE(
+      Expected(changed).HeldBy(rebuilt, catalog.SketchAt(1, rebuilt.version)));
 
   // The same again through BulkLoad: a batch member whose content equals
   // the resident entry inherits; the rest build.
@@ -245,8 +249,12 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   catalog.BulkLoad({{1, std::make_shared<const Community>(changed)},
                     {3, std::make_shared<const Community>(profile)}},
                    &stats);
-  EXPECT_EQ(catalog.Get(1).encodings, rebuilt.encodings);
-  EXPECT_TRUE(expected.HeldBy(catalog.Get(3)));
+  const CatalogEntry inherited = catalog.Get(1);
+  EXPECT_EQ(inherited.encodings, rebuilt.encodings);
+  EXPECT_TRUE(Expected(changed).HeldBy(
+      inherited, catalog.SketchAt(1, inherited.version)));
+  const CatalogEntry third = catalog.Get(3);
+  EXPECT_TRUE(expected.HeldBy(third, catalog.SketchAt(3, third.version)));
 
   // Sharing rests on the bytes, not the fingerprint: a resident entry
   // whose recorded digest names other content (as a corrupt segment
@@ -256,8 +264,10 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   CommunityCatalog restored(SharingOptions());
   restored.RestoreBatch({forged}, forged.version + 1);
   restored.Upsert(2, Community(changed));
-  EXPECT_NE(restored.Get(2).encodings, forged.encodings);
-  EXPECT_TRUE(Expected(changed).HeldBy(restored.Get(2)));
+  const CatalogEntry unforged = restored.Get(2);
+  EXPECT_NE(unforged.encodings, forged.encodings);
+  EXPECT_TRUE(Expected(changed).HeldBy(
+      unforged, restored.SketchAt(2, unforged.version)));
 
   // Nothing went through the configured cache.
   const EncodingCache::Stats cache_stats = cache.GetStats();
@@ -311,8 +321,15 @@ TEST(CatalogTest, ConcurrentSameIdRefreshesStayConsistent) {
       do {
         for (uint64_t id = 1; id <= kIds; ++id) {
           const CatalogEntry entry = catalog.Get(id);
+          const std::vector<Count> sketch = catalog.SketchAt(id, entry.version);
           const Expected* want = expected_for(entry);
-          if (want == nullptr || !want->HeldBy(entry)) ++bad;
+          // An empty row is fine only if a writer replaced the entry
+          // between the two reads.
+          if (want == nullptr ||
+              (sketch.empty() ? catalog.Get(id).version == entry.version
+                              : !want->HeldBy(entry, sketch))) {
+            ++bad;
+          }
           ++reads;
         }
       } while (!done.load());
@@ -326,7 +343,8 @@ TEST(CatalogTest, ConcurrentSameIdRefreshesStayConsistent) {
   for (const CatalogEntry& entry : catalog.Snapshot()) {
     const Expected* want = expected_for(entry);
     ASSERT_NE(want, nullptr) << "id " << entry.id;
-    EXPECT_TRUE(want->HeldBy(entry)) << "id " << entry.id;
+    EXPECT_TRUE(want->HeldBy(entry, catalog.SketchAt(entry.id, entry.version)))
+        << "id " << entry.id;
   }
 }
 

@@ -6,13 +6,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <condition_variable>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -164,6 +168,57 @@ TEST(PersistStoreTest, CheckpointRoundTripIsByteIdentical) {
   EXPECT_EQ(save.generation, 1u);
   EXPECT_EQ(save.entries, catalog.size());
 
+  ExpectRestoresIdentical(dir, catalog);
+}
+
+TEST(PersistStoreTest, CheckpointRefusesWhileAMutationIsInFlight) {
+  // A mutation sink that blocks holds an Upsert between the mutation
+  // clock's two ticks. Checkpoint must refuse cleanly: an error, no
+  // segment file, the superblock unmoved. Once the Upsert finishes, a
+  // retry seals a store that restores identically.
+  const std::string dir = FreshDir();
+  service::CommunityCatalog catalog(CatalogOpts());
+  for (uint64_t id = 1; id <= 8; ++id) {
+    catalog.Upsert(id, MakeTestCommunity(12, id));
+  }
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  catalog.SetMutationSink([&](const service::MutationEvent&) {
+    std::unique_lock lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  std::thread writer([&] { catalog.Upsert(5, MakeTestCommunity(16, 55)); });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  EXPECT_FALSE(store->Checkpoint(catalog, &error));
+  EXPECT_NE(error.find("quiescent"), std::string::npos) << error;
+  EXPECT_EQ(store->generation(), 0u);
+  EXPECT_FALSE(std::ifstream(store->SegmentPath(1)).good());
+  auto reopened = Store::Open(options, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->generation(), 0u);
+
+  {
+    std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  writer.join();
+  catalog.SetMutationSink(nullptr);
+  ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+  EXPECT_EQ(store->generation(), 1u);
   ExpectRestoresIdentical(dir, catalog);
 }
 
@@ -456,12 +511,17 @@ TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
     EXPECT_EQ(entry.encodings->encoded_a->MemoryBytes() == 0, mapped);
   }
 
-  // A refresh with unchanged content shares the mapped artifacts; one
-  // with new content builds its own.
+  // A refresh with unchanged content shares the mapped artifacts and
+  // copies the sketch row the segment installed; one with new content
+  // builds its own.
   const service::CatalogEntry mapped = restored.Get(3);
-  restored.Upsert(3, Community(*mapped.community));
+  const uint64_t refreshed =
+      restored.Upsert(3, Community(*mapped.community));
   EXPECT_EQ(restored.Get(3).encodings, mapped.encodings);
-  EXPECT_EQ(restored.Get(3).signature, mapped.signature);
+  const CommunitySignature fresh(*mapped.community,
+                                 *restored.signature_options());
+  EXPECT_TRUE(
+      std::ranges::equal(restored.SketchAt(3, refreshed), fresh.table()));
   restored.Upsert(3, MakeTestCommunity(14, 303));
   EXPECT_NE(restored.Get(3).encodings, mapped.encodings);
   EXPECT_GT(restored.Get(3).encodings->encoded_b->MemoryBytes(), 0u);

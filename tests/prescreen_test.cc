@@ -328,7 +328,6 @@ TEST(PrescreenTest, HeadsRefineFromResidentArtifactsOrTheirPinnedCommunity) {
   std::vector<CatalogEntry> heads;
   for (const CatalogEntry& head : probe.candidates) {
     EXPECT_EQ(head.encodings, nullptr) << "id " << head.id;
-    EXPECT_EQ(head.signature, nullptr) << "id " << head.id;
     if (scorer.Admissible(head)) heads.push_back(head);
   }
   ASSERT_GE(heads.size(), 3u);
@@ -465,8 +464,11 @@ TEST(PrescreenTest, IndexTracksCatalogUnderConcurrentChurn) {
     }
   }
   for (const CatalogEntry& entry : snapshot) {
-    ASSERT_NE(entry.signature, nullptr) << "id " << entry.id;
-    EXPECT_EQ(entry.signature->size(), entry.community->size());
+    const CommunitySignature fresh(*entry.community,
+                                   *catalog.signature_options());
+    EXPECT_TRUE(std::ranges::equal(catalog.SketchAt(entry.id, entry.version),
+                                   fresh.table()))
+        << "id " << entry.id;
   }
 
   // And the settled catalog still serves identical rankings both ways.

@@ -48,7 +48,8 @@ Community RandomSmallCommunity(Dim d, uint32_t size, uint32_t value_range,
 /// install entry point.
 void InstallOne(SignatureIndex& index, uint64_t id, uint64_t version,
                 const CommunitySignature& signature) {
-  const SignatureIndex::SlotInstall slot{id, version, &signature};
+  const SignatureIndex::SlotInstall slot{id, version, signature.size(),
+                                         signature.table()};
   index.InstallBatch(std::span<const SignatureIndex::SlotInstall>(&slot, 1));
 }
 
@@ -275,6 +276,49 @@ TEST(SignatureIndexTest, InstallReplaceRemoveStaysConsistent) {
   // Both sides of the size rule were exercised.
   EXPECT_GT(admitted, 0u);
   EXPECT_GT(inadmissible, 0u);
+}
+
+TEST(SignatureIndexTest, RowsFollowSwapWithLastRemovalAndRepacking) {
+  // Five ids in one pack (every user's largest counters sit in dimension
+  // 0, the home). Removing a middle slot moves the last slot into it,
+  // and replacing another id with a dimension-2 home moves it to another
+  // pack; Row() must then still return each survivor's own table.
+  util::Rng rng(testing::TestSeed(9));
+  SignatureOptions options;
+  options.quantiles = 4;
+  SignatureIndex index(options);
+  const auto make = [&](Dim home) {
+    Community community(3);
+    std::vector<Count> vec(3);
+    const uint32_t users = 5 + static_cast<uint32_t>(rng.Below(10));
+    for (uint32_t u = 0; u < users; ++u) {
+      for (Dim k = 0; k < 3; ++k) {
+        vec[k] = static_cast<Count>(rng.Below(20)) + (k == home ? 100 : 0);
+      }
+      community.AddUser(vec);
+    }
+    return community;
+  };
+  std::map<uint64_t, Community> resident;
+  for (uint64_t id = 1; id <= 5; ++id) {
+    resident.emplace(id, make(0));
+    const CommunitySignature signature(resident.at(id), options);
+    ASSERT_EQ(SignatureHomeDim(signature.table(), 4), 0u);
+    InstallOne(index, id, id, signature);
+  }
+  EXPECT_TRUE(index.Remove(3));
+  resident.erase(3);
+  resident.insert_or_assign(2, make(2));
+  const CommunitySignature moved(resident.at(2), options);
+  ASSERT_EQ(SignatureHomeDim(moved.table(), 4), 2u);
+  InstallOne(index, 2, 6, moved);
+
+  EXPECT_TRUE(index.Row(3).empty());
+  for (const auto& [id, community] : resident) {
+    const CommunitySignature fresh(community, options);
+    EXPECT_TRUE(std::ranges::equal(index.Row(id), fresh.table()))
+        << "id " << id;
+  }
 }
 
 TEST(SignatureIndexTest, DimensionalityMismatchRejectsAsAPack) {

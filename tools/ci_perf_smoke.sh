@@ -11,7 +11,8 @@
 #    prescreen catalog, seals it into a store and logs the closed loop's
 #    churn; a second process restores that store (segment map + log
 #    replay) with --warm_restart. The populate wall time of the first
-#    must be >= 5x the load wall time of the second. The ratio is a
+#    must be >= 5x the load wall time of the second (Store::Open, which
+#    maps the segment and reads the log, plus the restore). The ratio is a
 #    timing measurement on a shared box, so a miss is retried ONCE on a
 #    fresh store before failing. csj_fsck then audits the store in deep
 #    mode (recomputing digests, sketches and encodings from the mapped

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -105,6 +106,19 @@ const SectionDesc* MappedSegment::Find(SectionKind kind) const {
     if (desc.kind == static_cast<uint32_t>(kind)) return &desc;
   }
   return nullptr;
+}
+
+void MappedSegment::DropPages(SectionKind kind) const {
+  const SectionDesc* desc = Find(kind);
+  if (desc == nullptr) return;
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin = reinterpret_cast<uintptr_t>(data_ + desc->offset);
+  const uintptr_t first = (begin + page - 1) & ~(page - 1);
+  const uintptr_t last = (begin + desc->byte_size) & ~(page - 1);
+  if (first < last) {
+    (void)::madvise(reinterpret_cast<void*>(first), last - first,
+                    MADV_DONTNEED);
+  }
 }
 
 std::shared_ptr<MappedSegment> MappedSegment::Map(const std::string& path,

@@ -93,6 +93,12 @@ class MappedSegment {
             desc->byte_size / sizeof(T)};
   }
 
+  /// Drops this process's resident pages that lie wholly inside section
+  /// `kind` (MADV_DONTNEED, page-rounded inward), for a caller that has
+  /// consumed the section. The mapping stays valid: a later read faults
+  /// the bytes back in from the file.
+  void DropPages(SectionKind kind) const;
+
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
 

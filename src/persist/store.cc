@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstring>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -211,7 +212,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
 
   uint64_t recovered_next = 1;
   util::Timer timer;
-  std::vector<service::CatalogEntry> pending;
+  std::vector<service::CatalogEntry> image_entries;
   std::vector<const Count*> sketches;
 
   if (segment_ != nullptr) {
@@ -235,7 +236,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
       *error = "store signature quantiles disagree with the catalog's";
       return false;
     }
-    if (!ReadSegmentEntries(segment_, &pending, &sketches, error)) {
+    if (!ReadSegmentEntries(segment_, &image_entries, &sketches, error)) {
       *error = "segment column shape invalid (" + *error + "); run csj_fsck";
       return false;
     }
@@ -245,70 +246,63 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   const double segment_seconds = timer.Seconds();
   timer.Reset();
 
-  // Install the checkpoint image, then replay the log tail in append
-  // order. Removes flush the pending batch first: batch installs and
-  // removes must interleave exactly as the writer's history did, per
-  // shard, for the index pack layout to replay byte-identically.
-  auto flush = [&]() {
-    if (pending.empty()) return;
-    uint64_t next = 1;
-    for (const auto& entry : pending) {
-      next = std::max(next, entry.version + 1);
-    }
-    catalog->RestoreBatch(std::move(pending), next, sketches);
-    pending.clear();
-    sketches.clear();
-  };
-
-  uint64_t replayed = 0;
-  // Segment image first.
-  flush();
+  // Segment image first. RestoreBatch copies the mapped sketch rows into
+  // the index packs and nothing reads them again, so their pages go.
+  catalog->RestoreBatch(std::move(image_entries), recovered_next, sketches);
+  if (segment_ != nullptr) segment_->DropPages(SectionKind::kSigTables);
   const double restore_seconds = timer.Seconds();
   timer.Reset();
 
-  // Build every upsert's community on the pool, copied straight out of
-  // the mapped image; the install loop below stays sequential, so the
-  // batches, removes and last-wins order are the writer's.
+  // Replay the tail's final state. One backward pass keeps each id's last
+  // record: a surviving remove drops the id, a surviving upsert installs.
+  // Superseded records install nothing, but the writer issued their
+  // versions, so every upsert still bounds the recovered counter.
   const std::vector<LogRecord>& records = log_image_.records;
+  std::vector<uint32_t> survivors;
+  std::vector<uint64_t> removed;
+  {
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(records.size());
+    for (size_t i = records.size(); i-- > 0;) {
+      const LogRecord& record = records[i];
+      if (!record.remove) {
+        recovered_next = std::max(recovered_next, record.version + 1);
+      }
+      if (!seen.insert(record.id).second) continue;
+      if (record.remove) {
+        removed.push_back(record.id);
+      } else {
+        survivors.push_back(static_cast<uint32_t>(i));
+      }
+    }
+  }
+  std::reverse(survivors.begin(), survivors.end());
+  for (const uint64_t id : removed) catalog->Remove(id);
+
+  // Build the survivors' communities on the pool, copied straight out of
+  // the mapped image, and install them as one batch in record order.
+  // Their derived artifacts (digest included) were never checkpointed:
+  // RestoreBatch builds them on the ingest path Upsert uses, or shares
+  // the resident entry's when the record rewrote it with equal content.
   const uint8_t* image = log_image_.bytes().data();
-  std::vector<std::shared_ptr<const Community>> built(records.size());
+  std::vector<service::CatalogEntry> tail(survivors.size());
   util::ThreadPool::Global().Run(
-      static_cast<uint32_t>(records.size()), [&](uint32_t i) {
-        const LogRecord& record = records[i];
-        if (record.remove) return;
+      static_cast<uint32_t>(survivors.size()), [&](uint32_t t) {
+        const LogRecord& record = records[survivors[t]];
         const UnalignedCounts counts(image + record.counts_offset);
-        built[i] = std::make_shared<const Community>(
+        tail[t].id = record.id;
+        tail[t].version = record.version;
+        tail[t].community = std::make_shared<const Community>(
             record.d,
             std::vector<Count>(counts,
                                counts + static_cast<size_t>(record.users) *
                                             record.d),
             record.name);
       });
-
-  for (size_t i = 0; i < records.size(); ++i) {
-    const LogRecord& record = records[i];
-    ++replayed;
-    if (record.remove) {
-      flush();
-      catalog->Remove(record.id);
-      continue;
-    }
-    service::CatalogEntry entry;
-    entry.id = record.id;
-    entry.version = record.version;
-    entry.community = std::move(built[i]);
-    // Derived artifacts (digest included) were never checkpointed for
-    // log-tail entries; RestoreBatch builds them on the ingest path
-    // Upsert uses, or shares the resident entry's when the record
-    // rewrote it with equal content. The tail may refresh an id twice:
-    // last wins.
-    pending.push_back(std::move(entry));
-    recovered_next = std::max(recovered_next, record.version + 1);
-  }
-  flush();
-  // Pin the version counter to the recovered horizon even when the tail
-  // ends in removes (an empty RestoreBatch only advances the counter).
-  catalog->RestoreBatch({}, recovered_next);
+  // Also pins the version counter to the recovered horizon when no upsert
+  // survives (an empty RestoreBatch only advances the counter).
+  catalog->RestoreBatch(std::move(tail), recovered_next);
+  const uint64_t replayed = records.size();
 
   // The replayed tail now lives in the catalog: drop the mapping (the
   // log's length stays in log_end_, where StartLogging resumes).

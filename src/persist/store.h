@@ -32,7 +32,7 @@ struct OpenStats {
   uint64_t generation = 0;
   uint64_t segment_entries = 0;
   uint64_t segment_bytes = 0;
-  uint64_t log_records_replayed = 0;
+  uint64_t log_records_replayed = 0;  ///< every record, superseded ones too
   uint64_t log_torn_bytes = 0;  ///< bytes past the valid prefix
   /// Superblock + segment map + structural validation in Open, plus
   /// RestoreInto's ReadSegmentEntries (the column-shape rules).
@@ -41,8 +41,8 @@ struct OpenStats {
   /// payload CRC, decode the record heads.
   double log_read_seconds = 0.0;
   double restore_seconds = 0.0;  ///< RestoreBatch over the segment image
-  /// Log-tail replay: the pooled community build from the mapped log,
-  /// then the sequential install/remove loop.
+  /// Log-tail replay: the last-record pass, the removes, the pooled
+  /// community build from the mapped log and the batch install.
   double replay_seconds = 0.0;
 };
 
@@ -86,12 +86,14 @@ class Store {
   /// Rebuilds `catalog` (must be freshly constructed and empty) to the
   /// exact pre-crash state: segment entries install zero-copy under
   /// their original versions (their mapped sketch rows are copied into
-  /// the index packs), then the log's valid prefix replays in
-  /// append order — per shard that is the writer's install order, so
-  /// snapshots, versions, MinMax artifact bytes, sketch-index layout and
-  /// every top-k ranking come back byte-identical. Segment entries adopt
-  /// the mapped artifacts; a log record that rewrote an id with equal
-  /// content shares the resident entry's.
+  /// the index packs, whose mapped pages are then dropped), then the
+  /// log's valid prefix replays its final state: each id's last record
+  /// removes the id or installs its upsert, and superseded records only
+  /// advance the version counter. Snapshots, versions, MinMax artifact
+  /// bytes, sketch rows, probe verdicts and every top-k ranking come back
+  /// byte-identical. Segment entries adopt the mapped artifacts; a log
+  /// record that rewrote an id with equal content shares the resident
+  /// entry's.
   ///
   /// Before anything installs, the log must pass CheckLogVersions, the
   /// catalog must be configured with the writer's warm parameters and
@@ -100,8 +102,9 @@ class Store {
   /// fails the restore with a "run csj_fsck" error: restore refuses
   /// exactly what csj_fsck's structural pass refuses, payload CRCs aside.
   ///
-  /// Replay builds every upsert record's community on the global pool,
-  /// copied from the mapped log, then installs them in append order.
+  /// Replay builds each surviving upsert's community on the global pool,
+  /// copied from the mapped log, then installs them as one batch in
+  /// record order. Every record still passes the checks above first.
   /// A successful restore releases the log mapping, so it runs once per
   /// Open: a second call fails unless a Checkpoint came between.
   bool RestoreInto(service::CommunityCatalog* catalog, std::string* error,

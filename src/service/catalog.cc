@@ -216,7 +216,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
   std::vector<std::vector<Count>> staged(std::min(n, kWaveChunk));
   std::vector<uint8_t> needs_sketch(staged.size());
   std::vector<std::vector<uint32_t>> by_shard(shards_.size());
-  std::vector<SignatureIndex::SlotInstall> installs;
+  std::vector<uint32_t> touched;
   uint64_t last_version = 0;
   util::Timer phase_timer;
   for (uint32_t chunk = 0; chunk < n; chunk += kWaveChunk) {
@@ -306,22 +306,28 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
     const size_t chunks_left = (n - chunk + kWaveChunk - 1) / kWaveChunk;
 
     // Install — group the chunk by shard (batch order kept, so duplicate
-    // ids replay last-wins), then one exclusive lock + one batched index
-    // install per shard, bracketed by its own mutation-clock tick pair:
-    // `started` ticks BEFORE the shard flip is visible to any reader,
-    // `finished` after it is complete, so every completed flip is a
-    // stable state for tagged readers. The lock-free build stays outside.
+    // ids replay last-wins), then one pool task per touched shard: one
+    // exclusive lock + one batched index install, bracketed by its own
+    // mutation-clock tick pair: `started` ticks BEFORE the shard flip is
+    // visible to any reader, `finished` after it is complete, so every
+    // completed flip is a stable state for tagged readers. The lock-free
+    // build stays outside. No code calls the pool while it holds a shard
+    // lock, so a task waiting here for one never blocks a submitter.
     phase_timer.Reset();
     for (std::vector<uint32_t>& members : by_shard) members.clear();
     for (uint32_t i = chunk; i < chunk + count; ++i) {
       by_shard[ShardIndexOf(entries[i].id)].push_back(i);
     }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const std::vector<uint32_t>& members = by_shard[s];
-      if (members.empty()) continue;
-      Shard& shard = shards_[s];
+    touched.clear();
+    for (uint32_t s = 0; s < by_shard.size(); ++s) {
+      if (!by_shard[s].empty()) touched.push_back(s);
+    }
+    pool.Run(static_cast<uint32_t>(touched.size()), [&](uint32_t t) {
+      std::vector<uint32_t>& members = by_shard[touched[t]];
+      Shard& shard = shards_[touched[t]];
+      std::vector<SignatureIndex::SlotInstall> installs;
       if (sketching) {
-        installs.clear();
+        installs.reserve(members.size());
         for (const uint32_t i : members) {
           const CatalogEntry& entry = entries[i];
           const std::span<const Count> table =
@@ -335,6 +341,26 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
       mutations_started_.fetch_add(1, std::memory_order_acq_rel);
       {
         std::unique_lock lock(shard.mu);
+        // A write issued earlier never replaces one issued later. Only a
+        // racing writer of the same id can hold a newer resident version
+        // here; this member then counts as installed and overwritten at
+        // once, so neither sink nor journal sees it. A restore keeps its
+        // recorded versions and batch order instead.
+        if (!restore) {
+          size_t kept = 0;
+          for (size_t m = 0; m < members.size(); ++m) {
+            const auto it = shard.entries.find(entries[members[m]].id);
+            if (it != shard.entries.end() &&
+                it->second.version > entries[members[m]].version) {
+              continue;
+            }
+            members[kept] = members[m];
+            if (sketching) installs[kept] = installs[m];
+            ++kept;
+          }
+          members.resize(kept);
+          if (sketching) installs.resize(kept);
+        }
         // The durable-log seam and the journal observe the install inside
         // its critical section, in member (= batch) order, so neither can
         // contradict the install order readers observe, per shard and per
@@ -365,7 +391,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
         }
       }
       mutations_finished_.fetch_add(1, std::memory_order_acq_rel);
-    }
+    });
     if (stats != nullptr) stats->install_seconds += phase_timer.Seconds();
   }
   upserts_.fetch_add(n, std::memory_order_relaxed);

@@ -52,8 +52,11 @@ struct alignas(64) EntryEncodings {
 struct CatalogEntry {
   uint64_t id = 0;
   /// Catalog-wide monotonic version, unique per successful Upsert. A
-  /// larger version was installed later (across ALL ids, not just this
+  /// larger version was issued later (across ALL ids, not just this
   /// one), so "did this entry change since I looked?" is one compare.
+  /// Per id the resident version only grows: a write that loses a race
+  /// to a later-issued write of its id is dropped at install, as if it
+  /// had been overwritten at once.
   uint64_t version = 0;
   std::shared_ptr<const Community> community;
   /// Content fingerprint + max counter, computed once at ingest (or
@@ -169,11 +172,15 @@ class LiveCoupleSession {
 /// encoding) and the prescreen sketch table (when `signatures` is set),
 /// staged one chunk of the batch at a time. An entry whose content equals
 /// the resident entry under its id inherits that entry's artifacts and
-/// sketch row instead of building them. Each chunk's install then takes
-/// each touched shard's exclusive lock once, between one mutation-clock
-/// tick pair, and copies the tables into the shard's index. Upsert is the
-/// one-entry case of that path, which is why an Upsert loop, a BulkLoad
-/// and a RestoreBatch of the same entries leave byte-identical state.
+/// sketch row instead of building them. Each chunk's install then runs
+/// one pool task per touched shard: the task takes that shard's exclusive
+/// lock once, between one mutation-clock tick pair, and copies the tables
+/// into the shard's index. Upsert is the one-entry case of that path (one
+/// shard, so one task, run inline), which is why an Upsert loop, a
+/// BulkLoad and a RestoreBatch of the same entries leave byte-identical
+/// state. No code calls the pool while it holds a shard lock: an install
+/// task waiting for one could otherwise deadlock against the pool's
+/// submit lock.
 class CommunityCatalog {
  public:
   struct Options {
@@ -239,9 +246,10 @@ class CommunityCatalog {
   /// (duplicate ids: last wins, exactly like repeated Upserts). What
   /// makes it fast is fewer operations, not threads: the build waves run
   /// in cache-sized chunks and each shard takes ONE exclusive lock per
-  /// chunk; the waves additionally scale on multi-core hosts. Safe under
-  /// concurrent Query/Upsert/Remove traffic: each shard install ticks the
-  /// mutation clock, so tagged readers see each shard flip atomically.
+  /// chunk; the waves and the per-shard installs additionally scale on
+  /// multi-core hosts. Safe under concurrent Query/Upsert/Remove
+  /// traffic: each shard install ticks the mutation clock, so tagged
+  /// readers see each shard flip atomically.
   uint64_t BulkLoad(
       std::vector<std::pair<uint64_t, std::shared_ptr<const Community>>> batch,
       BulkLoadStats* stats = nullptr);
@@ -264,10 +272,12 @@ class CommunityCatalog {
   /// restore adopts the mapped views this way). So are the non-null
   /// sketch rows of `sketches` (empty or parallel to `batch`), copied into
   /// the index. Everything else is built as Upsert builds it. Batch order
-  /// is the install order within each shard, which a persist layer uses
-  /// to replay the writer's exact index pack layout. An id may repeat (a
-  /// log tail that refreshed it twice): the last occurrence wins,
-  /// exactly as in BulkLoad. The mutation SINK is deliberately not
+  /// is the install order within each shard, and an id may repeat: the
+  /// last occurrence wins, exactly as in BulkLoad. A store replays a log
+  /// tail's final state, so its batches hold each id once; what it
+  /// restores equals the writer's catalog entry for entry and probe for
+  /// probe, while the index packs may group slots differently (see
+  /// CatalogsIdentical). The mutation SINK is deliberately not
   /// invoked — a restore replays the durable log, it must not re-append
   /// to it — and the in-RAM journal stays empty: it is bounded history,
   /// not state, and consumers resynchronize via mutation_seq() cursors.

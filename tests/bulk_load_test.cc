@@ -2,20 +2,24 @@
 // and RestoreBatch must leave the catalog and the signature index in a
 // state BYTE-IDENTICAL to a sequential Upsert replay of the same batch —
 // same versions, same digests, same MinMax artifacts, same sketch
-// tables, same index pack layout, same probe verdicts — across shard counts,
+// tables, same probe verdicts and sweep accounting — across shard counts,
 // duplicate ids, and pre-populated catalogs. The suite also pins
 // BulkLoad's no-copy guarantee, the fast sketch builder's equivalence to
 // the reference constructor on the hint, no-hint, and wide-counter
-// fallback paths, and index/entry-map agreement under concurrent churn
-// racing a BulkLoad (the TSan target).
+// fallback paths, index/entry-map agreement under concurrent churn
+// racing a BulkLoad, and per-id sink order under two racing BulkLoads
+// (the TSan targets).
 
 #include "service/catalog.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -171,8 +175,8 @@ TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
     for (const CommunityCatalog* arm : {&bulk, &restored}) {
       SCOPED_TRACE(arm == &bulk ? "bulk" : "restored");
       ExpectCatalogsIdentical(*arm, sequential);
-      // Pack layout and MinMax artifact bytes: the deep oracle walks
-      // every shard's slots in order and every entry's artifact columns.
+      // MinMax artifact bytes and probe verdicts: the deep oracle compares
+      // every entry's artifact columns and id-sorted probe output.
       EXPECT_TRUE(CatalogsIdentical(*arm, sequential, /*eps=*/2,
                                     /*threshold=*/0.25));
     }
@@ -510,6 +514,87 @@ TEST(BulkLoadTest, SurvivesConcurrentChurnAndQueries) {
   EXPECT_EQ(std::adjacent_find(versions.begin(), versions.end()),
             versions.end())
       << "two installs share a version";
+}
+
+TEST(BulkLoadTest, ConcurrentBulkLoadsKeepPerIdSinkOrder) {
+  // Two threads BulkLoad overlapping ids, round after round, beside single
+  // Upserts of the same ids and probing readers. Every chunk installs its
+  // shards on pool tasks, and the sink observes each install inside its
+  // shard's critical section. Per id, the observed versions must strictly
+  // increase and end at the resident version.
+  CommunityCatalog catalog(WithEverything(8));
+  constexpr uint64_t kIds = 128;
+  constexpr uint32_t kRounds = 6;
+  std::mutex sink_mu;
+  std::unordered_map<uint64_t, std::vector<uint64_t>> observed;
+  catalog.SetMutationSink([&](const MutationEvent& event) {
+    std::lock_guard lock(sink_mu);
+    observed[event.id].push_back(event.version);
+  });
+  // Loader 0 covers ids 1-96 and loader 1 ids 33-128, in opposite orders.
+  const auto make_batch = [&](uint32_t loader, uint32_t round) {
+    Batch batch;
+    for (uint64_t k = 0; k < 96; ++k) {
+      const uint64_t id = loader == 0 ? 1 + k : kIds - k;
+      batch.emplace_back(id, Frozen(MakeTestCommunity(
+                                 14, 20000 + loader * 5000 + round * 200 + id)));
+    }
+    return batch;
+  };
+  std::vector<std::vector<Batch>> batches(2);
+  for (uint32_t loader = 0; loader < 2; ++loader) {
+    for (uint32_t round = 0; round < kRounds; ++round) {
+      batches[loader].push_back(make_batch(loader, round));
+    }
+  }
+  std::vector<Community> upserts;
+  for (uint64_t salt = 0; salt < 16; ++salt) {
+    upserts.push_back(MakeTestCommunity(12, 31000 + salt));
+  }
+
+  std::atomic<uint32_t> loaders_left{2};
+  std::vector<std::thread> crew;
+  for (uint32_t loader = 0; loader < 2; ++loader) {
+    crew.emplace_back([&, loader] {
+      for (Batch& batch : batches[loader]) {
+        catalog.BulkLoad(std::move(batch));
+      }
+      loaders_left.fetch_sub(1, std::memory_order_acq_rel);
+    });
+  }
+  crew.emplace_back([&] {
+    util::Rng rng(testing::TestSeed(32000));
+    while (loaders_left.load(std::memory_order_acquire) > 0) {
+      catalog.Upsert(1 + rng.Below(kIds), upserts[rng.Below(upserts.size())]);
+    }
+  });
+  crew.emplace_back([&] {
+    util::Rng rng(testing::TestSeed(32100));
+    const SignatureOptions options = *catalog.signature_options();
+    // A reader never sees an id's version go back.
+    std::vector<uint64_t> seen(kIds + 1, 0);
+    while (loaders_left.load(std::memory_order_acquire) > 0) {
+      const CommunitySignature signature(
+          MakeTestCommunity(14, 32200 + rng.Below(8)), options);
+      const auto probe = catalog.ProbeCandidates(
+          signature, SignatureProbeOrder(signature), /*eps=*/2, 0.2);
+      EXPECT_EQ(probe.stats.passed, probe.candidates.size());
+      const uint64_t id = 1 + rng.Below(kIds);
+      const uint64_t version = catalog.Get(id).version;
+      EXPECT_GE(version, seen[id]) << "id " << id;
+      seen[id] = version;
+    }
+  });
+  for (std::thread& thread : crew) thread.join();
+  catalog.SetMutationSink(nullptr);
+
+  ASSERT_EQ(observed.size(), kIds);
+  for (const auto& [id, versions] : observed) {
+    EXPECT_TRUE(std::adjacent_find(versions.begin(), versions.end(),
+                                   std::greater_equal<>()) == versions.end())
+        << "id " << id << ": sink versions do not strictly increase";
+    EXPECT_EQ(versions.back(), catalog.Get(id).version) << "id " << id;
+  }
 }
 
 }  // namespace

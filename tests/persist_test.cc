@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -250,9 +251,9 @@ TEST(PersistStoreTest, LogTailReplaysOnTopOfSealedSegment) {
 }
 
 TEST(PersistStoreTest, LogTailRefreshingAnIdTwiceReplaysLastWins) {
-  // A tail without removes replays as ONE RestoreBatch, so an id the
-  // writer refreshed twice appears twice in that batch: the last
-  // occurrence must win, exactly as the writer's second Upsert did.
+  // Replay installs only an id's last record: an id the writer refreshed
+  // several times comes back as its final refresh, here one whose bytes
+  // equal the refresh before it.
   const std::string dir = FreshDir();
   service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 10; ++id) {
@@ -286,6 +287,89 @@ TEST(PersistStoreTest, LogTailRefreshingAnIdTwiceReplaysLastWins) {
   EXPECT_EQ(restored.Get(3).community->size(), 14u);
   EXPECT_EQ(restored.Get(3).version, catalog.Get(3).version);
   EXPECT_EQ(restored.Get(42).community->size(), 20u);
+}
+
+TEST(PersistStoreTest, ReplayInstallsTheTailsFinalState) {
+  // Replay installs only each id's last record. The restore must still
+  // equal the writer's live catalog, count every record, and resume the
+  // version counter past the tail's highest version, which here a removed
+  // record carries.
+  const std::string dir = FreshDir();
+  service::CommunityCatalog catalog(CatalogOpts());
+  for (uint64_t id = 1; id <= 10; ++id) {
+    catalog.Upsert(id, MakeTestCommunity(16, id));
+  }
+  const SignatureOptions sig_options = *catalog.signature_options();
+  const auto home_of = [&](const Community& community) {
+    return SignatureHomeDim(CommunitySignature(community, sig_options).table(),
+                            sig_options.quantiles);
+  };
+  util::Rng rng(testing::TestSeed(0xF1A1));
+  data::VkLikeGenerator music(data::Category::kMusic);
+  const Community rehomed = data::MakeCommunity(music, 20, rng);
+  data::UniformGenerator narrow(8, 40);
+  const Community reshaped = data::MakeCommunity(narrow, 18, rng);
+  ASSERT_NE(home_of(rehomed), home_of(*catalog.Get(3).community));
+  ASSERT_NE(reshaped.d(), rehomed.d());
+
+  StoreOptions options;
+  options.dir = dir;
+  std::string error;
+  uint64_t highest = 0;
+  {
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+    ASSERT_TRUE(store->StartLogging(&catalog, &error)) << error;
+    catalog.Upsert(3, rehomed);   // new home dimension...
+    catalog.Upsert(3, reshaped);  // ...then a new d: the second wins
+    catalog.Upsert(5, MakeTestCommunity(22, 402));  // segment entry:
+    catalog.Remove(5);                              // upsert, then remove
+    catalog.Remove(7);                              // segment entry:
+    catalog.Upsert(7, MakeTestCommunity(15, 403));  // remove, then upsert
+    catalog.Upsert(42, MakeTestCommunity(17, 404));
+    highest = catalog.Upsert(60, MakeTestCommunity(19, 405));
+    catalog.Remove(60);
+    store->StopLogging(&catalog);
+  }
+  ASSERT_EQ(highest, catalog.latest_version());
+  {
+    // A remove of an id the catalog never held: the writer logs none, so
+    // append one by hand behind the session's records.
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    const std::string log_path = store->LogPath(store->generation());
+    LogWriter writer;
+    ASSERT_TRUE(writer.Open(log_path, store->generation(), 1,
+                            std::filesystem::file_size(log_path), nullptr,
+                            &error))
+        << error;
+    ASSERT_TRUE(writer.AppendRemove(777));
+    writer.Close();
+  }
+  constexpr uint64_t kTailRecords = 10;
+
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  service::CommunityCatalog restored(CatalogOpts());
+  OpenStats stats;
+  ASSERT_TRUE(store->RestoreInto(&restored, &error, &stats)) << error;
+  EXPECT_EQ(stats.log_records_replayed, kTailRecords);
+  EXPECT_EQ(restored.size(), catalog.size());
+  EXPECT_EQ(restored.latest_version(), highest);
+  EXPECT_TRUE(service::CatalogsIdentical(catalog, restored, /*eps=*/2, kTau));
+  EXPECT_EQ(restored.Get(3).community->d(), reshaped.d());
+  EXPECT_EQ(restored.Get(5).community, nullptr);
+  EXPECT_EQ(restored.Get(7).community->size(), 15u);
+  EXPECT_EQ(restored.Get(60).community, nullptr);
+  EXPECT_EQ(restored.Upsert(61, MakeTestCommunity(12, 406)), highest + 1);
+
+  FsckOptions fsck_options;
+  fsck_options.dir = dir;
+  fsck_options.deep = true;
+  FsckReport report;
+  ASSERT_TRUE(FsckStore(fsck_options, &report));
+  EXPECT_TRUE(report.clean());
 }
 
 TEST(PersistStoreTest, LogOnlyStoreRecoversWithoutAnySegment) {

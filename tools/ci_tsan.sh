@@ -15,8 +15,12 @@
 # Churn, which probes each shard's signature index under its shard lock
 # while writers churn the same shard's entries and sketches, and
 # bulk_load_test's SurvivesConcurrentChurnAndQueries, where a BulkLoad's
-# per-shard installs race upserts, removes and probes), the EDF request queue (request_queue_test's notify-
-# outside-lock producer/consumer stress is written for this gate), the
+# per-shard installs race upserts, removes and probes, and its
+# ConcurrentBulkLoadsKeepPerIdSinkOrder, where two BulkLoads' per-shard
+# pool-task installs of overlapping ids race single upserts and readers
+# while a sink records each id's install order), the EDF request queue
+# (request_queue_test's notify-outside-lock producer/consumer stress is
+# written for this gate), the
 # versioned result cache (result_cache_test's churn differential: readers
 # race an upserting writer through the cache), and the network front end
 # (net_test's loopback suites run the epoll reactor, the worker-thread
@@ -33,7 +37,9 @@
 # segment reader builds entries on pool threads and deep verify reports
 # from them through one mutex, and its log-decode fuzz test, whose
 # restores build the replayed communities on pool threads from the
-# mapped log).
+# mapped log, and persist_test's ReplayInstallsTheTailsFinalState, whose
+# final-state replay builds the surviving communities on pool threads and
+# installs them with one pool task per shard).
 # Configures a dedicated build tree with CSJ_ENABLE_TSAN=ON and runs the
 # relevant test binaries under TSAN.
 #

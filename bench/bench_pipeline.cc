@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
     csj::pipeline::PipelineReport reference;
     {
       options.pipeline_threads = 1;
-      options.cache = nullptr;
+      options.join.cache = nullptr;
       csj::util::Timer timer;
       reference = ScreenAndRefineAllPairs(communities, options);
       nocache_seconds = timer.Seconds();
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
     // reconfiguring the sweep must not throw the encodings away, that is
     // the entire point of content-keyed sharing.
     csj::EncodingCache cache;
-    options.cache = &cache;
+    options.join.cache = &cache;
 
     // Timed warmup: pays every build once; later runs only look up.
     {

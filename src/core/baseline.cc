@@ -8,9 +8,7 @@
 #include "core/encoding_cache.h"
 #include "core/epsilon_predicate.h"
 #include "core/join_scratch.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -50,7 +48,7 @@ JoinResult ApBaselineJoin(const Community& b, const Community& a,
   std::vector<uint8_t>& used_a = internal::GetJoinScratch().used_a;
   used_a.assign(na, 0);
 
-  const bool batched = options.batch_verify && na >= kEpsilonBlock;
+  const bool batched = na >= kEpsilonBlock;
   std::shared_ptr<const VerifyWindow> keepalive;
   const VerifyWindow* window =
       batched ? AcquireBaselineWindow(a, options, &keepalive, &result.stats)
@@ -100,28 +98,19 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
   const uint32_t nb = b.size();
   const uint32_t na = a.size();
 
-  // Candidate collection partitions B's rows; per-chunk arena buffers are
-  // concatenated in chunk order so any thread count yields the serial
-  // result. Event logging pins the run to one chunk and (because events
-  // must flow one pair at a time) disables batching.
-  const uint32_t threads = options.event_log != nullptr
-                               ? 1
-                               : std::max<uint32_t>(options.join_threads, 1);
-  const bool batched = options.batch_verify &&
-                       options.event_log == nullptr && na >= kEpsilonBlock;
+  // Candidate collection partitions B's rows. Event logging pins the run
+  // to one chunk and (because events must flow one pair at a time)
+  // disables batching.
+  const bool batched = options.event_log == nullptr && na >= kEpsilonBlock;
   std::shared_ptr<const VerifyWindow> keepalive;
   const VerifyWindow* window =
       batched ? AcquireBaselineWindow(a, options, &keepalive, &result.stats)
               : nullptr;
 
-  const uint32_t chunks = util::ParallelChunks(0, nb, threads);
-  const std::span<internal::ChunkSlot> slots =
-      internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
-  util::ParallelFor(
-      0, nb, threads,
-      [&](uint32_t chunk_begin, uint32_t chunk_end, uint32_t chunk) {
-        std::vector<MatchedPair>& local = slots[chunk].edges;
-        JoinStats& stats = slots[chunk].stats;
+  const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
+      nb, options, &result.stats,
+      [&](uint32_t chunk_begin, uint32_t chunk_end, internal::ChunkSlot& slot) {
+        JoinStats& stats = slot.stats;
         if (batched) {
           // Exact baseline wants every verdict of the row anyway, so the
           // whole row is one kernel call; survivors come back as a
@@ -140,7 +129,7 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
               while (word != 0) {
                 const UserId ia =
                     w * 64 + static_cast<uint32_t>(std::countr_zero(word));
-                local.push_back(MatchedPair{ib, ia});
+                slot.edges.push_back(MatchedPair{ib, ia});
                 word &= word - 1;
               }
             }
@@ -160,27 +149,14 @@ JoinResult ExBaselineJoin(const Community& b, const Community& a,
             if (options.event_log != nullptr) {
               options.event_log->Add(event, ib, ia);
             }
-            if (event == Event::kMatch) local.push_back(MatchedPair{ib, ia});
+            if (event == Event::kMatch) {
+              slot.edges.push_back(MatchedPair{ib, ia});
+            }
           }
         }
-      },
-      options.pool);
+      });
 
-  // Chunk-order merge into per-thread scratch: byte-identical to the
-  // serial run, no allocation after the first join warms the capacity.
-  std::vector<MatchedPair>& candidates = internal::GetJoinScratch().candidates;
-  candidates.clear();
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    result.stats.Merge(slots[chunk].stats);
-    candidates.insert(candidates.end(), slots[chunk].edges.begin(),
-                      slots[chunk].edges.end());
-  }
-
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+  internal::MatchCandidates(candidates, options.matcher, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

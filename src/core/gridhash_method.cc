@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "core/epsilon_predicate.h"
+#include "core/join_scratch.h"
 #include "ego/dimension_reorder.h"
 #include "ego/integer_grid.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -132,11 +132,7 @@ JoinResult ExGridHashJoin(const Community& b, const Community& a,
     });
   }
 
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+  internal::MatchCandidates(candidates, options.matcher, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

@@ -12,9 +12,7 @@
 #include "ego/dimension_reorder.h"
 #include "ego/ego_join.h"
 #include "ego/integer_grid.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
@@ -70,10 +68,7 @@ HybridPrepared PrepareHybrid(const Community& b, const Community& a,
   std::shared_ptr<const std::vector<Dim>> cached_order;
   std::vector<Dim> local_order;
   const std::vector<Dim>* order;
-  if (!options.superego_reorder_dims) {
-    local_order = ego::IdentityOrder(b.d());
-    order = &local_order;
-  } else if (options.cache != nullptr) {
+  if (options.cache != nullptr) {
     // Reuse the couple's cached reorder; the digests also carry the max
     // counters, sparing the two MaxCounter passes.
     const CommunityDigest digest_b = DigestCommunity(b);
@@ -99,10 +94,8 @@ HybridPrepared PrepareHybrid(const Community& b, const Community& a,
   HybridPrepared prep{std::move(grid_b), std::move(grid_a),
                       std::move(tree_b), std::move(tree_a),
                       /*parts=*/0,       {}, {}, {}, {}, {}, {}, {}};
-  if (options.batch_verify) {
-    prep.window_a.Assign(prep.a.size(), b.d(),
-                         [&](uint32_t row) { return prep.a.Row(row); });
-  }
+  prep.window_a.Assign(prep.a.size(), b.d(),
+                       [&](uint32_t row) { return prep.a.Row(row); });
 
   if (options.hybrid_encoded_leaf) {
     const Encoder encoder(b.d(), options.eps, options.encoding_parts);
@@ -164,8 +157,7 @@ JoinResult ApMinMaxEgoJoin(const Community& b, const Community& a,
   ego::EgoJoin(
       prep.tree_b, prep.tree_a,
       [&](uint32_t b_lo, uint32_t b_hi, uint32_t a_lo, uint32_t a_hi) {
-        const bool batched =
-            options.batch_verify && a_hi - a_lo >= kEpsilonBlock;
+        const bool batched = a_hi - a_lo >= kEpsilonBlock;
         for (uint32_t rb = b_lo; rb < b_hi; ++rb) {
           if (matched_b[rb]) continue;
           const std::span<const Count> vb = prep.b.Row(rb);
@@ -213,61 +205,39 @@ JoinResult ExMinMaxEgoJoin(const Community& b, const Community& a,
   ego::EgoStats ego_stats;
   const std::vector<internal::LeafTask> tasks =
       internal::CollectLeafTasks(prep.tree_b, prep.tree_a, &ego_stats);
-  const uint32_t threads = std::max<uint32_t>(options.join_threads, 1);
-  const auto num_tasks = static_cast<uint32_t>(tasks.size());
-  const uint32_t chunks = util::ParallelChunks(0, num_tasks, threads);
-  const std::span<internal::ChunkSlot> slots =
-      internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
-  util::ParallelFor(
-      0, num_tasks, threads,
-      [&](uint32_t task_begin, uint32_t task_end, uint32_t chunk) {
-        std::vector<MatchedPair>& local = slots[chunk].edges;
-        JoinStats& stats = slots[chunk].stats;
+  const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
+      static_cast<uint32_t>(tasks.size()), options, &result.stats,
+      [&](uint32_t task_begin, uint32_t task_end, internal::ChunkSlot& slot) {
         // The encoded filter punches holes in the run, so the lazy
         // chunked verifier (which only spends kernel lanes on queried
         // regions) fits better than a full-run mask here.
         LazyBatchVerifier<Count, Epsilon> verifier;
         for (uint32_t t = task_begin; t < task_end; ++t) {
           const internal::LeafTask& task = tasks[t];
-          const bool batched = options.batch_verify &&
-                               task.a_hi - task.a_lo >= kEpsilonBlock;
+          const bool batched = task.a_hi - task.a_lo >= kEpsilonBlock;
           for (uint32_t rb = task.b_lo; rb < task.b_hi; ++rb) {
             const std::span<const Count> vb = prep.b.Row(rb);
             if (batched) verifier.Start(prep.window_a, vb, eps, task.a_hi);
             for (uint32_t ra = task.a_lo; ra < task.a_hi; ++ra) {
               if (use_filter && !prep.EncodedFilterPasses(rb, ra)) {
-                stats.Count(Event::kNoOverlap);
+                slot.stats.Count(Event::kNoOverlap);
                 continue;
               }
               const bool match = batched
                                      ? verifier.Matches(ra)
                                      : EpsilonMatches(vb, prep.a.Row(ra), eps);
-              stats.Count(match ? Event::kMatch : Event::kNoMatch);
+              slot.stats.Count(match ? Event::kMatch : Event::kNoMatch);
               if (match) {
-                local.push_back(MatchedPair{prep.b.ids[rb], prep.a.ids[ra]});
+                slot.edges.push_back(
+                    MatchedPair{prep.b.ids[rb], prep.a.ids[ra]});
               }
             }
           }
         }
-      },
-      options.pool);
-
-  // Chunk-order merge into per-thread scratch (serial-identical, and the
-  // buffer's capacity survives across joins).
-  std::vector<MatchedPair>& candidates = internal::GetJoinScratch().candidates;
-  candidates.clear();
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    result.stats.Merge(slots[chunk].stats);
-    candidates.insert(candidates.end(), slots[chunk].edges.begin(),
-                      slots[chunk].edges.end());
-  }
+      });
 
   result.stats.min_prunes = ego_stats.strategy_prunes;
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+  internal::MatchCandidates(candidates, options.matcher, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

@@ -34,9 +34,6 @@ struct JoinOptions {
   /// joined with the nested loop.
   uint32_t superego_threshold = 256;
 
-  /// Enable SuperEGO's data-driven dimension reordering.
-  bool superego_reorder_dims = true;
-
   /// Normalization denominator for SuperEGO (the paper divides by the
   /// dataset-wide maximum counter: 152,532 for VK, 500,000 for Synthetic).
   /// 0 means "use the couple's own maximum counter".
@@ -84,10 +81,11 @@ struct JoinOptions {
   /// both through NestedJoinThreads.
   uint32_t matching_threads = 1;
 
-  /// Pool the intra-join chunks and deferred segment matchings run on;
-  /// null = ThreadPool::Global(). Injection seam for tests and embedders
-  /// (a join called from inside a pool task degrades to an inline loop
-  /// either way, so nesting under pipeline_threads never oversubscribes).
+  /// Pool the intra-join chunks and deferred segment matchings run on
+  /// (and, in the screening pipeline, its couples); null =
+  /// ThreadPool::Global(). Injection seam for tests and embedders (a join
+  /// called from inside a pool task degrades to an inline loop either
+  /// way, so nesting under pipeline_threads never oversubscribes).
   util::ThreadPool* pool = nullptr;
 
   /// Optional community-level encoded-buffer cache. When set, the methods
@@ -98,14 +96,13 @@ struct JoinOptions {
   /// hybrid/GridHash grids are couple-shaped and stay uncached.
   EncodingCache* cache = nullptr;
 
-  /// Use the 1-vs-many batched verify kernel (EpsilonMatchesMany) on
-  /// candidate runs of >= kEpsilonBlock instead of per-pair
-  /// EpsilonMatches calls. Verdicts are identical; this only changes how
-  /// the d-dimensional compares are scheduled. Exposed as a switch so the
-  /// tests and benches can difference the two paths.
-  bool batch_verify = true;
-
-  /// Optional event recorder (MinMax/Baseline only); null on the fast path.
+  /// Optional event recorder (MinMax/Baseline only); null on the fast
+  /// path. A traced exact join scans serially in one chunk and verifies
+  /// pair by pair; its pairs and counters equal the untraced run's at any
+  /// join_threads / matching_threads (the scan differential test). The
+  /// untraced scans use the 1-vs-many batched verify kernel on candidate
+  /// runs of >= kEpsilonBlock and per-pair EpsilonMatches below that;
+  /// verdicts are identical either way.
   EventLog* event_log = nullptr;
 };
 

@@ -1,13 +1,17 @@
 #ifndef CSJ_CORE_JOIN_SCRATCH_H_
 #define CSJ_CORE_JOIN_SCRATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/epsilon_predicate.h"
+#include "core/join_options.h"
 #include "core/join_result.h"
 #include "matching/matcher.h"
+#include "util/parallel.h"
+#include "util/timer.h"
 
 namespace csj {
 namespace internal {
@@ -112,6 +116,52 @@ struct JoinScratch {
 inline JoinScratch& GetJoinScratch() {
   thread_local JoinScratch scratch;
   return scratch;
+}
+
+/// The chunked candidate collection of the single-segment exact methods
+/// (Ex-Baseline over B's rows, Ex-SuperEGO and Ex-MinMaxEGO over their
+/// surviving EGO leaves): runs `scan(begin, end, slot)` over [0, n) in
+/// `options.join_threads` contiguous chunks on `options.pool` (one chunk
+/// when tracing), each chunk filling its own ChunkSlot, then merges the
+/// slots in chunk order — counters into `stats`, edges into the calling
+/// thread's `candidates` scratch, which it returns. Byte-identical to one
+/// serial scan for any thread count.
+template <typename Scan>
+const std::vector<MatchedPair>& CollectCandidates(uint32_t n,
+                                                  const JoinOptions& options,
+                                                  JoinStats* stats,
+                                                  Scan&& scan) {
+  const uint32_t threads = options.event_log != nullptr
+                               ? 1
+                               : std::max<uint32_t>(options.join_threads, 1);
+  JoinScratch& scratch = GetJoinScratch();
+  const uint32_t chunks = util::ParallelChunks(0, n, threads);
+  const std::span<ChunkSlot> slots = scratch.chunk_arenas.Acquire(chunks);
+  util::ParallelFor(
+      0, n, threads,
+      [&](uint32_t begin, uint32_t end, uint32_t chunk) {
+        scan(begin, end, slots[chunk]);
+      },
+      options.pool);
+  std::vector<MatchedPair>& candidates = scratch.candidates;
+  candidates.clear();
+  for (const ChunkSlot& slot : slots) {
+    stats->Merge(slot.stats);
+    candidates.insert(candidates.end(), slot.edges.begin(), slot.edges.end());
+  }
+  return candidates;
+}
+
+/// The single-segment exact methods' tail: one matcher call over every
+/// candidate edge, counted as one flush.
+inline void MatchCandidates(const std::vector<MatchedPair>& candidates,
+                            matching::MatcherKind matcher,
+                            JoinResult* result) {
+  result->stats.candidate_pairs = candidates.size();
+  result->stats.csf_flushes = 1;
+  util::Timer match_timer;
+  result->pairs = matching::RunMatcher(matcher, candidates);
+  result->stats.matching_seconds = match_timer.Seconds();
 }
 
 }  // namespace internal

@@ -160,7 +160,7 @@ void PrescreenCandidates(const EncodedA& encd_a, uint64_t id,
   stats->no_overlaps += no_overlaps;
 }
 
-// ---- Intra-join parallel Ex-MinMax scan ------------------------------
+// ---- Untraced Ex-MinMax scan ----------------------------------------
 //
 // The exact scan is sequential on the surface (the skippable-prefix
 // offset and the open CSF segment both thread through the probe loop),
@@ -171,7 +171,7 @@ void PrescreenCandidates(const EncodedA& encd_a, uint64_t id,
 //    R(x) = UpperBound(x). (Induction over the serial loop: entries are
 //    only prefix-skipped once their encoded_max drops below some probe
 //    id, probe ids are non-decreasing, and both F and R are monotone in
-//    the id.) A chunk starting at ib therefore recomputes its entry
+//    the id.) A scan starting at ib therefore recomputes its entry
 //    offset locally with one bounded scan — no cross-chunk handoff.
 //
 //  * Segment boundaries depend only on the matched-edge stream: between
@@ -181,23 +181,26 @@ void PrescreenCandidates(const EncodedA& encd_a, uint64_t id,
 //    segment partition (same CSF calls, same flush count, same pair
 //    order) from the concatenated edges alone.
 //
-// Hence: chunks scan disjoint probe ranges of B, counting events and
-// collecting candidate edges into per-chunk arenas; the merge
-// concatenates arenas in chunk order, sums the counters, and replays the
-// segment-close rule. Byte-identical to the serial run for any
-// join_threads (asserted per method and thread count by the tests).
+// Hence one scan body serves both runs: the serial join feeds its edges
+// straight into the open segment and closes segments after each probe,
+// while join_threads chunks scan disjoint probe ranges of B into
+// per-chunk arenas that the merge concatenates in chunk order, summing
+// the counters and replaying the segment-close rule. Byte-identical to
+// the serial run for any join_threads (asserted per method and thread
+// count by the tests).
 
-/// One chunk of the parallel Ex-MinMax scan over probes
-/// [b_begin, b_end). Edges are emitted as SORTED-BUFFER index pairs
-/// (ib, ia) — the merge needs encoded ids and maxes, which the indices
-/// reach without a second lookup structure.
-void ScanExMinMaxChunk(const Community& b, const Community& a,
-                       const EncodedB& encd_b, const EncodedA& encd_a,
-                       const JoinOptions& options, uint32_t b_begin,
-                       uint32_t b_end, internal::ChunkSlot* slot) {
+/// Scans probes [b_begin, b_end) of B: prescreens each probe's reachable
+/// run branch-free, then verifies only the survivors. `edge(ib, real_b,
+/// ia)` receives each verified candidate edge as sorted-buffer indices
+/// (plus B's original id, already loaded for the verify);
+/// `after_probe(ib)` runs once each probe's candidates are done.
+template <typename Edge, typename AfterProbe>
+void ScanExMinMax(const Community& b, const Community& a,
+                  const EncodedB& encd_b, const EncodedA& encd_a,
+                  Epsilon eps, uint32_t b_begin, uint32_t b_end,
+                  JoinStats* stats, Edge&& edge, AfterProbe&& after_probe) {
   const uint32_t na = encd_a.size();
   const uint64_t* maxs = encd_a.encoded_maxs();
-  JoinStats& stats = slot->stats;
 
   uint32_t offset = 0;
   if (b_begin > 0) {
@@ -218,29 +221,35 @@ void ScanExMinMaxChunk(const Community& b, const Community& a,
     const UserId real_b = encd_b.real_id(ib);
     const std::span<const Count> vb = b.User(real_b);
     const uint32_t reach = encd_a.UpperBound(id);
+    // The skippable prefix: entries whose encoded_max every later
+    // (larger-id) probe also exceeds. Same rule as the traced loop's
+    // `skip`.
     uint32_t advanced = offset;
     while (advanced < reach && id > maxs[advanced]) ++advanced;
-    stats.max_prunes += advanced - offset;
+    stats->max_prunes += advanced - offset;
     offset = advanced;
 
     survivors.clear();
     PrescreenCandidates(encd_a, id, encd_b.part_sums(ib), offset, reach,
-                        &stats, &survivors);
-    const bool batched = options.batch_verify && reach > offset &&
-                         reach - offset >= kEpsilonBlock;
-    if (batched) verifier.Start(encd_a.window(), vb, options.eps, reach);
+                        stats, &survivors);
+    // Batch the d-dimensional compares over the reachable run when it is
+    // at least one block wide, else the per-pair kernel is cheaper than
+    // the lane waste.
+    const bool batched = reach > offset && reach - offset >= kEpsilonBlock;
+    if (batched) verifier.Start(encd_a.window(), vb, eps, reach);
     for (const uint32_t ia : survivors) {
-      const bool match = batched ? verifier.Matches(ia)
-                                 : EpsilonMatches(vb, a.User(encd_a.real_id(ia)),
-                                                  options.eps);
+      const bool match =
+          batched ? verifier.Matches(ia)
+                  : EpsilonMatches(vb, a.User(encd_a.real_id(ia)), eps);
       if (match) {
-        stats.Count(Event::kMatch);
-        slot->edges.push_back(MatchedPair{ib, ia});
+        stats->Count(Event::kMatch);
+        edge(ib, real_b, ia);
       } else {
-        stats.Count(Event::kNoMatch);
+        stats->Count(Event::kNoMatch);
       }
     }
-    if (reach < na) stats.Count(Event::kMinPrune);
+    if (reach < na) stats->Count(Event::kMinPrune);
+    after_probe(ib);
   }
 }
 
@@ -332,8 +341,7 @@ JoinResult ApMinMaxJoin(const Community& b, const Community& a,
     // d-dimensional compares over that run when it is at least one block
     // wide, else the per-pair kernel is cheaper than the lane waste.
     const uint32_t reach = encd_a.UpperBound(id);
-    const bool batched = options.batch_verify && reach > offset &&
-                         reach - offset >= kEpsilonBlock;
+    const bool batched = reach > offset && reach - offset >= kEpsilonBlock;
     if (batched) verifier.Start(encd_a.window(), vb, options.eps, reach);
     bool skip = true;
     for (uint32_t ia = offset; ia < na; ++ia) {
@@ -443,159 +451,106 @@ JoinResult ExMinMaxJoin(const Community& b, const Community& a,
     result.stats.matching_seconds += match_timer.Seconds();
   };
 
-  const uint32_t threads = options.event_log != nullptr
-                               ? 1
-                               : std::max<uint32_t>(options.join_threads, 1);
-  if (threads > 1 && nb > 1) {
-    // Intra-join parallel scan: chunks of B's probes fill per-chunk
-    // arenas (on the pool), then the calling thread merges in chunk
-    // order — counters sum, and the segment-close rule is replayed over
-    // the concatenated edge stream so the CSF segments (hence pairs and
-    // flush count) are byte-identical to the serial scan below.
-    internal::JoinScratch& scratch = internal::GetJoinScratch();
-    const uint32_t chunks = util::ParallelChunks(0, nb, threads);
-    const std::span<internal::ChunkSlot> slots =
-        scratch.chunk_arenas.Acquire(chunks);
-    util::ParallelFor(
-        0, nb, threads,
-        [&](uint32_t lo, uint32_t hi, uint32_t chunk) {
-          ScanExMinMaxChunk(b, a, encd_b, encd_a, options, lo, hi,
-                            &slots[chunk]);
-        },
-        options.pool);
+  // Adds one candidate edge (A as a sorted-buffer index) to the open
+  // segment and widens maxV.
+  auto add_edge = [&](UserId real_b, uint32_t ia) {
+    segment.push_back(MatchedPair{real_b, encd_a.real_id(ia)});
+    if (encd_a.encoded_max(ia) > max_v) max_v = encd_a.encoded_max(ia);
+  };
 
-    uint64_t last_ib = UINT64_MAX;  // no valid probe index
-    for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-      result.stats.Merge(slots[chunk].stats);
-      for (const MatchedPair& edge : slots[chunk].edges) {
-        const uint32_t ib = edge.b;  // sorted-buffer indices, not real ids
-        const uint32_t ia = edge.a;
-        if (!segment.empty() && ib != last_ib &&
-            encd_b.encoded_id(ib) > max_v) {
-          flush_segment();
-        }
-        segment.push_back(
-            MatchedPair{encd_b.real_id(ib), encd_a.real_id(ia)});
-        if (encd_a.encoded_max(ia) > max_v) max_v = encd_a.encoded_max(ia);
-        last_ib = ib;
-      }
-    }
-    flush_segment();
-    drain_farm();
-    result.stats.seconds = timer.Seconds();
-    return result;
-  }
+  // Segment-close check (Figure 3 performs it whether the scan ended by
+  // MIN PRUNE or by exhausting Encd_A): if the next b's encoded_id
+  // exceeds maxV, no later b can reach any matched a, and every
+  // collected b has finished its scan, so CSF is safe.
+  auto close_after = [&](uint32_t ib) {
+    const uint64_t next_id =
+        ib + 1 < nb ? encd_b.encoded_id(ib + 1) : UINT64_MAX;
+    if (next_id > max_v) flush_segment();
+  };
 
-  LazyBatchVerifier<Count, Epsilon> verifier;
-  uint32_t offset = 0;
-
-  if (options.event_log == nullptr) {
-    // Hot path: prescreen the whole reachable run branch-free, then
-    // verify only the survivors. Identical pairs and stats as the scalar
-    // loop below — that one is kept for traced runs, which need one event
-    // per candidate in scan order.
-    std::vector<uint32_t>& survivors = internal::GetJoinScratch().survivors;
-    const uint64_t* maxs = encd_a.encoded_maxs();
+  const uint32_t threads = std::max<uint32_t>(options.join_threads, 1);
+  if (options.event_log != nullptr) {
+    // The Figure 3 reference: one event per candidate in scan order, so
+    // no prescreen and no batched verify.
+    uint32_t offset = 0;
     for (uint32_t ib = 0; ib < nb; ++ib) {
       const uint64_t id = encd_b.encoded_id(ib);
       const UserId real_b = encd_b.real_id(ib);
       const std::span<const Count> vb = b.User(real_b);
       const uint32_t reach = encd_a.UpperBound(id);
-      // The skippable prefix: entries whose encoded_max every later
-      // (larger-id) probe also exceeds. Same rule as `skip` below.
-      uint32_t advanced = offset;
-      while (advanced < reach && id > maxs[advanced]) ++advanced;
-      result.stats.max_prunes += advanced - offset;
-      offset = advanced;
-
-      survivors.clear();
-      PrescreenCandidates(encd_a, id, encd_b.part_sums(ib), offset, reach,
-                          &result.stats, &survivors);
-      const bool batched = options.batch_verify && reach > offset &&
-                           reach - offset >= kEpsilonBlock;
-      if (batched) verifier.Start(encd_a.window(), vb, options.eps, reach);
-      for (const uint32_t ia : survivors) {
+      bool skip = true;
+      for (uint32_t ia = offset; ia < na; ++ia) {
         const UserId real_a = encd_a.real_id(ia);
-        const bool match = batched
-                               ? verifier.Matches(ia)
-                               : EpsilonMatches(vb, a.User(real_a),
-                                                options.eps);
-        if (match) {
-          result.stats.Count(Event::kMatch);
-          segment.push_back(MatchedPair{real_b, real_a});
-          if (encd_a.encoded_max(ia) > max_v) max_v = encd_a.encoded_max(ia);
-        } else {
-          result.stats.Count(Event::kNoMatch);
-        }
-      }
-      if (reach < na) result.stats.Count(Event::kMinPrune);
-
-      const uint64_t next_id =
-          ib + 1 < nb ? encd_b.encoded_id(ib + 1) : UINT64_MAX;
-      if (next_id > max_v) flush_segment();
-    }
-    flush_segment();
-    drain_farm();
-    result.stats.seconds = timer.Seconds();
-    return result;
-  }
-
-  for (uint32_t ib = 0; ib < nb; ++ib) {
-    const uint64_t id = encd_b.encoded_id(ib);
-    const UserId real_b = encd_b.real_id(ib);
-    const std::span<const Count> vb = b.User(real_b);
-    const uint32_t reach = encd_a.UpperBound(id);
-    const bool batched = options.batch_verify && reach > offset &&
-                         reach - offset >= kEpsilonBlock;
-    if (batched) verifier.Start(encd_a.window(), vb, options.eps, reach);
-    bool skip = true;
-    for (uint32_t ia = offset; ia < na; ++ia) {
-      const UserId real_a = encd_a.real_id(ia);
-      if (ia >= reach) {
-        // As in Ap-MinMax: equivalent to id < encoded_min(ia), minus the
-        // per-candidate mins_ load.
-        Emit(Event::kMinPrune, real_b, real_a, &result.stats,
-             options.event_log);
-        break;
-      }
-      if (id <= encd_a.encoded_max(ia)) {
-        skip = false;
-        if (!PartsOverlap(encd_b, ib, encd_a, ia)) {
-          Emit(Event::kNoOverlap, real_b, real_a, &result.stats,
+        if (ia >= reach) {
+          // As in Ap-MinMax: equivalent to id < encoded_min(ia), minus
+          // the per-candidate mins_ load.
+          Emit(Event::kMinPrune, real_b, real_a, &result.stats,
                options.event_log);
+          break;
+        }
+        if (id <= encd_a.encoded_max(ia)) {
+          skip = false;
+          if (!PartsOverlap(encd_b, ib, encd_a, ia)) {
+            Emit(Event::kNoOverlap, real_b, real_a, &result.stats,
+                 options.event_log);
+          } else if (EpsilonMatches(vb, a.User(real_a), options.eps)) {
+            Emit(Event::kMatch, real_b, real_a, &result.stats,
+                 options.event_log);
+            // Exact rule: keep scanning — b may match further A users.
+            add_edge(real_b, ia);
+          } else {
+            Emit(Event::kNoMatch, real_b, real_a, &result.stats,
+                 options.event_log);
+          }
           continue;
         }
-        const bool match =
-            batched ? verifier.Matches(ia)
-                    : EpsilonMatches(vb, a.User(real_a), options.eps);
-        if (match) {
-          Emit(Event::kMatch, real_b, real_a, &result.stats,
-               options.event_log);
-          segment.push_back(MatchedPair{real_b, real_a});
-          if (encd_a.encoded_max(ia) > max_v) max_v = encd_a.encoded_max(ia);
-          // Exact rule: keep scanning — b may match further A users.
-          continue;
-        }
-        Emit(Event::kNoMatch, real_b, real_a, &result.stats,
+        Emit(Event::kMaxPrune, real_b, real_a, &result.stats,
              options.event_log);
-        continue;
+        if (skip) offset = ia + 1;
       }
-      Emit(Event::kMaxPrune, real_b, real_a, &result.stats,
-           options.event_log);
-      if (skip) offset = ia + 1;
+      close_after(ib);
     }
+  } else if (threads > 1 && nb > 1) {
+    // Intra-join parallel scan: chunks of B's probes fill per-chunk
+    // arenas (on the pool) with sorted-buffer index pairs, then the
+    // calling thread merges in chunk order — counters sum, and the
+    // segment-close rule is replayed over the concatenated edge stream
+    // so the CSF segments (hence pairs and flush count) are
+    // byte-identical to the serial scan.
+    const uint32_t chunks = util::ParallelChunks(0, nb, threads);
+    const std::span<internal::ChunkSlot> slots =
+        internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
+    util::ParallelFor(
+        0, nb, threads,
+        [&](uint32_t lo, uint32_t hi, uint32_t chunk) {
+          std::vector<MatchedPair>& edges = slots[chunk].edges;
+          ScanExMinMax(
+              b, a, encd_b, encd_a, options.eps, lo, hi, &slots[chunk].stats,
+              [&edges](uint32_t ib, UserId, uint32_t ia) {
+                edges.push_back(MatchedPair{ib, ia});
+              },
+              [](uint32_t) {});
+        },
+        options.pool);
 
-    // Segment-close check (Figure 3 performs it whether the scan ended by
-    // MIN PRUNE or by exhausting Encd_A): if the next b's encoded_id
-    // exceeds maxV, no later b can reach any matched a, and every
-    // collected b has finished its scan, so CSF is safe.
-    const uint64_t next_id =
-        ib + 1 < nb ? encd_b.encoded_id(ib + 1) : UINT64_MAX;
-    if (next_id > max_v) flush_segment();
+    // A probe's own edges never close its segment: each edge's A entry
+    // has encoded_max >= the probe's id, so maxV already covers it.
+    for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
+      result.stats.Merge(slots[chunk].stats);
+      for (const MatchedPair& edge : slots[chunk].edges) {
+        const uint32_t ib = edge.b;  // sorted-buffer indices, not real ids
+        if (encd_b.encoded_id(ib) > max_v) flush_segment();
+        add_edge(encd_b.real_id(ib), edge.a);
+      }
+    }
+  } else {
+    ScanExMinMax(
+        b, a, encd_b, encd_a, options.eps, 0, nb, &result.stats,
+        [&](uint32_t, UserId real_b, uint32_t ia) { add_edge(real_b, ia); },
+        close_after);
   }
-  flush_segment();  // defensive: loop above already flushed at ib == nb-1
-  drain_farm();     // no-op here: event_log pins matching_threads to 1
-
+  flush_segment();  // the serial scans already flushed at ib == nb - 1
+  drain_farm();     // no-op unless matching_threads > 1
   result.stats.seconds = timer.Seconds();
   return result;
 }

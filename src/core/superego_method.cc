@@ -12,17 +12,15 @@
 #include "ego/dimension_reorder.h"
 #include "ego/ego_join.h"
 #include "ego/normalized.h"
-#include "matching/matcher.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace csj {
 
 namespace {
 
-/// Everything both SuperEGO variants share — normalization, optional
-/// dimension reorder, EGO sort, segment tree and the float verify window —
+/// Everything both SuperEGO variants share — normalization, dimension
+/// reorder, EGO sort, segment tree and the float verify window —
 /// per side, fetched from the cache (built once per community and
 /// parameter set) or built locally into the optionals.
 struct Prepared {
@@ -50,17 +48,9 @@ Prepared PrepareSuperEgo(const Community& b, const Community& a,
       max_count = std::max(digest_b.max_counter, digest_a.max_counter);
       if (max_count == 0) max_count = 1;  // all-zero data still normalizes
     }
-    std::shared_ptr<const std::vector<Dim>> order_ptr;
-    std::vector<Dim> identity;
-    const std::vector<Dim>* order;
-    if (options.superego_reorder_dims) {
-      order_ptr = options.cache->GetDimensionOrder(
-          b, a, digest_b, digest_a, options.eps, max_count, stats);
-      order = order_ptr.get();
-    } else {
-      identity = ego::IdentityOrder(b.d());
-      order = &identity;
-    }
+    const std::shared_ptr<const std::vector<Dim>> order =
+        options.cache->GetDimensionOrder(b, a, digest_b, digest_a,
+                                         options.eps, max_count, stats);
     const uint64_t order_hash = HashDimOrder(*order);
     prep.cached_b = options.cache->GetSuperEgoPrep(
         b, digest_b, options.eps, max_count, *order, order_hash, threshold,
@@ -78,9 +68,7 @@ Prepared PrepareSuperEgo(const Community& b, const Community& a,
     if (max_count == 0) max_count = 1;  // all-zero data still normalizes
   }
   const std::vector<Dim> order =
-      options.superego_reorder_dims
-          ? ego::ComputeDimensionOrder(b, a, options.eps, max_count)
-          : ego::IdentityOrder(b.d());
+      ego::ComputeDimensionOrder(b, a, options.eps, max_count);
   prep.local_b.emplace(
       BuildSuperEgoPrep(b, max_count, options.eps, order, threshold));
   prep.local_a.emplace(
@@ -124,8 +112,7 @@ JoinResult ApSuperEgoJoin(const Community& b, const Community& a,
   ego::EgoJoin(
       prep.b->tree, prep.a->tree,
       [&](uint32_t b_lo, uint32_t b_hi, uint32_t a_lo, uint32_t a_hi) {
-        const bool batched =
-            options.batch_verify && a_hi - a_lo >= kEpsilonBlock;
+        const bool batched = a_hi - a_lo >= kEpsilonBlock;
         for (uint32_t rb = b_lo; rb < b_hi; ++rb) {
           if (matched_b[rb]) continue;
           const std::span<const float> vb = data_b.Row(rb);
@@ -172,23 +159,18 @@ JoinResult ExSuperEgoJoin(const Community& b, const Community& a,
   // results for any thread count).
   const std::vector<internal::LeafTask> tasks =
       internal::CollectLeafTasks(prep.b->tree, prep.a->tree, &ego_stats);
-  const uint32_t threads = std::max<uint32_t>(options.join_threads, 1);
-  const auto num_tasks = static_cast<uint32_t>(tasks.size());
-  const uint32_t chunks = util::ParallelChunks(0, num_tasks, threads);
-  const std::span<internal::ChunkSlot> slots =
-      internal::GetJoinScratch().chunk_arenas.Acquire(chunks);
-  util::ParallelFor(
-      0, num_tasks, threads,
-      [&](uint32_t task_begin, uint32_t task_end, uint32_t chunk) {
-        std::vector<MatchedPair>& local = slots[chunk].edges;
-        JoinStats& stats = slots[chunk].stats;
+  const std::vector<MatchedPair>& candidates = internal::CollectCandidates(
+      static_cast<uint32_t>(tasks.size()), options, &result.stats,
+      [&](uint32_t task_begin, uint32_t task_end, internal::ChunkSlot& slot) {
+        std::vector<MatchedPair>& local = slot.edges;
+        JoinStats& stats = slot.stats;
         // Worker-thread scratch: leaves are at most `threshold` rows, so a
         // handful of mask words cover any run.
         std::vector<uint64_t>& mask = internal::GetJoinScratch().mask;
         for (uint32_t t = task_begin; t < task_end; ++t) {
           const internal::LeafTask& task = tasks[t];
           const uint32_t run = task.a_hi - task.a_lo;
-          if (options.batch_verify && run >= kEpsilonBlock) {
+          if (run >= kEpsilonBlock) {
             // Exact leaves want every verdict of the run, so each b row is
             // one kernel call; the survivor bitmask is walked in ascending
             // ra order (identical pair order) and the event tallies
@@ -230,25 +212,10 @@ JoinResult ExSuperEgoJoin(const Community& b, const Community& a,
             }
           }
         }
-      },
-      options.pool);
-
-  // Chunk-order merge into per-thread scratch (serial-identical, and the
-  // buffer's capacity survives across joins).
-  std::vector<MatchedPair>& candidates = internal::GetJoinScratch().candidates;
-  candidates.clear();
-  for (uint32_t chunk = 0; chunk < chunks; ++chunk) {
-    result.stats.Merge(slots[chunk].stats);
-    candidates.insert(candidates.end(), slots[chunk].edges.begin(),
-                      slots[chunk].edges.end());
-  }
+      });
 
   FoldEgoStats(ego_stats, &result.stats);
-  result.stats.candidate_pairs = candidates.size();
-  result.stats.csf_flushes = 1;  // one matcher call after the recursion
-  util::Timer match_timer;
-  result.pairs = matching::RunMatcher(options.matcher, candidates);
-  result.stats.matching_seconds = match_timer.Seconds();
+  internal::MatchCandidates(candidates, options.matcher, &result);
   result.stats.seconds = timer.Seconds();
   return result;
 }

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/encoding_cache.h"
 #include "util/logging.h"
 
 namespace csj::evolve {
@@ -53,7 +52,6 @@ TopKMaintainer::QueryId TopKMaintainer::Register(
   state->community = std::move(query);
   state->topk = topk;
   state->topk.k = std::max(state->topk.k, 1u);
-  state->fingerprint = DigestCommunity(*state->community).fingerprint;
   std::lock_guard lock(registry_mu_);
   queries_.push_back(std::move(state));
   return static_cast<QueryId>(queries_.size() - 1);
@@ -71,10 +69,6 @@ TopKMaintainer::RefreshOutcome TopKMaintainer::Refresh(QueryId query) {
   std::optional<TriggerEvent> trigger;
   {
     std::lock_guard lock(state->mu);
-    // Stability probe, same shape as the server's result-cache path:
-    // f1 before ANY catalog read, s2 after the last one.
-    const uint64_t f1 = catalog_->mutations_finished();
-
     const uint64_t prior_cursor = state->cursor;
     bool fast = options_.allow_fast_path && state->has_baseline;
     std::vector<service::MutationRecord> records;
@@ -196,8 +190,6 @@ TopKMaintainer::RefreshOutcome TopKMaintainer::Refresh(QueryId query) {
       fast_paths_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    const uint64_t s2 = catalog_->mutations_started();
-    outcome.stable = (f1 == s2);
     outcome.records_consumed =
         static_cast<uint32_t>(next_cursor - prior_cursor);
     outcome.changed = state->has_baseline && !SameRanking(state->ranking, next);
@@ -222,10 +214,6 @@ TopKMaintainer::RefreshOutcome TopKMaintainer::Refresh(QueryId query) {
     reprobe_skipped_.fetch_add(outcome.reprobe_skipped,
                                std::memory_order_relaxed);
     if (outcome.changed) triggers_.fetch_add(1, std::memory_order_relaxed);
-
-    if (outcome.stable && options_.result_cache != nullptr) {
-      PublishToCache(*state, f1);
-    }
   }
 
   if (trigger.has_value()) {
@@ -280,22 +268,6 @@ void TopKMaintainer::Subscribe(
   callbacks_.push_back(std::move(callback));
 }
 
-void TopKMaintainer::PublishToCache(const QueryState& state, uint64_t tag) {
-  service::ResultCacheKey key;
-  key.state_version = tag;
-  key.query_fingerprint = state.fingerprint;
-  key.k = state.topk.k;
-  key.eps = state.topk.join.eps;
-  key.method = static_cast<uint16_t>(state.topk.method);
-  key.prescreen = state.topk.prescreen ? 1 : 0;
-  key.use_bound_cutoff = state.topk.use_bound_cutoff ? 1 : 0;
-  key.prescreen_threshold = state.topk.prescreen_threshold;
-  options_.result_cache->Insert(
-      key, std::make_shared<const std::vector<service::TopKEntry>>(
-               state.ranking));
-  cache_publishes_.fetch_add(1, std::memory_order_relaxed);
-}
-
 TopKMaintainer::Stats TopKMaintainer::GetStats() const {
   Stats stats;
   stats.refreshes = refreshes_.load(std::memory_order_relaxed);
@@ -305,7 +277,6 @@ TopKMaintainer::Stats TopKMaintainer::GetStats() const {
   stats.reprobed_joins = reprobed_joins_.load(std::memory_order_relaxed);
   stats.reprobe_skipped = reprobe_skipped_.load(std::memory_order_relaxed);
   stats.triggers = triggers_.load(std::memory_order_relaxed);
-  stats.cache_publishes = cache_publishes_.load(std::memory_order_relaxed);
   return stats;
 }
 

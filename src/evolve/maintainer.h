@@ -10,7 +10,6 @@
 
 #include "core/community.h"
 #include "service/catalog.h"
-#include "service/result_cache.h"
 #include "service/topk.h"
 
 namespace csj::evolve {
@@ -66,13 +65,6 @@ class TopKMaintainer {
   struct Options {
     /// Engine for baseline/fallback recomputes (not owned). Required.
     const service::TopKSimilarService* service = nullptr;
-    /// Optional serving-layer result cache to publish maintained
-    /// rankings into (not owned). A refresh that PROVES clock stability
-    /// (catalog mutations_finished before == mutations_started after)
-    /// inserts its ranking under that stable tag, so the next serving
-    /// lookup of the same query is a hit without recomputing — the
-    /// maintainer keeps the hot-query cache warm across churn.
-    service::TopKResultCache* result_cache = nullptr;
     /// false pins every refresh to the full-recompute path (the
     /// cost-comparison arm of csj_evolve).
     bool allow_fast_path = true;
@@ -92,7 +84,6 @@ class TopKMaintainer {
   struct RefreshOutcome {
     bool changed = false;    ///< the (id, similarity) ranking moved
     bool fast_path = false;  ///< maintained incrementally, no recompute
-    bool stable = false;     ///< clock-stable (tag named one state)
     uint32_t records_consumed = 0;  ///< mutation-log records advanced over
     uint32_t reprobed = 0;          ///< exact joins on the fast path
     uint32_t reprobe_skipped = 0;   ///< newcomers pruned by the cutoff seed
@@ -122,7 +113,6 @@ class TopKMaintainer {
     uint64_t reprobed_joins = 0;
     uint64_t reprobe_skipped = 0;
     uint64_t triggers = 0;
-    uint64_t cache_publishes = 0;
   };
   Stats GetStats() const;
 
@@ -131,15 +121,12 @@ class TopKMaintainer {
     mutable std::mutex mu;
     std::shared_ptr<const Community> community;
     service::TopKOptions topk;
-    uint64_t fingerprint = 0;  ///< content identity, for cache publishes
     bool has_baseline = false;
     uint64_t cursor = 0;  ///< last mutation-log seq folded into `ranking`
     std::vector<service::TopKEntry> ranking;
     uint64_t refreshes = 0;
     uint64_t triggers = 0;
   };
-
-  void PublishToCache(const QueryState& state, uint64_t tag);
 
   const service::CommunityCatalog* catalog_;
   Options options_;
@@ -153,7 +140,6 @@ class TopKMaintainer {
   std::atomic<uint64_t> reprobed_joins_{0};
   std::atomic<uint64_t> reprobe_skipped_{0};
   std::atomic<uint64_t> triggers_{0};
-  std::atomic<uint64_t> cache_publishes_{0};
 };
 
 }  // namespace csj::evolve

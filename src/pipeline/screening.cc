@@ -54,8 +54,8 @@ std::vector<uint32_t> MostExpensiveFirstOrder(
 }
 
 /// Runs body(order[k]) for every k — serially in that order when
-/// pipeline_threads <= 1, else on the persistent pool with work items
-/// claimed dynamically in `order`'s sequence.
+/// pipeline_threads <= 1, else on `options.join.pool` (already resolved)
+/// with work items claimed dynamically in `order`'s sequence.
 void RunCoupleTasks(const PipelineOptions& options,
                     const std::vector<uint32_t>& order,
                     const std::function<void(uint32_t)>& body) {
@@ -63,10 +63,9 @@ void RunCoupleTasks(const PipelineOptions& options,
     for (const uint32_t index : order) body(index);
     return;
   }
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::ThreadPool::Global();
-  pool.Run(static_cast<uint32_t>(order.size()),
-           [&](uint32_t k) { body(order[k]); }, options.pipeline_threads);
+  options.join.pool->Run(static_cast<uint32_t>(order.size()),
+                         [&](uint32_t k) { body(order[k]); },
+                         options.pipeline_threads);
 }
 
 /// Screens one ordered couple (after the optional upper-bound gate).
@@ -182,20 +181,15 @@ PipelineReport ScreenRefineCouples(std::vector<CoupleTask> tasks,
   PipelineReport report;
   const auto num_tasks = static_cast<uint32_t>(tasks.size());
 
-  // The pipeline-level cache reaches every join through the join options;
-  // an explicitly set join.cache wins. The pool flows the same way so the
-  // intra-join chunks run on the pipeline's (possibly injected) pool.
-  PipelineOptions options = input_options;
-  if (options.cache != nullptr && options.join.cache == nullptr) {
-    options.join.cache = options.cache;
-  }
-  if (options.join.pool == nullptr) options.join.pool = options.pool;
+  // The couples and each join's chunks and segment tasks share one pool.
   // The nesting budget: with min(pipeline_threads, couples) couples in
-  // flight, each join gets its fair share of the pool. Changes only how
-  // finely a join chunks, never its result.
-  const uint32_t pool_threads =
-      (options.pool != nullptr ? *options.pool : util::ThreadPool::Global())
-          .threads();
+  // flight, each join gets its fair share of it. Changes only how finely
+  // a join chunks, never its result.
+  PipelineOptions options = input_options;
+  if (options.join.pool == nullptr) {
+    options.join.pool = &util::ThreadPool::Global();
+  }
+  const uint32_t pool_threads = options.join.pool->threads();
   options.join.join_threads =
       NestedJoinThreads(options.join.join_threads, options.pipeline_threads,
                         pool_threads, num_tasks);

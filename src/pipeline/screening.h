@@ -10,10 +10,6 @@
 #include "core/join_options.h"
 #include "core/method.h"
 
-namespace csj::util {
-class ThreadPool;
-}  // namespace csj::util
-
 namespace csj::pipeline {
 
 /// The paper's two-phase usage of CSJ (§3): "the usage of approximate
@@ -58,17 +54,13 @@ struct PipelineOptions {
   /// budget so couples × chunks never outgrows the pool.
   uint32_t pipeline_threads = 1;
 
-  /// Pool override for tests/embedders; null = ThreadPool::Global().
-  util::ThreadPool* pool = nullptr;
-
-  /// Optional encoding cache shared by both phases (and, when the caller
-  /// keeps one across runs, by successive pipeline runs): each community's
-  /// encoded buffers are built once per parameter set instead of once per
-  /// couple. Injected into the join options of every couple unless
-  /// `join.cache` is already set. Not owned; must outlive the run.
-  EncodingCache* cache = nullptr;
-
-  /// Join parameters shared by both phases.
+  /// Join parameters shared by both phases. `join.pool` (null =
+  /// ThreadPool::Global()) runs the couples as well as each join's
+  /// chunks and segment tasks. `join.cache`, when set, is shared by both
+  /// phases (and, when the caller keeps it across runs, by successive
+  /// pipeline runs): each community's encoded buffers are built once per
+  /// parameter set instead of once per couple. Not owned; both must
+  /// outlive the run.
   JoinOptions join;
 };
 

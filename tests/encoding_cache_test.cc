@@ -236,7 +236,7 @@ TEST(EncodingCachePipelineTest, CacheOnOffIdenticalForEveryMethodPairing) {
           pipeline::ScreenAndRefineAllPairs(pointers, options);
 
       EncodingCache cache;
-      options.cache = &cache;
+      options.join.cache = &cache;
       const pipeline::PipelineReport on =
           pipeline::ScreenAndRefineAllPairs(pointers, options);
 
@@ -268,7 +268,7 @@ TEST(EncodingCachePipelineTest, CacheTotalsDeterministicAcrossThreadCounts) {
   std::vector<pipeline::PipelineReport> reports;
   for (const uint32_t threads : {1u, 2u, 4u}) {
     EncodingCache cache;  // fresh cache per run: same build set every time
-    options.cache = &cache;
+    options.join.cache = &cache;
     options.pipeline_threads = threads;
     reports.push_back(pipeline::ScreenAndRefineAllPairs(pointers, options));
   }

@@ -4,9 +4,9 @@
 // per vector-block position, at eps = 0, and with counters saturating
 // near the top of the 32-bit range. Each case is checked at three layers:
 // the scalar kernel (EpsilonMatches), the batched SoA kernel
-// (EpsilonMatchesMany through a VerifyWindow), and full joins with
-// batch_verify both on and off — all against the straightforward
-// ChebyshevDistance oracle.
+// (EpsilonMatchesMany through a VerifyWindow), and full joins — all
+// against the straightforward ChebyshevDistance oracle, with the exact
+// scans' untraced runs also matching their traced, per-pair runs.
 
 #include <cstdint>
 #include <limits>
@@ -19,6 +19,7 @@
 #include "core/epsilon_predicate.h"
 #include "core/method.h"
 #include "matching/hopcroft_karp.h"
+#include "scan_differential.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
@@ -160,8 +161,8 @@ TEST(EpsilonBoundaryTest, BatchedWindowAgreesWithScalarOnMixedBlocks) {
 // ---------------------------------------------------------------------------
 // Full joins on boundary-engineered communities: every exact method with
 // kMaxMatching must agree with the brute-force oracle built from the
-// scalar predicate, with batch_verify on AND off producing byte-identical
-// pairs.
+// scalar predicate, and Ex-Baseline and Ex-MinMax must give their traced
+// run's pairs and counters at any join_threads x matching_threads.
 // ---------------------------------------------------------------------------
 
 std::vector<MatchedPair> BruteForceEdges(const Community& b,
@@ -209,15 +210,16 @@ TEST(EpsilonBoundaryTest, JoinsAgreeWithOracleOnBoundaryLattices) {
       for (const Method method :
            {Method::kExBaseline, Method::kExMinMax, Method::kExMinMaxEgo,
             Method::kExGridHash}) {
-        options.batch_verify = true;
-        const JoinResult batched = RunMethod(method, b, a, options);
-        options.batch_verify = false;
-        const JoinResult scalar = RunMethod(method, b, a, options);
-        EXPECT_EQ(batched.pairs.size(), oracle)
+        EXPECT_EQ(RunMethod(method, b, a, options).pairs.size(), oracle)
             << MethodName(method) << " d=" << d << " eps=" << eps;
-        EXPECT_EQ(batched.pairs, scalar.pairs)
-            << MethodName(method) << " batch_verify changed the result, d="
-            << d << " eps=" << eps;
+      }
+      for (const Method method : {Method::kExBaseline, Method::kExMinMax}) {
+        std::string trace = "d=";
+        trace += std::to_string(d);
+        trace += " eps=";
+        trace += std::to_string(eps);
+        SCOPED_TRACE(trace);
+        csj::testing::ExpectTracedEqualsUntraced(method, b, a, options);
       }
     }
   }

@@ -1,7 +1,7 @@
 // Tests for the 1-vs-many batched verify kernel (EpsilonMatchesMany), its
 // float twin, the SoA verify window and the LazyBatchVerifier adapter —
-// all validated against the scalar oracles — plus batch-on/off join
-// identity across every method.
+// all validated against the scalar oracles. The joins' batched verify is
+// checked against their traced, per-pair runs in scan_differential_test.
 
 #include <cstdint>
 #include <vector>
@@ -10,9 +10,6 @@
 
 #include "core/community.h"
 #include "core/epsilon_predicate.h"
-#include "core/join_options.h"
-#include "core/join_result.h"
-#include "core/method.h"
 #include "ego/normalized.h"
 #include "util/rng.h"
 
@@ -179,64 +176,6 @@ TEST(EpsilonManyFloatTest, MatchesFloatOracle) {
       const bool got = (mask[i / 64] >> (i % 64)) & 1u;
       ASSERT_EQ(got, expect) << "d=" << d << " i=" << i;
     }
-  }
-}
-
-/// Batch on/off must be invisible in the join OUTPUT: same pairs, same
-/// event counters, same candidate statistics — for every method.
-TEST(BatchVerifyIdentityTest, JoinResultsIdenticalAcrossAllMethods) {
-  util::Rng rng(90210);
-  const Dim d = 27;
-  Community b(d, "b");
-  Community a(d, "a");
-  std::vector<Count> row(d);
-  for (uint32_t u = 0; u < 140; ++u) {
-    for (Dim k = 0; k < d; ++k) row[k] = static_cast<Count>(rng.Below(5));
-    b.AddUser(row);
-  }
-  for (uint32_t u = 0; u < 200; ++u) {
-    for (Dim k = 0; k < d; ++k) row[k] = static_cast<Count>(rng.Below(5));
-    a.AddUser(row);
-  }
-
-  for (const Method method : kAllMethods) {
-    JoinOptions on;
-    on.eps = 1;
-    on.batch_verify = true;
-    JoinOptions off = on;
-    off.batch_verify = false;
-
-    const JoinResult result_on = RunMethod(method, b, a, on);
-    const JoinResult result_off = RunMethod(method, b, a, off);
-    ASSERT_EQ(result_on.pairs, result_off.pairs) << MethodName(method);
-    EXPECT_EQ(result_on.stats.matches, result_off.stats.matches)
-        << MethodName(method);
-    EXPECT_EQ(result_on.stats.no_matches, result_off.stats.no_matches)
-        << MethodName(method);
-    EXPECT_EQ(result_on.stats.dimension_compares,
-              result_off.stats.dimension_compares)
-        << MethodName(method);
-    EXPECT_EQ(result_on.stats.candidate_pairs,
-              result_off.stats.candidate_pairs)
-        << MethodName(method);
-    EXPECT_EQ(result_on.stats.min_prunes, result_off.stats.min_prunes)
-        << MethodName(method);
-    EXPECT_EQ(result_on.stats.no_overlaps, result_off.stats.no_overlaps)
-        << MethodName(method);
-  }
-  for (const Method method : kExtensionMethods) {
-    JoinOptions on;
-    on.eps = 1;
-    on.batch_verify = true;
-    JoinOptions off = on;
-    off.batch_verify = false;
-    const JoinResult result_on = RunMethod(method, b, a, on);
-    const JoinResult result_off = RunMethod(method, b, a, off);
-    ASSERT_EQ(result_on.pairs, result_off.pairs) << MethodName(method);
-    EXPECT_EQ(result_on.stats.matches, result_off.stats.matches)
-        << MethodName(method);
-    EXPECT_EQ(result_on.stats.no_matches, result_off.stats.no_matches)
-        << MethodName(method);
   }
 }
 

@@ -249,16 +249,16 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
   options.pipeline_threads = 1;
   options.join.join_threads = 1;
   EncodingCache serial_cache;
-  options.cache = &serial_cache;
+  options.join.cache = &serial_cache;
   const PipelineReport serial = ScreenAndRefineAllPairs(pointers, options);
   EXPECT_GT(serial.entries.size(), 0u);
 
   util::ThreadPool pool(4);
-  options.pool = &pool;
+  options.join.pool = &pool;
   for (const uint32_t pipeline_threads : {2u, 4u}) {
     for (const uint32_t join_threads : {2u, 8u}) {
       EncodingCache cache;
-      options.cache = &cache;
+      options.join.cache = &cache;
       options.pipeline_threads = pipeline_threads;
       options.join.join_threads = join_threads;
       ExpectReportsIdentical(serial,
@@ -273,7 +273,7 @@ TEST(JoinThreadsTest, NestedUnderPipelineThreadsIsDeterministic) {
   // report must not move a bit.
   for (const uint32_t matching_threads : {2u, 8u}) {
     EncodingCache cache;
-    options.cache = &cache;
+    options.join.cache = &cache;
     options.pipeline_threads = 4;
     options.join.join_threads = 2;
     options.join.matching_threads = matching_threads;

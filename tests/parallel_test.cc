@@ -236,7 +236,7 @@ TEST(ParallelPipelineTest, InjectedPoolMatchesGlobal) {
   const PipelineReport serial = ScreenAndRefineAllPairs(pointers, options);
 
   util::ThreadPool pool(3);
-  options.pool = &pool;
+  options.join.pool = &pool;
   options.pipeline_threads = 3;
   ExpectReportsIdentical(serial, ScreenAndRefineAllPairs(pointers, options),
                          3);

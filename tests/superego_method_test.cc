@@ -54,17 +54,6 @@ TEST(ExSuperEgoTest, MatchesExBaselineOnExactFloatGrid) {
   }
 }
 
-TEST(ExSuperEgoTest, ReorderingDoesNotChangeTheResultSize) {
-  const Community b = ExactFloatCommunity(100, 3);
-  const Community a = ExactFloatCommunity(100, 4);
-  JoinOptions options = ExactFloatOptions();
-  options.superego_reorder_dims = true;
-  const JoinResult with_reorder = ExSuperEgoJoin(b, a, options);
-  options.superego_reorder_dims = false;
-  const JoinResult without = ExSuperEgoJoin(b, a, options);
-  EXPECT_EQ(with_reorder.pairs.size(), without.pairs.size());
-}
-
 TEST(ApSuperEgoTest, NeverBeatsExactAndStaysValid) {
   const Community b = ExactFloatCommunity(100, 5);
   const Community a = ExactFloatCommunity(120, 6);

@@ -4,6 +4,8 @@
 # screening pipeline, the intra-join chunked scans (join_threads, incl.
 # nesting under pipeline_threads), the deferred segment-matching farm
 # (matching_threads; SegmentMatchFarm + the oracle-differential suite),
+# the exact scans against their traced reference (scan_differential_test
+# runs Ex-MinMax and Ex-Baseline chunked and farmed on a 4-worker pool),
 # the shared encoding cache (concurrent build dedup, shared-lock hit
 # path, eviction, Clear), and the serving subsystem (sharded catalog
 # upsert/remove/snapshot churn, top-k queries against a churning catalog,
@@ -55,6 +57,7 @@ cmake -B "${build_dir}" -S . \
 cmake --build "${build_dir}" -j"$(nproc)" \
   --target thread_pool_test parallel_test join_threads_test pipeline_test \
            encoding_cache_test matching_differential_test \
+           scan_differential_test \
            catalog_test bulk_load_test topk_service_test \
            service_stress_test signature_test prescreen_test \
            request_queue_test result_cache_test net_test evolve_stress_test \
@@ -63,6 +66,6 @@ cmake --build "${build_dir}" -j"$(nproc)" \
 # halt_on_error: any race fails the gate immediately.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${build_dir}" --output-on-failure -j 1 \
-        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck|PersistLogFuzz'
+        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|ScanDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck|PersistLogFuzz'
 
 echo "TSAN gate passed."

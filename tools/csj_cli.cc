@@ -305,7 +305,7 @@ int RunPipeline(int argc, char** argv) {
   if (flags.GetBool("cache")) {
     cache.emplace(static_cast<size_t>(flags.GetInt("cache_mb")) * 1024 *
                   1024);
-    options.cache = &*cache;
+    options.join.cache = &*cache;
   }
 
   std::vector<const csj::Community*> pointers;

@@ -36,7 +36,6 @@
 #include "core/signature.h"
 #include "evolve/drift.h"
 #include "evolve/maintainer.h"
-#include "service/result_cache.h"
 #include "service/topk.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -87,9 +86,6 @@ int main(int argc, char** argv) {
                "prescreen admission threshold tau");
   flags.Define("log_capacity", "1048576",
                "catalog mutation-log retention (records)");
-  flags.Define("result_cache", "false",
-               "publish stable maintained rankings into a versioned "
-               "result cache");
   flags.Define("seed", "42", "workload (catalog) seed");
   flags.Define("drift_seed", "99", "drift stream seed");
   flags.Define("json", "", "write the results as JSON to this path");
@@ -103,7 +99,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool prescreen = flags.GetBool("prescreen");
-  const bool use_result_cache = flags.GetBool("result_cache");
   const auto query_count =
       std::max<uint32_t>(1, static_cast<uint32_t>(flags.GetInt("queries")));
   const auto refresh_every = std::max<uint32_t>(
@@ -143,7 +138,6 @@ int main(int argc, char** argv) {
   if (prescreen) catalog_options.signatures = csj::SignatureOptions{};
   csj::service::CommunityCatalog catalog(catalog_options);
   csj::service::TopKSimilarService service(&catalog);
-  csj::service::TopKResultCache result_cache;
 
   build_timer.Reset();
   csj::evolve::DriftReplayer::Options replay_options;
@@ -165,7 +159,6 @@ int main(int argc, char** argv) {
 
   csj::evolve::TopKMaintainer::Options maintainer_options;
   maintainer_options.service = &service;
-  maintainer_options.result_cache = use_result_cache ? &result_cache : nullptr;
   csj::evolve::TopKMaintainer maintainer(&catalog, maintainer_options);
 
   std::atomic<uint64_t> subscriber_triggers{0};
@@ -346,7 +339,6 @@ int main(int argc, char** argv) {
     json.Key("log_truncations"); json.Uint(stats.log_truncations);
     json.Key("reprobed_joins"); json.Uint(stats.reprobed_joins);
     json.Key("reprobe_skipped"); json.Uint(stats.reprobe_skipped);
-    json.Key("cache_publishes"); json.Uint(stats.cache_publishes);
     json.EndObject();
     json.Key("triggers_fired"); json.Uint(triggers_fired);
     json.Key("trigger_exact"); json.Bool(trigger_exact);

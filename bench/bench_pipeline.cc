@@ -8,9 +8,12 @@
 //   exact-everything:  Ex-MinMax on every candidate;
 //   screen+refine:     Ap-SuperEGO screen (the fastest method, Tables 3/5),
 //                      Ex-MinMax only on survivors;
-//   bound+screen+refine: additionally discard candidates whose encoded-
-//                      window upper bound cannot reach the threshold.
+//   bound+screen+refine: additionally discard candidates whose reach
+//                      bound (the pivot's DimensionReach, the top-k
+//                      walk's bound) cannot reach the threshold.
 // All three must produce the same set of above-threshold communities.
+// The JSON's ablation object carries the bound arm's bound_pruned and
+// screens, so a bound that stops pruning shows up there.
 //
 // Part 2 — cross-couple parallelism AND encoding-cache reuse:
 // ScreenAndRefineAllPairs over the catalog, first WITHOUT a cache at one
@@ -579,6 +582,10 @@ int main(int argc, char** argv) {
     json.Double(screen_report.total_seconds);
     json.Key("bound_screen_refine_seconds");
     json.Double(bound_report.total_seconds);
+    json.Key("bound_pruned");
+    json.Uint(bound_report.bound_pruned);
+    json.Key("screens");
+    json.Uint(bound_report.screened);
     json.Key("winners");
     json.Uint(exact_winners.size());
     json.Key("arms_agree");

@@ -13,25 +13,26 @@
 namespace csj {
 
 /// The prescreen signature layer: compact per-community sketches that let
-/// a top-k query discard most of the catalog WITHOUT computing the exact
-/// interval-matching bound, while keeping the exact path authoritative.
+/// a top-k query discard most of the catalog WITHOUT counting each
+/// candidate's reachable users, while keeping the exact path
+/// authoritative.
 ///
 /// Why not minhash over the encoded totals: every eps-match satisfies
 /// encoded_id(b) ∈ [encoded_min(a), encoded_max(a)], but the encoded ids
 /// are user activity TOTALS, and real communities share one activity
 /// distribution regardless of topic — measured on the serving workload,
-/// the totals-based SimilarityUpperBound lands in [0.89, 1.0] for EVERY
-/// catalog entry while true similarities are almost all 0. Any sketch of
-/// the totals windows (banded minhash included) inherits that blindness.
-/// The discriminative signal is per-dimension: at parts = d the MinMax
-/// encoding's windows degenerate to [v_k - eps, v_k + eps] per category,
-/// and THOSE separate communities sharply (a cooking brand's subscribers
-/// hold large cooking counters; a sports brand's almost none). The same
-/// blindness is why the top-k walk no longer bounds candidates from the
-/// totals: it counts, per candidate, the users within eps of the query
-/// in every dimension (DimensionReach, core/dimension_reach.h): the
-/// argument below, made exactly from the query's columns instead of
-/// from breakpoints.
+/// a matching bound over the totals windows lands in [0.89, 1.0] for
+/// EVERY catalog entry while true similarities are almost all 0. Any
+/// sketch of the totals windows (banded minhash included) inherits that
+/// blindness. The discriminative signal is per-dimension: at parts = d
+/// the MinMax encoding's windows degenerate to [v_k - eps, v_k + eps] per
+/// category, and THOSE separate communities sharply (a cooking brand's
+/// subscribers hold large cooking counters; a sports brand's almost
+/// none). The same blindness is why every couple bound (the top-k walk's
+/// and the pipeline's prune) counts, per candidate, the users within eps
+/// of the query in every dimension (DimensionReach,
+/// core/dimension_reach.h): the argument below, made exactly from the
+/// query's columns instead of from breakpoints.
 ///
 /// The sketch (an LSF-style filter bank in the locality-sensitive
 /// FILTERING sense of LSF-Join — deterministic filters, not probabilistic

@@ -366,8 +366,8 @@ std::shared_ptr<const Community> DriftReplayer::Freeze(
 
 EpochStats DriftReplayer::Quiesce() {
   util::Timer timer;
-  util::ThreadPool& pool = options_.pool != nullptr
-                               ? *options_.pool
+  util::ThreadPool& pool = options_.session_join.pool != nullptr
+                               ? *options_.session_join.pool
                                : util::ThreadPool::Global();
   const uint32_t threads = options_.freeze_threads > 0
                                ? options_.freeze_threads

@@ -14,10 +14,6 @@
 #include "service/workload.h"
 #include "util/rng.h"
 
-namespace csj::util {
-class ThreadPool;
-}  // namespace csj::util
-
 namespace csj::evolve {
 
 /// One step of the continuous-evolution stream. Every event is fully
@@ -145,11 +141,12 @@ class DriftReplayer {
  public:
   struct Options {
     /// Join parameters for the anchor sessions (eps, parts, matcher).
+    /// `session_join.pool` (null = ThreadPool::Global()) also runs the
+    /// snapshot freeze.
     JoinOptions session_join;
     /// Maintain a live anchor-similarity session per DRIFTING non-anchor
     /// community (attached lazily on its first event).
     bool anchor_sessions = true;
-    util::ThreadPool* pool = nullptr;  ///< null = ThreadPool::Global()
     uint32_t freeze_threads = 0;       ///< 0 = the pool's thread count
   };
 

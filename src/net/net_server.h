@@ -44,8 +44,8 @@ class NetServer {
     uint16_t port = 0;
     /// Server-policy top-k template: per-request wire fields (k, eps,
     /// method, prescreen, cutoff, threshold, deadline) are merged over
-    /// it; pool/threading/cache plumbing always comes from here — a
-    /// client cannot pick them.
+    /// it; threading and cache plumbing (query_threads, join.pool,
+    /// join.cache) always comes from here — a client cannot pick them.
     service::TopKOptions topk_template;
   };
 

@@ -93,8 +93,8 @@ enum class WireStatus : uint8_t {
 const char* WireStatusName(WireStatus status);
 
 /// The request fields that cross the wire. The server merges them over
-/// its own TopKOptions template (cache pointers, pool, query_threads stay
-/// server policy — a client cannot pick them).
+/// its own TopKOptions template (cache pointers, join.pool, query_threads
+/// stay server policy — a client cannot pick them).
 struct WireRequest {
   service::RequestKind kind = service::RequestKind::kTopK;
   uint64_t id = 0;

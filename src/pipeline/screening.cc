@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <utility>
 
+#include "core/dimension_reach.h"
 #include "core/similarity.h"
-#include "core/similarity_bound.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -19,8 +20,10 @@ enum class ScreenOutcome { kInadmissible, kBoundPruned, kScreened };
 
 /// One candidate couple, enumerated up front so the screen phase can
 /// process couples in any order while reporting stays in candidate order.
+/// `query` indexes the querying communities: the pivot, or community i of
+/// an all-pairs couple (i, j > i). The query plays x.
 struct CoupleTask {
-  const Community* x = nullptr;
+  uint32_t query = 0;
   const Community* y = nullptr;
   uint32_t candidate_index = 0;
   std::string candidate_name;
@@ -38,21 +41,6 @@ struct ScreenSlot {
   uint64_t cache_bytes_built = 0;
 };
 
-/// Indices of `tasks`, most expensive first (ties: candidate order).
-/// Couple costs vary wildly in real catalogs; starting the giants first
-/// lets the cheap couples backfill idle workers instead of a giant
-/// landing last and serializing the tail.
-std::vector<uint32_t> MostExpensiveFirstOrder(
-    const std::vector<CoupleTask>& tasks) {
-  std::vector<uint32_t> order(tasks.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t l, uint32_t r) {
-    return EstimatedCoupleCost(*tasks[l].x, *tasks[l].y) >
-           EstimatedCoupleCost(*tasks[r].x, *tasks[r].y);
-  });
-  return order;
-}
-
 /// Runs body(order[k]) for every k — serially in that order when
 /// pipeline_threads <= 1, else on `options.join.pool` (already resolved)
 /// with work items claimed dynamically in `order`'s sequence.
@@ -68,16 +56,24 @@ void RunCoupleTasks(const PipelineOptions& options,
                          options.pipeline_threads);
 }
 
-/// Screens one ordered couple (after the optional upper-bound gate).
+/// Screens one couple after the optional bound gate. `reach` is x's
+/// DimensionReach (null = no gate); no method can match more than
+/// min(CountReachable(y), |B|) users, so a couple whose bound falls below
+/// the threshold can never survive the screen (docs/ALGORITHMS.md §6b).
 ScreenOutcome ScreenCouple(const Community& x, const Community& y,
+                           const DimensionReach* reach,
                            const PipelineOptions& options, ScreenSlot* slot) {
-  if (options.use_upper_bound_prune) {
+  if (reach != nullptr) {
+    // The rules ComputeSimilarity applies, first: CountReachable needs
+    // equal dimensionality, and an empty B has no bound to divide.
     const Community& b = x.size() <= y.size() ? x : y;
     const Community& a = x.size() <= y.size() ? y : x;
-    if (!SizesAdmissible(b.size(), a.size())) {
+    if (x.d() != y.d() || b.empty() ||
+        !SizesAdmissible(b.size(), a.size())) {
       return ScreenOutcome::kInadmissible;
     }
-    if (SimilarityUpperBound(b, a, options.join.eps) <
+    const uint32_t reachable = std::min(reach->CountReachable(y), b.size());
+    if (static_cast<double>(reachable) / static_cast<double>(b.size()) <
         options.screen_threshold) {
       return ScreenOutcome::kBoundPruned;
     }
@@ -128,19 +124,15 @@ void RefineAndRank(
 
   // Refine concurrently, most expensive couple first; each survivor owns
   // its entry slot (and cache-counter slot), so writes never race.
-  std::vector<uint32_t> order(survivors.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t l, uint32_t r) {
-    const auto cost = [&](uint32_t s) {
-      const auto& [x, y] = couples[survivors[s]];
-      return EstimatedCoupleCost(*x, *y);
-    };
-    return cost(l) > cost(r);
-  });
+  std::vector<std::pair<const Community*, const Community*>> survivor_couples;
+  survivor_couples.reserve(survivors.size());
+  for (const size_t index : survivors) {
+    survivor_couples.push_back(couples[index]);
+  }
   std::vector<JoinStats> refine_stats(survivors.size());
-  RunCoupleTasks(options, order, [&](uint32_t s) {
+  RunCoupleTasks(options, CostAwareOrder(survivor_couples), [&](uint32_t s) {
     PipelineEntry& entry = report->entries[survivors[s]];
-    const auto& [x, y] = couples[survivors[s]];
+    const auto& [x, y] = survivor_couples[s];
     const auto refined = ComputeSimilarityAutoOrder(options.refine_method,
                                                     *x, *y, options.join);
     CSJ_CHECK(refined.has_value());  // admissibility already screened
@@ -174,8 +166,10 @@ void RefineAndRank(
 
 /// The shared engine behind both entry points: screen every couple
 /// (concurrently when asked), aggregate in candidate order, refine the
-/// survivors, rank.
-PipelineReport ScreenRefineCouples(std::vector<CoupleTask> tasks,
+/// survivors, rank. Task t couples queries[tasks[t].query] with
+/// tasks[t].y.
+PipelineReport ScreenRefineCouples(const std::vector<const Community*>& queries,
+                                   std::vector<CoupleTask> tasks,
                                    const PipelineOptions& input_options) {
   util::Timer timer;
   PipelineReport report;
@@ -201,13 +195,32 @@ PipelineReport ScreenRefineCouples(std::vector<CoupleTask> tasks,
       NestedJoinThreads(options.join.matching_threads,
                         options.pipeline_threads, pool_threads, num_tasks);
 
+  // One reach per querying community, built before the screen phase. No
+  // bound falls below a threshold <= 0, so then none is built.
+  std::vector<std::optional<DimensionReach>> reaches(queries.size());
+  if (options.use_upper_bound_prune && options.screen_threshold > 0.0) {
+    std::vector<uint32_t> query_order(queries.size());
+    std::iota(query_order.begin(), query_order.end(), 0u);
+    RunCoupleTasks(options, query_order, [&](uint32_t q) {
+      reaches[q].emplace(*queries[q], options.join.eps);
+    });
+  }
+
+  std::vector<std::pair<const Community*, const Community*>> task_couples;
+  task_couples.reserve(num_tasks);
+  for (const CoupleTask& task : tasks) {
+    task_couples.emplace_back(queries[task.query], task.y);
+  }
   std::vector<ScreenSlot> slots(num_tasks);
-  RunCoupleTasks(options, MostExpensiveFirstOrder(tasks), [&](uint32_t i) {
+  RunCoupleTasks(options, CostAwareOrder(task_couples), [&](uint32_t i) {
     CoupleTask& task = tasks[i];
     ScreenSlot& slot = slots[i];
     slot.entry.candidate_index = task.candidate_index;
     slot.entry.candidate_name = std::move(task.candidate_name);
-    slot.outcome = ScreenCouple(*task.x, *task.y, options, &slot);
+    const std::optional<DimensionReach>& reach = reaches[task.query];
+    slot.outcome = ScreenCouple(*queries[task.query], *task.y,
+                                reach.has_value() ? &*reach : nullptr,
+                                options, &slot);
   });
 
   // Aggregation walks the slots in candidate order, reproducing the
@@ -228,7 +241,7 @@ PipelineReport ScreenRefineCouples(std::vector<CoupleTask> tasks,
         report.cache_misses += slots[i].cache_misses;
         report.cache_bytes_built += slots[i].cache_bytes_built;
         report.entries.push_back(std::move(slots[i].entry));
-        couples.emplace_back(tasks[i].x, tasks[i].y);
+        couples.push_back(task_couples[i]);
         break;
     }
   }
@@ -249,9 +262,9 @@ PipelineReport ScreenAndRefine(const Community& pivot,
   for (uint32_t i = 0; i < candidates.size(); ++i) {
     const Community* candidate = candidates[i];
     CSJ_CHECK(candidate != nullptr);
-    tasks.push_back(CoupleTask{&pivot, candidate, i, candidate->name()});
+    tasks.push_back(CoupleTask{0, candidate, i, candidate->name()});
   }
-  return ScreenRefineCouples(std::move(tasks), options);
+  return ScreenRefineCouples({&pivot}, std::move(tasks), options);
 }
 
 PipelineReport ScreenAndRefineAllPairs(
@@ -264,11 +277,14 @@ PipelineReport ScreenAndRefineAllPairs(
     CSJ_CHECK(communities[i] != nullptr);
     for (uint32_t j = i + 1; j < n; ++j) {
       tasks.push_back(CoupleTask{
-          communities[i], communities[j], i * n + j,
+          i, communities[j], i * n + j,
           communities[i]->name() + " | " + communities[j]->name()});
     }
   }
-  return ScreenRefineCouples(std::move(tasks), options);
+  // Community i queries every couple (i, j > i); the last queries none.
+  std::vector<const Community*> queries = communities;
+  if (!queries.empty()) queries.pop_back();
+  return ScreenRefineCouples(queries, std::move(tasks), options);
 }
 
 void DecodePairIndex(uint32_t candidate_index, uint32_t n, uint32_t* i,

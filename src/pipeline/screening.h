@@ -33,10 +33,13 @@ struct PipelineOptions {
   /// Refine at most this many of the best-screened survivors (0 = all).
   uint32_t refine_top_k = 0;
 
-  /// Before ANY join, discard couples whose SimilarityUpperBound (the
-  /// O(n log n) encoded-window relaxation, see core/similarity_bound.h)
-  /// is already below `screen_threshold`. Safe with respect to the exact
-  /// phase: the bound dominates the exact similarity.
+  /// Before ANY join, discard couples whose bound min(CountReachable(y),
+  /// |B|) / |B| is already below `screen_threshold` — the top-k walk's
+  /// bound (core/dimension_reach.h), with the pivot (all-pairs:
+  /// community i of couple (i, j)) as the query, one DimensionReach per
+  /// querying community. Safe with respect to both phases: the bound
+  /// dominates every method's similarity. A threshold <= 0 prunes
+  /// nothing, so no reach is built.
   bool use_upper_bound_prune = true;
 
   /// Couples processed concurrently in the screen and refine phases.
@@ -144,8 +147,9 @@ void DecodePairIndex(uint32_t candidate_index, uint32_t n, uint32_t* i,
 uint64_t EstimatedCoupleCost(const Community& x, const Community& y);
 
 /// Indices of `couples`, most expensive first by EstimatedCoupleCost
-/// (ties broken by position — a stable order). Exposed so the scheduling
-/// policy is testable without timing a run.
+/// (ties broken by position — a stable order). The order of the
+/// pipeline's screen and refine phases and of the top-k walk's refine
+/// waves; exposed so the policy is testable without timing a run.
 std::vector<uint32_t> CostAwareOrder(
     const std::vector<std::pair<const Community*, const Community*>>& couples);
 

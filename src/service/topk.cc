@@ -208,8 +208,9 @@ TopKResult TopKSimilarService::Walk(
     return result;
   }
 
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::ThreadPool::Global();
+  util::ThreadPool& pool = options.join.pool != nullptr
+                               ? *options.join.pool
+                               : util::ThreadPool::Global();
   const uint32_t threads =
       std::max(1u, std::min(options.query_threads, pool.threads()));
 
@@ -274,7 +275,7 @@ TopKResult TopKSimilarService::Walk(
   // `threads` joins in flight per wave, each join gets its fair share of
   // the pool (the whole pool when the wave is a single giant couple).
   JoinOptions join = options.join;
-  if (join.pool == nullptr) join.pool = &pool;
+  join.pool = &pool;
   std::set<TopKEntry, RankedLess> best;
   std::vector<TopKEntry> wave_results;
 

@@ -13,10 +13,6 @@
 #include "core/method.h"
 #include "service/catalog.h"
 
-namespace csj::util {
-class ThreadPool;
-}  // namespace csj::util
-
 namespace csj::service {
 
 /// Deadline for one request, as a steady-clock point. Checked BETWEEN
@@ -37,7 +33,9 @@ struct TopKOptions {
   /// Join parameters (eps, parts, matcher, cache...). With eps and parts
   /// equal to the catalog's warm parameters, MinMax couples are served
   /// from the entries' own encodings (see CoupleScorer); `join.cache`
-  /// serves every other couple's per-community preparation.
+  /// serves every other couple's per-community preparation. `join.pool`
+  /// (null = ThreadPool::Global()) runs the bound phase, the refine waves
+  /// and each join's chunks.
   JoinOptions join;
 
   /// The best-bound-first cutoff walk. false refines every admissible
@@ -54,9 +52,6 @@ struct TopKOptions {
   /// one-at-a-time walk with the tightest possible cutoff; results never
   /// depend on the wave size.
   uint32_t query_threads = 1;
-
-  /// Pool override; null = ThreadPool::Global().
-  util::ThreadPool* pool = nullptr;
 
   /// Sub-linear candidate generation: sketch the query, sweep the
   /// catalog's SignatureIndex, and feed ONLY the entries whose certified

@@ -33,6 +33,14 @@ echo "$JSON" | grep -q '"stats":{'
     --candidates "$DIR/b.csv,$DIR/a.bin" --threshold 0.5 \
     | grep -q "screened 2"
 
+# A candidate of another dimensionality (and an admissible size) is
+# inadmissible, not fatal, with the bound prune on (the default).
+awk 'BEGIN { for (i = 0; i < 700; i++) print i % 7 "," i % 5 "," i % 3 }' \
+    > "$DIR/d3.csv"
+"$CLI" pipeline --pivot "$DIR/a.bin" \
+    --candidates "$DIR/b.csv,$DIR/d3.csv" --threshold 0.5 \
+    | grep -q "inadmissible 1"
+
 # Failure paths exit non-zero.
 if "$CLI" similarity --b /nonexistent --a "$DIR/a.bin" 2> /dev/null; then
   echo "expected failure on missing input" >&2

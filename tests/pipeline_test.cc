@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "core/community.h"
+#include "core/method.h"
+#include "data/categories.h"
 #include "data/community_sampler.h"
 #include "data/generator.h"
 #include "pipeline/screening.h"
@@ -68,17 +70,18 @@ TEST_F(PipelineTest, ScreensRefinesAndRanks) {
       pivot_, {&high_, &medium_, &low_, &tiny_}, options);
 
   EXPECT_EQ(report.inadmissible, 1u);  // tiny fails the size rule
-  EXPECT_EQ(report.screened, 3u);
+  // low (planted at 0.05) cannot reach the threshold: its reach bound
+  // drops it before any join.
+  EXPECT_EQ(report.bound_pruned, 1u);
+  EXPECT_EQ(report.screened, 2u);
   EXPECT_EQ(report.refined, 2u);  // high and medium pass the screen
-  ASSERT_EQ(report.entries.size(), 3u);
+  ASSERT_EQ(report.entries.size(), 2u);
 
-  // Ranked by final similarity: high, medium, low.
+  // Ranked by final similarity: high, medium.
   EXPECT_EQ(report.entries[0].candidate_name, "high");
   EXPECT_EQ(report.entries[1].candidate_name, "medium");
-  EXPECT_EQ(report.entries[2].candidate_name, "low");
   EXPECT_TRUE(report.entries[0].refined);
   EXPECT_TRUE(report.entries[1].refined);
-  EXPECT_FALSE(report.entries[2].refined);
 
   // The exact phase can only confirm or improve a greedy screen.
   EXPECT_GE(report.entries[0].refined_similarity + 1e-9,
@@ -118,6 +121,39 @@ TEST_F(PipelineTest, ThresholdOfOneRefinesNothing) {
   }
 }
 
+TEST_F(PipelineTest, MixedDimensionalityAndEmptyCandidatesAreInadmissible) {
+  // A candidate of another dimensionality and an empty one: both are
+  // inadmissible to every join, and the bound gate must count them the
+  // same way instead of reaching CountReachable (which requires equal d).
+  Community other_d(pivot_.d() + 1, "other_d");
+  const std::vector<Count> vec(pivot_.d() + 1, 3);
+  for (int i = 0; i < 600; ++i) other_d.AddUser(vec);
+  const Community empty(pivot_.d(), "empty");
+  const Community empty_other_d(pivot_.d() + 1, "empty_other_d");
+
+  for (const double threshold : {0.0, 0.15}) {
+    PipelineOptions options;
+    options.screen_threshold = threshold;
+    options.join.eps = 1;
+    for (const bool prune : {true, false}) {
+      options.use_upper_bound_prune = prune;
+      const PipelineReport pivot_report = ScreenAndRefine(
+          pivot_, {&high_, &other_d, &empty, &empty_other_d}, options);
+      EXPECT_EQ(pivot_report.inadmissible, 3u) << "prune " << prune;
+      EXPECT_EQ(pivot_report.screened, 1u) << "prune " << prune;
+      ASSERT_EQ(pivot_report.entries.size(), 1u);
+      EXPECT_EQ(pivot_report.entries[0].candidate_name, "high");
+
+      // Pairs: (pivot, high) admissible; every pair touching other_d or
+      // an empty community is not — 5 of the 6.
+      const PipelineReport pairs_report = ScreenAndRefineAllPairs(
+          {&pivot_, &other_d, &high_, &empty}, options);
+      EXPECT_EQ(pairs_report.inadmissible, 5u) << "prune " << prune;
+      EXPECT_EQ(pairs_report.screened, 1u) << "prune " << prune;
+    }
+  }
+}
+
 TEST_F(PipelineTest, EmptyCandidateList) {
   PipelineOptions options;
   options.join.eps = 1;
@@ -147,6 +183,33 @@ TEST_F(PipelineTest, AllPairsCoversEveryAdmissibleCouple) {
   }
 }
 
+TEST(PipelinePruneTest, DropsHopelessCandidates) {
+  data::VkLikeGenerator gen(data::Category::kMusic);
+  util::Rng rng(3);
+  const Community pivot = data::MakeCommunity(gen, 300, rng, "pivot");
+
+  // Every user of the candidate is far heavier than anything in the
+  // pivot in every dimension, so none is reachable: the bound is 0.
+  Community heavy(data::kNumCategories, "heavy");
+  std::vector<Count> vec(data::kNumCategories, 100000);
+  for (int i = 0; i < 300; ++i) heavy.AddUser(vec);
+
+  PipelineOptions options;
+  options.screen_threshold = 0.15;
+  options.join.eps = 1;
+  options.use_upper_bound_prune = true;
+  const PipelineReport report = ScreenAndRefine(pivot, {&heavy}, options);
+  EXPECT_EQ(report.bound_pruned, 1u);
+  EXPECT_EQ(report.screened, 0u);
+  EXPECT_TRUE(report.entries.empty());
+
+  // With the prune disabled the candidate is screened (and scores ~0).
+  options.use_upper_bound_prune = false;
+  const PipelineReport unpruned = ScreenAndRefine(pivot, {&heavy}, options);
+  EXPECT_EQ(unpruned.screened, 1u);
+  EXPECT_EQ(unpruned.bound_pruned, 0u);
+}
+
 // The refined ranking one pipeline run produced, as exact bytes:
 // (candidate_index, refined_similarity) in final entry order.
 std::vector<std::pair<uint32_t, double>> RefinedRanking(
@@ -160,6 +223,53 @@ std::vector<std::pair<uint32_t, double>> RefinedRanking(
   return ranking;
 }
 
+// One catalog of the prune on/off differential: calibrates the threshold
+// and refine_top_k onto achieved screened similarities of `run`, runs it
+// with the prune on and off, and checks the refined rankings are
+// identical. Returns the couples the prune dropped.
+uint32_t PruneOnOffDifferential(
+    uint64_t s, PipelineOptions options,
+    const std::function<PipelineReport(const PipelineOptions&)>& run) {
+  // Calibration: learn the achieved screened similarities so the
+  // threshold and the top-k boundary sit exactly ON a data point.
+  options.screen_threshold = 0.0;
+  options.use_upper_bound_prune = false;
+  const PipelineReport calibration = run(options);
+  if (calibration.entries.empty()) return 0;
+  std::vector<double> screened;
+  for (const PipelineEntry& entry : calibration.entries) {
+    screened.push_back(entry.screened_similarity);
+  }
+  std::sort(screened.begin(), screened.end(), std::greater<>());
+  // Even catalogs: the median achieved similarity — an exact tie at the
+  // screen cutoff. Odd catalogs: the MAXIMUM achieved similarity — still
+  // an achieved tie, and high enough that weak couples' upper bounds fall
+  // below it, so the prune actually fires.
+  options.screen_threshold = screened[s % 2 == 0 ? screened.size() / 2 : 0];
+  options.refine_top_k =
+      std::max<uint32_t>(1, static_cast<uint32_t>(screened.size()) / 2);
+
+  options.use_upper_bound_prune = true;
+  const PipelineReport with_prune = run(options);
+  options.use_upper_bound_prune = false;
+  const PipelineReport without_prune = run(options);
+
+  // Pruning only moves candidates between "screened below threshold" and
+  // "bound pruned" — never changes who refines.
+  EXPECT_EQ(with_prune.inadmissible, without_prune.inadmissible);
+  EXPECT_EQ(with_prune.screened + with_prune.bound_pruned,
+            without_prune.screened);
+  const auto ranking_on = RefinedRanking(with_prune);
+  const auto ranking_off = RefinedRanking(without_prune);
+  EXPECT_EQ(ranking_on.size(), ranking_off.size());
+  for (size_t i = 0; i < std::min(ranking_on.size(), ranking_off.size());
+       ++i) {
+    EXPECT_EQ(ranking_on[i].first, ranking_off[i].first) << "rank " << i;
+    EXPECT_EQ(ranking_on[i].second, ranking_off[i].second) << "rank " << i;
+  }
+  return with_prune.bound_pruned;
+}
+
 TEST(PipelinePruneDifferentialTest, PruneOnOffRefinedRankingsIdentical) {
   // use_upper_bound_prune may only discard couples that could never
   // survive the screen (the bound dominates both similarities), so the
@@ -167,7 +277,12 @@ TEST(PipelinePruneDifferentialTest, PruneOnOffRefinedRankingsIdentical) {
   // byte-identical with the prune on and off. ~200 seeded catalogs,
   // with the threshold pinned to an ACHIEVED screened similarity (an
   // exact tie at the screen cutoff) and refine_top_k cutting through
-  // duplicate candidates (an exact tie at the top-k boundary).
+  // duplicate candidates (an exact tie at the top-k boundary). Each
+  // catalog runs both entry points under two screens: Ap-MinMax (the
+  // default) and Ap-SuperEGO normalized by the VK counter cap (the screen
+  // bench_pipeline and csj_cli pipeline ship) on an eighth of the
+  // catalogs, both threshold kinds: its dimension-order histogram costs
+  // ~0.4 ms a join even on 20-user couples.
   constexpr uint64_t kCatalogs = 200;
   uint64_t pruned_total = 0;
   for (uint64_t s = 0; s < kCatalogs; ++s) {
@@ -200,52 +315,28 @@ TEST(PipelinePruneDifferentialTest, PruneOnOffRefinedRankingsIdentical) {
     // A duplicate pointer: its couple screens to EXACTLY the same
     // similarity as the original, forcing a tie wherever they land.
     candidates.push_back(&owned[2]);
+    std::vector<const Community*> everyone = {&pivot};
+    everyone.insert(everyone.end(), candidates.begin(), candidates.end());
 
-    // Calibration: learn the achieved screened similarities so the
-    // threshold and the top-k boundary sit exactly ON a data point.
-    PipelineOptions options;
-    options.join.eps = 1;
-    options.screen_threshold = 0.0;
-    options.use_upper_bound_prune = false;
-    const PipelineReport calibration =
-        ScreenAndRefine(pivot, candidates, options);
-    if (calibration.entries.empty()) continue;
-    std::vector<double> screened;
-    for (const PipelineEntry& entry : calibration.entries) {
-      screened.push_back(entry.screened_similarity);
+    for (const bool all_pairs : {false, true}) {
+      for (const Method screen : {Method::kApMinMax, Method::kApSuperEgo}) {
+        if (screen == Method::kApSuperEgo && s % 16 >= 2) continue;
+        SCOPED_TRACE(::testing::Message()
+                     << "catalog " << s << " all_pairs " << all_pairs
+                     << " screen " << MethodName(screen));
+        PipelineOptions options;
+        options.screen_method = screen;
+        options.join.eps = 1;
+        if (screen == Method::kApSuperEgo) {
+          options.join.superego_norm_max = data::kVkMaxCounter;
+        }
+        const auto run = [&](const PipelineOptions& run_options) {
+          return all_pairs ? ScreenAndRefineAllPairs(everyone, run_options)
+                           : ScreenAndRefine(pivot, candidates, run_options);
+        };
+        pruned_total += PruneOnOffDifferential(s, options, run);
+      }
     }
-    std::sort(screened.begin(), screened.end(), std::greater<>());
-    // Even catalogs: the median achieved similarity — an exact tie at
-    // the screen cutoff. Odd catalogs: the MAXIMUM achieved similarity —
-    // still an achieved tie, and high enough that weak couples' upper
-    // bounds fall below it, so the prune actually fires.
-    options.screen_threshold =
-        screened[s % 2 == 0 ? screened.size() / 2 : 0];
-    options.refine_top_k =
-        std::max<uint32_t>(1, static_cast<uint32_t>(screened.size()) / 2);
-
-    options.use_upper_bound_prune = true;
-    const PipelineReport with_prune =
-        ScreenAndRefine(pivot, candidates, options);
-    options.use_upper_bound_prune = false;
-    const PipelineReport without_prune =
-        ScreenAndRefine(pivot, candidates, options);
-
-    // Pruning only moves candidates between "screened below threshold"
-    // and "bound pruned" — never changes who refines.
-    EXPECT_EQ(with_prune.screened + with_prune.bound_pruned,
-              without_prune.screened)
-        << "catalog " << s;
-    const auto ranking_on = RefinedRanking(with_prune);
-    const auto ranking_off = RefinedRanking(without_prune);
-    ASSERT_EQ(ranking_on.size(), ranking_off.size()) << "catalog " << s;
-    for (size_t i = 0; i < ranking_on.size(); ++i) {
-      EXPECT_EQ(ranking_on[i].first, ranking_off[i].first)
-          << "catalog " << s << " rank " << i;
-      EXPECT_EQ(ranking_on[i].second, ranking_off[i].second)
-          << "catalog " << s << " rank " << i;
-    }
-    pruned_total += with_prune.bound_pruned;
   }
   // The prune must fire somewhere across the suite or the differential
   // proves nothing.

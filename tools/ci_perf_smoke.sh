@@ -5,8 +5,10 @@
 # 1. Pipeline scaling. A small bench_pipeline sweep at pipeline_threads
 #    {1,4} (plus the single-couple join_threads and matching_threads
 #    sweeps) FAILS when the JSON reports a scaling regression (threads=4
-#    slower than threads=1 beyond the bench's 10% noise margin) or any
-#    report-identity mismatch.
+#    slower than threads=1 beyond the bench's 10% noise margin), any
+#    report-identity mismatch, or a pivot ablation whose bound arm prunes
+#    no candidate (the couple bound has gone blind: at this size the
+#    reach bound prunes 6 of the 10).
 # 2. Warm restart. A first csj_serve process populates the 100k-entry
 #    prescreen catalog, seals it into a store and logs the closed loop's
 #    churn; a second process restores that store (segment map + log
@@ -49,6 +51,10 @@ check_json() {
   fi
   if grep -Eq '"arms_agree": ?false' "${json_file}"; then
     echo "FAIL: arms_agree=false in ${json_file} (screen+refine missed an exact winner)" >&2
+    fail=1
+  fi
+  if ! grep -Eq '"bound_pruned": ?[1-9]' "${json_file}"; then
+    echo "FAIL: bound_pruned=0 in ${json_file} (the pipeline's couple bound pruned nothing)" >&2
     fail=1
   fi
   if [ "${fail}" -ne 0 ]; then

@@ -25,6 +25,17 @@ std::vector<Dim> ComputeDimensionOrder(const Community& b, const Community& a,
                                        Epsilon eps, Count max_count,
                                        uint32_t max_buckets = 4096);
 
+/// The per-dimension failure probabilities ComputeDimensionOrder sorts
+/// by: for each dimension, bit for bit the
+/// util::Histogram::AdjacencyCollisionProbability of a histogram over
+/// [0, 1] holding both communities' normalized values. It sums over the
+/// occupied buckets only, in ascending bucket order, so its cost follows
+/// the users rather than the bucket count.
+std::vector<double> DimensionFailureProbabilities(const Community& b,
+                                                  const Community& a,
+                                                  Epsilon eps, Count max_count,
+                                                  uint32_t max_buckets = 4096);
+
 }  // namespace csj::ego
 
 #endif  // CSJ_EGO_DIMENSION_REORDER_H_

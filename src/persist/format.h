@@ -63,8 +63,10 @@ struct Superblock {
 };
 static_assert(sizeof(Superblock) == 64);
 
-/// Segment flags. Every checkpoint sets kSegHasEncodings; a segment
-/// without it still restores, the ingest path building the artifacts.
+/// Segment flags. Every checkpoint sets kSegHasEncodings: it seals every
+/// entry's MinMax artifacts, building those a catalog entry has not built
+/// yet. A segment without the flag still restores; its entries then get
+/// their artifacts on first refine, like freshly ingested ones.
 inline constexpr uint32_t kSegHasSignatures = 1u << 0;
 inline constexpr uint32_t kSegHasEncodings = 1u << 1;
 

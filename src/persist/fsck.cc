@@ -106,14 +106,8 @@ void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
                       std::equal(table.begin(), table.end(), sketches[i]);
         }
         if (stored.encodings != nullptr) {
-          const Encoder encoder(community.d(), header.warm_eps,
-                                header.warm_parts);
-          auto encodings = std::make_shared<service::EntryEncodings>();
-          encodings->encoded_b =
-              std::make_shared<const EncodedB>(community, encoder);
-          encodings->encoded_a =
-              std::make_shared<const EncodedA>(community, encoder);
-          rebuilt.encodings = std::move(encodings);
+          rebuilt.encodings = service::BuildEntryEncodings(
+              community, header.warm_eps, header.warm_parts);
         }
         if (!sketch_ok || !service::EntriesIdentical(stored, rebuilt)) {
           reporter->Fatal("entry id " + std::to_string(stored.id) +

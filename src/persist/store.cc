@@ -407,7 +407,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
     users_prefix[i + 1] = users_prefix[i] + users;
     counts_prefix[i + 1] = counts_prefix[i] + layout.counts;
     if (has_signatures) sig_prefix[i + 1] = sig_prefix[i] + layout.sketch;
-    CSJ_CHECK(entry.encodings != nullptr);
     sums_prefix[i + 1] = sums_prefix[i] + layout.sums;
     window_prefix[i + 1] = window_prefix[i] + layout.window;
   }
@@ -428,7 +427,10 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<Count> a_window(window_prefix[n]);
 
   // Parallel fill: every entry writes disjoint column stretches. The
-  // MinMax artifacts are the entries' own; the sketches are index rows.
+  // MinMax artifacts are the entries' own, or for an entry that has none
+  // yet built here and dropped after the copy: sealing publishes nothing,
+  // so it leaves the catalog's resident state as it found it. The
+  // sketches are index rows.
   std::atomic<bool> sketch_missing{false};
   util::ThreadPool::Global().Run(n, [&](uint32_t i) {
     const service::CatalogEntry& entry = snapshot[i];
@@ -452,8 +454,14 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                   table.size() * sizeof(Count));
       }
     }
-    const EncodedB* encoded_b = entry.encodings->encoded_b.get();
-    const EncodedA* encoded_a = entry.encodings->encoded_a.get();
+    const std::shared_ptr<const service::EntryEncodings> encodings =
+        entry.encodings != nullptr
+            ? entry.encodings
+            : service::BuildEntryEncodings(*entry.community,
+                                           catalog_options.warm_eps,
+                                           catalog_options.warm_parts);
+    const EncodedB* encoded_b = encodings->encoded_b.get();
+    const EncodedA* encoded_a = encodings->encoded_a.get();
     for (uint32_t u = 0; u < entry.community->size(); ++u) {
       b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
       b_real[users_prefix[i] + u] = encoded_b->real_id(u);

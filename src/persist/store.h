@@ -93,7 +93,8 @@ class Store {
   /// bytes, sketch rows, probe verdicts and every top-k ranking come back
   /// byte-identical. Segment entries adopt the mapped artifacts; a log
   /// record that rewrote an id with equal content shares the resident
-  /// entry's.
+  /// entry's, and any other replayed upsert gets its artifacts on first
+  /// refine.
   ///
   /// Before anything installs, the log must pass CheckLogVersions, the
   /// catalog must be configured with the writer's warm parameters and
@@ -120,7 +121,8 @@ class Store {
 
   /// Folds the catalog's current state into a new sealed generation:
   /// writes seg-<G+1> (communities + digests + sketches + warm encoded
-  /// artifacts), fsyncs it, commits the superblock, then deletes the
+  /// artifacts, built for an entry that has none yet and not published
+  /// into the catalog), fsyncs it, commits the superblock, then deletes the
   /// old generation's files. On any failure the store still names the
   /// old generation — a half-written new segment is inert garbage.
   /// A mutation in flight at the snapshot, or started before the columns

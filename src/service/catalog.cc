@@ -23,6 +23,36 @@ bool LiveCoupleSession::Stale() const {
   return current.community == nullptr || current.version != entry_.version;
 }
 
+std::shared_ptr<const EntryEncodings> BuildEntryEncodings(
+    const Community& community, Epsilon warm_eps, uint32_t warm_parts) {
+  // Builds come one entry at a time and near-always in one
+  // dimensionality, so the encoder (whose constructor allocates its
+  // part-boundary table) is memoized per thread instead of rebuilt per
+  // entry. The memo keys on the raw construction parameters: callers
+  // pass several catalogs' and segments' warm options.
+  struct EncoderMemo {
+    std::unique_ptr<Encoder> encoder;
+    Dim d = 0;
+    Epsilon eps = 0;
+    uint32_t parts = 0;
+  };
+  thread_local EncoderMemo memo;
+  const Dim d = community.d();
+  if (memo.encoder == nullptr || memo.d != d || memo.eps != warm_eps ||
+      memo.parts != warm_parts) {
+    memo.encoder = std::make_unique<Encoder>(d, warm_eps, warm_parts);
+    memo.d = d;
+    memo.eps = warm_eps;
+    memo.parts = warm_parts;
+  }
+  auto encodings = std::make_shared<EntryEncodings>();
+  encodings->encoded_b =
+      std::make_shared<const EncodedB>(community, *memo.encoder);
+  encodings->encoded_a =
+      std::make_shared<const EncodedA>(community, *memo.encoder);
+  return encodings;
+}
+
 CommunityCatalog::CommunityCatalog() : CommunityCatalog(Options{}) {}
 
 CommunityCatalog::CommunityCatalog(Options options) : options_(options) {
@@ -151,8 +181,9 @@ bool CommunityCatalog::InheritResident(CatalogEntry* entry,
   }
   // The byte compare runs outside the lock; the pointers pin the
   // resident copy even if a racing ingest replaces it meanwhile. That
-  // race only changes which equal copy is shared: the artifacts depend on
-  // nothing but the content, the warm parameters and the sketch options.
+  // race only changes which equal copy is shared (or whether artifacts
+  // come along at all): the artifacts depend on nothing but the content,
+  // the warm parameters and the sketch options.
   const auto mine = entry->community->flat();
   const auto theirs = community->flat();
   if (!std::equal(mine.begin(), mine.end(), theirs.begin(), theirs.end())) {
@@ -175,16 +206,15 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
   }
   CSJ_CHECK(sketches.empty() || sketches.size() == n);
 
-  // Build OUTSIDE any lock: digesting is O(n*d), and encoding and sketch
-  // building sort whole counter columns — holding a shard lock across
-  // any of them would stall every reader of the shard. Only what the
-  // entry does not carry is built.
+  // Build OUTSIDE any lock: digesting is O(n*d), and sketch building
+  // sorts whole counter columns — holding a shard lock across either
+  // would stall every reader of the shard. Only what the entry does not
+  // carry is built.
   util::ThreadPool& pool = util::ThreadPool::Global();
   // Each wave runs over the entries that need it, listed before the wave
   // starts. A task streams the next listed entry's counters toward the
-  // cache while it works: with ~20 KB of artifact traffic between touches
-  // the hardware prefetcher never re-arms, leaving the first walk over a
-  // buffer latency-bound (measured ~3x slower than the prefetched walk).
+  // cache while it works: the entries' buffers are scattered over the
+  // heap, and without it the first walk over each one is latency-bound.
   // The list, not the entries, says what the next task will work on, so
   // no task reads a field another task writes.
   std::vector<uint32_t> todo;
@@ -206,7 +236,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
   };
 
   // One cache-sized chunk at a time: the sketch wave then finds the
-  // counters the encode wave read still LLC-resident, and a staged sketch
+  // counters the digest wave read still LLC-resident, and a staged sketch
   // table (the packs hold the only resident copy) lives only from its
   // build to its chunk's install. Phase timers accumulate across chunks.
   constexpr uint32_t kWaveChunk = 2048;
@@ -231,9 +261,10 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
       return std::span<Count>(staged[i - chunk]);
     };
 
-    // Wave 1 — digest and MinMax artifacts. An entry that arrives with
-    // artifacts (a segment restore) keeps them and its digest; an entry
-    // whose content equals the resident entry's reuses that entry's.
+    // Wave 1 — the digest. An entry that arrives with artifacts (a
+    // segment restore) keeps them and its digest; an entry whose content
+    // equals the resident entry's shares that entry's artifacts and
+    // sketch row. No artifact is built: EncodingsAt does on first refine.
     phase_timer.Reset();
     run_wave(
         chunk, count,
@@ -243,38 +274,7 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
           entry.digest = DigestCommunity(*entry.community);
           if (InheritResident(&entry, staged_row(i))) {
             needs_sketch[i - chunk] = 0;
-            return;
           }
-          // Batches are near-always one dimensionality, so the encoder
-          // (whose constructor allocates its part-boundary table) is
-          // memoized per thread instead of rebuilt per entry. The memo
-          // keys on the raw construction parameters: the thread_local
-          // outlives this call and must not leak across catalogs
-          // configured with different warm options.
-          struct EncoderMemo {
-            std::unique_ptr<Encoder> encoder;
-            Dim d = 0;
-            Epsilon eps = 0;
-            uint32_t parts = 0;
-          };
-          thread_local EncoderMemo memo;
-          const Community& community = *entry.community;
-          const Dim d = community.d();
-          if (memo.encoder == nullptr || memo.d != d ||
-              memo.eps != options_.warm_eps ||
-              memo.parts != options_.warm_parts) {
-            memo.encoder = std::make_unique<Encoder>(d, options_.warm_eps,
-                                                     options_.warm_parts);
-            memo.d = d;
-            memo.eps = options_.warm_eps;
-            memo.parts = options_.warm_parts;
-          }
-          auto encodings = std::make_shared<EntryEncodings>();
-          encodings->encoded_b =
-              std::make_shared<const EncodedB>(community, *memo.encoder);
-          encodings->encoded_a =
-              std::make_shared<const EncodedA>(community, *memo.encoder);
-          entry.encodings = std::move(encodings);
         });
     if (stats != nullptr) stats->encode_seconds += phase_timer.Seconds();
 
@@ -431,13 +431,28 @@ CatalogEntry CommunityCatalog::Get(uint64_t id) const {
 }
 
 std::shared_ptr<const EntryEncodings> CommunityCatalog::EncodingsAt(
-    uint64_t id, uint64_t version) const {
-  const Shard& shard = ShardOf(id);
-  std::shared_lock lock(shard.mu);
-  const auto it = shard.entries.find(id);
-  if (it == shard.entries.end() || it->second.version != version) {
-    return nullptr;
+    const CatalogEntry& entry) const {
+  if (entry.encodings != nullptr) return entry.encodings;
+  // Publishing fills a cache slot of a const catalog: the slot changes
+  // under the exclusive lock and is read under the shared one, and every
+  // value it can take holds the same bytes.
+  Shard& shard = const_cast<Shard&>(ShardOf(entry.id));
+  {
+    std::shared_lock lock(shard.mu);
+    const auto it = shard.entries.find(entry.id);
+    if (it != shard.entries.end() && it->second.version == entry.version &&
+        it->second.encodings != nullptr) {
+      return it->second.encodings;
+    }
   }
+  std::shared_ptr<const EntryEncodings> built = BuildEntryEncodings(
+      *entry.community, options_.warm_eps, options_.warm_parts);
+  std::unique_lock lock(shard.mu);
+  const auto it = shard.entries.find(entry.id);
+  if (it == shard.entries.end() || it->second.version != entry.version) {
+    return built;  // replaced or removed since the pin: keep it private
+  }
+  if (it->second.encodings == nullptr) it->second.encodings = built;
   return it->second.encodings;
 }
 

@@ -38,6 +38,13 @@ struct alignas(64) EntryEncodings {
   std::shared_ptr<const EncodedA> encoded_a;
 };
 
+/// Builds `community`'s MinMax artifacts for (`warm_eps`, `warm_parts`):
+/// the one builder behind a first refine, a checkpoint of an entry that
+/// has none, the deep identity oracle and fsck's recomputation. The
+/// encoder is memoized per thread on (d, eps, parts).
+std::shared_ptr<const EntryEncodings> BuildEntryEncodings(
+    const Community& community, Epsilon warm_eps, uint32_t warm_parts);
+
 /// One resident catalog community, as handed out by Get()/Snapshot().
 /// Its sketch lives only in its shard's SignatureIndex (see SketchAt()).
 ///
@@ -62,13 +69,15 @@ struct CatalogEntry {
   /// Content fingerprint + max counter, computed once at ingest (or
   /// adopted with a segment's artifacts). It seeds the sketch builder's
   /// radix width and pre-screens the same-id content check of the ingest
-  /// path. Queries never digest an entry again: they read `encodings`.
+  /// path. Queries never digest an entry.
   CommunityDigest digest;
-  /// MinMax artifacts under the catalog's warm parameters; set on every
-  /// resident entry. The top-k walk refines from them and a checkpoint
-  /// seals them. Ingest builds them, adopts a segment's mapped views, or
-  /// — when the entry's content equals the resident entry's under the
-  /// same id — shares the resident entry's copy.
+  /// MinMax artifacts under the catalog's warm parameters, or null until
+  /// an entry needs them. Ingest builds none: it adopts a segment's
+  /// mapped views, or — when the entry's content equals the resident
+  /// entry's under the same id — shares whatever the resident entry
+  /// holds. The first warm refine of the entry builds them and publishes
+  /// them here (CommunityCatalog::EncodingsAt); a checkpoint seals them,
+  /// building any that are missing without publishing them.
   std::shared_ptr<const EntryEncodings> encodings;
 };
 
@@ -166,13 +175,13 @@ class LiveCoupleSession {
 ///
 /// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path, and
 /// CatalogEntry is its one record. Its build waves run OUTSIDE any shard
-/// lock and make whatever the entry does not carry: the digest, the
-/// entry's MinMax artifacts (EncodedB and EncodedA for (warm_eps,
-/// warm_parts), so no query against the entry builds or looks up an
-/// encoding) and the prescreen sketch table (when `signatures` is set),
-/// staged one chunk of the batch at a time. An entry whose content equals
-/// the resident entry under its id inherits that entry's artifacts and
-/// sketch row instead of building them. Each chunk's install then runs
+/// lock and make whatever the entry does not carry: the digest and the
+/// prescreen sketch table (when `signatures` is set), staged one chunk of
+/// the batch at a time. MinMax artifacts are not built here: a query
+/// refines a few of the entries it probes, so EncodingsAt builds an
+/// entry's artifacts on its first warm refine. An entry whose content
+/// equals the resident entry under its id inherits that entry's
+/// artifacts (if any) and sketch row instead. Each chunk's install then runs
 /// one pool task per touched shard: the task takes that shard's exclusive
 /// lock once, between one mutation-clock tick pair, and copies the tables
 /// into the shard's index. Upsert is the one-entry case of that path (one
@@ -192,7 +201,7 @@ class CommunityCatalog {
     EncodingCache* cache = nullptr;
     /// Parameters every entry's MinMax artifacts are built for. A top-k
     /// query whose JoinOptions eps and clamped part count match them
-    /// serves MinMax couples from the entry artifacts; any other query
+    /// refines MinMax couples from the entry artifacts; any other query
     /// joins the old way, through JoinOptions::cache or local encodings.
     Epsilon warm_eps = 1;
     uint32_t warm_parts = 4;
@@ -223,14 +232,18 @@ class CommunityCatalog {
   /// Installs (or replaces) the community under `id` and returns the new
   /// catalog-wide version: the one-entry case of the ingest path (see the
   /// class comment). The community must be non-empty; it is frozen
-  /// (moved into a shared immutable buffer), then digested, encoded and
-  /// sketched outside any lock.
+  /// (moved into a shared immutable buffer), then digested and sketched
+  /// outside any lock.
   uint64_t Upsert(uint64_t id, Community community);
 
   /// Per-phase accounting of one BulkLoad call.
   struct BulkLoadStats {
     uint64_t entries = 0;
-    double encode_seconds = 0.0;   ///< digest + MinMax artifact wave
+    /// The digest wave: each entry's digest and the same-id content
+    /// check that inherits a resident entry's artifacts and sketch row.
+    /// It builds no artifact (EncodingsAt does, on first refine); the
+    /// name is kept for the readers of these stats.
+    double encode_seconds = 0.0;
     double sketch_seconds = 0.0;   ///< signature build wave
     double install_seconds = 0.0;  ///< per-shard locked install phase
   };
@@ -302,11 +315,20 @@ class CommunityCatalog {
   /// (community == nullptr) when absent.
   CatalogEntry Get(uint64_t id) const;
 
-  /// The resident MinMax artifacts of `id` while its entry still has
-  /// `version`, else null (absent, or replaced since). One refcount
-  /// bump, where Get() copies the whole entry.
-  std::shared_ptr<const EntryEncodings> EncodingsAt(uint64_t id,
-                                                    uint64_t version) const;
+  /// The MinMax artifacts of the pinned `entry` (a snapshot entry, a
+  /// probe head, or a synthetic entry the catalog does not hold) under
+  /// the warm parameters; never null. It returns the entry's own
+  /// artifacts, else the resident ones while `entry.id` still holds
+  /// `entry.version` (one refcount bump under the shared lock).
+  /// Otherwise it builds them from `entry.community` outside any lock,
+  /// then takes the shard's exclusive lock and publishes them if the id
+  /// still holds that version and no other thread published first; a
+  /// thread that lost the race adopts the winner's pointer, and an entry
+  /// replaced or removed meanwhile keeps its build private. Publishing
+  /// fills a cache: it ticks no mutation clock and reaches neither sink
+  /// nor journal, and the bytes are those any build of the content gives.
+  std::shared_ptr<const EntryEncodings> EncodingsAt(
+      const CatalogEntry& entry) const;
 
   /// A copy of `id`'s sketch table, read from its shard's index, while
   /// its entry still has `version`; empty when absent, replaced since, or
@@ -391,7 +413,7 @@ class CommunityCatalog {
     /// Candidate HEADS: `id`, `version` and `community` are set, while
     /// `encodings` and `digest` stay unset. A walk bounds thousands of
     /// candidates and refines a handful, so the probe copies only what
-    /// the bound reads; CoupleScorer::Refine fetches a refined head's
+    /// the bound reads; CoupleScorer::Refine gets a refined head's
     /// artifacts with EncodingsAt().
     std::vector<CatalogEntry> candidates;
     PrescreenStats stats;
@@ -458,9 +480,10 @@ class CommunityCatalog {
   uint64_t Ingest(std::vector<CatalogEntry> entries,
                   std::span<const Count* const> sketches, bool restore,
                   BulkLoadStats* stats);
-  /// Gives `entry` (digested, no artifacts yet) the artifacts, and a
-  /// non-empty `sketch` the sketch row, of the resident entry under its
-  /// id when both hold byte-equal content; returns whether it did.
+  /// Gives `entry` (digested, no artifacts yet) the artifacts (null when
+  /// the resident entry has none yet), and a non-empty `sketch` the
+  /// sketch row, of the resident entry under its id when both hold
+  /// byte-equal content; returns whether it did.
   bool InheritResident(CatalogEntry* entry, std::span<Count> sketch) const;
 
   Options options_;

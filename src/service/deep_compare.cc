@@ -89,10 +89,23 @@ bool EntriesIdentical(const CatalogEntry& a, const CatalogEntry& b) {
 bool CatalogsIdentical(const CommunityCatalog& lhs,
                        const CommunityCatalog& rhs, Epsilon eps,
                        double threshold) {
-  const std::vector<CatalogEntry> lhs_snapshot = lhs.Snapshot();
-  const std::vector<CatalogEntry> rhs_snapshot = rhs.Snapshot();
+  std::vector<CatalogEntry> lhs_snapshot = lhs.Snapshot();
+  std::vector<CatalogEntry> rhs_snapshot = rhs.Snapshot();
   if (lhs_snapshot.size() != rhs_snapshot.size()) return false;
+  // Artifacts are built on first refine, so whether an entry holds them
+  // is history, not state: the copies get what each catalog would build
+  // (nothing is published), and every artifact column is compared.
+  const auto complete = [](const CommunityCatalog& catalog,
+                           CatalogEntry* entry) {
+    if (entry->encodings == nullptr) {
+      entry->encodings =
+          BuildEntryEncodings(*entry->community, catalog.options().warm_eps,
+                              catalog.options().warm_parts);
+    }
+  };
   for (size_t i = 0; i < lhs_snapshot.size(); ++i) {
+    complete(lhs, &lhs_snapshot[i]);
+    complete(rhs, &rhs_snapshot[i]);
     const CatalogEntry& entry = lhs_snapshot[i];
     if (!EntriesIdentical(entry, rhs_snapshot[i]) ||
         lhs.SketchAt(entry.id, entry.version) !=

@@ -7,14 +7,19 @@
 namespace csj::service {
 
 /// Deep byte-identity of two entries: id, version, digest, counters and
-/// MinMax artifact bytes. CatalogsIdentical applies it to every entry
-/// pair, and csj_fsck's deep pass to a stored entry and its
-/// recomputation.
+/// MinMax artifact bytes (both sides hold artifacts, or neither does).
+/// CatalogsIdentical applies it to every entry pair, and csj_fsck's deep
+/// pass to a stored entry and its recomputation.
 bool EntriesIdentical(const CatalogEntry& lhs, const CatalogEntry& rhs);
 
 /// Deep byte-identity between two quiesced catalogs: every entry pair
 /// (EntriesIdentical, and SketchAt bytes), the shard count, and the
-/// sketch layer, compared through ProbeCandidates on both sides with
+/// sketch layer. An entry without artifacts is compared with the
+/// artifacts its catalog would build for it (BuildEntryEncodings under
+/// its warm parameters, not published), so whether a first refine has
+/// run yet never makes two catalogs differ, while every artifact column
+/// is still compared. The sketch layer is compared through
+/// ProbeCandidates on both sides with
 /// three catalog entries as queries: an inert probe (threshold 0) must
 /// examine every entry and pass the same (id, version) list on both
 /// sides, and a probe at `threshold` must pass the same list with the

@@ -89,19 +89,12 @@ double CoupleScorer::Bound(const CatalogEntry& entry) const {
 double CoupleScorer::Refine(const CatalogEntry& entry,
                             const JoinOptions& join) const {
   const Couple couple = Orient(entry);
-  // A probe head carries no artifacts: fetch the resident entry's, unless
-  // it moved on since the probe — then refine the pinned community the
-  // per-couple way (same bits either way).
-  std::shared_ptr<const EntryEncodings> fetched;
-  const EntryEncodings* encodings = nullptr;
   if (query_b_.has_value()) {
-    encodings = entry.encodings.get();
-    if (encodings == nullptr) {
-      fetched = catalog_.EncodingsAt(entry.id, entry.version);
-      encodings = fetched.get();
-    }
-  }
-  if (encodings != nullptr) {
+    // The pinned entry's artifacts: resident, published by this refine
+    // on first touch, or built for a community the catalog no longer
+    // holds at this version.
+    const std::shared_ptr<const EntryEncodings> encodings =
+        catalog_.EncodingsAt(entry);
     const EncodedB& encd_b =
         couple.query_is_b ? *query_b_ : *encodings->encoded_b;
     const EncodedA& encd_a =

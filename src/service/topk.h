@@ -134,22 +134,21 @@ struct TopKResult {
 ///
 /// The REFINE of a MinMax couple runs the join kernel on the query's
 /// encodings (built once, at construction, as both an EncodedB and an
-/// EncodedA) and the entry's artifacts: no digest, no cache lookup and no
-/// encoding per couple. That ENTRY-ARTIFACT path serves every couple
-/// whose method is Ex-MinMax or Ap-MinMax when `join.eps` equals the
-/// catalog's warm_eps, the clamped part counts of `join.encoding_parts`
-/// and warm_parts agree, and no EventLog is attached; every resident
-/// entry carries artifacts (CatalogEntry::encodings). Refine is the one
-/// place that fetches them for a probe head (an entry without artifacts,
-/// see CommunityCatalog::ProbeResult): CommunityCatalog::EncodingsAt
-/// hands it the resident entry's artifacts while that entry still has
-/// the head's version. Every other couple — a non-MinMax method, another
-/// eps or part count, an event log, a head whose entry was replaced or
-/// removed since the probe (its pinned community is refined), or a
-/// synthetic entry the catalog does not hold — refines through
-/// ComputeSimilarity (which goes through `join.cache` when set). Both
-/// paths yield the same similarity bits, so which one runs never changes
-/// a ranking or a walk counter. Const and thread-safe once built.
+/// EncodedA) and the entry's artifacts: no digest and no cache lookup per
+/// couple. That ENTRY-ARTIFACT path serves every couple whose method is
+/// Ex-MinMax or Ap-MinMax when `join.eps` equals the catalog's warm_eps,
+/// the clamped part counts of `join.encoding_parts` and warm_parts agree,
+/// and no EventLog is attached. Refine gets the artifacts of the pinned
+/// entry it is handed (a snapshot entry or a probe head) from
+/// CommunityCatalog::EncodingsAt: the resident ones, else a build from
+/// the pinned community that the first refine publishes into the
+/// catalog. An entry replaced or removed since it was pinned, or a
+/// synthetic entry the catalog does not hold, is refined from artifacts
+/// built for its own community and kept private. Every other couple — a
+/// non-MinMax method, another eps or part count, an event log — refines
+/// through ComputeSimilarity (which goes through `join.cache` when set).
+/// Both paths yield the same similarity bits, so which one runs never
+/// changes a ranking or a walk counter. Const and thread-safe once built.
 class CoupleScorer {
  public:
   /// `catalog` and `query` must outlive the scorer.
@@ -198,8 +197,8 @@ class CoupleScorer {
 /// bound is strictly below the current k-th similarity with the top-k
 /// full. A CoupleScorer does the per-couple work, built once per query:
 /// couples are bounded by the query's per-dimension reach, and MinMax
-/// couples are refined from the entries' resident encodings and the
-/// query's, encoded once.
+/// couples are refined from the entries' artifacts (built on an entry's
+/// first refine) and the query's encodings, built once.
 ///
 /// Cutoff correctness (the "provably identical" contract): for any
 /// method, similarity(B, A) <= Bound on the same couple. Every matched

@@ -85,6 +85,8 @@ class ServeWorkload {
   struct PopulateStats {
     uint32_t entries = 0;
     double total_seconds = 0.0;
+    /// BulkLoadStats::encode_seconds: the digest wave (no artifact is
+    /// built at populate).
     double encode_seconds = 0.0;
     double sketch_seconds = 0.0;
     double install_seconds = 0.0;

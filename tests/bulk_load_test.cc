@@ -190,8 +190,13 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
   // unchanged copy.
   CommunityCatalog reference(WithEverything(4));
   reference.BulkLoad(MakeBatch(12, 700));
+  // Every entry refined once, so each holds its published artifacts.
+  for (const CatalogEntry& entry : reference.Snapshot()) {
+    reference.EncodingsAt(entry);
+  }
   const std::vector<CatalogEntry> entries = reference.Snapshot();
   const CatalogEntry& victim = entries[entries.size() / 2];
+  ASSERT_NE(victim.encodings, nullptr);
   const EntryEncodings& source = *victim.encodings;
   const EncodedB& b = *source.encoded_b;
   const EncodedA& a = *source.encoded_a;

@@ -195,6 +195,13 @@ struct Expected {
   CommunitySignature signature;
 };
 
+/// `id`'s entry after its first refine: EncodingsAt builds and publishes
+/// the artifacts ingest no longer builds.
+CatalogEntry Refined(const CommunityCatalog& catalog, uint64_t id) {
+  catalog.EncodingsAt(catalog.Get(id));
+  return catalog.Get(id);
+}
+
 CommunityCatalog::Options SharingOptions() {
   CommunityCatalog::Options options;
   options.shards = 4;
@@ -213,11 +220,12 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   const Community profile = MakeTestCommunity(30, 1);
   const Expected expected(profile);
   catalog.Upsert(1, Community(profile));
-  const CatalogEntry first = catalog.Get(1);
+  const CatalogEntry first = Refined(catalog, 1);
   EXPECT_TRUE(expected.HeldBy(first, catalog.SketchAt(1, first.version)));
 
   // Equal content under the same id: a new version and buffer, the
-  // resident artifacts and a copy of the resident sketch row.
+  // resident artifacts (shared at ingest, no refine needed) and a copy of
+  // the resident sketch row.
   catalog.Upsert(1, Community(profile));
   const CatalogEntry refreshed = catalog.Get(1);
   EXPECT_GT(refreshed.version, first.version);
@@ -229,7 +237,7 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
 
   // The rule is per id: equal content under another id builds its own.
   catalog.Upsert(2, Community(profile));
-  const CatalogEntry second = catalog.Get(2);
+  const CatalogEntry second = Refined(catalog, 2);
   EXPECT_NE(second.encodings, first.encodings);
   EXPECT_TRUE(expected.HeldBy(second, catalog.SketchAt(2, second.version)));
 
@@ -238,7 +246,7 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   ++counts[counts.size() / 2];
   const Community changed(profile.d(), std::move(counts), profile.name());
   catalog.Upsert(1, Community(changed));
-  const CatalogEntry rebuilt = catalog.Get(1);
+  const CatalogEntry rebuilt = Refined(catalog, 1);
   EXPECT_NE(rebuilt.encodings, first.encodings);
   EXPECT_TRUE(
       Expected(changed).HeldBy(rebuilt, catalog.SketchAt(1, rebuilt.version)));
@@ -253,7 +261,7 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   EXPECT_EQ(inherited.encodings, rebuilt.encodings);
   EXPECT_TRUE(Expected(changed).HeldBy(
       inherited, catalog.SketchAt(1, inherited.version)));
-  const CatalogEntry third = catalog.Get(3);
+  const CatalogEntry third = Refined(catalog, 3);
   EXPECT_TRUE(expected.HeldBy(third, catalog.SketchAt(3, third.version)));
 
   // Sharing rests on the bytes, not the fingerprint: a resident entry
@@ -264,7 +272,7 @@ TEST(CatalogTest, SameContentRefreshSharesEntryArtifacts) {
   CommunityCatalog restored(SharingOptions());
   restored.RestoreBatch({forged}, forged.version + 1);
   restored.Upsert(2, Community(changed));
-  const CatalogEntry unforged = restored.Get(2);
+  const CatalogEntry unforged = Refined(restored, 2);
   EXPECT_NE(unforged.encodings, forged.encodings);
   EXPECT_TRUE(Expected(changed).HeldBy(
       unforged, restored.SketchAt(2, unforged.version)));
@@ -320,7 +328,10 @@ TEST(CatalogTest, ConcurrentSameIdRefreshesStayConsistent) {
     readers.emplace_back([&] {
       do {
         for (uint64_t id = 1; id <= kIds; ++id) {
-          const CatalogEntry entry = catalog.Get(id);
+          // The first refine of an entry races the writers: whatever
+          // EncodingsAt hands out must be this content's artifacts.
+          CatalogEntry entry = catalog.Get(id);
+          entry.encodings = catalog.EncodingsAt(entry);
           const std::vector<Count> sketch = catalog.SketchAt(id, entry.version);
           const Expected* want = expected_for(entry);
           // An empty row is fine only if a writer replaced the entry
@@ -340,7 +351,8 @@ TEST(CatalogTest, ConcurrentSameIdRefreshesStayConsistent) {
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(bad.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
-  for (const CatalogEntry& entry : catalog.Snapshot()) {
+  for (const CatalogEntry& snapshot_entry : catalog.Snapshot()) {
+    const CatalogEntry entry = Refined(catalog, snapshot_entry.id);
     const Expected* want = expected_for(entry);
     ASSERT_NE(want, nullptr) << "id " << entry.id;
     EXPECT_TRUE(want->HeldBy(entry, catalog.SketchAt(entry.id, entry.version)))

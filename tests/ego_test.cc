@@ -2,8 +2,12 @@
 // reordering, segment trees and the EGO strategy.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +16,7 @@
 #include "ego/dimension_reorder.h"
 #include "ego/ego_join.h"
 #include "ego/normalized.h"
+#include "util/histogram.h"
 #include "util/rng.h"
 
 namespace csj::ego {
@@ -115,6 +120,98 @@ TEST(DimensionReorderTest, ReturnsPermutation) {
   std::vector<Dim> sorted = order;
   std::sort(sorted.begin(), sorted.end());
   for (Dim k = 0; k < 8; ++k) EXPECT_EQ(sorted[k], k);
+}
+
+/// The dense reference: one util::Histogram per dimension, every bucket
+/// visited.
+std::vector<double> DenseFailureProbabilities(const Community& b,
+                                              const Community& a, Epsilon eps,
+                                              Count max_count,
+                                              uint32_t max_buckets) {
+  const double cells =
+      static_cast<double>(max_count) / std::max<double>(eps, 1);
+  const auto buckets = static_cast<uint32_t>(
+      std::clamp<double>(std::ceil(cells), 1.0, max_buckets));
+  std::vector<double> failure(b.d());
+  for (Dim dim = 0; dim < b.d(); ++dim) {
+    util::Histogram histogram(0.0, 1.0, buckets);
+    const double inv_max = 1.0 / static_cast<double>(max_count);
+    for (UserId u = 0; u < b.size(); ++u) {
+      histogram.Add(static_cast<double>(b.User(u)[dim]) * inv_max);
+    }
+    for (UserId u = 0; u < a.size(); ++u) {
+      histogram.Add(static_cast<double>(a.User(u)[dim]) * inv_max);
+    }
+    failure[dim] = histogram.AdjacencyCollisionProbability();
+  }
+  return failure;
+}
+
+TEST(DimensionReorderTest, SparseSumsMatchTheDenseHistogramBitForBit) {
+  struct Case {
+    const char* what;
+    Community b;
+    Community a;
+    Count max_count;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"random", RandomCommunity(9, 40, 300, 21),
+                   RandomCommunity(9, 55, 300, 22), 300});
+  cases.push_back({"random, counts past max_count",
+                   RandomCommunity(5, 30, 900, 23),
+                   RandomCommunity(5, 25, 900, 24), 600});
+  cases.push_back({"wide", RandomCommunity(4, 200, 50000, 25),
+                   RandomCommunity(4, 150, 50000, 26), 50000});
+  Community equal_b(6);
+  Community equal_a(6);
+  for (int i = 0; i < 20; ++i) {
+    equal_b.AddUser(std::vector<Count>(6, 17));
+    equal_a.AddUser(std::vector<Count>(6, 17));
+  }
+  cases.push_back({"all equal", equal_b, equal_a, 100});
+  Community single(3);
+  single.AddUser(std::vector<Count>{0, 40, 100});
+  cases.push_back({"single user", single, Community(3), 100});
+  cases.push_back({"single user each side", single, single, 100});
+  // Every value on a bucket edge, max_count itself included (it clamps
+  // into the last bucket), plus zeros.
+  Community edge_b(4);
+  Community edge_a(4);
+  for (Count v = 0; v <= 120; v += 10) {
+    edge_b.AddUser(std::vector<Count>{v, 120, 0, v / 2});
+    edge_a.AddUser(std::vector<Count>{120 - v, 120, 0, 120});
+  }
+  cases.push_back({"max_count edge", edge_b, edge_a, 120});
+  cases.push_back({"empty", Community(2), Community(2), 10});
+
+  for (const Case& c : cases) {
+    for (const Epsilon eps : {Epsilon{0}, Epsilon{1}, Epsilon{3}, Epsilon{10},
+                              Epsilon{1000}}) {
+      for (const uint32_t max_buckets : {1u, 7u, 64u, 4096u}) {
+        SCOPED_TRACE(std::string(c.what) + " eps " + std::to_string(eps) +
+                     " max_buckets " + std::to_string(max_buckets));
+        const std::vector<double> sparse = DimensionFailureProbabilities(
+            c.b, c.a, eps, c.max_count, max_buckets);
+        const std::vector<double> dense = DenseFailureProbabilities(
+            c.b, c.a, eps, c.max_count, max_buckets);
+        ASSERT_EQ(sparse.size(), dense.size());
+        for (size_t dim = 0; dim < dense.size(); ++dim) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(sparse[dim]),
+                    std::bit_cast<uint64_t>(dense[dim]))
+              << "dim " << dim;
+        }
+        std::vector<Dim> order(dense.size());
+        std::iota(order.begin(), order.end(), 0u);
+        std::sort(order.begin(), order.end(), [&](Dim x, Dim y) {
+          if (dense[x] != dense[y]) return dense[x] < dense[y];
+          return x < y;
+        });
+        EXPECT_EQ(ComputeDimensionOrder(c.b, c.a, eps, c.max_count,
+                                        max_buckets),
+                  order);
+      }
+    }
+  }
 }
 
 TEST(SegmentTreeTest, LeavesRespectThresholdAndCoverAllRows) {

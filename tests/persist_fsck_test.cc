@@ -489,6 +489,50 @@ TEST(PersistLogFuzzTest, EveryFlipOrCutFailsOrRestoresTheValidPrefix) {
       EXPECT_FALSE(flip(payload + rng() % (ends[r + 1] - payload)));
     }
   }
+
+  // CRC-valid records whose version breaks the log-version rule: below
+  // the horizon (the segment's next_version), 2^64 - 1, or another
+  // upsert's version. The CRC vouches for the bytes, not the version, so
+  // only CheckLogVersions keeps such a record from installing a second
+  // entry at one version: restore and fsck must both refuse the log.
+  constexpr size_t kVersionAt = sizeof(LogRecordPrefix) + 16;  // kind, d, id
+  const auto version_of = [&](size_t r) {
+    uint64_t version = 0;
+    std::memcpy(&version, pristine.data() + ends[r] + kVersionAt,
+                sizeof(version));
+    return version;
+  };
+  std::vector<size_t> upserts;
+  for (size_t r = 0; r < records; ++r) {
+    if (!ops[r].remove) upserts.push_back(r);
+  }
+  ASSERT_GE(upserts.size(), 2u);
+  // Five sealed entries hold versions 1..5; the first logged upsert takes
+  // the horizon itself.
+  const uint64_t horizon = version_of(upserts[0]);
+  ASSERT_EQ(horizon, 6u);
+  for (size_t u = 0; u < upserts.size(); ++u) {
+    const size_t r = upserts[u];
+    const uint64_t duplicate = version_of(upserts[(u + 1) % upserts.size()]);
+    for (const uint64_t version :
+         {horizon - 1, uint64_t{1}, UINT64_MAX, duplicate}) {
+      std::vector<uint8_t> bytes = pristine;
+      std::memcpy(bytes.data() + ends[r] + kVersionAt, &version,
+                  sizeof(version));
+      LogRecordPrefix prefix;
+      std::memcpy(&prefix, bytes.data() + ends[r], sizeof(prefix));
+      prefix.payload_crc = Crc32c(bytes.data() + ends[r] + sizeof(prefix),
+                                  prefix.payload_size);
+      std::memcpy(bytes.data() + ends[r], &prefix, sizeof(prefix));
+      const std::string what = "record " + std::to_string(r) +
+                               " at version " + std::to_string(version);
+      error.clear();
+      EXPECT_TRUE(check(bytes, 0, 0, what)) << what;
+      EXPECT_NE(error.find("version"), std::string::npos) << what << ": "
+                                                           << error;
+      EXPECT_FALSE(Fsck(dir, /*deep=*/false).clean()) << what;
+    }
+  }
   WriteFile(log, pristine);
   EXPECT_TRUE(Fsck(dir).clean());
 }

@@ -20,7 +20,10 @@
 # per-shard installs race upserts, removes and probes, and its
 # ConcurrentBulkLoadsKeepPerIdSinkOrder, where two BulkLoads' per-shard
 # pool-task installs of overlapping ids race single upserts and readers
-# while a sink records each id's install order), the EDF request queue
+# while a sink records each id's install order), lazy_artifacts_test
+# (eight threads first-touch one entry and must agree on one published
+# pointer, and refiners publish artifacts while a writer replaces the
+# entries they pinned), the EDF request queue
 # (request_queue_test's notify-outside-lock producer/consumer stress is
 # written for this gate), the
 # versioned result cache (result_cache_test's churn differential: readers
@@ -58,7 +61,7 @@ cmake --build "${build_dir}" -j"$(nproc)" \
   --target thread_pool_test parallel_test join_threads_test pipeline_test \
            encoding_cache_test matching_differential_test \
            scan_differential_test \
-           catalog_test bulk_load_test topk_service_test \
+           catalog_test bulk_load_test lazy_artifacts_test topk_service_test \
            service_stress_test signature_test prescreen_test \
            request_queue_test result_cache_test net_test evolve_stress_test \
            persist_crash_test persist_test persist_fsck_test
@@ -66,6 +69,6 @@ cmake --build "${build_dir}" -j"$(nproc)" \
 # halt_on_error: any race fails the gate immediately.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "${build_dir}" --output-on-failure -j 1 \
-        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|ScanDifferential|Catalog|BulkLoad|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck|PersistLogFuzz'
+        -R 'ThreadPool|ParallelFor|ParallelJoin|ParallelPipeline|Pipeline|EncodingCache|JoinThreads|NestedJoinThreads|CostAwareScheduling|SegmentMatchFarm|MatchingDifferential|ScanDifferential|Catalog|BulkLoad|LazyArtifacts|LiveCoupleSession|TopKService|ServiceStress|Signature|Prescreen|RequestQueue|ServerEdf|ResultCache|NetWire|NetLoopback|EvolveStress|PersistCrash|PersistStore|PersistFsck|PersistLogFuzz'
 
 echo "TSAN gate passed."

@@ -1,13 +1,14 @@
 // csj_serve — closed-loop load driver for the serving subsystem.
 //
-// Boots a CsjServer (sharded catalog whose entries carry their MinMax
-// artifacts + bounded request queue + worker crew), populates it with a
-// seeded brand catalog or warm-restarts it from a store, then replays a
-// deterministic request mix (top-k reads with uniform or zipf-skewed
-// query popularity, plus upsert/remove churn) from N closed-loop client
-// threads. Reports throughput and p50/p95/p99 latency (util::Histogram)
-// and optionally writes them as JSON. Exits nonzero unless every request
-// completed without a reject, an expired deadline or a transport error.
+// Boots a CsjServer (sharded catalog whose entries build their MinMax
+// artifacts on first refine + bounded request queue + worker crew),
+// populates it with a seeded brand catalog or warm-restarts it from a
+// store, then replays a deterministic request mix (top-k reads with
+// uniform or zipf-skewed query popularity, plus upsert/remove churn) from
+// N closed-loop client threads. Reports throughput and p50/p95/p99
+// latency (util::Histogram) and optionally writes them as JSON. Exits
+// nonzero unless every request completed without a reject, an expired
+// deadline or a transport error.
 //
 //   ./csj_serve --catalog=24 --size=150 --requests=200 --clients=4
 //               --workers=2 --zipf=1.1 --upsert_fraction=0.05
@@ -324,7 +325,7 @@ int main(int argc, char** argv) {
   } else {
     workload.Populate(&server, &populate_stats);
     std::printf(
-        "populate: %.2f s, %.0f entries/s (encode %.2f s, sketch %.2f s, "
+        "populate: %.2f s, %.0f entries/s (digest %.2f s, sketch %.2f s, "
         "install %.2f s)\n",
         populate_stats.total_seconds, populate_stats.entries_per_sec,
         populate_stats.encode_seconds, populate_stats.sketch_seconds,

@@ -157,19 +157,6 @@ EncodedB::EncodedB(const Community& b, const Encoder& encoder)
   sums_ = std::move(sorted_sums);
 }
 
-EncodedB::EncodedB(const Columns& columns, std::shared_ptr<const void> owner)
-    : parts_(columns.parts),
-      ids_(ColumnStorage<uint64_t>::View(columns.ids, columns.n)),
-      real_(ColumnStorage<UserId>::View(columns.real, columns.n)),
-      sums_(ColumnStorage<uint64_t>::View(
-          columns.sums, static_cast<size_t>(columns.n) * columns.parts)),
-      owner_(std::move(owner)) {
-  CSJ_CHECK_GE(parts_, 1u);
-  CSJ_CHECK(columns.n == 0 ||
-            (columns.ids != nullptr && columns.real != nullptr &&
-             columns.sums != nullptr));
-}
-
 EncodedA::EncodedA(const Community& a, const Encoder& encoder)
     : parts_(encoder.parts()) {
   const uint32_t n = a.size();
@@ -243,24 +230,6 @@ EncodedA::EncodedA(const Community& a, const Encoder& encoder)
   cols_ = std::move(cols);
   window_.Assign(n, encoder.d(),
                  [&](uint32_t i) { return a.User(real_[i]); });
-}
-
-EncodedA::EncodedA(const Columns& columns, std::shared_ptr<const void> owner)
-    : parts_(columns.parts),
-      mins_(ColumnStorage<uint64_t>::View(columns.mins, columns.n)),
-      maxs_(ColumnStorage<uint64_t>::View(columns.maxs, columns.n)),
-      real_(ColumnStorage<UserId>::View(columns.real, columns.n)),
-      cols_(ColumnStorage<uint64_t>::View(
-          columns.cols, static_cast<size_t>(columns.n) * 2 * columns.parts)),
-      owner_(std::move(owner)) {
-  CSJ_CHECK_GE(parts_, 1u);
-  CSJ_CHECK(columns.n == 0 ||
-            (columns.mins != nullptr && columns.maxs != nullptr &&
-             columns.real != nullptr && columns.cols != nullptr &&
-             columns.window != nullptr));
-  // The window shares owner_ through its own keep-alive: a copied-out
-  // window must not dangle if this buffer dies first.
-  window_.AssignView(columns.n, columns.d, columns.window, owner_);
 }
 
 uint32_t EncodedA::UpperBound(uint64_t id) const {

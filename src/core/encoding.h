@@ -2,11 +2,9 @@
 #define CSJ_CORE_ENCODING_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/column_storage.h"
 #include "core/community.h"
 #include "core/epsilon_predicate.h"
 #include "core/types.h"
@@ -78,25 +76,14 @@ class Encoder {
 /// The paper's `Encd_B` buffer: per user of B a triple
 /// (encoded_id, part sums, real id), ascending by encoded_id.
 /// Structure-of-arrays with one flat part-sum buffer — the pairing loop
-/// touches ids far more often than part sums.
+/// touches ids far more often than part sums. A pure function of the
+/// community and the encoder, so it is only ever built, never stored: a
+/// catalog entry's buffers are a cache its first refine fills.
 class EncodedB {
  public:
   /// Encodes every user of `b` and sorts by encoded_id (ties: by real id,
   /// for deterministic traces).
   EncodedB(const Community& b, const Encoder& encoder);
-
-  /// A deserialized buffer: the persist path's restore constructor. The
-  /// three columns are BORROWED (mapped segment bytes pinned by `owner`,
-  /// already in this class's sorted layout) — zero-copy, byte-identical
-  /// to the build constructor by the store's fsck contract.
-  struct Columns {
-    uint32_t parts = 0;
-    uint32_t n = 0;
-    const uint64_t* ids = nullptr;   ///< n encoded ids, ascending
-    const UserId* real = nullptr;    ///< n real ids
-    const uint64_t* sums = nullptr;  ///< n * parts part sums
-  };
-  EncodedB(const Columns& columns, std::shared_ptr<const void> owner);
 
   uint32_t size() const { return static_cast<uint32_t>(ids_.size()); }
   uint32_t parts() const { return parts_; }
@@ -106,42 +93,27 @@ class EncodedB {
     return {sums_.data() + static_cast<size_t>(i) * parts_, parts_};
   }
 
-  /// Approximate heap footprint (cache memory accounting; a restored
-  /// buffer owns no heap — the mapping is accounted by its owner).
+  /// Approximate heap footprint (cache memory accounting).
   size_t MemoryBytes() const {
-    return ids_.OwnedBytes() + real_.OwnedBytes() + sums_.OwnedBytes();
+    return (ids_.capacity() + sums_.capacity()) * sizeof(uint64_t) +
+           real_.capacity() * sizeof(UserId);
   }
 
  private:
+  friend struct EncodingTestPeer;
+
   uint32_t parts_;
-  ColumnStorage<uint64_t> ids_;
-  ColumnStorage<UserId> real_;
-  ColumnStorage<uint64_t> sums_;
-  std::shared_ptr<const void> owner_;
+  std::vector<uint64_t> ids_;
+  std::vector<UserId> real_;
+  std::vector<uint64_t> sums_;
 };
 
 /// The paper's `Encd_A` buffer: per user of A a quadruple
 /// (encoded_min, encoded_max, part ranges, real id), ascending by
-/// encoded_min (ties: by real id).
+/// encoded_min (ties: by real id). Built like EncodedB, never stored.
 class EncodedA {
  public:
   EncodedA(const Community& a, const Encoder& encoder);
-
-  /// A deserialized buffer (see EncodedB::Columns): borrowed columns in
-  /// this class's sorted layout, plus the pre-packed SoA verify window
-  /// (BasicVerifyWindow::PaddedCount(n, d) values in block-major
-  /// layout), all pinned by `owner`.
-  struct Columns {
-    uint32_t parts = 0;
-    uint32_t n = 0;
-    Dim d = 0;
-    const uint64_t* mins = nullptr;   ///< n encoded mins, ascending
-    const uint64_t* maxs = nullptr;   ///< n encoded maxs
-    const UserId* real = nullptr;     ///< n real ids
-    const uint64_t* cols = nullptr;   ///< n * 2 * parts part-major lo/hi
-    const Count* window = nullptr;    ///< PaddedCount(n, d) packed rows
-  };
-  EncodedA(const Columns& columns, std::shared_ptr<const void> owner);
 
   uint32_t size() const { return static_cast<uint32_t>(mins_.size()); }
   uint32_t parts() const { return parts_; }
@@ -177,22 +149,23 @@ class EncodedA {
   /// stretch a probe with this encoded id can reach before MIN PRUNE.
   uint32_t UpperBound(uint64_t id) const;
 
-  /// Approximate heap footprint (cache memory accounting; a restored
-  /// buffer owns no heap — the mapping is accounted by its owner).
+  /// Approximate heap footprint (cache memory accounting).
   size_t MemoryBytes() const {
-    return mins_.OwnedBytes() + maxs_.OwnedBytes() + cols_.OwnedBytes() +
-           real_.OwnedBytes() + window_.MemoryBytes();
+    return (mins_.capacity() + maxs_.capacity() + cols_.capacity()) *
+               sizeof(uint64_t) +
+           real_.capacity() * sizeof(UserId) + window_.MemoryBytes();
   }
 
  private:
+  friend struct EncodingTestPeer;
+
   uint32_t parts_;
-  ColumnStorage<uint64_t> mins_;
-  ColumnStorage<uint64_t> maxs_;
-  ColumnStorage<UserId> real_;
+  std::vector<uint64_t> mins_;
+  std::vector<uint64_t> maxs_;
+  std::vector<UserId> real_;
   /// Part-major lo/hi columns, see part_lo().
-  ColumnStorage<uint64_t> cols_;
+  std::vector<uint64_t> cols_;
   VerifyWindow window_;
-  std::shared_ptr<const void> owner_;
 };
 
 /// The NO OVERLAP filter: true iff every part sum of entry `ib` of B lies

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -89,37 +88,13 @@ bool EpsilonMatches(std::span<const Count> b, std::span<const Count> a,
 template <typename T>
 class BasicVerifyWindow {
  public:
-  BasicVerifyWindow() = default;
-
-  // The packed values are read through a cached raw pointer so the
-  // kernel sees one code path whether the window OWNS its buffer
-  // (Assign) or BORROWS mapped segment bytes (AssignView). Copies
-  // rebind the pointer; moves keep the vector's heap buffer, so the
-  // defaults are correct for them.
-  BasicVerifyWindow(const BasicVerifyWindow& other)
-      : n_(other.n_), d_(other.d_), data_(other.data_), owner_(other.owner_) {
-    ptr_ = other.Borrowing() ? other.ptr_ : data_.data();
-  }
-  BasicVerifyWindow& operator=(const BasicVerifyWindow& other) {
-    if (this != &other) {
-      n_ = other.n_;
-      d_ = other.d_;
-      data_ = other.data_;
-      owner_ = other.owner_;
-      ptr_ = other.Borrowing() ? other.ptr_ : data_.data();
-    }
-    return *this;
-  }
-  BasicVerifyWindow(BasicVerifyWindow&&) = default;
-  BasicVerifyWindow& operator=(BasicVerifyWindow&&) = default;
-
   uint32_t size() const { return n_; }
   Dim d() const { return d_; }
   bool empty() const { return n_ == 0; }
 
   /// Packed element count of an (n, d) window: whole blocks of
-  /// kEpsilonBlock lanes, the last one padded. Serialization sizes its
-  /// on-disk window blobs with exactly this.
+  /// kEpsilonBlock lanes, the last one padded: the value count of the
+  /// packed buffer BlockData(0) starts.
   static size_t PaddedCount(uint32_t n, Dim d) {
     const size_t blocks =
         (static_cast<size_t>(n) + kEpsilonBlock - 1) / kEpsilonBlock;
@@ -128,29 +103,15 @@ class BasicVerifyWindow {
 
   /// First value of block `g` (the 8 lane values of dimension 0).
   const T* BlockData(uint32_t g) const {
-    return ptr_ + static_cast<size_t>(g) * kEpsilonBlock * d_;
+    return data_.data() + static_cast<size_t>(g) * kEpsilonBlock * d_;
   }
 
   /// One candidate's value of one dimension (tests / debugging; the
   /// kernel walks BlockData directly).
   T Value(uint32_t i, Dim k) const {
-    return ptr_[(static_cast<size_t>(i) / kEpsilonBlock) * kEpsilonBlock *
+    return data_[(static_cast<size_t>(i) / kEpsilonBlock) * kEpsilonBlock *
                     d_ +
                 static_cast<size_t>(k) * kEpsilonBlock + i % kEpsilonBlock];
-  }
-
-  /// Adopts an ALREADY-PACKED window of PaddedCount(n, d) values at
-  /// `data` (this class's exact block-major layout, e.g. a mapped
-  /// segment's window section), kept alive by `owner`. Zero-copy: the
-  /// kernel reads the mapped bytes directly.
-  void AssignView(uint32_t n, Dim d, const T* data,
-                  std::shared_ptr<const void> owner) {
-    n_ = n;
-    d_ = d;
-    data_.clear();
-    data_.shrink_to_fit();
-    ptr_ = data;
-    owner_ = std::move(owner);
   }
 
   /// (Re)packs the window from `n` rows of `d` values each; `row(i)` must
@@ -181,23 +142,15 @@ class BasicVerifyWindow {
         for (; l < kEpsilonBlock; ++l) lane[l] = T{};
       }
     }
-    ptr_ = data_.data();
-    owner_.reset();
   }
 
-  /// Approximate heap footprint (the cache's memory accounting; a
-  /// borrowed window owns no heap — the mapping is accounted once by
-  /// its owner).
+  /// Approximate heap footprint (the cache's memory accounting).
   size_t MemoryBytes() const { return data_.capacity() * sizeof(T); }
 
  private:
-  bool Borrowing() const { return ptr_ != nullptr && data_.empty(); }
-
   uint32_t n_ = 0;
   Dim d_ = 0;
   std::vector<T, internal::DefaultInitAllocator<T>> data_;
-  const T* ptr_ = nullptr;
-  std::shared_ptr<const void> owner_;
 };
 
 /// Integer-domain window (Community counters, EncodedA order, hybrid

@@ -47,9 +47,8 @@ inline constexpr uint64_t kLogMagic = detail::Magic("CSJLOG1\0");
 inline constexpr uint32_t kFormatVersion = 1;
 
 /// Section payloads are aligned to 64 bytes inside the segment so every
-/// mapped column starts cache-line aligned (the encoded columns are read
-/// with unaligned vector loads regardless, but alignment keeps rows from
-/// straddling lines gratuitously).
+/// mapped column starts cache-line aligned (alignment keeps counter rows
+/// from straddling lines gratuitously).
 inline constexpr uint64_t kSectionAlign = 64;
 
 /// The 64-byte commit record. crc covers bytes [0, 60).
@@ -63,12 +62,11 @@ struct Superblock {
 };
 static_assert(sizeof(Superblock) == 64);
 
-/// Segment flags. Every checkpoint sets kSegHasEncodings: it seals every
-/// entry's MinMax artifacts, building those a catalog entry has not built
-/// yet. A segment without the flag still restores; its entries then get
-/// their artifacts on first refine, like freshly ingested ones.
+/// Segment flags. Bit 1 is reserved: older writers set it on a segment
+/// that carried MinMax encoding sections (kinds 14-23). Restore and fsck
+/// ignore the bit and those sections; every entry gets its artifacts on
+/// first refine, under the reading catalog's warm parameters.
 inline constexpr uint32_t kSegHasSignatures = 1u << 0;
-inline constexpr uint32_t kSegHasEncodings = 1u << 1;
 
 /// The 64-byte segment header; crc covers bytes [0, 60). The section
 /// descriptor table (section_count * sizeof(SectionDesc) bytes,
@@ -81,10 +79,10 @@ struct SegmentHeader {
   /// The writer catalog's next version at seal time: every stored entry
   /// version is < next_version, and recovery resumes issuing from it.
   uint64_t next_version = 0;
-  /// The catalog warm parameters the encoded sections were built for.
-  /// RestoreInto refuses a catalog configured differently.
-  uint32_t warm_eps = 0;
-  uint32_t warm_parts = 0;
+  /// Reserved: the warm (eps, parts) older writers built their encoding
+  /// sections under. Written as 0; restore and fsck ignore them.
+  uint32_t reserved_warm_eps = 0;
+  uint32_t reserved_warm_parts = 0;
   /// SignatureOptions::quantiles the sketch tables were built with
   /// (meaningful iff kSegHasSignatures).
   uint32_t sig_quantiles = 0;
@@ -96,9 +94,8 @@ struct SegmentHeader {
 static_assert(sizeof(SegmentHeader) == 64);
 
 /// Column kinds. The element type and expected length of each section
-/// are fixed by its kind (n = entry_count, U = total users, C = total
-/// counters, S = total sums = sum_i users_i * parts_i, W = total padded
-/// window values, see the prefix sections):
+/// are fixed by its kind (n = entry_count, C = total counters, see the
+/// prefix sections):
 enum class SectionKind : uint32_t {
   kIds = 1,           ///< uint64[n]   entry ids, strictly ascending
   kVersions = 2,      ///< uint64[n]   entry versions, unique
@@ -107,7 +104,7 @@ enum class SectionKind : uint32_t {
   kMaxCounters = 5,   ///< uint32[n]   digest max counters
   kNamePrefix = 6,    ///< uint64[n+1] byte offsets into kNames
   kNames = 7,         ///< uint8[...]  concatenated entry names
-  kUsersPrefix = 8,   ///< uint64[n+1] user-count prefix sums (total U)
+  kUsersPrefix = 8,   ///< uint64[n+1] user-count prefix sums
   kCountsPrefix = 9,  ///< uint64[n+1] counter prefix sums (total C)
   kCounts = 10,       ///< uint32[C]   row-major community counters
   /// Reserved: uint32[n] sketched-user counts, written by older
@@ -116,17 +113,20 @@ enum class SectionKind : uint32_t {
   kSampled = 11,
   kSigPrefix = 12,    ///< uint64[n+1] sketch-table prefix sums
   kSigTables = 13,    ///< uint32[...] quantile tables, d_i*(q+1) each
-  kSumsPrefix = 14,   ///< uint64[n+1] part-sum prefix sums (total S)
-  kEncBIds = 15,      ///< uint64[U]   EncodedB encoded ids (sorted)
-  kEncBReal = 16,     ///< uint32[U]   EncodedB real ids
-  kEncBSums = 17,     ///< uint64[S]   EncodedB part sums
-  kEncAMins = 18,     ///< uint64[U]   EncodedA encoded mins (sorted)
-  kEncAMaxs = 19,     ///< uint64[U]   EncodedA encoded maxs
-  kEncAReal = 20,     ///< uint32[U]   EncodedA real ids
-  kEncACols = 21,     ///< uint64[2S]  EncodedA part-major lo/hi columns
-  kWindowPrefix = 22, ///< uint64[n+1] padded-window prefix sums (total W)
-  kEncAWindow = 23,   ///< uint32[W]   EncodedA verify windows (sorted order)
-  /// Reserved: uint32[W] user-order community windows, written by older
+  /// Reserved, 14-23: the MinMax encodings (EncodedB, and EncodedA with
+  /// its verify window) older writers sealed for every entry. Restore and
+  /// fsck ignore them: the artifacts are a cache, built on first refine.
+  kSumsPrefix = 14,
+  kEncBIds = 15,
+  kEncBReal = 16,
+  kEncBSums = 17,
+  kEncAMins = 18,
+  kEncAMaxs = 19,
+  kEncAReal = 20,
+  kEncACols = 21,
+  kWindowPrefix = 22,
+  kEncAWindow = 23,
+  /// Reserved: uint32[...] user-order community windows, written by older
   /// versions. Restore and fsck ignore it (no query reads one).
   kComWindow = 24,
 };

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/community.h"
-#include "core/encoding.h"
 #include "core/encoding_cache.h"
 #include "core/signature.h"
 #include "persist/crc32.h"
@@ -16,7 +15,6 @@
 #include "persist/log.h"
 #include "persist/reader.h"
 #include "persist/segment.h"
-#include "service/deep_compare.h"
 #include "util/thread_pool.h"
 
 namespace csj::persist {
@@ -37,16 +35,16 @@ const char* KindName(uint32_t kind) {
     case SectionKind::kSampled: return "reserved";
     case SectionKind::kSigPrefix: return "sig_prefix";
     case SectionKind::kSigTables: return "sig_tables";
-    case SectionKind::kSumsPrefix: return "sums_prefix";
-    case SectionKind::kEncBIds: return "enc_b_ids";
-    case SectionKind::kEncBReal: return "enc_b_real";
-    case SectionKind::kEncBSums: return "enc_b_sums";
-    case SectionKind::kEncAMins: return "enc_a_mins";
-    case SectionKind::kEncAMaxs: return "enc_a_maxs";
-    case SectionKind::kEncAReal: return "enc_a_real";
-    case SectionKind::kEncACols: return "enc_a_cols";
-    case SectionKind::kWindowPrefix: return "window_prefix";
-    case SectionKind::kEncAWindow: return "enc_a_window";
+    case SectionKind::kSumsPrefix:
+    case SectionKind::kEncBIds:
+    case SectionKind::kEncBReal:
+    case SectionKind::kEncBSums:
+    case SectionKind::kEncAMins:
+    case SectionKind::kEncAMaxs:
+    case SectionKind::kEncAReal:
+    case SectionKind::kEncACols:
+    case SectionKind::kWindowPrefix:
+    case SectionKind::kEncAWindow:
     case SectionKind::kComWindow: return "reserved";
   }
   return "unknown";
@@ -68,8 +66,8 @@ struct Reporter {
 
 /// Payload CRCs (the check the zero-copy open path skips), then the
 /// reader restore uses, whose error is the finding. With `deep`, every
-/// entry's digest, sketch and MinMax artifacts are rebuilt from its
-/// stored counters and compared with the reader's entry and sketch row.
+/// entry's digest and sketch are rebuilt from its stored counters and
+/// compared with the reader's entry and sketch row.
 void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
                    Reporter* reporter) {
   for (const SectionDesc& desc : segment->sections()) {
@@ -94,8 +92,7 @@ void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
       static_cast<uint32_t>(entries.size()), [&](uint32_t i) {
         const service::CatalogEntry& stored = entries[i];
         const Community& community = *stored.community;
-        service::CatalogEntry rebuilt = stored;
-        rebuilt.digest = DigestCommunity(community);
+        const CommunityDigest digest = DigestCommunity(community);
         bool sketch_ok = true;
         if (!sketches.empty()) {
           const CommunitySignature sketch(community, sig_options);
@@ -105,14 +102,11 @@ void VerifySegment(const std::shared_ptr<MappedSegment>& segment, bool deep,
           sketch_ok = sketch.quantiles() == header.sig_quantiles &&
                       std::equal(table.begin(), table.end(), sketches[i]);
         }
-        if (stored.encodings != nullptr) {
-          rebuilt.encodings = service::BuildEntryEncodings(
-              community, header.warm_eps, header.warm_parts);
-        }
-        if (!sketch_ok || !service::EntriesIdentical(stored, rebuilt)) {
+        if (!sketch_ok || digest.fingerprint != stored.digest.fingerprint ||
+            digest.max_counter != stored.digest.max_counter) {
           reporter->Fatal("entry id " + std::to_string(stored.id) +
-                          ": stored digest, sketch or MinMax artifacts "
-                          "disagree with recomputation");
+                          ": stored digest or sketch disagrees with "
+                          "recomputation");
         }
       });
 }

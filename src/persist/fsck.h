@@ -9,8 +9,8 @@ namespace csj::persist {
 
 struct FsckOptions {
   std::string dir;
-  /// Recompute derived artifacts (digests, sketches, MinMax encodings)
-  /// from the stored counters and compare them with the stored entries.
+  /// Recompute the derived columns (digests, sketches) from the stored
+  /// counters and compare them with the stored entries.
   /// Catches writer bugs and semantic drift that CRCs cannot (CRCs
   /// prove the bytes are what was written, recomputation proves what was
   /// written is what the builders produce today).
@@ -52,9 +52,11 @@ struct FsckReport {
 /// rule Store::RestoreInto applies (reader.h), whose errors become fatal
 /// findings; the log's record framing and CRCs on the way. The
 /// structural pass thus refuses what restore refuses, plus payload CRC
-/// mismatches. With `deep` it additionally rebuilds each entry's digest,
-/// sketch table and MinMax encodings from the stored counters and
-/// requires them to equal the stored entry (service::EntriesIdentical).
+/// mismatches. With `deep` it additionally rebuilds each entry's digest
+/// and sketch table from the stored counters and requires them to equal
+/// the stored ones. A segment holds no MinMax artifacts (an older
+/// segment's encoding sections are CRC-checked like every section, then
+/// ignored), so there are none to rebuild.
 ///
 /// Returns false only when the directory cannot be walked at all;
 /// corruption is reported through the findings.

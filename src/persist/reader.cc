@@ -9,7 +9,6 @@
 #include <cstring>
 #include <utility>
 
-#include "core/encoding.h"
 #include "persist/crc32.h"
 #include "util/thread_pool.h"
 
@@ -84,14 +83,10 @@ bool ReadSuperblock(const std::string& path, Superblock* superblock,
   return true;
 }
 
-EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t warm_parts,
-                     uint32_t quantiles) {
+EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t quantiles) {
   EntryLayout layout;
   layout.counts = static_cast<uint64_t>(users) * d;
   layout.sketch = static_cast<uint64_t>(d) * (uint64_t{quantiles} + 1);
-  layout.parts = std::clamp(warm_parts, 1u, d);
-  layout.sums = static_cast<uint64_t>(users) * layout.parts;
-  layout.window = VerifyWindow::PaddedCount(users, d);
   return layout;
 }
 
@@ -104,7 +99,6 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
   const SegmentHeader& header = segment->header();
   const auto n = static_cast<size_t>(header.entry_count);
   const bool has_signatures = (header.flags & kSegHasSignatures) != 0;
-  const bool has_encodings = (header.flags & kSegHasEncodings) != 0;
 
   const auto ids = segment->Column<uint64_t>(SectionKind::kIds);
   const auto versions = segment->Column<uint64_t>(SectionKind::kVersions);
@@ -122,17 +116,6 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
   const auto counts = segment->Column<Count>(SectionKind::kCounts);
   const auto sig_prefix = segment->Column<uint64_t>(SectionKind::kSigPrefix);
   const auto sig_tables = segment->Column<Count>(SectionKind::kSigTables);
-  const auto sums_prefix = segment->Column<uint64_t>(SectionKind::kSumsPrefix);
-  const auto b_ids = segment->Column<uint64_t>(SectionKind::kEncBIds);
-  const auto b_real = segment->Column<UserId>(SectionKind::kEncBReal);
-  const auto b_sums = segment->Column<uint64_t>(SectionKind::kEncBSums);
-  const auto a_mins = segment->Column<uint64_t>(SectionKind::kEncAMins);
-  const auto a_maxs = segment->Column<uint64_t>(SectionKind::kEncAMaxs);
-  const auto a_real = segment->Column<UserId>(SectionKind::kEncAReal);
-  const auto a_cols = segment->Column<uint64_t>(SectionKind::kEncACols);
-  const auto window_prefix =
-      segment->Column<uint64_t>(SectionKind::kWindowPrefix);
-  const auto a_window = segment->Column<Count>(SectionKind::kEncAWindow);
 
   // The rules. The views built below index the mapped columns through
   // the prefix arrays, which live in payload bytes the open path does not
@@ -155,13 +138,8 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
   if (has_signatures && sig_prefix.size() != n + 1) {
     return fail("signature column lengths disagree with the entry count");
   }
-  if (has_encodings &&
-      (sums_prefix.size() != n + 1 || window_prefix.size() != n + 1)) {
-    return fail("encoding prefix lengths disagree with the entry count");
-  }
   if (name_prefix[0] != 0 || users_prefix[0] != 0 || counts_prefix[0] != 0 ||
-      (has_signatures && sig_prefix[0] != 0) ||
-      (has_encodings && (sums_prefix[0] != 0 || window_prefix[0] != 0))) {
+      (has_signatures && sig_prefix[0] != 0)) {
     return fail("a prefix column does not start at 0");
   }
   for (size_t i = 0; i < n; ++i) {
@@ -177,18 +155,12 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
     }
     const EntryLayout layout = LayoutOf(
         dims[i], static_cast<uint32_t>(users_prefix[i + 1] - users_prefix[i]),
-        header.warm_parts, header.sig_quantiles);
+        header.sig_quantiles);
     if (!Steps(counts_prefix, i, layout.counts)) {
       return entry_fail(i, "counter prefix disagrees with users * d");
     }
     if (has_signatures && !Steps(sig_prefix, i, layout.sketch)) {
       return entry_fail(i, "sketch prefix disagrees with d * (quantiles + 1)");
-    }
-    if (has_encodings && !Steps(sums_prefix, i, layout.sums)) {
-      return entry_fail(i, "part-sum prefix disagrees with users * parts");
-    }
-    if (has_encodings && !Steps(window_prefix, i, layout.window)) {
-      return entry_fail(i, "window prefix disagrees with the padded count");
     }
     if (name_prefix[i + 1] < name_prefix[i]) {
       return entry_fail(i, "name prefix not monotone");
@@ -203,22 +175,13 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
   if (has_signatures && sig_prefix[n] != sig_tables.size()) {
     return fail("sketch bytes disagree with the sketch prefix total");
   }
-  if (has_encodings &&
-      (b_ids.size() != users_prefix[n] || b_real.size() != users_prefix[n] ||
-       a_mins.size() != users_prefix[n] || a_maxs.size() != users_prefix[n] ||
-       a_real.size() != users_prefix[n] || b_sums.size() != sums_prefix[n] ||
-       a_cols.size() != 2 * sums_prefix[n] ||
-       a_window.size() != window_prefix[n])) {
-    return fail("encoding column lengths disagree with the prefix totals");
-  }
   uint64_t duplicate = 0;
   if (FindDuplicate({versions.begin(), versions.end()}, &duplicate)) {
     return fail("two entries share version " + std::to_string(duplicate));
   }
 
-  // The entries. Everything large is a VIEW pinned by the mapping; per
-  // entry this allocates only the control blocks. A segment without
-  // artifacts leaves them to the ingest path.
+  // The entries. The counters are a VIEW pinned by the mapping; per entry
+  // this allocates only the community and its control block.
   entries->resize(n);
   if (has_signatures) sketches->resize(n);
   util::ThreadPool::Global().Run(static_cast<uint32_t>(n), [&](uint32_t i) {
@@ -237,29 +200,6 @@ bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,
                             static_cast<size_t>(users) * d, segment,
                             std::move(name)));
     if (has_signatures) (*sketches)[i] = sig_tables.data() + sig_prefix[i];
-    if (has_encodings) {
-      const uint32_t parts =
-          LayoutOf(d, users, header.warm_parts, header.sig_quantiles).parts;
-      auto encodings = std::make_shared<service::EntryEncodings>();
-      EncodedB::Columns b;
-      b.parts = parts;
-      b.n = users;
-      b.ids = b_ids.data() + users_prefix[i];
-      b.real = b_real.data() + users_prefix[i];
-      b.sums = b_sums.data() + sums_prefix[i];
-      encodings->encoded_b = std::make_shared<const EncodedB>(b, segment);
-      EncodedA::Columns a;
-      a.parts = parts;
-      a.n = users;
-      a.d = d;
-      a.mins = a_mins.data() + users_prefix[i];
-      a.maxs = a_maxs.data() + users_prefix[i];
-      a.real = a_real.data() + users_prefix[i];
-      a.cols = a_cols.data() + 2 * sums_prefix[i];
-      a.window = a_window.data() + window_prefix[i];
-      encodings->encoded_a = std::make_shared<const EncodedA>(a, segment);
-      entry.encodings = std::move(encodings);
-    }
   });
   return true;
 }

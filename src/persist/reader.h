@@ -26,18 +26,14 @@ bool ReadSuperblock(const std::string& path, Superblock* superblock,
                     bool* present, std::string* error);
 
 /// The column lengths one catalog entry occupies in a segment. They are
-/// a pure function of (d, users, warm_parts, quantiles), so a segment
-/// stores none of them: the checkpoint lays its prefix sums out with
-/// this and the reader requires every prefix step to equal it.
+/// a pure function of (d, users, quantiles), so a segment stores none of
+/// them: the checkpoint lays its prefix sums out with this and the reader
+/// requires every prefix step to equal it.
 struct EntryLayout {
   uint64_t counts = 0;  ///< users * d counters
   uint64_t sketch = 0;  ///< d * (quantiles + 1) sketch-table values
-  uint32_t parts = 0;   ///< warm_parts clamped to [1, d], as Encoder does
-  uint64_t sums = 0;    ///< users * parts part sums (2x in kEncACols)
-  uint64_t window = 0;  ///< VerifyWindow::PaddedCount(users, d)
 };
-EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t warm_parts,
-                     uint32_t quantiles);
+EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t quantiles);
 
 /// Binds every column of `segment` and checks the structural rules the
 /// zero-copy views depend on: column lengths against the header's entry
@@ -45,9 +41,10 @@ EntryLayout LayoutOf(Dim d, uint32_t users, uint32_t warm_parts,
 /// d >= 1 and 1 <= users < 2^32, every prefix starting at 0 and stepping
 /// by the entry's LayoutOf length, and every prefix total against its
 /// column. Then builds one view-backed CatalogEntry per stored entry, in
-/// id order, on the thread pool: community, digest and MinMax artifacts
-/// (when kSegHasEncodings), all pinned by the mapping, and with
-/// kSegHasSignatures each entry's mapped sketch row in `*sketches`.
+/// id order, on the thread pool: its community pinned by the mapping and
+/// its stored digest, and with kSegHasSignatures each entry's mapped
+/// sketch row in `*sketches`. No entry carries MinMax artifacts; the
+/// reserved encoding sections of an older segment are not read.
 /// Returns false with `*error` naming the first broken rule; `*entries`
 /// and `*sketches` are then empty.
 bool ReadSegmentEntries(const std::shared_ptr<MappedSegment>& segment,

@@ -62,8 +62,6 @@ bool WriteSegment(const std::string& path, const SegmentParams& params,
   header.section_count = static_cast<uint32_t>(sections.size());
   header.entry_count = params.entry_count;
   header.next_version = params.next_version;
-  header.warm_eps = params.warm_eps;
-  header.warm_parts = params.warm_parts;
   header.sig_quantiles = params.sig_quantiles;
   header.flags = params.flags;
   header.file_size = cursor;

@@ -22,12 +22,10 @@ struct SectionSpec {
 };
 
 /// Non-magic header fields of the segment being sealed (counts, flags,
-/// warm parameters — see SegmentHeader).
+/// sketch quantiles — see SegmentHeader).
 struct SegmentParams {
   uint64_t entry_count = 0;
   uint64_t next_version = 0;
-  uint32_t warm_eps = 0;
-  uint32_t warm_parts = 0;
   uint32_t sig_quantiles = 0;
   uint32_t flags = 0;
 };
@@ -53,8 +51,9 @@ bool WriteSegment(const std::string& path, const SegmentParams& params,
 /// yields wrong column VALUES, never out-of-bounds access.
 ///
 /// Columns are served as spans over the mapping; the shared_ptr
-/// returned by Map is the keep-alive that view-backed communities,
-/// sketches and encodings hold, so the mapping outlives every reader.
+/// returned by Map is the keep-alive that view-backed communities hold,
+/// so the mapping outlives every reader (restore copies the sketch rows
+/// into the index).
 class MappedSegment {
  public:
   /// Maps and validates; hints the kernel per the flags

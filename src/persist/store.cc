@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/encoding.h"
+#include "core/encoding_cache.h"
 #include "persist/crc32.h"
 #include "persist/reader.h"
 #include "util/logging.h"
@@ -197,8 +197,6 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
     *error = "the log tail was already replayed; reopen the store";
     return false;
   }
-  const auto& catalog_options = catalog->options();
-
   // Log versions are CRC-covered but unvalidated: one outside the
   // horizon, or two upserts sharing one, must fail here instead of
   // aborting inside RestoreBatch or installing twice. Checked before
@@ -217,16 +215,10 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
 
   if (segment_ != nullptr) {
     const SegmentHeader& header = segment_->header();
-    // The segment's derived artifacts are only adoptable into a catalog
-    // shaped like the writer's; a mismatch is a configuration error,
-    // not a recoverable state.
+    // The mapped sketch rows are only adoptable into a catalog sketching
+    // like the writer's; a mismatch is a configuration error, not a
+    // recoverable state.
     const bool has_signatures = (header.flags & kSegHasSignatures) != 0;
-    if ((header.flags & kSegHasEncodings) != 0 &&
-        (header.warm_eps != catalog_options.warm_eps ||
-         header.warm_parts != catalog_options.warm_parts)) {
-      *error = "store warm parameters disagree with the catalog's";
-      return false;
-    }
     if (has_signatures != (catalog->signature_options() != nullptr)) {
       *error = "store signature configuration disagrees with the catalog's";
       return false;
@@ -279,11 +271,11 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
   std::reverse(survivors.begin(), survivors.end());
   for (const uint64_t id : removed) catalog->Remove(id);
 
-  // Build the survivors' communities on the pool, copied straight out of
-  // the mapped image, and install them as one batch in record order.
-  // Their derived artifacts (digest included) were never checkpointed:
-  // RestoreBatch builds them on the ingest path Upsert uses, or shares
-  // the resident entry's when the record rewrote it with equal content.
+  // Build the survivors' communities and digests on the pool, copied
+  // straight out of the mapped image, and install them as one batch in
+  // record order. RestoreBatch builds their sketch rows on the ingest
+  // path Upsert uses, or copies the resident entry's when the record
+  // rewrote it with equal content.
   const uint8_t* image = log_image_.bytes().data();
   std::vector<service::CatalogEntry> tail(survivors.size());
   util::ThreadPool::Global().Run(
@@ -298,6 +290,7 @@ bool Store::RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                                counts + static_cast<size_t>(record.users) *
                                             record.d),
             record.name);
+        tail[t].digest = DigestCommunity(*tail[t].community);
       });
   // Also pins the version counter to the recovered horizon when no upsert
   // survives (an empty RestoreBatch only advances the counter).
@@ -371,7 +364,6 @@ void Store::StopLogging(service::CommunityCatalog* catalog) {
 bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                        std::string* error, CheckpointStats* stats) {
   if (stats != nullptr) *stats = CheckpointStats{};
-  const auto& catalog_options = catalog.options();
   const uint64_t new_generation = generation_ + 1;
 
   // The quiescence precondition, on the mutation clock: nothing in
@@ -393,22 +385,17 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<uint64_t> users_prefix(n + 1, 0);
   std::vector<uint64_t> counts_prefix(n + 1, 0);
   std::vector<uint64_t> sig_prefix(has_signatures ? n + 1 : 0, 0);
-  std::vector<uint64_t> sums_prefix(n + 1, 0);
-  std::vector<uint64_t> window_prefix(n + 1, 0);
   const uint32_t sig_quantiles =
       has_signatures ? catalog.signature_options()->quantiles : 0;
   for (uint32_t i = 0; i < n; ++i) {
     const service::CatalogEntry& entry = snapshot[i];
     const uint32_t users = entry.community->size();
     const EntryLayout layout =
-        LayoutOf(entry.community->d(), users, catalog_options.warm_parts,
-                 sig_quantiles);
+        LayoutOf(entry.community->d(), users, sig_quantiles);
     name_prefix[i + 1] = name_prefix[i] + entry.community->name().size();
     users_prefix[i + 1] = users_prefix[i] + users;
     counts_prefix[i + 1] = counts_prefix[i] + layout.counts;
     if (has_signatures) sig_prefix[i + 1] = sig_prefix[i] + layout.sketch;
-    sums_prefix[i + 1] = sums_prefix[i] + layout.sums;
-    window_prefix[i + 1] = window_prefix[i] + layout.window;
   }
 
   // Column buffers.
@@ -417,20 +404,11 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   std::vector<uint8_t> names(name_prefix[n]);
   std::vector<Count> counts(counts_prefix[n]);
   std::vector<Count> sig_tables(has_signatures ? sig_prefix[n] : 0);
-  std::vector<uint64_t> b_ids(users_prefix[n]);
-  std::vector<UserId> b_real(users_prefix[n]);
-  std::vector<uint64_t> b_sums(sums_prefix[n]);
-  std::vector<uint64_t> a_mins(users_prefix[n]);
-  std::vector<uint64_t> a_maxs(users_prefix[n]);
-  std::vector<UserId> a_real(users_prefix[n]);
-  std::vector<uint64_t> a_cols(2 * sums_prefix[n]);
-  std::vector<Count> a_window(window_prefix[n]);
 
   // Parallel fill: every entry writes disjoint column stretches. The
-  // MinMax artifacts are the entries' own, or for an entry that has none
-  // yet built here and dropped after the copy: sealing publishes nothing,
-  // so it leaves the catalog's resident state as it found it. The
-  // sketches are index rows.
+  // sketches are index rows. MinMax artifacts are a cache, filled on
+  // first refine, and are not sealed: the segment holds the same bytes
+  // whichever entries were refined.
   std::atomic<bool> sketch_missing{false};
   util::ThreadPool::Global().Run(n, [&](uint32_t i) {
     const service::CatalogEntry& entry = snapshot[i];
@@ -454,31 +432,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
                   table.size() * sizeof(Count));
       }
     }
-    const std::shared_ptr<const service::EntryEncodings> encodings =
-        entry.encodings != nullptr
-            ? entry.encodings
-            : service::BuildEntryEncodings(*entry.community,
-                                           catalog_options.warm_eps,
-                                           catalog_options.warm_parts);
-    const EncodedB* encoded_b = encodings->encoded_b.get();
-    const EncodedA* encoded_a = encodings->encoded_a.get();
-    for (uint32_t u = 0; u < entry.community->size(); ++u) {
-      b_ids[users_prefix[i] + u] = encoded_b->encoded_id(u);
-      b_real[users_prefix[i] + u] = encoded_b->real_id(u);
-      a_mins[users_prefix[i] + u] = encoded_a->encoded_min(u);
-      a_maxs[users_prefix[i] + u] = encoded_a->encoded_max(u);
-      a_real[users_prefix[i] + u] = encoded_a->real_id(u);
-    }
-    // part_sums(0) / part_lo(0) are the first elements of the flat
-    // SoA buffers; the whole column is contiguous behind them.
-    const size_t sums = sums_prefix[i + 1] - sums_prefix[i];
-    std::memcpy(b_sums.data() + sums_prefix[i],
-                encoded_b->part_sums(0).data(), sums * sizeof(uint64_t));
-    std::memcpy(a_cols.data() + 2 * sums_prefix[i], encoded_a->part_lo(0),
-                2 * sums * sizeof(uint64_t));
-    std::memcpy(a_window.data() + window_prefix[i],
-                encoded_a->window().BlockData(0),
-                (window_prefix[i + 1] - window_prefix[i]) * sizeof(Count));
   });
   // Without a racing mutation every snapshot entry has its index row.
   if (sketch_missing || catalog.mutations_started() != finished) {
@@ -491,11 +444,8 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
   SegmentParams params;
   params.entry_count = n;
   params.next_version = catalog.latest_version() + 1;
-  params.warm_eps = catalog_options.warm_eps;
-  params.warm_parts = catalog_options.warm_parts;
   params.sig_quantiles = sig_quantiles;
-  params.flags =
-      (has_signatures ? kSegHasSignatures : 0u) | kSegHasEncodings;
+  params.flags = has_signatures ? kSegHasSignatures : 0u;
 
   std::vector<SectionSpec> sections;
   auto add = [&](SectionKind kind, uint32_t elem_size, const void* data,
@@ -522,18 +472,6 @@ bool Store::Checkpoint(const service::CommunityCatalog& catalog,
         sig_prefix.size() * 8);
     add(SectionKind::kSigTables, 4, sig_tables.data(), sig_tables.size() * 4);
   }
-  add(SectionKind::kSumsPrefix, 8, sums_prefix.data(),
-      sums_prefix.size() * 8);
-  add(SectionKind::kEncBIds, 8, b_ids.data(), b_ids.size() * 8);
-  add(SectionKind::kEncBReal, 4, b_real.data(), b_real.size() * 4);
-  add(SectionKind::kEncBSums, 8, b_sums.data(), b_sums.size() * 8);
-  add(SectionKind::kEncAMins, 8, a_mins.data(), a_mins.size() * 8);
-  add(SectionKind::kEncAMaxs, 8, a_maxs.data(), a_maxs.size() * 8);
-  add(SectionKind::kEncAReal, 4, a_real.data(), a_real.size() * 4);
-  add(SectionKind::kEncACols, 8, a_cols.data(), a_cols.size() * 8);
-  add(SectionKind::kWindowPrefix, 8, window_prefix.data(),
-      window_prefix.size() * 8);
-  add(SectionKind::kEncAWindow, 4, a_window.data(), a_window.size() * 4);
 
   const std::string segment_path = SegmentPath(new_generation);
   if (!WriteSegment(segment_path, params, sections, error)) return false;

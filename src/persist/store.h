@@ -85,29 +85,28 @@ class Store {
 
   /// Rebuilds `catalog` (must be freshly constructed and empty) to the
   /// exact pre-crash state: segment entries install zero-copy under
-  /// their original versions (their mapped sketch rows are copied into
-  /// the index packs, whose mapped pages are then dropped), then the
-  /// log's valid prefix replays its final state: each id's last record
-  /// removes the id or installs its upsert, and superseded records only
-  /// advance the version counter. Snapshots, versions, MinMax artifact
-  /// bytes, sketch rows, probe verdicts and every top-k ranking come back
-  /// byte-identical. Segment entries adopt the mapped artifacts; a log
-  /// record that rewrote an id with equal content shares the resident
-  /// entry's, and any other replayed upsert gets its artifacts on first
-  /// refine.
+  /// their original versions with their stored digests (their mapped
+  /// sketch rows are copied into the index packs, whose mapped pages are
+  /// then dropped), then the log's valid prefix replays its final state:
+  /// each id's last record removes the id or installs its upsert, and
+  /// superseded records only advance the version counter. Snapshots,
+  /// versions, sketch rows, probe verdicts and every top-k ranking come
+  /// back byte-identical. No entry arrives with MinMax artifacts: each
+  /// gets them on first refine under the catalog's own warm parameters,
+  /// whatever parameters the writer served with, and an older segment's
+  /// encoding sections are ignored.
   ///
   /// Before anything installs, the log must pass CheckLogVersions, the
-  /// catalog must be configured with the writer's warm parameters and
-  /// signature options (checked against the segment header), and the
-  /// segment must pass ReadSegmentEntries (reader.h). A broken rule
+  /// catalog's signature options must match the segment's sketches, and
+  /// the segment must pass ReadSegmentEntries (reader.h). A broken rule
   /// fails the restore with a "run csj_fsck" error: restore refuses
   /// exactly what csj_fsck's structural pass refuses, payload CRCs aside.
   ///
-  /// Replay builds each surviving upsert's community on the global pool,
-  /// copied from the mapped log, then installs them as one batch in
-  /// record order. Every record still passes the checks above first.
-  /// A successful restore releases the log mapping, so it runs once per
-  /// Open: a second call fails unless a Checkpoint came between.
+  /// Replay builds each surviving upsert's community and digest on the
+  /// global pool, copied from the mapped log, then installs them as one
+  /// batch in record order. Every record still passes the checks above
+  /// first. A successful restore releases the log mapping, so it runs
+  /// once per Open: a second call fails unless a Checkpoint came between.
   bool RestoreInto(service::CommunityCatalog* catalog, std::string* error,
                    OpenStats* stats = nullptr);
 
@@ -120,14 +119,15 @@ class Store {
   void StopLogging(service::CommunityCatalog* catalog);
 
   /// Folds the catalog's current state into a new sealed generation:
-  /// writes seg-<G+1> (communities + digests + sketches + warm encoded
-  /// artifacts, built for an entry that has none yet and not published
-  /// into the catalog), fsyncs it, commits the superblock, then deletes the
-  /// old generation's files. On any failure the store still names the
-  /// old generation — a half-written new segment is inert garbage.
-  /// A mutation in flight at the snapshot, or started before the columns
-  /// are filled, fails it before anything is written. When logging is
-  /// attached, the log rolls to the new generation.
+  /// writes seg-<G+1> (communities, digests and sketches; no MinMax
+  /// artifacts, which are a cache filled on first refine, so the bytes do
+  /// not depend on which entries were refined), fsyncs it, commits the
+  /// superblock, then deletes the old generation's files. On any failure
+  /// the store still names the old generation — a half-written new
+  /// segment is inert garbage. A mutation in flight at the snapshot, or
+  /// started before the columns are filled, fails it before anything is
+  /// written. When logging is attached, the log rolls to the new
+  /// generation.
   bool Checkpoint(const service::CommunityCatalog& catalog, std::string* error,
                   CheckpointStats* stats = nullptr);
 

@@ -261,17 +261,18 @@ uint64_t CommunityCatalog::Ingest(std::vector<CatalogEntry> entries,
       return std::span<Count>(staged[i - chunk]);
     };
 
-    // Wave 1 — the digest. An entry that arrives with artifacts (a
-    // segment restore) keeps them and its digest; an entry whose content
-    // equals the resident entry's shares that entry's artifacts and
-    // sketch row. No artifact is built: EncodingsAt does on first refine.
+    // Wave 1 — the digest, then the same-id content check: an entry whose
+    // content equals the resident entry's shares that entry's artifacts
+    // and sketch row. A restored entry arrives with its digest, so it
+    // takes the check only when that can spare a sketch build. No
+    // artifact is built: EncodingsAt does on first refine.
     phase_timer.Reset();
     run_wave(
         chunk, count,
-        [&](uint32_t i) { return entries[i].encodings == nullptr; },
+        [&](uint32_t i) { return !restore || needs_sketch[i - chunk] != 0; },
         [&](uint32_t i) {
           CatalogEntry& entry = entries[i];
-          entry.digest = DigestCommunity(*entry.community);
+          if (!restore) entry.digest = DigestCommunity(*entry.community);
           if (InheritResident(&entry, staged_row(i))) {
             needs_sketch[i - chunk] = 0;
           }

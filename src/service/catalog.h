@@ -28,20 +28,19 @@ namespace csj::service {
 /// and A-side encodings, the A side carrying its verify window.
 /// Immutable.
 ///
-/// Cache-line aligned: a restore allocates these blocks back to back,
-/// and every snapshot or Get copy of an entry bumps the block's
+/// Cache-line aligned: blocks built one after another can sit back to
+/// back, and every snapshot or Get copy of an entry bumps the block's
 /// refcount, so readers on two cores copying neighbouring entries would
-/// otherwise bounce one line (measured on churn_durable: ~10% of read
-/// throughput). Probe heads carry no encodings and touch no block.
+/// otherwise bounce one line (measured on churn_durable, when a restore
+/// allocated every block in id order: ~10% of read throughput). Probe heads carry no encodings and touch no block.
 struct alignas(64) EntryEncodings {
   std::shared_ptr<const EncodedB> encoded_b;
   std::shared_ptr<const EncodedA> encoded_a;
 };
 
 /// Builds `community`'s MinMax artifacts for (`warm_eps`, `warm_parts`):
-/// the one builder behind a first refine, a checkpoint of an entry that
-/// has none, the deep identity oracle and fsck's recomputation. The
-/// encoder is memoized per thread on (d, eps, parts).
+/// the one builder behind a first refine and the deep identity oracle.
+/// The encoder is memoized per thread on (d, eps, parts).
 std::shared_ptr<const EntryEncodings> BuildEntryEncodings(
     const Community& community, Epsilon warm_eps, uint32_t warm_parts);
 
@@ -67,17 +66,16 @@ struct CatalogEntry {
   uint64_t version = 0;
   std::shared_ptr<const Community> community;
   /// Content fingerprint + max counter, computed once at ingest (or
-  /// adopted with a segment's artifacts). It seeds the sketch builder's
-  /// radix width and pre-screens the same-id content check of the ingest
-  /// path. Queries never digest an entry.
+  /// carried by a restored entry: a segment stores it). It seeds the
+  /// sketch builder's radix width and pre-screens the same-id content
+  /// check of the ingest path. Queries never digest an entry.
   CommunityDigest digest;
   /// MinMax artifacts under the catalog's warm parameters, or null until
-  /// an entry needs them. Ingest builds none: it adopts a segment's
-  /// mapped views, or — when the entry's content equals the resident
-  /// entry's under the same id — shares whatever the resident entry
-  /// holds. The first warm refine of the entry builds them and publishes
-  /// them here (CommunityCatalog::EncodingsAt); a checkpoint seals them,
-  /// building any that are missing without publishing them.
+  /// an entry needs them: a cache. Ingest builds none; an entry whose
+  /// content equals the resident entry's under the same id shares
+  /// whatever the resident entry holds. The first warm refine of the
+  /// entry builds them and publishes them here
+  /// (CommunityCatalog::EncodingsAt). A checkpoint does not seal them.
   std::shared_ptr<const EntryEncodings> encodings;
 };
 
@@ -175,8 +173,9 @@ class LiveCoupleSession {
 ///
 /// Ingest: Upsert, BulkLoad and RestoreBatch share ONE path, and
 /// CatalogEntry is its one record. Its build waves run OUTSIDE any shard
-/// lock and make whatever the entry does not carry: the digest and the
-/// prescreen sketch table (when `signatures` is set), staged one chunk of
+/// lock and make whatever the entry does not carry: the digest (a
+/// restored entry carries it) and the prescreen sketch table (when
+/// `signatures` is set), staged one chunk of
 /// the batch at a time. MinMax artifacts are not built here: a query
 /// refines a few of the entries it probes, so EncodingsAt builds an
 /// entry's artifacts on its first warm refine. An entry whose content
@@ -278,13 +277,14 @@ class CommunityCatalog {
   /// counter to exactly `next_version`, so post-restore upserts issue
   /// the same versions the pre-crash catalog would have.
   ///
-  /// Each entry needs a non-empty `community` and a version >= 1 and
-  /// < `next_version`. An entry that carries `encodings` keeps them and
-  /// its `digest` as supplied: the caller vouches that they are this
-  /// content's artifacts under the catalog's warm parameters (a segment
-  /// restore adopts the mapped views this way). So are the non-null
-  /// sketch rows of `sketches` (empty or parallel to `batch`), copied into
-  /// the index. Everything else is built as Upsert builds it. Batch order
+  /// Each entry needs a non-empty `community`, a version >= 1 and
+  /// < `next_version`, and its `digest`: the caller vouches that it is
+  /// DigestCommunity of the content (a segment stores it; a log replay
+  /// computes it beside the community), so restore digests nothing. Any
+  /// `encodings` an entry carries are kept as this content's artifacts
+  /// under the catalog's warm parameters. So are the non-null sketch rows
+  /// of `sketches` (empty or parallel to `batch`), copied into the index.
+  /// Everything else is built as Upsert builds it. Batch order
   /// is the install order within each shard, and an id may repeat: the
   /// last occurrence wins, exactly as in BulkLoad. A store replays a log
   /// tail's final state, so its batches hold each id once; what it
@@ -428,9 +428,7 @@ class CommunityCatalog {
     return options_.signatures.has_value() ? &*options_.signatures : nullptr;
   }
 
-  /// The construction options (the persistence layer reads the warm
-  /// parameters to seal and restore derived artifacts in the exact shape
-  /// serving expects).
+  /// The construction options.
   const Options& options() const { return options_; }
 
   /// Monotonic operation counters (for the server's stats surface).

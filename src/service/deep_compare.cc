@@ -22,9 +22,9 @@ bool WindowsIdentical(const VerifyWindow& lhs, const VerifyWindow& rhs) {
                     VerifyWindow::PaddedCount(lhs.size(), lhs.d()));
 }
 
-/// Every column the walk refines from and a checkpoint seals: ids, real
-/// ids and part sums of the B side; mins, maxs, real ids, part columns
-/// and verify window of the A side.
+/// Every column the walk refines from: ids, real ids and part sums of
+/// the B side; mins, maxs, real ids, part columns and verify window of
+/// the A side.
 bool ArtifactsIdentical(const EntryEncodings& lhs, const EntryEncodings& rhs) {
   const EncodedB& lhs_b = *lhs.encoded_b;
   const EncodedB& rhs_b = *rhs.encoded_b;

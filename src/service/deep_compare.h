@@ -8,8 +8,7 @@ namespace csj::service {
 
 /// Deep byte-identity of two entries: id, version, digest, counters and
 /// MinMax artifact bytes (both sides hold artifacts, or neither does).
-/// CatalogsIdentical applies it to every entry pair, and csj_fsck's deep
-/// pass to a stored entry and its recomputation.
+/// CatalogsIdentical applies it to every entry pair.
 bool EntriesIdentical(const CatalogEntry& lhs, const CatalogEntry& rhs);
 
 /// Deep byte-identity between two quiesced catalogs: every entry pair

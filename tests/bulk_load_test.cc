@@ -33,7 +33,40 @@
 #include "test_seed.h"
 #include "util/rng.h"
 
-namespace csj::service {
+namespace csj {
+
+/// Reaches into the encodings, so a test can change one artifact value.
+struct EncodingTestPeer {
+  /// Adds 1 to the first value of one column of `b` or `a`, built from
+  /// `community`: 1-3 are B's ids, real ids and part sums, 4-8 A's mins,
+  /// maxs, real ids, part columns and verify window. Other values of
+  /// `column` change nothing.
+  static void Bump(int column, const Community& community, EncodedB* b,
+                   EncodedA* a) {
+    switch (column) {
+      case 1: ++b->ids_[0]; break;
+      case 2: ++b->real_[0]; break;
+      case 3: ++b->sums_[0]; break;
+      case 4: ++a->mins_[0]; break;
+      case 5: ++a->maxs_[0]; break;
+      case 6: ++a->real_[0]; break;
+      case 7: ++a->cols_[0]; break;
+      case 8: {
+        const auto row = community.User(a->real_[0]);
+        std::vector<Count> first(row.begin(), row.end());
+        ++first[0];
+        a->window_.Assign(a->size(), community.d(), [&](uint32_t i) {
+          return i == 0 ? std::span<const Count>(first)
+                        : community.User(a->real_[i]);
+        });
+        break;
+      }
+      default: break;
+    }
+  }
+};
+
+namespace service {
 namespace {
 
 Community MakeTestCommunity(uint32_t size, uint64_t salt) {
@@ -162,13 +195,14 @@ TEST(BulkLoadTest, MatchesSequentialUpsertAcrossShardCounts) {
     EXPECT_GE(stats.sketch_seconds, 0.0);
     EXPECT_GE(stats.install_seconds, 0.0);
 
-    // The restore arm: the same entries at BulkLoad's versions, with no
-    // prebuilt artifacts (digest included), so RestoreBatch builds all.
+    // The restore arm: the same entries at BulkLoad's versions, carrying
+    // their digests and nothing else, so RestoreBatch builds the sketches.
     std::vector<CatalogEntry> entries(batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       entries[i].id = batch[i].first;
       entries[i].version = last - batch.size() + 1 + i;
       entries[i].community = batch[i].second;
+      entries[i].digest = DigestCommunity(*batch[i].second);
     }
     EXPECT_EQ(restored.RestoreBatch(std::move(entries), last + 1), last);
 
@@ -198,64 +232,18 @@ TEST(BulkLoadTest, IdentityOracleSeesEveryArtifactColumn) {
   const CatalogEntry& victim = entries[entries.size() / 2];
   ASSERT_NE(victim.encodings, nullptr);
   const EntryEncodings& source = *victim.encodings;
-  const EncodedB& b = *source.encoded_b;
-  const EncodedA& a = *source.encoded_a;
-  const uint32_t n = b.size();
-  const Dim d = victim.community->d();
-  const size_t padded = VerifyWindow::PaddedCount(n, d);
 
   const char* columns[] = {"none",   "b ids",  "b real", "b sums",
                            "a mins", "a maxs", "a real", "a cols",
                            "a window", "sketch"};
   for (int column = 0; column < 10; ++column) {
     SCOPED_TRACE(columns[column]);
-    struct Copy {
-      std::vector<uint64_t> b_ids, b_sums, a_mins, a_maxs, a_cols;
-      std::vector<UserId> b_real, a_real;
-      std::vector<Count> a_window;
-    };
-    auto copy = std::make_shared<Copy>();
-    for (uint32_t u = 0; u < n; ++u) {
-      copy->b_ids.push_back(b.encoded_id(u));
-      copy->b_real.push_back(b.real_id(u));
-      copy->a_mins.push_back(a.encoded_min(u));
-      copy->a_maxs.push_back(a.encoded_max(u));
-      copy->a_real.push_back(a.real_id(u));
-    }
-    const size_t sums = static_cast<size_t>(n) * b.parts();
-    copy->b_sums.assign(b.part_sums(0).data(), b.part_sums(0).data() + sums);
-    copy->a_cols.assign(a.part_lo(0), a.part_lo(0) + 2 * sums);
-    copy->a_window.assign(a.window().BlockData(0),
-                          a.window().BlockData(0) + padded);
-    switch (column) {
-      case 1: ++copy->b_ids[0]; break;
-      case 2: ++copy->b_real[0]; break;
-      case 3: ++copy->b_sums[0]; break;
-      case 4: ++copy->a_mins[0]; break;
-      case 5: ++copy->a_maxs[0]; break;
-      case 6: ++copy->a_real[0]; break;
-      case 7: ++copy->a_cols[0]; break;
-      case 8: ++copy->a_window[0]; break;
-      default: break;
-    }
+    auto b = std::make_shared<EncodedB>(*source.encoded_b);
+    auto a = std::make_shared<EncodedA>(*source.encoded_a);
+    EncodingTestPeer::Bump(column, *victim.community, b.get(), a.get());
     auto encodings = std::make_shared<EntryEncodings>();
-    EncodedB::Columns b_columns;
-    b_columns.parts = b.parts();
-    b_columns.n = n;
-    b_columns.ids = copy->b_ids.data();
-    b_columns.real = copy->b_real.data();
-    b_columns.sums = copy->b_sums.data();
-    encodings->encoded_b = std::make_shared<const EncodedB>(b_columns, copy);
-    EncodedA::Columns a_columns;
-    a_columns.parts = a.parts();
-    a_columns.n = n;
-    a_columns.d = d;
-    a_columns.mins = copy->a_mins.data();
-    a_columns.maxs = copy->a_maxs.data();
-    a_columns.real = copy->a_real.data();
-    a_columns.cols = copy->a_cols.data();
-    a_columns.window = copy->a_window.data();
-    encodings->encoded_a = std::make_shared<const EncodedA>(a_columns, copy);
+    encodings->encoded_b = std::move(b);
+    encodings->encoded_a = std::move(a);
 
     // Every other entry keeps the reference's own artifacts, digest and
     // sketch row (handed over like a segment's mapped rows).
@@ -303,6 +291,7 @@ TEST(BulkLoadTest, ChunkedInstallMatchesSequentialAcrossChunks) {
     entries[i].id = batch[i].first;
     entries[i].version = i + 1;
     entries[i].community = batch[i].second;
+    entries[i].digest = DigestCommunity(*batch[i].second);
   }
   EXPECT_EQ(restored.RestoreBatch(std::move(entries), kEntries + 1),
             kEntries);
@@ -603,4 +592,5 @@ TEST(BulkLoadTest, ConcurrentBulkLoadsKeepPerIdSinkOrder) {
 }
 
 }  // namespace
-}  // namespace csj::service
+}  // namespace service
+}  // namespace csj

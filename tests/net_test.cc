@@ -38,6 +38,7 @@
 #include "service/server.h"
 #include "service/workload.h"
 #include "test_seed.h"
+#include "util/rng.h"
 
 namespace csj::net {
 namespace {
@@ -355,6 +356,149 @@ TEST(NetWire, ShortReadThenEofIsTruncated) {
   // The peer hung up mid-frame.
   EXPECT_EQ(decoder.Finish(), WireStatus::kTruncated);
   EXPECT_EQ(decoder.Finish(), WireStatus::kTruncated);  // sticky
+}
+
+// ---------------------------------------------------------------------
+// FrameDecoder: a deterministic mutational fuzzer over valid frames.
+// ---------------------------------------------------------------------
+
+/// Decodes `bytes`, fed in two pieces split at `split`, until the decoder
+/// stops yielding frames, then checks EOF. Every decoded frame must
+/// re-encode to exactly the bytes it was decoded from. Returns the final
+/// status: kOk when the frames account for every byte, else the error
+/// that ended the stream (kTruncated for a partial frame at EOF).
+WireStatus DecodeAndReencode(const std::vector<uint8_t>& bytes, size_t split,
+                             const std::string& what) {
+  FrameDecoder decoder;
+  decoder.Feed(bytes.data(), split);
+  decoder.Feed(bytes.data() + split, bytes.size() - split);
+  std::vector<uint8_t> reencoded;
+  WireStatus status = WireStatus::kOk;
+  for (;;) {
+    DecodedFrame frame;
+    status = decoder.Next(&frame);
+    if (status != WireStatus::kOk) break;
+    if (frame.type == FrameType::kRequest) {
+      EncodeRequestFrame(frame.request_id, frame.request, &reencoded);
+    } else {
+      EncodeResponseFrame(frame.request_id, frame.response, &reencoded);
+    }
+  }
+  EXPECT_TRUE(reencoded.size() <= bytes.size() &&
+              std::equal(reencoded.begin(), reencoded.end(), bytes.begin()))
+      << what << ": a decoded frame does not re-encode to its bytes";
+  if (status == WireStatus::kNeedMore) status = decoder.Finish();
+  if (status == WireStatus::kOk) {
+    EXPECT_EQ(reencoded.size(), bytes.size()) << what;
+  }
+  return status;
+}
+
+TEST(NetWireFuzzTest, EveryFlipOrCutIsACleanErrorOrAnExactRoundTrip) {
+  // Seeds: a top-k request, an upsert and a remove, a response with
+  // results, and a stream of two frames. Each case flips one header byte
+  // (every bit of every byte), flips a fixed-seed sample of payload bytes,
+  // or cuts the stream at every length. The decoder must end each in a
+  // WireStatus error or decode frames that re-encode byte-identically;
+  // nothing may abort.
+  std::vector<std::vector<uint8_t>> seeds;
+  std::vector<std::vector<size_t>> starts;  // each seed's frame offsets
+  const auto add_seed = [&](const auto& encode) {
+    seeds.emplace_back();
+    encode(&seeds.back());
+    starts.push_back({0});
+  };
+  WireRequest topk;
+  topk.kind = service::RequestKind::kTopK;
+  topk.k = 7;
+  topk.eps = 2;
+  topk.method = Method::kApMinMax;
+  topk.prescreen = true;
+  topk.prescreen_threshold = 0.125;
+  topk.deadline_seconds = 1.5;
+  topk.community = MakeTestCommunity();
+  add_seed([&](auto* out) { EncodeRequestFrame(11, topk, out); });
+  WireRequest upsert;
+  upsert.kind = service::RequestKind::kUpsert;
+  upsert.id = 0x0123456789ABCDEFu;
+  upsert.use_bound_cutoff = false;
+  upsert.community = MakeTestCommunity();
+  add_seed([&](auto* out) { EncodeRequestFrame(12, upsert, out); });
+  WireRequest remove;
+  remove.kind = service::RequestKind::kRemove;
+  remove.id = 77;
+  add_seed([&](auto* out) { EncodeRequestFrame(13, remove, out); });
+  WireResponse response;
+  response.cache_hit = true;
+  response.version = 5;
+  response.state_version = 17;
+  response.sequence = 99;
+  response.queue_seconds = 0.001;
+  response.total_seconds = 0.25;
+  response.entries = {{5, 2, 0.1 + 0.2}, {9, 1, 1.0 / 3.0}, {2, 4, 0.0}};
+  response.catalog_entries = 24;
+  response.refined = 7;
+  response.bound_skipped = 3;
+  response.prescreen_probed = 10;
+  response.prescreen_skipped = 14;
+  add_seed([&](auto* out) { EncodeResponseFrame(14, response, out); });
+  add_seed([&](auto* out) {
+    EncodeRequestFrame(15, remove, out);
+    EncodeResponseFrame(15, response, out);
+  });
+  starts.back().push_back(seeds[2].size());
+
+  util::Rng rng(testing::TestSeed(0xF022));
+  size_t round_trips = 0;
+  size_t errors = 0;
+  const auto check = [&](const std::vector<uint8_t>& bytes,
+                         const std::string& what) {
+    const size_t split = bytes.empty() ? 0 : rng() % (bytes.size() + 1);
+    const WireStatus status = DecodeAndReencode(bytes, split, what);
+    (status == WireStatus::kOk ? round_trips : errors) += 1;
+    return status;
+  };
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    const std::vector<uint8_t>& seed = seeds[s];
+    const std::string name = "seed " + std::to_string(s);
+    ASSERT_EQ(check(seed, name), WireStatus::kOk);
+    // Every bit of every frame header.
+    for (const size_t start : starts[s]) {
+      for (size_t offset = start; offset < start + kFrameHeaderBytes;
+           ++offset) {
+        for (int bit = 0; bit < 8; ++bit) {
+          std::vector<uint8_t> bytes = seed;
+          bytes[offset] ^= static_cast<uint8_t>(1u << bit);
+          check(bytes, name + " header byte " + std::to_string(offset) +
+                           " bit " + std::to_string(bit));
+        }
+      }
+    }
+    // A fixed-seed sample of payload bytes, each XORed with a random
+    // non-zero value.
+    for (int sample = 0; sample < 256; ++sample) {
+      std::vector<uint8_t> bytes = seed;
+      const size_t offset =
+          kFrameHeaderBytes + rng() % (seed.size() - kFrameHeaderBytes);
+      bytes[offset] ^= static_cast<uint8_t>(1 + rng() % 255);
+      check(bytes, name + " payload byte " + std::to_string(offset));
+    }
+    // Every cut: EOF at a frame boundary is clean, anywhere else the
+    // stream is truncated.
+    for (size_t cut = 0; cut < seed.size(); ++cut) {
+      const std::vector<uint8_t> bytes(seed.begin(),
+                                       seed.begin() +
+                                           static_cast<std::ptrdiff_t>(cut));
+      const bool boundary = std::ranges::count(starts[s], cut) != 0;
+      EXPECT_EQ(check(bytes, name + " cut at " + std::to_string(cut)),
+                boundary ? WireStatus::kOk : WireStatus::kTruncated)
+          << name << " cut at " << cut;
+    }
+  }
+  // Both outcomes occur: flips of the request id round-trip, flips of
+  // the magic fail.
+  EXPECT_GT(round_trips, seeds.size());
+  EXPECT_GT(errors, seeds.size());
 }
 
 // ---------------------------------------------------------------------

@@ -22,6 +22,7 @@
 #include <functional>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,13 +75,15 @@ service::CommunityCatalog::Options CatalogOpts() {
   return options;
 }
 
-/// Builds a store with a sealed segment (every artifact class present)
-/// plus a log tail with both record kinds.
+/// Builds a store with a sealed segment (every section kind the writer
+/// emits) plus a log tail with both record kinds.
 void BuildStore(const std::string& dir) {
   service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 12; ++id) {
-    catalog.Upsert(id, MakeTestCommunity(10 + static_cast<uint32_t>(id % 6),
-                                         id));
+    Community community =
+        MakeTestCommunity(10 + static_cast<uint32_t>(id % 6), id);
+    community.set_name("brand " + std::to_string(id));
+    catalog.Upsert(id, std::move(community));
   }
   StoreOptions store_options;
   store_options.dir = dir;
@@ -161,15 +164,14 @@ TEST(PersistFsckTest, FlippedByteInEverySectionPayloadIsFatal) {
   const std::vector<uint8_t> pristine = ReadFile(seg);
 
   // Walk the real section table so the sweep covers every region class
-  // the writer emitted — ids, versions, counters, sketches, encodings,
-  // windows, all of them.
+  // the writer emitted: the ten entry columns and the two sketch ones.
   std::string error;
   auto mapped = MappedSegment::Map(seg, false, false, &error);
   ASSERT_NE(mapped, nullptr) << error;
   std::vector<SectionDesc> sections(mapped->sections().begin(),
                                     mapped->sections().end());
   mapped.reset();
-  EXPECT_GE(sections.size(), 20u);
+  EXPECT_EQ(sections.size(), 12u);
 
   size_t covered = 0;
   for (const SectionDesc& desc : sections) {
@@ -181,7 +183,7 @@ TEST(PersistFsckTest, FlippedByteInEverySectionPayloadIsFatal) {
     WriteFile(seg, pristine);
     ++covered;
   }
-  EXPECT_GE(covered, 20u);
+  EXPECT_EQ(covered, sections.size());
   EXPECT_TRUE(Fsck(dir).clean());
 }
 

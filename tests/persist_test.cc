@@ -7,10 +7,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -22,13 +24,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/encoding_cache.h"
+#include "core/encoding.h"
 #include "core/signature.h"
 #include "data/generator.h"
 #include "persist/crc32.h"
 #include "persist/fsck.h"
 #include "service/catalog.h"
 #include "service/deep_compare.h"
+#include "service/topk.h"
 #include "test_seed.h"
 #include "util/rng.h"
 
@@ -495,17 +498,14 @@ std::string ReadFileBytes(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-TEST(PersistStoreTest, CheckpointSealsEntryArtifactsWhateverTheCacheHolds) {
-  // Same history into two catalogs, one of them configured with a cache
-  // (the catalog ignores it). Both segments carry the entries' own
-  // artifacts and must not differ by a byte; the cache stays empty.
-  EncodingCache cache;
-  service::CommunityCatalog::Options with_cache = CatalogOpts();
-  with_cache.cache = &cache;
-  service::CommunityCatalog cached_catalog(with_cache);
-  service::CommunityCatalog plain_catalog(CatalogOpts());
-  for (service::CommunityCatalog* catalog :
-       {&cached_catalog, &plain_catalog}) {
+TEST(PersistStoreTest, CheckpointBytesDoNotDependOnWhichEntriesWereRefined) {
+  // Same history into two catalogs; every entry of one is refined, none
+  // of the other. MinMax artifacts are a cache, so both segments hold no
+  // encoding section (kinds 14-23) and leave flag bit 1 clear, they must
+  // not differ by a byte, and the checkpoint publishes nothing.
+  service::CommunityCatalog refined(CatalogOpts());
+  service::CommunityCatalog unrefined(CatalogOpts());
+  for (service::CommunityCatalog* catalog : {&refined, &unrefined}) {
     for (uint64_t id = 1; id <= 30; ++id) {
       catalog->Upsert(id, MakeTestCommunity(
                               10 + static_cast<uint32_t>(id % 9), 300 + id));
@@ -513,10 +513,12 @@ TEST(PersistStoreTest, CheckpointSealsEntryArtifactsWhateverTheCacheHolds) {
     catalog->Upsert(4, Community(*catalog->Get(4).community));  // refresh
     catalog->Remove(7);
   }
+  for (const service::CatalogEntry& entry : refined.Snapshot()) {
+    refined.EncodingsAt(entry);
+  }
 
   std::string paths[2];
-  const service::CommunityCatalog* catalogs[2] = {&cached_catalog,
-                                                  &plain_catalog};
+  const service::CommunityCatalog* catalogs[2] = {&refined, &unrefined};
   for (int arm = 0; arm < 2; ++arm) {
     StoreOptions options;
     options.dir = FreshDir();
@@ -528,22 +530,27 @@ TEST(PersistStoreTest, CheckpointSealsEntryArtifactsWhateverTheCacheHolds) {
     std::string map_error;
     auto segment = MappedSegment::Map(paths[arm], false, false, &map_error);
     ASSERT_NE(segment, nullptr) << map_error;
-    EXPECT_NE(segment->header().flags & kSegHasEncodings, 0u);
+    EXPECT_EQ(segment->header().flags, kSegHasSignatures);
+    EXPECT_EQ(segment->header().reserved_warm_eps, 0u);
+    EXPECT_EQ(segment->header().reserved_warm_parts, 0u);
+    for (const SectionDesc& desc : segment->sections()) {
+      EXPECT_TRUE(desc.kind < 14 || desc.kind > 23) << desc.kind;
+    }
   }
-  const std::string cached_bytes = ReadFileBytes(paths[0]);
-  EXPECT_FALSE(cached_bytes.empty());
-  EXPECT_TRUE(cached_bytes == ReadFileBytes(paths[1]));
-  const EncodingCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.hits, 0u);
+  const std::string refined_bytes = ReadFileBytes(paths[0]);
+  EXPECT_FALSE(refined_bytes.empty());
+  EXPECT_TRUE(refined_bytes == ReadFileBytes(paths[1]));
+  for (const service::CatalogEntry& entry : unrefined.Snapshot()) {
+    EXPECT_EQ(entry.encodings, nullptr) << entry.id;
+  }
 }
 
-TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
+TEST(PersistStoreTest, RestoredEntriesGetArtifactsOnFirstRefine) {
   const std::string dir = FreshDir();
   service::CommunityCatalog catalog(CatalogOpts());
   for (uint64_t id = 1; id <= 6; ++id) {
     catalog.Upsert(id, MakeTestCommunity(14, id));
+    catalog.EncodingsAt(catalog.Get(id));
   }
   StoreOptions options;
   options.dir = dir;
@@ -562,48 +569,27 @@ TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
     store->StopLogging(&catalog);
   }
 
-  // No catalog here has a cache: the warm-parameter check applies to
-  // every catalog, since every one adopts the mapped artifacts.
-  for (const bool other_eps : {true, false}) {
-    service::CommunityCatalog::Options mismatched = CatalogOpts();
-    if (other_eps) {
-      mismatched.warm_eps = 5;
-    } else {
-      mismatched.warm_parts = 2;
-    }
-    service::CommunityCatalog wrong(mismatched);
-    auto store = Store::Open(options, &error);
-    ASSERT_NE(store, nullptr) << error;
-    error.clear();
-    EXPECT_FALSE(store->RestoreInto(&wrong, &error));
-    EXPECT_NE(error.find("warm parameters"), std::string::npos) << error;
-    EXPECT_EQ(wrong.size(), 0u);
-  }
-
+  // The writer refined every entry, yet none comes back with artifacts:
+  // the first refine builds and publishes them.
   service::CommunityCatalog restored(CatalogOpts());
   auto store = Store::Open(options, &error);
   ASSERT_NE(store, nullptr) << error;
   ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
   EXPECT_TRUE(service::CatalogsIdentical(catalog, restored, /*eps=*/2, kTau));
   for (const service::CatalogEntry& entry : restored.Snapshot()) {
-    // A view over the mapping owns no heap: the log-tail rewrites with
-    // unchanged content share the segment entries' views; the changed
-    // one has none until its first refine builds its own.
-    const bool mapped = entry.id != 4;
-    EXPECT_EQ(entry.encodings != nullptr, mapped);
+    EXPECT_EQ(entry.encodings, nullptr) << entry.id;
     const auto encodings = restored.EncodingsAt(entry);
-    EXPECT_EQ(encodings->encoded_b->MemoryBytes() == 0, mapped);
-    EXPECT_EQ(encodings->encoded_a->MemoryBytes() == 0, mapped);
+    EXPECT_EQ(restored.Get(entry.id).encodings, encodings);
   }
 
-  // A refresh with unchanged content shares the mapped artifacts and
+  // A refresh with unchanged content shares the published artifacts and
   // copies the sketch row the segment installed; one with new content
-  // builds its own.
-  const service::CatalogEntry mapped = restored.Get(3);
+  // gets its own on first refine.
+  const service::CatalogEntry published = restored.Get(3);
   const uint64_t refreshed =
-      restored.Upsert(3, Community(*mapped.community));
-  EXPECT_EQ(restored.Get(3).encodings, mapped.encodings);
-  const CommunitySignature fresh(*mapped.community,
+      restored.Upsert(3, Community(*published.community));
+  EXPECT_EQ(restored.Get(3).encodings, published.encodings);
+  const CommunitySignature fresh(*published.community,
                                  *restored.signature_options());
   EXPECT_TRUE(
       std::ranges::equal(restored.SketchAt(3, refreshed), fresh.table()));
@@ -611,8 +597,7 @@ TEST(PersistStoreTest, RestoreAdoptsMappedArtifactsUnderTheWritersParameters) {
   EXPECT_EQ(restored.Get(3).encodings, nullptr);
   const auto rebuilt = restored.EncodingsAt(restored.Get(3));
   EXPECT_EQ(restored.Get(3).encodings, rebuilt);
-  EXPECT_NE(rebuilt, mapped.encodings);
-  EXPECT_GT(rebuilt->encoded_b->MemoryBytes(), 0u);
+  EXPECT_NE(rebuilt, published.encodings);
 }
 
 TEST(PersistStoreTest, RestoreRejectsLogVersionsOutsideTheHorizon) {
@@ -732,29 +717,69 @@ TEST(PersistStoreTest, RestoredEntriesAreCopyOnWriteOverTheMapping) {
                          before.end()));
 }
 
-TEST(PersistStoreTest, RestoreRejectsMismatchedWarmParameters) {
-  const std::string dir = FreshDir();
-  service::CommunityCatalog catalog(CatalogOpts());
-  catalog.Upsert(1, MakeTestCommunity(16, 1));
-
+TEST(PersistStoreTest, RestoreUnderOtherWarmParametersMatchesAFreshIngest) {
+  // A store written under (eps 2, parts 4) restores into a catalog
+  // configured for other warm parameters: the artifacts are a cache,
+  // built on first refine under the reader's own parameters. Each restore
+  // equals a catalog that ingested the same history under them, and
+  // serves the same top-k rankings.
+  const auto history = [](service::CommunityCatalog* catalog) {
+    for (uint64_t id = 1; id <= 16; ++id) {
+      catalog->Upsert(
+          id, MakeTestCommunity(12 + static_cast<uint32_t>(id % 5), id));
+    }
+    catalog->Upsert(4, MakeTestCommunity(15, 404));
+    catalog->Remove(9);
+  };
+  service::CommunityCatalog written(CatalogOpts());
+  history(&written);
+  for (const service::CatalogEntry& entry : written.Snapshot()) {
+    written.EncodingsAt(entry);
+  }
   StoreOptions options;
-  options.dir = dir;
+  options.dir = FreshDir();
   std::string error;
   {
     auto store = Store::Open(options, &error);
     ASSERT_NE(store, nullptr) << error;
-    ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
+    ASSERT_TRUE(store->Checkpoint(written, &error)) << error;
   }
 
-  // A reader configured for different warm parameters must be refused:
-  // the segment's encoded artifacts were built for (eps=2, parts=4).
-  service::CommunityCatalog::Options mismatched = CatalogOpts();
-  mismatched.warm_eps = 3;
-  service::CommunityCatalog wrong(mismatched);
-  auto store = Store::Open(options, &error);
-  ASSERT_NE(store, nullptr) << error;
-  EXPECT_FALSE(store->RestoreInto(&wrong, &error));
-  EXPECT_FALSE(error.empty());
+  for (const bool other_eps : {true, false}) {
+    SCOPED_TRACE(other_eps ? "eps 3" : "parts 2");
+    service::CommunityCatalog::Options reader = CatalogOpts();
+    if (other_eps) {
+      reader.warm_eps = 3;
+    } else {
+      reader.warm_parts = 2;
+    }
+    service::CommunityCatalog ingested(reader);
+    history(&ingested);
+    service::CommunityCatalog restored(reader);
+    auto store = Store::Open(options, &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
+    EXPECT_TRUE(service::CatalogsIdentical(ingested, restored,
+                                           reader.warm_eps, kTau));
+
+    const service::TopKSimilarService ingested_service(&ingested);
+    const service::TopKSimilarService restored_service(&restored);
+    service::TopKOptions query;
+    query.k = 5;
+    query.join.eps = reader.warm_eps;
+    query.join.encoding_parts = reader.warm_parts;
+    for (const bool prescreen : {false, true}) {
+      query.prescreen = prescreen;
+      for (const uint64_t id : {1u, 4u, 12u}) {
+        const Community& community = *ingested.Get(id).community;
+        const std::vector<service::TopKEntry> want =
+            ingested_service.Query(community, query).entries;
+        EXPECT_FALSE(want.empty());
+        EXPECT_EQ(restored_service.Query(community, query).entries, want)
+            << "query " << id << " prescreen " << prescreen;
+      }
+    }
+  }
 }
 
 TEST(PersistStoreTest, RestoreRejectsCorruptVersionColumnGracefully) {
@@ -802,15 +827,17 @@ TEST(PersistStoreTest, RestoreRejectsCorruptVersionColumnGracefully) {
   EXPECT_NE(error.find("csj_fsck"), std::string::npos) << error;
 }
 
-/// Checkpoints `catalog` into a fresh store, reseals its segment with one
-/// more section of `kind` holding `payload` (as an older writer would
-/// have sealed it), and requires restore and deep fsck to ignore it.
-void ExpectOlderSectionIgnored(const service::CommunityCatalog& catalog,
-                               SectionKind kind,
-                               const std::vector<uint32_t>& payload) {
-  const std::string dir = FreshDir();
+/// Checkpoints `catalog` into a fresh store and reseals its segment as an
+/// older writer sealed it: `older` appended to its sections, `flags`
+/// added to the header's, and (`warm_eps`, `warm_parts`) in the header's
+/// reserved fields. Sets `*dir` to the store directory.
+void ResealAsOlderWriter(const service::CommunityCatalog& catalog,
+                         const std::vector<SectionSpec>& older,
+                         std::string* dir, uint32_t flags = 0,
+                         uint32_t warm_eps = 0, uint32_t warm_parts = 0) {
+  *dir = FreshDir();
   StoreOptions options;
-  options.dir = dir;
+  options.dir = *dir;
   std::string error;
   {
     auto store = Store::Open(options, &error);
@@ -818,38 +845,65 @@ void ExpectOlderSectionIgnored(const service::CommunityCatalog& catalog,
     ASSERT_TRUE(store->Checkpoint(catalog, &error)) << error;
   }
 
-  const std::string seg = dir + "/seg-1.csj";
+  const std::string seg = *dir + "/seg-1.csj";
   const std::string resealed = seg + ".resealed";
   {
     auto segment = MappedSegment::Map(seg, false, false, &error);
     ASSERT_NE(segment, nullptr) << error;
-    ASSERT_EQ(segment->Find(kind), nullptr);
     const SegmentHeader& header = segment->header();
     SegmentParams params;
     params.entry_count = header.entry_count;
     params.next_version = header.next_version;
-    params.warm_eps = header.warm_eps;
-    params.warm_parts = header.warm_parts;
     params.sig_quantiles = header.sig_quantiles;
-    params.flags = header.flags;
+    params.flags = header.flags | flags;
     std::vector<SectionSpec> sections;
     for (const SectionDesc& desc : segment->sections()) {
       sections.push_back({static_cast<SectionKind>(desc.kind), desc.elem_size,
                           segment->data() + desc.offset, desc.byte_size});
     }
-    sections.push_back(
-        {kind, 4, payload.data(), payload.size() * sizeof(uint32_t)});
+    for (const SectionSpec& spec : older) {
+      ASSERT_EQ(segment->Find(spec.kind), nullptr);
+      sections.push_back(spec);
+    }
     ASSERT_TRUE(WriteSegment(resealed, params, sections, &error)) << error;
   }
-  ASSERT_EQ(std::rename(resealed.c_str(), seg.c_str()), 0);
+  // The writer leaves the reserved warm fields 0: set them, and the
+  // header CRC over them, by hand.
+  std::string bytes = ReadFileBytes(resealed);
+  SegmentHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  header.reserved_warm_eps = warm_eps;
+  header.reserved_warm_parts = warm_parts;
+  header.crc = Crc32c(&header, offsetof(SegmentHeader, crc));
+  std::memcpy(bytes.data(), &header, sizeof(header));
+  std::ofstream(seg, std::ios::binary | std::ios::trunc) << bytes;
+  std::remove(resealed.c_str());
+}
 
+/// Requires restore and deep fsck of `dir` to ignore what an older writer
+/// added to the checkpoint of `catalog`.
+void ExpectOlderAdditionsIgnored(const std::string& dir,
+                                 const service::CommunityCatalog& catalog) {
   ExpectRestoresIdentical(dir, catalog);
   FsckOptions fsck_options;
   fsck_options.dir = dir;
   fsck_options.deep = true;
   FsckReport report;
   ASSERT_TRUE(FsckStore(fsck_options, &report));
-  EXPECT_TRUE(report.clean());
+  EXPECT_TRUE(report.clean())
+      << (report.findings.empty() ? "" : report.findings[0].message);
+}
+
+/// One more section of `kind` holding `payload`, as an older writer
+/// would have sealed it: restore and deep fsck must ignore it.
+void ExpectOlderSectionIgnored(const service::CommunityCatalog& catalog,
+                               SectionKind kind,
+                               const std::vector<uint32_t>& payload) {
+  std::string dir;
+  ASSERT_NO_FATAL_FAILURE(ResealAsOlderWriter(
+      catalog, {{kind, 4, payload.data(), payload.size() * sizeof(uint32_t)}},
+      &dir));
+  ExpectOlderAdditionsIgnored(dir, catalog);
 }
 
 void UpsertSixEntries(service::CommunityCatalog* catalog) {
@@ -900,6 +954,83 @@ TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsCommunityWindow) {
   }
   SCOPED_TRACE("garbage");
   ExpectOlderSectionIgnored(catalog, SectionKind::kComWindow, garbage);
+}
+
+TEST(PersistStoreTest, RestoreAndFsckIgnoreAnOlderSegmentsEncodingSections) {
+  // Older writers sealed every entry's MinMax artifacts (kinds 14-23),
+  // set flag bit 1 and recorded their warm (eps, parts) in the header.
+  // Restore and fsck ignore all three: the entries come back without
+  // artifacts, and the first refine builds them.
+  service::CommunityCatalog catalog(CatalogOpts());
+  UpsertSixEntries(&catalog);
+  constexpr Epsilon kEps = 2;
+  constexpr uint32_t kParts = 4;
+  std::vector<uint64_t> sums_prefix = {0}, window_prefix = {0};
+  std::vector<uint64_t> b_ids, b_sums, a_mins, a_maxs, a_cols;
+  std::vector<UserId> b_real, a_real;
+  std::vector<Count> a_window;
+  for (const service::CatalogEntry& entry : catalog.Snapshot()) {
+    const auto encodings =
+        service::BuildEntryEncodings(*entry.community, kEps, kParts);
+    const EncodedB& b = *encodings->encoded_b;
+    const EncodedA& a = *encodings->encoded_a;
+    const size_t sums = static_cast<size_t>(b.size()) * b.parts();
+    const size_t window =
+        VerifyWindow::PaddedCount(a.size(), entry.community->d());
+    sums_prefix.push_back(sums_prefix.back() + sums);
+    window_prefix.push_back(window_prefix.back() + window);
+    for (uint32_t u = 0; u < b.size(); ++u) {
+      b_ids.push_back(b.encoded_id(u));
+      b_real.push_back(b.real_id(u));
+      a_mins.push_back(a.encoded_min(u));
+      a_maxs.push_back(a.encoded_max(u));
+      a_real.push_back(a.real_id(u));
+    }
+    b_sums.insert(b_sums.end(), b.part_sums(0).data(),
+                  b.part_sums(0).data() + sums);
+    a_cols.insert(a_cols.end(), a.part_lo(0), a.part_lo(0) + 2 * sums);
+    a_window.insert(a_window.end(), a.window().BlockData(0),
+                    a.window().BlockData(0) + window);
+  }
+  const auto spec = [](SectionKind kind, const auto& column) {
+    constexpr auto kElem = static_cast<uint32_t>(sizeof(column[0]));
+    return SectionSpec{kind, kElem, column.data(), column.size() * kElem};
+  };
+  std::string dir;
+  ASSERT_NO_FATAL_FAILURE(ResealAsOlderWriter(
+      catalog,
+      {spec(SectionKind::kSumsPrefix, sums_prefix),
+       spec(SectionKind::kEncBIds, b_ids),
+       spec(SectionKind::kEncBReal, b_real),
+       spec(SectionKind::kEncBSums, b_sums),
+       spec(SectionKind::kEncAMins, a_mins),
+       spec(SectionKind::kEncAMaxs, a_maxs),
+       spec(SectionKind::kEncAReal, a_real),
+       spec(SectionKind::kEncACols, a_cols),
+       spec(SectionKind::kWindowPrefix, window_prefix),
+       spec(SectionKind::kEncAWindow, a_window)},
+      &dir, /*flags=*/1u << 1, kEps, kParts));
+  std::string error;
+  {
+    auto segment = MappedSegment::Map(dir + "/seg-1.csj", false, false,
+                                      &error);
+    ASSERT_NE(segment, nullptr) << error;
+    EXPECT_EQ(segment->header().flags, kSegHasSignatures | (1u << 1));
+    EXPECT_EQ(segment->header().reserved_warm_eps, kEps);
+    EXPECT_EQ(segment->header().reserved_warm_parts, kParts);
+    EXPECT_EQ(segment->sections().size(), 22u);
+  }
+
+  StoreOptions options;
+  options.dir = dir;
+  auto store = Store::Open(options, &error);
+  ASSERT_NE(store, nullptr) << error;
+  service::CommunityCatalog restored(CatalogOpts());
+  ASSERT_TRUE(store->RestoreInto(&restored, &error)) << error;
+  for (const service::CatalogEntry& entry : restored.Snapshot()) {
+    EXPECT_EQ(entry.encodings, nullptr) << entry.id;
+  }
+  ExpectOlderAdditionsIgnored(dir, catalog);
 }
 
 }  // namespace

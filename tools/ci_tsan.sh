@@ -37,8 +37,8 @@
 # writers stream through the durable-log sink inside the shard critical
 # sections while the LogWriter serializes appends on its own mutex, then
 # the recovered state must match the live catalog byte for byte, and
-# persist_test: restored entries hand their mapped artifacts to same-
-# content refreshes that run on pool threads, and persist_fsck_test: the
+# persist_test: log-tail refreshes with unchanged content copy the
+# restored entries' sketch rows on pool threads, and persist_fsck_test: the
 # segment reader builds entries on pool threads and deep verify reports
 # from them through one mutex, and its log-decode fuzz test, whose
 # restores build the replayed communities on pool threads from the

@@ -8,11 +8,12 @@
 // unique versions below next_version, prefix-sum steps and totals, and
 // unique log-upsert versions at or above the sealed generation's
 // horizon. Log framing and CRCs are checked on the way. --deep (the
-// default) additionally recomputes every entry's digest, sketch table
-// and EncodedB/EncodedA artifacts from the stored counters and requires
-// them to equal the stored ones — CRCs prove the bytes are what was
-// written, recomputation proves what was written is what the builders
-// produce today.
+// default) additionally recomputes every entry's digest and sketch table
+// from the stored counters and requires them to equal the stored ones —
+// CRCs prove the bytes are what was written, recomputation proves what
+// was written is what the builders produce today. A segment holds no
+// MinMax artifacts; an older segment's encoding sections are CRC-checked
+// and otherwise ignored, as restore ignores them.
 //
 //   ./csj_fsck --dir=/var/lib/csj/store            # verify, exit 0/1
 //   ./csj_fsck --dir=... --deep=false              # skip recomputation
@@ -31,8 +32,8 @@ int main(int argc, char** argv) {
   csj::util::Flags flags;
   flags.Define("dir", "", "store directory to verify");
   flags.Define("deep", "true",
-               "recompute digests, sketches and MinMax encodings from "
-               "the stored counters and byte-compare");
+               "recompute digests and sketches from the stored "
+               "counters and byte-compare");
   flags.Define("repair", "false",
                "truncate a torn log tail in place (the only mutation "
                "fsck ever performs)");
